@@ -42,7 +42,7 @@ fc_final = results["fully_connected"].epsilon_median[-1]
 path_final = results["path"].epsilon_median[-1]
 print(f"fully connected beats the path by a factor {path_final / fc_final:.1e}")
 print(f"outputs under {OUT}/topology_*/: run_<i>.csv, aggregate.csv, "
-      "epsilon.dat, epsilon.gp, study.meta")
+      "epsilon.gp, study.meta")
 
 # --- the same dialect, driven through the CLI ------------------------------
 

@@ -50,7 +50,7 @@ print()
 print(f"settled error before the drift: {settled:.3e}")
 print(f"worst error while drifting:     {during:.3e}")
 print(f"settled error after the drift:  {after:.3e}")
-print(f"outputs under {OUT}: aggregate.csv, epsilon.dat, lambda.dat, epsilon.gp")
+print(f"outputs under {OUT}: aggregate.csv, lambda.dat, epsilon.gp")
 
 try:
     import matplotlib

@@ -44,8 +44,6 @@ __all__ = [
     "select_updating_node",
     "star_tree",
     "compress",
-    "compress_det",
-    "compress_gamma",
     "BranchSegment",
     "LocalLayout",
     "plan_local_layout",
@@ -66,7 +64,6 @@ __all__ = [
     "TransportAudit",
     "audit_transport",
     "normalized_error",
-    "align_reference",
 ]
 
 
@@ -74,16 +71,6 @@ def compress(x_block: np.ndarray, y_block: np.ndarray) -> np.ndarray:
     """Filter a node's signal block through its compressor: X_k^T Y_k,
     n_filters rows regardless of the node's channel count."""
     return x_block.T @ y_block
-
-
-def compress_det(x_block: np.ndarray, b_block: np.ndarray) -> np.ndarray:
-    """Compress a deterministic term's block the same way as a signal."""
-    return x_block.T @ b_block
-
-
-def compress_gamma(x_block: np.ndarray, gamma_block: np.ndarray) -> np.ndarray:
-    """Compress one block of a quadratic-form matrix: X_k^T Gamma_k X_k."""
-    return x_block.T @ gamma_block @ x_block
 
 
 def select_updating_node(iteration: int, node_count: int) -> int:
@@ -101,7 +88,6 @@ def star_tree(graph: NetworkGraph, root: int) -> PrunedTree:
         root=root,
         parent={k: root for k in others},
         order=(root,) + others,
-        branch_of={k: k for k in others},
         _children={root: others},
     )
 
@@ -148,8 +134,8 @@ class TransportLog:
             out = [r for r in out if r.kind == kind]
         return list(out)
 
-    def scalars(self, iteration=None) -> int:
-        return sum(r.scalars for r in self.sent(iteration=iteration))
+    def scalars(self) -> int:
+        return sum(r.scalars for r in self.records)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -241,12 +227,6 @@ class LocalLayout:
     fallback: frozenset[int]                  # nodes forwarding raw rows
     subtree_channels: dict[int, int] = field(repr=False)
     raw_stack: dict[int, tuple[int, ...]] = field(repr=False)  # preorder per fallback node
-
-    def segment(self, branch_root: int) -> BranchSegment:
-        for seg in self.branches:
-            if seg.root == branch_root:
-                return seg
-        raise KeyError(f"no branch rooted at {branch_root}")
 
 
 def plan_local_layout(tree: PrunedTree, graph: NetworkGraph, n_filters: int) -> LocalLayout:
@@ -482,7 +462,7 @@ class StepInfo:
 
 def dasf_step(problem: SfoProblem, graph: NetworkGraph, x: np.ndarray,
               batch: SampleBatch, iteration: int, mode: str = "ti",
-              prune_seed=None, log: TransportLog | None = None) -> tuple[np.ndarray, StepInfo]:
+              log: TransportLog | None = None) -> tuple[np.ndarray, StepInfo]:
     """Run one iteration at the scheduled updating node and return the next
     network-wide filter along with the step's internals.
 
@@ -497,7 +477,7 @@ def dasf_step(problem: SfoProblem, graph: NetworkGraph, x: np.ndarray,
             raise ValueError("mode 'fc' requires a fully connected network")
         tree = star_tree(graph, q)
     elif mode == "ti":
-        tree = prune_to_tree_cached(graph, q, prune_seed)
+        tree = prune_to_tree_cached(graph, q)
     else:
         raise ValueError(f"unknown mode '{mode}'")
 
@@ -522,13 +502,11 @@ def dasf_step(problem: SfoProblem, graph: NetworkGraph, x: np.ndarray,
 _TREE_CACHE: dict[tuple[bytes, tuple[int, ...], int], PrunedTree] = {}
 
 
-def prune_to_tree_cached(graph: NetworkGraph, root: int, rng_seed=None) -> PrunedTree:
+def prune_to_tree_cached(graph: NetworkGraph, root: int) -> PrunedTree:
     """Deterministic pruning reuses the same tree for the same root; cache it
     keyed on the graph's content so long runs do not re-flood every iteration.
     Keying on object identity would be unsound: a recycled id would hand a
     stale tree to a different graph."""
-    if rng_seed is not None:
-        return prune_to_tree(graph, root, rng_seed)
     key = (graph.adjacency.tobytes(), graph.channels, root)
     tree = _TREE_CACHE.get(key)
     if tree is None:
@@ -576,13 +554,6 @@ def normalized_error(x: np.ndarray, reference: np.ndarray) -> float:
     return float(np.sum(diff * diff)) / denom
 
 
-def align_reference(reference: np.ndarray, final_x: np.ndarray, symmetry: str) -> np.ndarray:
-    """Map the reference through the problem's solution symmetry so it sits
-    closest to the trajectory's final point; distances to one fixed
-    representative are then meaningful along the whole trajectory."""
-    return align_to_anchor(reference, final_x, symmetry)
-
-
 @dataclass
 class RunResult:
     """A full run: per-iteration table, filter trajectory, transmissions."""
@@ -611,9 +582,8 @@ class RunResult:
 
 def dasf_run(problem: SfoProblem, graph: NetworkGraph, batch, n_iterations: int,
              mode: str = "ti", x0: np.ndarray | None = None, rng_seed=None,
-             reference=None, run_index: int = 0, prune_seed=None,
-             warn_on_bound: bool = True, early_stop_window: int | None = None,
-             early_stop_rtol: float = 1e-2) -> RunResult:
+             reference=None, run_index: int = 0,
+             warn_on_bound: bool = True) -> RunResult:
     """Run the scheme for a fixed number of iterations.
 
     batch is either one SampleBatch reused every iteration (deterministic
@@ -622,12 +592,6 @@ def dasf_run(problem: SfoProblem, graph: NetworkGraph, batch, n_iterations: int,
     measure against: a fixed array is symmetry-aligned once to the final
     iterate, a callable is evaluated per iteration and used as-is. x0
     defaults to a random point satisfying the network-wide constraints.
-
-    early_stop_window, off by default, ends the run once the best progress
-    metric of the last window iterations is no longer early_stop_rtol better
-    than the best seen before the window (the plateau test runs on the
-    unaligned error when a reference exists, else on the relative state
-    movement).
     """
     if warn_on_bound:
         check_constraint_bound(problem, graph)
@@ -641,34 +605,23 @@ def dasf_run(problem: SfoProblem, graph: NetworkGraph, batch, n_iterations: int,
     log = TransportLog()
     history = [x]
     rows: list[tuple[int, int, float, float, int]] = []
-    progress: list[float] = []
     for i in range(n_iterations):
         batch_i = batch(i) if callable(batch) else batch
-        x_prev = x
-        x, info = dasf_step(problem, graph, x, batch_i, i, mode=mode,
-                            prune_seed=prune_seed, log=log)
+        start = len(log)
+        x, info = dasf_step(problem, graph, x, batch_i, i, mode=mode, log=log)
         history.append(x)
         objective = evaluate_objective(problem, x, batch_i)
         residuals = constraint_residuals(problem, x)
         max_residual = float(residuals.max()) if residuals.size else 0.0
-        rows.append((i, info.node, objective, max_residual, log.scalars(iteration=i)))
-        if early_stop_window is not None:
-            if callable(reference):
-                progress.append(normalized_error(x, reference(i)))
-            elif reference is not None:
-                progress.append(normalized_error(x, np.asarray(reference, dtype=float)))
-            else:
-                progress.append(normalized_error(x, x_prev))
-            w = early_stop_window
-            if len(progress) >= 2 * w:
-                recent = min(progress[-w:])
-                earlier = min(progress[:-w])
-                if recent >= earlier * (1.0 - early_stop_rtol):
-                    break
+        tx = sum(r.scalars for r in log.records[start:])
+        rows.append((i, info.node, objective, max_residual, tx))
 
+    # a fixed reference is mapped through the solution symmetry to the
+    # representative closest to the final iterate, so distances to it are
+    # meaningful along the whole trajectory
     ref_fixed = None
     if reference is not None and not callable(reference):
-        ref_fixed = align_reference(np.asarray(reference, dtype=float),
+        ref_fixed = align_to_anchor(np.asarray(reference, dtype=float),
                                     history[-1], problem.symmetry)
 
     records = []

@@ -6,7 +6,7 @@ problem, network, signals, run, output. ``validate_config`` turns the raw
 mapping into a frozen ExperimentConfig, collecting one error per violated
 field; ``run_study`` executes the Monte-Carlo loop, computes a centralized
 reference per run, and writes per-run CSVs, an aggregate CSV, a resolved
-config echo, and gnuplot-ready error curves.
+config echo, and a gnuplot script for the error curves.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .sfo import (
     QcqpProblem,
     ScqpProblem,
     SfoProblem,
-    SolverError,
     TroProblem,
     solve_centralized,
 )
@@ -461,9 +460,12 @@ def _check_semantics(config: ExperimentConfig) -> None:
             errors.append("problem.n_filters: drift tracking uses a single steering vector, width must be 1")
         if config.sample_mode != "adaptive":
             errors.append("run.mode: a drift schedule needs adaptive mode (fresh batch per iteration)")
+    widest = max(config.filter_widths)
+    if widest > config.total_channels:
+        errors.append(f"problem.n_filters: width {widest} exceeds the network's "
+                      f"{config.total_channels} channels")
     if errors:
         raise ConfigError(errors)
-    widest = max(config.filter_widths)
     local_dim_bound = max(config.channels) + widest * (config.nodes - 1)
     if config.samples < local_dim_bound:
         warnings.warn(
@@ -577,15 +579,14 @@ def tracking_reference(model: SignalModel, t0: int, n_samples: int) -> np.ndarra
     return sla.solve(cov, cross, assume_a="pos")
 
 
-def _single_run(config: ExperimentConfig, n_filters: int, run_index: int,
+def _single_run(config: ExperimentConfig, n_filters: int, variant: str, run_index: int,
                 seed_seq: np.random.SeedSequence) -> tuple[RunResult, np.ndarray]:
-    """One Monte-Carlo run; returns the run plus its error trace including
-    the initial point."""
+    """One Monte-Carlo run with the given engine variant; returns the run
+    plus its error trace including the initial point."""
     rng = np.random.default_rng(seed_seq)
     graph = _build_graph(config, rng)
     problem = _build_problem(config, n_filters)
     model = _build_model(config, n_filters, rng)
-    variant = "fc" if graph.is_complete() else "ti"
     n = config.samples
 
     if config.drift is not None:
@@ -624,18 +625,23 @@ def _single_run(config: ExperimentConfig, n_filters: int, run_index: int,
 
 
 def _run_worker(args) -> tuple[int, RunResult | None, np.ndarray | None, str | None]:
-    config, n_filters, run_index, seed_seq = args
+    """One run; any error becomes that run's recorded failure, so the rest of
+    the study goes on."""
+    config, n_filters, variant, run_index, seed_seq = args
     try:
-        result, eps = _single_run(config, n_filters, run_index, seed_seq)
+        result, eps = _single_run(config, n_filters, variant, run_index, seed_seq)
         return run_index, result, eps, None
-    except (SolverError, net.GraphConnectivityError, np.linalg.LinAlgError) as exc:
+    except Exception as exc:
+        logger.debug("run %d raised", run_index, exc_info=True)
         return run_index, None, None, f"{type(exc).__name__}: {exc}"
 
 
 def _run_variant(config: ExperimentConfig, n_filters: int) -> StudyResult:
     master = np.random.SeedSequence(config.seed)
     children = master.spawn(config.runs)
-    payloads = [(config, n_filters, idx, children[idx]) for idx in range(config.runs)]
+    # a fully connected topology uses its star directly, any other is pruned
+    variant = "fc" if config.topology == "fully_connected" else "ti"
+    payloads = [(config, n_filters, variant, idx, children[idx]) for idx in range(config.runs)]
 
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
@@ -675,7 +681,7 @@ def _run_variant(config: ExperimentConfig, n_filters: int) -> StudyResult:
         epsilon_median=np.median(epsilon, axis=0),
         epsilon_mean=epsilon.mean(axis=0),
         epsilon_sem=sem,
-        engine_variant="fc" if config.topology == "fully_connected" else "ti",
+        engine_variant=variant,
     )
 
 
@@ -727,7 +733,8 @@ def _fmt(x: float) -> str:
 
 def write_study_outputs(study: StudyResult, out_dir: Path) -> None:
     """Emit run_<idx>.csv per run, aggregate.csv, study.meta, and the
-    gnuplot pair epsilon.dat / epsilon.gp (plus lambda.dat when tracking)."""
+    gnuplot script epsilon.gp that plots aggregate.csv (plus lambda.dat when
+    tracking)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -754,16 +761,6 @@ def write_study_outputs(study: StudyResult, out_dir: Path) -> None:
     }
     (out_dir / "study.meta").write_text(yaml.safe_dump(meta, sort_keys=True))
 
-    dat = ["# iter epsilon_median epsilon_mean epsilon_sem"]
-    for j in range(study.epsilon.shape[1]):
-        dat.append(" ".join([
-            str(j),
-            _fmt(study.epsilon_median[j]),
-            _fmt(study.epsilon_mean[j]),
-            _fmt(study.epsilon_sem[j]),
-        ]))
-    (out_dir / "epsilon.dat").write_text("\n".join(dat) + "\n")
-
     tracking = study.config.drift is not None
     if tracking:
         model_times = [t for t, _ in study.config.drift.schedule]
@@ -773,24 +770,21 @@ def write_study_outputs(study: StudyResult, out_dir: Path) -> None:
         lam_lines += [f"{j} {_fmt(lam[j])}" for j in range(lam.size)]
         (out_dir / "lambda.dat").write_text("\n".join(lam_lines) + "\n")
 
+    # aggregate.csv is comma-separated under a header row; lambda.dat is
+    # space-separated, so a tracking plot accepts either separator
     gp = [
+        "set datafile separator " + ("', '" if tracking else "','"),
         "set logscale y",
         "set xlabel 'iteration'",
         "set ylabel 'normalized error'",
         "set key top right",
     ]
+    curves = [
+        "plot 'aggregate.csv' skip 1 using 1:2 with lines title 'median'",
+        "     'aggregate.csv' skip 1 using 1:3 with lines title 'mean'",
+    ]
     if tracking:
-        gp += [
-            "set y2label 'mixing weight'",
-            "set y2range [0:1.1]",
-            "set y2tics",
-            "plot 'epsilon.dat' using 1:2 with lines title 'median', \\",
-            "     'epsilon.dat' using 1:3 with lines title 'mean', \\",
-            "     'lambda.dat' using 1:2 axes x1y2 with lines title 'lambda'",
-        ]
-    else:
-        gp += [
-            "plot 'epsilon.dat' using 1:2 with lines title 'median', \\",
-            "     'epsilon.dat' using 1:3 with lines title 'mean'",
-        ]
+        gp += ["set y2label 'mixing weight'", "set y2range [0:1.1]", "set y2tics"]
+        curves.append("     'lambda.dat' using 1:2 axes x1y2 with lines title 'lambda'")
+    gp.append(", \\\n".join(curves))
     (out_dir / "epsilon.gp").write_text("\n".join(gp) + "\n")

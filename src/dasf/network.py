@@ -213,20 +213,13 @@ class PrunedTree:
     """Spanning tree rooted at the current updating node.
 
     parent maps every non-root node to its unique parent; order lists nodes
-    root-first in breadth-first layers. branch_of maps every non-root node to
-    the root's neighbor whose subtree contains it (the "branch" the node's
-    data travels through).
+    root-first in breadth-first layers.
     """
 
     root: int
     parent: dict[int, int]
     order: tuple[int, ...]
-    branch_of: dict[int, int] = field(repr=False)
     _children: dict[int, tuple[int, ...]] = field(repr=False)
-
-    @property
-    def node_count(self) -> int:
-        return len(self.order)
 
     def children(self, node: int) -> tuple[int, ...]:
         return self._children.get(node, ())
@@ -285,17 +278,9 @@ def prune_to_tree(graph: NetworkGraph, root: int, rng_seed=None) -> PrunedTree:
         children.setdefault(p, []).append(k)
     children_t = {p: tuple(sorted(ks)) for p, ks in children.items()}
 
-    branch_of: dict[int, int] = {}
-    for k in order[1:]:
-        j = k
-        while parent[j] != root:
-            j = parent[j]
-        branch_of[k] = j
-
     return PrunedTree(
         root=root,
         parent=parent,
         order=tuple(order),
-        branch_of=branch_of,
         _children=children_t,
     )

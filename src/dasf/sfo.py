@@ -10,8 +10,8 @@ Shipped families:
 
 * mmse  - unconstrained target estimation, closed-form normal equations
 * qcqp  - quadratic objective, one metric-ball and one linear-response
-          equality constraint, solved via null-space elimination plus
-          bisection on the ball multiplier
+          equality constraint, solved via null-space elimination plus a
+          secular equation for the ball multiplier
 * tro   - filtered-power trace ratio of two streams on the metric-orthonormal
           manifold, solved by a ratio fixed point over generalized
           eigenvector subproblems
@@ -75,7 +75,9 @@ class InfeasibleProblemError(SolverError):
 
 
 FEASIBILITY_RTOL = 1e-8     # relative feasibility tolerance on returned solutions
-BALL_TOL = 1e-10            # bisection target |tr(X^T M X) - alpha^2| when active
+BALL_TOL = 1e-10            # ball slack accepted by the QCQP interior shortcut
+BALL_TIGHT_RTOL = 1e-12     # r^2 this close to the plane minimum: the ball only touches it
+SECULAR_MAX_STEPS = 400     # bracket doublings or halvings before a secular solve gives up
 RATIO_TOL = 1e-10           # trace-ratio fixed-point tolerance
 RATIO_MAX_ITER = 200
 COND_LIMIT = 1e12           # conditioning threshold for diagonal loading
@@ -95,7 +97,6 @@ class SfoProblem:
     kind: ClassVar[str] = "abstract"
     uses_second_stream: ClassVar[bool] = False
     uses_target: ClassVar[bool] = False
-    needs_metric: ClassVar[bool] = False
     # solution-set symmetry the engine may search when tie-breaking:
     # "none", "sign" (per-column flips), or "orthogonal" (right O(Q) orbit)
     symmetry: ClassVar[str] = "none"
@@ -163,7 +164,6 @@ class QcqpProblem(SfoProblem):
     radius: float = 1.0
 
     kind: ClassVar[str] = "qcqp"
-    needs_metric: ClassVar[bool] = True
 
     def __post_init__(self):
         super().__post_init__()
@@ -206,8 +206,9 @@ class QcqpProblem(SfoProblem):
         x_min = np.outer(c, d) / (c @ c)      # minimum-norm point on the plane
         h = x - x_min                         # plane-parallel part, orthogonal to x_min
         slack = r2 - float(np.sum(x_min * x_min))
-        if slack < 0:
+        if slack < -1e-9 * r2:
             raise InfeasibleProblemError("radius below the minimum-norm response")
+        slack = max(slack, 0.0)               # a radius at the plane minimum, up to rounding
         hn = float(np.sum(h * h))
         if hn > 0.9 * slack:
             h *= np.sqrt(0.9 * slack / hn) if slack > 0 else 0.0
@@ -227,7 +228,6 @@ class TroProblem(SfoProblem):
 
     kind: ClassVar[str] = "tro"
     uses_second_stream: ClassVar[bool] = True
-    needs_metric: ClassVar[bool] = True
     symmetry: ClassVar[str] = "orthogonal"
 
     def constraint_count(self):
@@ -258,7 +258,6 @@ class ScqpProblem(SfoProblem):
     linear_term: np.ndarray = None
 
     kind: ClassVar[str] = "scqp"
-    needs_metric: ClassVar[bool] = True
 
     def __post_init__(self):
         super().__post_init__()
@@ -309,10 +308,6 @@ class CompressedInstance:
     @property
     def dim(self) -> int:
         return self.y.shape[0]
-
-    @property
-    def n_samples(self) -> int:
-        return self.y.shape[1]
 
     @cached_property
     def cov_y(self) -> np.ndarray:
@@ -419,13 +414,46 @@ def solve_mmse(instance: CompressedInstance) -> SolveOutcome:
     return _finalize(instance, x, iterations=1)
 
 
-def _qcqp_secular(instance: CompressedInstance):
-    """Prepare the reduced secular equation for the ball multiplier.
+def _secular_root(f: Callable[[float], float], start: float,
+                  family: str) -> tuple[float, int]:
+    """Root of a secular function f that decreases through zero on (0, inf).
 
-    Eliminates the linear-response equality X^T c = d via a null-space basis
-    Z of c^T, writes X = X_p + Z U, and diagonalizes the reduced pencil
-    (Z^T R Z, Z^T M Z) so that the stationarity system for any multiplier mu
-    is diagonal and the ball value is a cheap scalar function of mu.
+    Steps geometrically from start, doubling while f stays positive and
+    halving while it stays negative, until one step brackets the root, which
+    brentq then polishes to full relative precision. Returns the root and
+    the steps plus brentq iterations spent. A bracket that does not close in
+    SECULAR_MAX_STEPS steps raises a SolverError naming the family.
+    """
+    a, fa = start, f(start)
+    factor = 2.0 if fa > 0.0 else 0.5
+    for steps in range(1, SECULAR_MAX_STEPS + 1):
+        b = a * factor
+        fb = f(b)
+        if fa * fb <= 0.0:
+            break
+        a, fa = b, fb
+    else:
+        raise SolverError(f"{family}: secular equation bracket did not close "
+                          f"in {SECULAR_MAX_STEPS} steps")
+    lo, hi = min(a, b), max(a, b)
+    root, result = brentq(f, lo, hi, xtol=1e-15 * lo, rtol=8.9e-16, maxiter=200,
+                          full_output=True)
+    return root, steps + result.iterations
+
+
+def solve_qcqp(instance: CompressedInstance) -> SolveOutcome:
+    """Ball-constrained quadratic program with a linear-response equality.
+
+    Eliminates the equality X^T c = d via a null-space basis Z of c^T,
+    writes X = X_p + Z U, and diagonalizes the reduced pencil
+    (Z^T R Z, Z^T M Z), so that the stationarity system for any ball
+    multiplier mu >= 0 is diagonal and the ball value is a cheap scalar
+    function of mu; the optimal mu is the root of that secular equation.
+    mu = 0 is returned immediately when the equality-only minimizer already
+    sits inside the ball, and the plane's minimum-metric-norm point (the
+    mu -> inf limit) when the ball only touches the plane. The problem is
+    convex, so the KKT point found is the global minimum and no tie-break is
+    needed.
     """
     prob: QcqpProblem = instance.problem
     cov = instance.cov_y
@@ -433,37 +461,26 @@ def _qcqp_secular(instance: CompressedInstance):
     c = instance.term("gain").ravel()
     d = prob.target_response
     metric = instance.metric_or_eye()
+    r2 = prob.radius**2
 
     cn2 = float(c @ c)
     if cn2 <= 0.0 or not np.isfinite(cn2):
         raise SolverError("gain vector is zero after compression")
-    # feasibility: the minimum metric-ball value on the response plane
-    min_ball = float(d @ d) / float(c @ sla.solve(metric, c, assume_a="pos"))
-    if prob.radius**2 < min_ball * (1.0 - 1e-9):
+    # feasibility: the minimum metric-ball value on the response plane; a
+    # least-squares solve, since at a tight ball every feasible X has rank one
+    # and so the compressed metric is singular for Q > 1
+    m_inv_c = np.linalg.lstsq(metric, c, rcond=None)[0]
+    c_m_c = float(c @ m_inv_c)
+    min_ball = float(d @ d) / c_m_c
+    if r2 < min_ball * (1.0 - 1e-9):
         raise InfeasibleProblemError(
-            f"radius^2 {prob.radius**2:.6g} below plane minimum {min_ball:.6g}"
+            f"radius^2 {r2:.6g} below plane minimum {min_ball:.6g}"
         )
+    if r2 <= min_ball * (1.0 + BALL_TIGHT_RTOL):
+        return _finalize(instance, np.outer(m_inv_c, d) / c_m_c, iterations=0)
 
     x_p = np.outer(c, d) / cn2
     z = sla.null_space(c[None, :])
-    return cov, a, c, d, metric, x_p, z, min_ball
-
-
-def solve_qcqp(instance: CompressedInstance) -> SolveOutcome:
-    """Ball-constrained quadratic program with a linear-response equality.
-
-    Null-space elimination of the equality leaves a trust-region-like
-    subproblem; the optimal ball multiplier mu >= 0 solves a scalar secular
-    equation, found by bisection on an expanding bracket until the ball value
-    matches radius^2 to BALL_TOL. mu = 0 is returned immediately when the
-    equality-only minimizer already sits inside the ball. The problem is
-    convex, so the KKT point found is the global minimum and no tie-break is
-    needed.
-    """
-    prob: QcqpProblem = instance.problem
-    cov, a, c, d, metric, x_p, z, min_ball = _qcqp_secular(instance)
-    r2 = prob.radius**2
-
     if z.shape[1] == 0:
         # the plane pins X completely (dim == 1)
         return _finalize(instance, x_p, iterations=0)
@@ -484,34 +501,12 @@ def solve_qcqp(instance: CompressedInstance) -> SolveOutcome:
         w = (b0 - mu * b1) / (lam + mu)[:, None]
         return x_p + z @ (vec @ w)
 
-    iterations = 0
     if lam.min() > 0.0 and ball_value(0.0) <= r2 + BALL_TOL:
         return _finalize(instance, solution(0.0), iterations=0)
 
-    # the ball is active: g(mu) = ball_value - r2 decreases to min_ball - r2 <= 0
-    lo, g_lo = 0.0, np.inf
-    hi = max(1.0, float(lam.max()))
-    for _ in range(200):
-        iterations += 1
-        if ball_value(hi) <= r2:
-            break
-        lo = hi
-        hi *= 2.0
-    else:
-        raise SolverError("ball multiplier bracket did not close")
-    for _ in range(300):
-        iterations += 1
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # interval exhausted in floating point
-        g = ball_value(mid) - r2
-        if g > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if abs(g) <= min(BALL_TOL, 1e-13 * max(1.0, r2)):
-            break
-    mu = 0.5 * (lo + hi)
+    # the ball is active: ball_value - r2 decreases to min_ball - r2 < 0
+    mu, iterations = _secular_root(lambda mu: ball_value(mu) - r2,
+                                   max(1.0, float(lam.max())), "qcqp")
     return _finalize(instance, solution(mu), iterations=iterations)
 
 
@@ -577,12 +572,11 @@ def solve_scqp(instance: CompressedInstance) -> SolveOutcome:
     Stationarity reads (R + mu M) X = -A with a scalar multiplier mu; in the
     generalized eigenbasis of (R, M) the sphere condition becomes
     phi(mu) = sum_ij beta_ij^2 / (lambda_i + mu)^2 = 1, whose unique root on
-    (-lambda_min, inf) is the global minimizer. The bracket is expanded
-    geometrically (up to 1e6 times the data scale) before brentq. When A has
-    no component in the bottom eigenspace and the interior pseudo-solution
-    sits inside the sphere (the hard case, covering A = 0), the solution is
-    completed along the bottom eigenvector, with sign and mixing direction
-    tie-broken toward the anchor.
+    (-lambda_min, inf) is the global minimizer. When A has no component in
+    the bottom eigenspace and the interior pseudo-solution sits inside the
+    sphere (the hard case, covering A = 0), the solution is completed along
+    the bottom eigenvector, with sign and mixing direction tie-broken toward
+    the anchor.
     """
     prob: ScqpProblem = instance.problem
     cov = instance.cov_y
@@ -631,27 +625,11 @@ def solve_scqp(instance: CompressedInstance) -> SolveOutcome:
             return _finalize(instance, x, iterations=0)
         # pseudo-solution overshoots the sphere: the root is interior after all
 
-    # regular branch: phi is strictly decreasing on nu > 0 with a unique root
-    nu_lo = max(1e-8 * scale, 1e-300)
-    for _ in range(400):
-        if phi(nu_lo) > 1.0:
-            break
-        nu_lo *= 0.5
-        if nu_lo < 1e-250:
-            raise SolverError("secular equation has no admissible root")
-    nu_hi = max(1.0, float(np.linalg.norm(beta))) * np.sqrt(beta.shape[1])
-    expansions = 0
-    while phi(nu_hi) >= 1.0:
-        nu_hi *= 2.0
-        expansions += 1
-        if nu_hi > 1e6 * max(scale, 1.0):
-            raise SolverError("secular bracket expansion exceeded its budget")
-    nu_root, result = brentq(
-        lambda nu: phi(nu) - 1.0, nu_lo, nu_hi,
-        xtol=1e-15 * max(1.0, scale), rtol=8.9e-16, maxiter=200, full_output=True,
-    )
-    x = u @ weights(nu_root)
-    return _finalize(instance, x, iterations=result.iterations + expansions)
+    # regular branch: phi is strictly decreasing on nu > 0 with a unique root,
+    # and phi <= ||beta||^2 / nu^2 puts it below the start
+    start = max(1.0, float(np.linalg.norm(beta))) * np.sqrt(beta.shape[1])
+    nu_root, iterations = _secular_root(lambda nu: phi(nu) - 1.0, start, "scqp")
+    return _finalize(instance, u @ weights(nu_root), iterations=iterations)
 
 
 _SOLVERS: dict[str, Callable[[CompressedInstance], SolveOutcome]] = {
@@ -704,8 +682,7 @@ def evaluate_objective(problem: SfoProblem, x: np.ndarray, batch: SampleBatch) -
     )
 
 
-def constraint_residuals(problem: SfoProblem, x: np.ndarray,
-                         batch: SampleBatch | None = None) -> np.ndarray:
+def constraint_residuals(problem: SfoProblem, x: np.ndarray) -> np.ndarray:
     """Network-wide constraint residuals at x (identity metric)."""
     return problem.residuals_on(x)
 

@@ -10,7 +10,6 @@ from dasf.engine import (
     ConvergenceRecord,
     TransportLog,
     TransportRecord,
-    align_reference,
     assemble_local_instance,
     audit_transport,
     build_anchor,
@@ -37,6 +36,7 @@ from dasf.sfo import (
     MmseProblem,
     QcqpProblem,
     TroProblem,
+    align_to_anchor,
     evaluate_objective,
     solve_centralized,
 )
@@ -77,7 +77,7 @@ def test_star_tree_shape():
     assert tree.parent == {1: 2, 3: 2, 4: 2}
     assert set(tree.order) == {1, 2, 3, 4} and tree.order[0] == 2
     assert tree.branch_roots() == (1, 3, 4)
-    assert all(tree.branch_of[k] == k for k in (1, 3, 4))
+    assert all(tree.branch(k) == (k,) for k in (1, 3, 4))
 
 
 def test_tree_cache_keyed_on_graph_content():
@@ -356,7 +356,7 @@ def test_transport_log_and_audit_on_step():
     for sender in (1, 2, 3):
         rows = sum(r.rows for r in log.sent(iteration=0, sender=sender, stream="y"))
         assert rows <= 2
-    assert log.scalars(iteration=0) == sum(r.scalars for r in log.records)
+    assert log.scalars() == sum(r.scalars for r in log.sent(iteration=0))
     assert len(log) == len(log.records)
 
 
@@ -376,6 +376,21 @@ def test_transport_raw_records_below_cap():
     assert audit.raw_records == 2
     for rec in log.sent(kind="raw"):
         assert rec.rows < 3
+
+
+def test_run_tx_samples_match_transport_log():
+    # a path whose thin end forwards raw rows toward node 1: each
+    # iteration's count covers exactly the records that iteration appended
+    graph = make_path(3, (4, 1, 1))
+    rng = np.random.default_rng(20)
+    prob = MmseProblem(n_filters=3)
+    batch = _random_batch(graph, 60, rng, s_rows=3)
+    result = dasf_run(prob, graph, batch, 9, rng_seed=4)
+    log = result.transport
+    assert log.sent(kind="raw")
+    for rec in result.records:
+        assert rec.tx_samples == sum(r.scalars for r in log.sent(iteration=rec.iteration))
+    assert sum(rec.tx_samples for rec in result.records) == log.scalars()
 
 
 def test_audit_flags_violations():
@@ -443,17 +458,6 @@ def test_run_callable_reference_used_per_iteration():
         assert rec.epsilon == pytest.approx(normalized_error(xi, np.ones((6, 1))))
 
 
-def test_run_early_stop_cuts_iterations():
-    rng = np.random.default_rng(17)
-    graph = make_fully_connected(3, 2)
-    prob = MmseProblem(n_filters=1)
-    batch = _random_batch(graph, 500, rng, s_rows=1)
-    ref = solve_centralized(prob, batch).x
-    result = dasf_run(prob, graph, batch, 200, mode="fc", rng_seed=3,
-                      reference=ref, early_stop_window=3)
-    assert len(result.records) < 200
-
-
 def test_run_rejects_bad_x0_shape():
     rng = np.random.default_rng(18)
     graph = make_fully_connected(3, 2)
@@ -471,13 +475,13 @@ def test_normalized_error_values():
         normalized_error(ref, np.zeros((2, 1)))
 
 
-def test_align_reference_recovers_rotated_solution():
+def test_align_to_anchor_recovers_rotated_solution():
     rng = np.random.default_rng(19)
     base, _ = np.linalg.qr(rng.standard_normal((6, 2)))
     rot, _ = np.linalg.qr(rng.standard_normal((2, 2)))
-    aligned = align_reference(base, base @ rot, "orthogonal")
+    aligned = align_to_anchor(base, base @ rot, "orthogonal")
     assert np.allclose(aligned, base @ rot, atol=1e-10)
-    assert align_reference(base, base @ rot, "none") is base
+    assert align_to_anchor(base, base @ rot, "none") is base
 
 
 def test_records_csv_round_trip(tmp_path):

@@ -2,7 +2,10 @@ import copy
 
 import numpy as np
 import pytest
+import yaml
 
+import dasf.cli
+import dasf.experiments as experiments
 from dasf.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -14,6 +17,7 @@ from dasf.experiments import (
     tracking_reference,
     validate_config,
 )
+from dasf.sfo import FEASIBILITY_RTOL
 from dasf.signals import DriftSpec, LambdaSchedule, SignalModel
 
 
@@ -202,6 +206,18 @@ def test_drift_schedule_validation():
     assert any("drift.typo" in e for e in _errors_of(raw))
 
 
+def test_filter_width_wider_than_network_rejected(tmp_path):
+    raw = _base_raw()
+    raw["problem"]["n_filters"] = 7
+    (error,) = _errors_of(raw)
+    assert error.startswith("problem.n_filters") and "7" in error and "6 channels" in error
+    raw["output"] = {"dir": str(tmp_path / "out")}
+    cfg = tmp_path / "wide.yaml"
+    cfg.write_text(yaml.safe_dump(raw))
+    assert dasf.cli.main(["run", str(cfg)]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_low_sample_count_warns():
     raw = _base_raw()
     raw["problem"]["n_filters"] = 2
@@ -311,9 +327,11 @@ def test_study_outputs_complete_and_reproducible(tmp_path):
     study_b = run_study(config_b)
     assert np.array_equal(study_a.epsilon, study_b.epsilon)
     out_a, out_b = tmp_path / "a" / "out", tmp_path / "b" / "out"
-    for name in ("aggregate.csv", "epsilon.dat", "epsilon.gp",
-                 "run_0.csv", "run_1.csv", "study.meta"):
+    for name in ("aggregate.csv", "epsilon.gp", "run_0.csv", "run_1.csv", "study.meta"):
         assert (out_a / name).exists(), name
+    assert not (out_a / "epsilon.dat").exists()
+    gp = (out_a / "epsilon.gp").read_text()
+    assert "'aggregate.csv' skip 1" in gp and "set datafile separator ','" in gp
     assert (out_a / "aggregate.csv").read_bytes() == (out_b / "aggregate.csv").read_bytes()
     assert (out_a / "run_1.csv").read_bytes() == (out_b / "run_1.csv").read_bytes()
     # columns: initial point plus one per update
@@ -376,6 +394,51 @@ def test_tracking_study_and_outputs(tmp_path):
     values = [float(line.split()[1]) for line in lam_lines[1:]]
     assert values == pytest.approx([0.0, 1 / 3, 2 / 3, 1.0])
     assert "lambda" in (out / "epsilon.gp").read_text()
+
+
+def test_tight_qcqp_ball_completes_every_run(tmp_path):
+    # radius_scale 1: the ball only touches the response plane
+    raw = _study_raw(tmp_path, monte_carlo_runs=3, iterations=6)
+    raw["problem"] = {"kind": "qcqp", "n_filters": 2, "radius_scale": 1.0}
+    raw["network"] = {"kind": "fully_connected", "nodes": 5, "channels": 2}
+    study = run_study(validate_config(raw), write=False)
+    assert study.run_count == 3 and not study.failed
+    for result in study.run_results:
+        assert result.residual_trace().max() <= FEASIBILITY_RTOL
+
+
+def test_unexpected_run_error_is_recorded(tmp_path, monkeypatch):
+    real = experiments._single_run
+
+    def flaky(config, n_filters, variant, run_index, seed_seq):
+        if run_index == 1:
+            raise KeyError("lost")
+        return real(config, n_filters, variant, run_index, seed_seq)
+
+    monkeypatch.setattr(experiments, "_single_run", flaky)
+    study = run_study(validate_config(_study_raw(tmp_path, monte_carlo_runs=3, workers=1)))
+    assert study.run_indices == (0, 2)
+    assert study.failed == ((1, "KeyError: 'lost'"),)
+    meta = yaml.safe_load((tmp_path / "out" / "study.meta").read_text())
+    assert meta["failed_runs"] == [[1, "KeyError: 'lost'"]]
+    assert meta["completed_runs"] == 2
+
+
+def test_engine_variant_follows_topology(tmp_path, monkeypatch):
+    # an Erdos-Renyi draw at edge_prob 1 is complete, but the study still
+    # prunes, and records the variant it ran
+    modes = []
+    real = experiments.dasf_run
+
+    def spy(*args, mode, **kwargs):
+        modes.append(mode)
+        return real(*args, mode=mode, **kwargs)
+
+    monkeypatch.setattr(experiments, "dasf_run", spy)
+    raw = _study_raw(tmp_path)
+    raw["network"] = {"kind": "erdos_renyi", "nodes": 3, "channels": 2, "edge_prob": 1.0}
+    study = run_study(validate_config(raw), write=False)
+    assert study.engine_variant == "ti" and modes == ["ti", "ti"]
 
 
 def test_run_tracking_rejects_non_drift_config(tmp_path):

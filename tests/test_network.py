@@ -139,7 +139,7 @@ def test_prune_pathological_tie_break_lowest_parent():
     g = NetworkGraph(adj, (1, 1, 1, 1))
     tree = prune_to_tree(g, 1)
     assert tree.parent[4] == 2  # lowest candidate parent wins
-    assert tree.branch_of[4] == 2
+    assert 4 in tree.branch(2) and 4 not in tree.branch(3)
 
 
 def test_prune_seeded_tie_break_is_deterministic():
@@ -154,7 +154,6 @@ def test_prune_path_builds_chain():
     tree = prune_to_tree(g, 5)
     assert tree.parent == {4: 5, 3: 4, 2: 3, 1: 2}
     assert tree.branch(4) == (4, 3, 2, 1)
-    assert tree.branch_of[1] == 4
 
 
 def test_prune_rejects_unknown_root():
@@ -181,6 +180,6 @@ def test_prune_covers_graph_with_graph_edges(n, p, seed):
     for child, parent in tree.parent.items():
         assert adj[child - 1, parent - 1]
     # every non-root lies in the branch of exactly one root neighbor
-    for k, n_root in tree.branch_of.items():
-        assert n_root in g.neighbors(root)
-        assert k in tree.branch(n_root)
+    assert set(tree.branch_roots()) == set(g.neighbors(root))
+    for k in tree.order[1:]:
+        assert sum(k in tree.branch(n_root) for n_root in tree.branch_roots()) == 1
