@@ -23,9 +23,9 @@ model = SignalModel(
 batch = sample_stationary(model, t=0, n_samples=5000, rng_seed=42)
 print("batch shapes: y", batch.y.shape, " v", batch.v.shape, " s", batch.s.shape)
 
-# per-node block views share memory with the stacked array
-stacked = np.vstack([batch.block(k) for k in range(1, 5)])
-print("stacking the per-node blocks reproduces y:", np.array_equal(stacked, batch.y))
+# the channel split cuts the stacked array into per-node blocks (views)
+blocks = np.split(batch.y, np.cumsum(channels)[:-1])
+print("stacking the per-node blocks reproduces y:", np.array_equal(np.vstack(blocks), batch.y))
 
 # the sample covariance approaches the analytic one as N grows
 analytic = 0.5 * model.mix_y @ model.mix_y.T + 0.1 * np.eye(m_total)

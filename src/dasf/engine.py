@@ -2,8 +2,9 @@
 
 One iteration of the scheme, at updating node q:
 
-1. prune the network to a spanning tree rooted at q (or use the star of a
-   fully connected network directly),
+1. prune the network to a spanning tree rooted at q (a fully connected
+   network prunes to its star) and plan the local coordinates; both depend
+   only on the graph, q and the filter width, so each is made once,
 2. every other node compresses its signal block through its current filter
    block and forwards the sum along the tree toward q; nodes whose subtree
    carries fewer channels than the filter width forward raw rows instead,
@@ -22,6 +23,7 @@ are the backbone of the tests.
 from __future__ import annotations
 
 import csv
+import weakref
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -42,7 +44,6 @@ from .signals import SampleBatch
 
 __all__ = [
     "select_updating_node",
-    "star_tree",
     "compress",
     "BranchSegment",
     "LocalLayout",
@@ -79,17 +80,6 @@ def select_updating_node(iteration: int, node_count: int) -> int:
     if node_count < 1:
         raise ValueError("node_count must be positive")
     return iteration % node_count + 1
-
-
-def star_tree(graph: NetworkGraph, root: int) -> PrunedTree:
-    """The depth-one tree of a fully connected network, built without pruning."""
-    others = tuple(k for k in graph.nodes if k != root)
-    return PrunedTree(
-        root=root,
-        parent={k: root for k in others},
-        order=(root,) + others,
-        _children={root: others},
-    )
 
 
 # --------------------------------------------------------------------------
@@ -205,7 +195,9 @@ class BranchSegment:
 
     A compressed branch occupies n_filters local coordinates; a raw branch
     (subtree channel count below the filter width) occupies one coordinate
-    per channel, ordered by the preorder member list.
+    per channel, ordered by the preorder member list. rows lists the
+    members' network rows in that order; it is read-only because plans are
+    shared across iterations.
     """
 
     root: int
@@ -213,6 +205,11 @@ class BranchSegment:
     raw: bool
     width: int                 # columns this branch occupies in C
     offset: int                # first column of the branch segment
+    rows: np.ndarray = field(repr=False, compare=False)
+
+    @property
+    def cols(self) -> slice:
+        return slice(self.offset, self.offset + self.width)
 
 
 @dataclass(frozen=True)
@@ -222,6 +219,7 @@ class LocalLayout:
     node: int                                 # updating node q
     n_filters: int
     own_channels: int                         # q's block, always columns [0, own)
+    own_rows: slice                           # q's network rows
     branches: tuple[BranchSegment, ...]       # ascending branch-root order
     local_dim: int
     fallback: frozenset[int]                  # nodes forwarding raw rows
@@ -260,12 +258,16 @@ def plan_local_layout(tree: PrunedTree, graph: NetworkGraph, n_filters: int) -> 
     for n in tree.branch_roots():
         raw = n in fallback
         width = subtree[n] if raw else n_filters
+        members = tree.branch(n)
+        rows = np.r_[tuple(graph.block_slice(k) for k in members)]
+        rows.setflags(write=False)
         branches.append(BranchSegment(
             root=n,
-            members=tree.branch(n),
+            members=members,
             raw=raw,
             width=width,
             offset=offset,
+            rows=rows,
         ))
         offset += width
 
@@ -273,6 +275,7 @@ def plan_local_layout(tree: PrunedTree, graph: NetworkGraph, n_filters: int) -> 
         node=q,
         n_filters=n_filters,
         own_channels=own,
+        own_rows=graph.block_slice(q),
         branches=tuple(branches),
         local_dim=offset,
         fallback=fallback,
@@ -291,18 +294,9 @@ def build_transition_matrix(graph: NetworkGraph, layout: LocalLayout,
     block row of C has exactly one nonzero block.
     """
     c = np.zeros((graph.total_channels, layout.local_dim))
-    c[graph.block_slice(layout.node), :layout.own_channels] = np.eye(layout.own_channels)
+    c[layout.own_rows, :layout.own_channels] = np.eye(layout.own_channels)
     for seg in layout.branches:
-        if seg.raw:
-            off = seg.offset
-            for k in seg.members:
-                mk = graph.channel_count(k)
-                c[graph.block_slice(k), off:off + mk] = np.eye(mk)
-                off += mk
-        else:
-            cols = slice(seg.offset, seg.offset + seg.width)
-            for k in seg.members:
-                c[graph.block_slice(k), cols] = x[graph.block_slice(k)]
+        c[seg.rows, seg.cols] = np.eye(seg.width) if seg.raw else x[seg.rows]
     return c
 
 
@@ -312,15 +306,9 @@ def build_anchor(graph: NetworkGraph, layout: LocalLayout, x: np.ndarray) -> np.
     Identity mixing blocks for compressed branches, the members' current
     blocks for raw branches, q's current block on top.
     """
-    q_rows = x[graph.block_slice(layout.node)]
-    parts = [q_rows]
     eye = np.eye(layout.n_filters)
-    for seg in layout.branches:
-        if seg.raw:
-            parts.append(np.vstack([x[graph.block_slice(k)] for k in seg.members]))
-        else:
-            parts.append(eye)
-    return np.vstack(parts)
+    parts = [x[seg.rows] if seg.raw else eye for seg in layout.branches]
+    return np.vstack([x[layout.own_rows], *parts])
 
 
 # --------------------------------------------------------------------------
@@ -419,27 +407,17 @@ def distribute_update(graph: NetworkGraph, tree: PrunedTree, layout: LocalLayout
     branches right-multiply their blocks by the branch mixing block, raw
     branches receive their new rows directly. Equals C @ x_local."""
     x_next = np.array(x)
-    x_next[graph.block_slice(layout.node)] = x_local[:layout.own_channels]
+    x_next[layout.own_rows] = x_local[:layout.own_channels]
     for seg in layout.branches:
-        block = x_local[seg.offset:seg.offset + seg.width]
-        if seg.raw:
-            off = 0
-            for k in seg.members:
-                mk = graph.channel_count(k)
-                x_next[graph.block_slice(k)] = block[off:off + mk]
-                off += mk
-            # the root ships each subtree its stacked new rows
-            for k in seg.members:
-                _log(log, iteration=iteration, sender=tree.parent[k], receiver=k,
-                     stream="mix", kind="new_block",
-                     rows=layout.subtree_channels[k], cols=layout.n_filters)
-        else:
-            mix = block
-            for k in seg.members:
-                x_next[graph.block_slice(k)] = x[graph.block_slice(k)] @ mix
-                _log(log, iteration=iteration, sender=tree.parent[k], receiver=k,
-                     stream="mix", kind="mix_block",
-                     rows=layout.n_filters, cols=layout.n_filters)
+        block = x_local[seg.cols]
+        x_next[seg.rows] = block if seg.raw else x[seg.rows] @ block
+        # a raw branch's root ships each subtree its stacked new rows; a
+        # compressed branch relays the mixing block to every member
+        for k in seg.members:
+            _log(log, iteration=iteration, sender=tree.parent[k], receiver=k,
+                 stream="mix", kind="new_block" if seg.raw else "mix_block",
+                 rows=layout.subtree_channels[k] if seg.raw else layout.n_filters,
+                 cols=layout.n_filters)
     return x_next
 
 
@@ -466,22 +444,18 @@ def dasf_step(problem: SfoProblem, graph: NetworkGraph, x: np.ndarray,
     """Run one iteration at the scheduled updating node and return the next
     network-wide filter along with the step's internals.
 
-    mode "ti" prunes the (arbitrary connected) topology to a tree each
-    iteration; mode "fc" requires a fully connected network and uses its
-    star directly. On a fully connected network both modes take the exact
+    mode "ti" prunes the (arbitrary connected) topology to a tree rooted at
+    the updating node; mode "fc" additionally requires a fully connected
+    network, whose pruned tree is its star. Both modes then take the exact
     same code path.
     """
     q = select_updating_node(iteration, graph.node_count)
     if mode == "fc":
         if not graph.is_complete():
             raise ValueError("mode 'fc' requires a fully connected network")
-        tree = star_tree(graph, q)
-    elif mode == "ti":
-        tree = prune_to_tree_cached(graph, q)
-    else:
+    elif mode != "ti":
         raise ValueError(f"unknown mode '{mode}'")
-
-    layout = plan_local_layout(tree, graph, problem.n_filters)
+    tree, layout = _plan(graph, q, problem.n_filters)
     instance, c = assemble_local_instance(
         problem, graph, tree, layout, x, batch, iteration, log)
     outcome = solve_instance(instance)
@@ -499,22 +473,21 @@ def dasf_step(problem: SfoProblem, graph: NetworkGraph, x: np.ndarray,
     return x_next, info
 
 
-_TREE_CACHE: dict[tuple[bytes, tuple[int, ...], int], PrunedTree] = {}
+# graph -> {(root, n_filters): (tree, layout)}; weak keys drop a graph's
+# plans with the graph, so a recycled object id never finds stale ones
+_PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def prune_to_tree_cached(graph: NetworkGraph, root: int) -> PrunedTree:
-    """Deterministic pruning reuses the same tree for the same root; cache it
-    keyed on the graph's content so long runs do not re-flood every iteration.
-    Keying on object identity would be unsound: a recycled id would hand a
-    stale tree to a different graph."""
-    key = (graph.adjacency.tobytes(), graph.channels, root)
-    tree = _TREE_CACHE.get(key)
-    if tree is None:
+def _plan(graph: NetworkGraph, root: int, n_filters: int) -> tuple[PrunedTree, LocalLayout]:
+    """The pruned tree and local layout at one updating node. Both depend
+    only on the graph, the root and the filter width, so each is made once
+    and kept for as long as the graph lives."""
+    plans = _PLANS.setdefault(graph, {})
+    key = (root, n_filters)
+    if key not in plans:
         tree = prune_to_tree(graph, root)
-        if len(_TREE_CACHE) > 4096:
-            _TREE_CACHE.clear()
-        _TREE_CACHE[key] = tree
-    return tree
+        plans[key] = (tree, plan_local_layout(tree, graph, n_filters))
+    return plans[key]
 
 
 @dataclass(frozen=True)

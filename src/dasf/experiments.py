@@ -690,10 +690,9 @@ def run_study(config: ExperimentConfig, write: bool = True):
 
     Returns one StudyResult, or a list of them when the config sweeps
     several filter widths (each sweep value writes into ``q<width>/`` under
-    the output directory). Drift configs are dispatched to run_tracking.
+    the output directory). A drift config has a single width and runs the
+    same way.
     """
-    if config.drift is not None:
-        return run_tracking(config, write=write)
     variants = config.expand_filter_sweep()
     studies = []
     for variant_config in variants:
@@ -709,18 +708,11 @@ def run_study(config: ExperimentConfig, write: bool = True):
 
 def run_tracking(config: ExperimentConfig, write: bool = True) -> StudyResult:
     """Tracking study: drifting steering vector, per-iteration closed-form
-    reference, error medians across runs."""
-    errors = []
-    if config.problem_kind != "mmse":
-        errors.append("problem.kind: tracking needs the mmse family")
+    reference, error medians across runs. The remaining drift rules are
+    enforced when the config is validated."""
     if config.drift is None:
-        errors.append("signals.drift: required for a tracking study")
-    if errors:
-        raise ConfigError(errors)
-    study = _run_variant(config, config.n_filters)
-    if write:
-        write_study_outputs(study, Path(config.out_dir))
-    return study
+        raise ConfigError(["signals.drift: required for a tracking study"])
+    return run_study(config, write=write)
 
 
 # --------------------------------------------------------------------------

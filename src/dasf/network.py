@@ -67,12 +67,16 @@ def _connected(adjacency: np.ndarray) -> bool:
     return bool(seen.all())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkGraph:
     """Undirected connected sensor network.
 
     adjacency : (K, K) boolean array, symmetric with zero diagonal.
     channels  : per-node sensor channel counts (M_1, ..., M_K).
+
+    A graph is immutable (its adjacency is a read-only array). It compares
+    and hashes by identity, because field-wise equality would compare
+    ndarrays, and so it can key per-graph caches.
     """
 
     adjacency: np.ndarray

@@ -98,7 +98,7 @@ class SfoProblem:
     uses_second_stream: ClassVar[bool] = False
     uses_target: ClassVar[bool] = False
     # solution-set symmetry the engine may search when tie-breaking:
-    # "none", "sign" (per-column flips), or "orthogonal" (right O(Q) orbit)
+    # "none" or "orthogonal" (right O(Q) orbit)
     symmetry: ClassVar[str] = "none"
 
     def __post_init__(self):
@@ -383,8 +383,6 @@ def align_orthogonal(x: np.ndarray, anchor: np.ndarray) -> np.ndarray:
 def align_to_anchor(x: np.ndarray, anchor: np.ndarray | None, symmetry: str) -> np.ndarray:
     if anchor is None or symmetry == "none":
         return x
-    if symmetry == "sign":
-        return align_signs(x, anchor)
     if symmetry == "orthogonal":
         return align_orthogonal(x, anchor)
     raise ValueError(f"unknown symmetry '{symmetry}'")

@@ -123,11 +123,8 @@ class SignalModel:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """One batch of N samples, stacked network-wide with per-node block views.
-
-    Vertically stacking block(1..K) reproduces ``y`` exactly, the blocks are
-    row views into the same array.
-    """
+    """One batch of N samples, stacked network-wide; ``channels`` is the
+    per-node row split of the stacked streams."""
 
     y: np.ndarray                 # (M, N) primary stream
     channels: tuple[int, ...]
@@ -136,25 +133,12 @@ class SampleBatch:
     s: np.ndarray | None = None   # (S, N) latent target rows
 
     def __post_init__(self):
-        offsets = np.concatenate([[0], np.cumsum(self.channels)])
-        if self.y.shape[0] != offsets[-1]:
+        if self.y.shape[0] != sum(self.channels):
             raise ValueError("row count does not match the channel split")
-        object.__setattr__(self, "_offsets", offsets)
 
     @property
     def n_samples(self) -> int:
         return self.y.shape[1]
-
-    def _rows(self, node: int) -> slice:
-        return slice(int(self._offsets[node - 1]), int(self._offsets[node]))
-
-    def block(self, node: int) -> np.ndarray:
-        return self.y[self._rows(node)]
-
-    def v_block(self, node: int) -> np.ndarray:
-        if self.v is None:
-            raise ValueError("batch has no second stream")
-        return self.v[self._rows(node)]
 
     def to_csv(self, path, stream: str = "y") -> None:
         """Dump one stream as CSV, rows = channels, columns = samples."""

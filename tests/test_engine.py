@@ -1,10 +1,13 @@
 import csv
+import gc
+import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dasf import engine
 from dasf.engine import (
     CSV_HEADER,
     ConvergenceRecord,
@@ -20,9 +23,7 @@ from dasf.engine import (
     fuse_and_forward,
     normalized_error,
     plan_local_layout,
-    prune_to_tree_cached,
     select_updating_node,
-    star_tree,
     write_records_csv,
 )
 from dasf.network import (
@@ -72,7 +73,7 @@ def test_select_updating_node_round_robin():
 
 def test_star_tree_shape():
     graph = make_fully_connected(4, 2)
-    tree = star_tree(graph, 2)
+    tree = prune_to_tree(graph, 2)
     assert tree.root == 2
     assert tree.parent == {1: 2, 3: 2, 4: 2}
     assert set(tree.order) == {1, 2, 3, 4} and tree.order[0] == 2
@@ -80,19 +81,44 @@ def test_star_tree_shape():
     assert all(tree.branch(k) == (k,) for k in (1, 3, 4))
 
 
-def test_tree_cache_keyed_on_graph_content():
-    # Two structurally different graphs with the same root must never share a
-    # cached tree, and an identical copy of a graph must hit the cache.
+def test_plans_are_per_graph_and_die_with_it():
+    # the same root prunes a path to a chain and a complete graph to a star;
+    # a graph's plans go when the graph does
+    gc.collect()
+    rng = np.random.default_rng(22)
+    prob = MmseProblem(n_filters=1)
     path = make_path(4, 1)
-    chain = prune_to_tree_cached(path, 1)
     full = make_fully_connected(4, 1)
-    star = prune_to_tree_cached(full, 1)
-    assert chain.parent == {2: 1, 3: 2, 4: 3}
-    assert star.parent == {2: 1, 3: 1, 4: 1}
+    for graph, parent in ((path, {2: 1, 3: 2, 4: 3}), (full, {2: 1, 3: 1, 4: 1})):
+        batch = _random_batch(graph, 20, rng, s_rows=1)
+        _, info = dasf_step(prob, graph, prob.random_feasible(4, rng), batch, iteration=0)
+        assert info.tree.parent == parent
+    assert path in engine._PLANS and full in engine._PLANS
 
-    copy = NetworkGraph(np.array(full.adjacency), full.channels)
-    again = prune_to_tree_cached(copy, 1)
-    assert again.parent == star.parent
+    planned = len(engine._PLANS)
+    gone = weakref.ref(path)
+    del path, graph
+    gc.collect()
+    assert gone() is None
+    assert len(engine._PLANS) == planned - 1 and full in engine._PLANS
+
+
+def test_plan_made_once_per_updating_node(monkeypatch):
+    calls = {"prune_to_tree": 0, "plan_local_layout": 0}
+    for name in calls:
+        real = getattr(engine, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(engine, name, counted)
+    rng = np.random.default_rng(23)
+    graph = make_random_tree(5, 2, rng_seed=4)
+    prob = MmseProblem(n_filters=2)
+    batch = _random_batch(graph, 60, rng, s_rows=2)
+    dasf_run(prob, graph, batch, 3 * 5, rng_seed=0)
+    assert calls == {"prune_to_tree": 5, "plan_local_layout": 5}
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +183,7 @@ def test_transition_matrix_structure_fully_connected():
     graph = make_fully_connected(3, 2)
     rng = np.random.default_rng(0)
     x = rng.standard_normal((6, 1))
-    tree = star_tree(graph, 2)
+    tree = prune_to_tree(graph, 2)
     layout = plan_local_layout(tree, graph, 1)
     c = build_transition_matrix(graph, layout, x)
     expected = np.zeros((6, 4))
@@ -511,6 +537,8 @@ def test_records_csv_round_trip(tmp_path):
     nodes=st.integers(min_value=2, max_value=7),
     seed=st.integers(min_value=0, max_value=500),
 )
+@example(nodes=3, seed=34)   # one raw branch, rows out of network order
+@example(nodes=4, seed=24)   # a raw leaf next to a branch with a raw member
 def test_transition_identities_property(nodes, seed):
     rng = np.random.default_rng(seed)
     channels = tuple(int(c) for c in rng.integers(1, 4, nodes))
@@ -527,3 +555,11 @@ def test_transition_identities_property(nodes, seed):
     y = rng.standard_normal((graph.total_channels, 15))
     fused = fuse_and_forward(graph, tree, layout, x, y, "y")
     assert np.allclose(fused, c.T @ y, atol=1e-10)
+    x_local = rng.standard_normal((layout.local_dim, n_filters))
+    x_next = distribute_update(graph, tree, layout, x, x_local)
+    assert np.allclose(x_next, c @ x_local, atol=1e-12)
+    # q's rows and the branches' rows cover every network row exactly once
+    rows = np.concatenate([np.arange(graph.total_channels)[layout.own_rows],
+                           *(seg.rows for seg in layout.branches)])
+    assert np.array_equal(np.sort(rows), np.arange(graph.total_channels))
+    assert not any(seg.rows.flags.writeable for seg in layout.branches)

@@ -73,9 +73,6 @@ def test_stationary_batch_shapes_and_blocks():
     assert batch.v.shape == (5, 64)
     assert batch.s.shape == (2, 64)
     assert batch.n_samples == 64
-    stacked = np.vstack([batch.block(1), batch.block(2)])
-    assert np.array_equal(stacked, batch.y)
-    assert np.array_equal(batch.v_block(2), batch.v[2:])
 
 
 def test_stationary_deterministic_under_seed():
