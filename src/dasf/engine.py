@@ -9,7 +9,10 @@ One iteration of the scheme, at updating node q:
    block and forwards the sum along the tree toward q; nodes whose subtree
    carries fewer channels than the filter width forward raw rows instead,
 3. q assembles a compressed instance of the same problem family and
-   solves it,
+   solves it; the simulator forms it from the batch's statistics through
+   C (covariances C^T R C, terms C^T B, metric C^T C), which equals the
+   statistics of the fused streams, and logs every transmission exactly as
+   the sample protocol of step 2 sends it,
 4. the solution is split into q's new block plus one square mixing block per
    branch (or direct new blocks for raw branches) and sent back down, and
    every node updates its block by multiplying with its branch's mix.
@@ -17,7 +20,9 @@ One iteration of the scheme, at updating node q:
 The local-to-network change of coordinates is a tall sparse matrix C with
 one nonzero block per block row; its identities (local signals equal C^T
 times the network signals, the network filter equals C times the local one)
-are the backbone of the tests.
+are the backbone of the tests. ``fuse_and_forward`` simulates step 2 on the
+samples themselves; no run calls it, and the tests hold the statistics path
+to it as the sample-domain oracle.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from .sfo import (
     SfoProblem,
     SolveOutcome,
     align_to_anchor,
+    centralized_instance,
     check_constraint_bound,
     constraint_residuals,
     evaluate_objective,
@@ -360,6 +366,18 @@ def fuse_and_forward(graph: NetworkGraph, tree: PrunedTree, layout: LocalLayout,
     return np.vstack(segments)
 
 
+def _log_fusion(log: TransportLog, tree: PrunedTree, layout: LocalLayout, stream: str,
+                cols: int, iteration: int) -> None:
+    """Log the leaf-to-root sends of one stream of ``cols`` columns: the
+    records fuse_and_forward makes, in its order, without touching data."""
+    for k in reversed(tree.order[1:]):
+        raw = k in layout.fallback
+        log.add(TransportRecord(
+            iteration=iteration, sender=k, receiver=tree.parent[k], stream=stream,
+            kind="raw" if raw else "compressed",
+            rows=layout.subtree_channels[k] if raw else layout.n_filters, cols=cols))
+
+
 def assemble_local_instance(problem: SfoProblem, graph: NetworkGraph, tree: PrunedTree,
                             layout: LocalLayout, x: np.ndarray, batch: SampleBatch,
                             iteration: int = 0,
@@ -367,32 +385,22 @@ def assemble_local_instance(problem: SfoProblem, graph: NetworkGraph, tree: Prun
     """Build the compressed instance the updating node solves, plus the
     transition matrix C it implies.
 
-    Signal streams and deterministic term matrices all flow through the
-    simulated tree (terms under stream names "det:<name>", exempt from the
-    signal channel cap but counted as transmitted scalars); the constraint
-    metric is C^T C, whose per-branch blocks are what the nodes' quadratic
-    compressions sum to.
+    The instance is the network-wide one through C: C^T R C from the
+    batch's cached statistics, C^T B for the deterministic terms and C^T C
+    for the metric, which is what fusing the streams and terms up the tree
+    yields. The log gets the sends of that fusion: the signal streams, then
+    each term under stream name "det:<name>" (exempt from the signal channel
+    cap but counted as transmitted scalars).
     """
     c = build_transition_matrix(graph, layout, x)
-    y_local = fuse_and_forward(graph, tree, layout, x, batch.y, "y", iteration, log)
-    v_local = None
-    if problem.uses_second_stream:
-        if batch.v is None:
-            raise ValueError("problem needs a second stream but the batch has none")
-        v_local = fuse_and_forward(graph, tree, layout, x, batch.v, "v", iteration, log)
-    terms = {
-        name: fuse_and_forward(graph, tree, layout, x, b, f"det:{name}", iteration, log)
-        for name, b in problem.b_term_matrices().items()
-    }
-    instance = CompressedInstance(
-        problem=problem,
-        y=y_local,
-        v=v_local,
-        s=batch.s if problem.uses_target else None,
-        b_terms=terms,
-        metric=c.T @ c,
-        anchor=build_anchor(graph, layout, x),
-    )
+    network = centralized_instance(problem, batch)
+    instance = network.compressed(c, build_anchor(graph, layout, x))
+    if log is not None:
+        streams = ["y", "v"] if problem.uses_second_stream else ["y"]
+        for stream in streams:
+            _log_fusion(log, tree, layout, stream, batch.n_samples, iteration)
+        for name, b in network.b_terms.items():
+            _log_fusion(log, tree, layout, f"det:{name}", b.shape[1], iteration)
     return instance, c
 
 
@@ -501,9 +509,11 @@ class ConvergenceRecord:
     epsilon: float
     max_residual: float
     tx_samples: int
+    solver_iters: int     # inner iterations of the local solve
+    local_dim: int        # dimension of the local problem
 
 
-CSV_HEADER = "run,iter,q,objective,epsilon,max_residual,tx_samples"
+CSV_HEADER = "run,iter,q,objective,epsilon,max_residual,tx_samples,solver_iters,local_dim"
 
 
 def write_records_csv(records: Sequence[ConvergenceRecord], path) -> None:
@@ -514,7 +524,7 @@ def write_records_csv(records: Sequence[ConvergenceRecord], path) -> None:
             writer.writerow([
                 r.run, r.iteration, r.node,
                 repr(r.objective), repr(r.epsilon), repr(r.max_residual),
-                r.tx_samples,
+                r.tx_samples, r.solver_iters, r.local_dim,
             ])
 
 
@@ -577,7 +587,7 @@ def dasf_run(problem: SfoProblem, graph: NetworkGraph, batch, n_iterations: int,
 
     log = TransportLog()
     history = [x]
-    rows: list[tuple[int, int, float, float, int]] = []
+    rows: list[tuple[int, int, float, float, int, int, int]] = []
     for i in range(n_iterations):
         batch_i = batch(i) if callable(batch) else batch
         start = len(log)
@@ -587,7 +597,8 @@ def dasf_run(problem: SfoProblem, graph: NetworkGraph, batch, n_iterations: int,
         residuals = constraint_residuals(problem, x)
         max_residual = float(residuals.max()) if residuals.size else 0.0
         tx = sum(r.scalars for r in log.records[start:])
-        rows.append((i, info.node, objective, max_residual, tx))
+        rows.append((i, info.node, objective, max_residual, tx,
+                     info.outcome.iterations, info.layout.local_dim))
 
     # a fixed reference is mapped through the solution symmetry to the
     # representative closest to the final iterate, so distances to it are
@@ -598,7 +609,7 @@ def dasf_run(problem: SfoProblem, graph: NetworkGraph, batch, n_iterations: int,
                                     history[-1], problem.symmetry)
 
     records = []
-    for idx, (i, node, objective, max_residual, tx) in enumerate(rows):
+    for idx, (i, node, objective, max_residual, tx, solver_iters, local_dim) in enumerate(rows):
         if ref_fixed is not None:
             eps = normalized_error(history[idx + 1], ref_fixed)
         elif callable(reference):
@@ -608,6 +619,7 @@ def dasf_run(problem: SfoProblem, graph: NetworkGraph, batch, n_iterations: int,
         records.append(ConvergenceRecord(
             run=run_index, iteration=i, node=node, objective=objective,
             epsilon=eps, max_residual=max_residual, tx_samples=tx,
+            solver_iters=solver_iters, local_dim=local_dim,
         ))
 
     return RunResult(

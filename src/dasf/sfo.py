@@ -1,10 +1,12 @@
 """Spatial filter optimization: problem families, local instances, solvers.
 
 Every problem couples second-order statistics of one or two streams with
-deterministic terms and at most one quadratic ("metric") constraint family.
-The same solver code serves the network-wide problem, where the metric is
-the identity, and the compressed per-node problems produced by the fusion
-engine, where the metric is C^T C for the current transition matrix C.
+deterministic terms and at most one quadratic ("metric") constraint family,
+and objectives are evaluated in closed trace form on those statistics. The
+same solver code serves the network-wide problem, where the metric is the
+identity, and the compressed per-node problems built by the fusion engine:
+for the current transition matrix C every covariance R becomes C^T R C,
+every term B becomes C^T B and the metric becomes C^T C.
 
 Shipped families:
 
@@ -23,20 +25,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, ClassVar
 
 import numpy as np
 import scipy.linalg as sla
 from scipy.optimize import brentq
 
-from .signals import (
-    SampleBatch,
-    estimate_covariance,
-    estimate_cross,
-    mean_squared_error,
-    mean_squared_norm,
-)
+from .signals import SampleBatch
 
 __all__ = [
     "SfoProblem",
@@ -113,7 +108,10 @@ class SfoProblem:
         """Number of scalar constraints (matrix equalities count entrywise)."""
         return 0
 
-    def objective_on(self, x, y=None, v=None, s=None, terms=None) -> float:
+    def objective_on(self, x, stats, terms=None) -> float:
+        """Objective at x from second-order statistics: ``stats`` carries
+        ``cov_y`` and, where the family uses them, ``cov_v``, ``cross`` and
+        ``target_power`` (a SampleBatch or a CompressedInstance)."""
         raise NotImplementedError
 
     def residuals_on(self, x, metric=None, terms=None) -> np.ndarray:
@@ -130,6 +128,11 @@ def _metric_quadratic(x: np.ndarray, metric: np.ndarray | None) -> np.ndarray:
     return x.T @ x if metric is None else x.T @ metric @ x
 
 
+def _power(x: np.ndarray, cov: np.ndarray) -> float:
+    """tr(X^T R X), the mean power of the filtered stream E||X^T y(t)||^2."""
+    return float(np.sum(x * (cov @ x)))
+
+
 @dataclass(frozen=True)
 class MmseProblem(SfoProblem):
     """Estimate known target rows from the primary stream, minimum MSE.
@@ -140,8 +143,10 @@ class MmseProblem(SfoProblem):
     kind: ClassVar[str] = "mmse"
     uses_target: ClassVar[bool] = True
 
-    def objective_on(self, x, y=None, v=None, s=None, terms=None) -> float:
-        return mean_squared_error(s, x.T @ y)
+    def objective_on(self, x, stats, terms=None) -> float:
+        # E||s(t) - X^T y(t)||^2 = tr R_ss - 2 tr(X^T R_ys) + tr(X^T R_yy X)
+        return (stats.target_power - 2.0 * float(np.sum(x * stats.cross))
+                + _power(x, stats.cov_y))
 
     def random_feasible(self, dim, rng):
         return rng.standard_normal((dim, self.n_filters))
@@ -186,9 +191,9 @@ class QcqpProblem(SfoProblem):
     def constraint_count(self):
         return 1 + self.n_filters
 
-    def objective_on(self, x, y=None, v=None, s=None, terms=None):
+    def objective_on(self, x, stats, terms=None):
         a = (terms or self.b_term_matrices())["linear"]
-        return 0.5 * mean_squared_norm(x.T @ y) - float(np.sum(x * a))
+        return 0.5 * _power(x, stats.cov_y) - float(np.sum(x * a))
 
     def residuals_on(self, x, metric=None, terms=None):
         c = (terms or self.b_term_matrices())["gain"].ravel()
@@ -233,8 +238,8 @@ class TroProblem(SfoProblem):
     def constraint_count(self):
         return self.n_filters**2
 
-    def objective_on(self, x, y=None, v=None, s=None, terms=None):
-        return -(mean_squared_norm(x.T @ v) / mean_squared_norm(x.T @ y))
+    def objective_on(self, x, stats, terms=None):
+        return -(_power(x, stats.cov_v) / _power(x, stats.cov_y))
 
     def residuals_on(self, x, metric=None, terms=None):
         gap = _metric_quadratic(x, metric) - np.eye(self.n_filters)
@@ -272,9 +277,9 @@ class ScqpProblem(SfoProblem):
     def constraint_count(self):
         return 1
 
-    def objective_on(self, x, y=None, v=None, s=None, terms=None):
+    def objective_on(self, x, stats, terms=None):
         a = (terms or self.b_term_matrices())["linear"]
-        return 0.5 * mean_squared_norm(x.T @ y) + float(np.sum(x * a))
+        return 0.5 * _power(x, stats.cov_y) + float(np.sum(x * a))
 
     def residuals_on(self, x, metric=None, terms=None):
         return np.array([abs(np.trace(_metric_quadratic(x, metric)) - 1.0)])
@@ -290,34 +295,40 @@ class ScqpProblem(SfoProblem):
 
 @dataclass
 class CompressedInstance:
-    """Data for one solve: local batch, compressed terms, metric, anchor.
+    """Data for one solve: statistics, compressed terms, metric, anchor.
 
-    With ``metric`` None and terms equal to the network-wide ones this is the
-    centralized problem. The fusion engine builds per-node instances whose
-    metric is C^T C and whose terms are C^T B for the transition matrix C.
+    With ``metric`` None and the network-wide statistics and terms this is
+    the centralized problem (``centralized_instance``); ``compressed`` maps
+    it to the local coordinates of a transition matrix C.
     """
 
     problem: SfoProblem
-    y: np.ndarray                               # (dim, N) local primary batch
-    v: np.ndarray | None = None                 # (dim, N) local second stream
-    s: np.ndarray | None = None                 # (S, N) target rows, known everywhere
+    cov_y: np.ndarray                           # (dim, dim) primary-stream covariance
+    cov_v: np.ndarray | None = None             # (dim, dim) second-stream covariance
+    cross: np.ndarray | None = None             # (dim, S) cross-correlation with the targets
+    target_power: float | None = None           # tr(R_ss), unchanged by compression
     b_terms: dict[str, np.ndarray] = field(default_factory=dict)
     metric: np.ndarray | None = None            # (dim, dim), None = identity
     anchor: np.ndarray | None = None            # (dim, Q) tie-break reference
 
     @property
     def dim(self) -> int:
-        return self.y.shape[0]
+        return self.cov_y.shape[0]
 
-    @cached_property
-    def cov_y(self) -> np.ndarray:
-        return estimate_covariance(self.y)
-
-    @cached_property
-    def cov_v(self) -> np.ndarray:
-        if self.v is None:
-            raise ValueError("instance has no second stream")
-        return estimate_covariance(self.v)
+    def compressed(self, c: np.ndarray, anchor: np.ndarray | None = None) -> CompressedInstance:
+        """The same problem over local points X with network point C X:
+        covariances C^T R C, cross-correlation C^T R_ys, terms C^T B and
+        metric C^T M C (C^T C for the identity)."""
+        return CompressedInstance(
+            problem=self.problem,
+            cov_y=_congruence(c, self.cov_y),
+            cov_v=None if self.cov_v is None else _congruence(c, self.cov_v),
+            cross=None if self.cross is None else c.T @ self.cross,
+            target_power=self.target_power,
+            b_terms={name: c.T @ b for name, b in self.b_terms.items()},
+            metric=c.T @ c if self.metric is None else _congruence(c, self.metric),
+            anchor=anchor,
+        )
 
     def metric_or_eye(self) -> np.ndarray:
         return np.eye(self.dim) if self.metric is None else self.metric
@@ -328,13 +339,16 @@ class CompressedInstance:
         return self.problem.b_term_matrices()[name]
 
     def objective(self, x: np.ndarray) -> float:
-        return self.problem.objective_on(
-            x, y=self.y, v=self.v, s=self.s,
-            terms=self.b_terms or None,
-        )
+        return self.problem.objective_on(x, self, terms=self.b_terms or None)
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
         return self.problem.residuals_on(x, metric=self.metric, terms=self.b_terms or None)
+
+
+def _congruence(c: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """C^T R C for symmetric R, symmetrized against rounding."""
+    t = c.T @ (r @ c)
+    return 0.5 * (t + t.T)
 
 
 @dataclass
@@ -399,16 +413,15 @@ def solve_mmse(instance: CompressedInstance) -> SolveOutcome:
     cross-correlation with the target rows. When cond(R) exceeds COND_LIMIT
     the diagonal is loaded with DIAG_LOAD * trace(R) / dim.
     """
-    if instance.s is None:
+    if instance.cross is None:
         raise SolverError("mmse needs target rows on the instance")
     prob = instance.problem
-    if instance.s.shape[0] != prob.n_filters:
+    if instance.cross.shape[1] != prob.n_filters:
         raise SolverError("target row count must equal n_filters")
     cov = instance.cov_y
     if np.linalg.cond(cov) > COND_LIMIT:
         cov = cov + (DIAG_LOAD * np.trace(cov) / cov.shape[0]) * np.eye(cov.shape[0])
-    cross = estimate_cross(instance.y, instance.s)
-    x = sla.solve(cov, cross, assume_a="sym")
+    x = sla.solve(cov, instance.cross, assume_a="sym")
     return _finalize(instance, x, iterations=1)
 
 
@@ -645,16 +658,18 @@ def solve_instance(instance: CompressedInstance) -> SolveOutcome:
 
 def centralized_instance(problem: SfoProblem, batch: SampleBatch,
                          anchor: np.ndarray | None = None) -> CompressedInstance:
-    """The network-wide problem as an identity-metric instance."""
+    """The network-wide problem as an identity-metric instance, on the
+    batch's cached statistics."""
     if problem.uses_second_stream and batch.v is None:
         raise ValueError("problem needs a second stream but the batch has none")
     if problem.uses_target and batch.s is None:
         raise ValueError("problem needs target rows but the batch has none")
     return CompressedInstance(
         problem=problem,
-        y=batch.y,
-        v=batch.v if problem.uses_second_stream else None,
-        s=batch.s if problem.uses_target else None,
+        cov_y=batch.cov_y,
+        cov_v=batch.cov_v if problem.uses_second_stream else None,
+        cross=batch.cross if problem.uses_target else None,
+        target_power=batch.target_power if problem.uses_target else None,
         b_terms=dict(problem.b_term_matrices()),
         metric=None,
         anchor=anchor,
@@ -671,13 +686,8 @@ def solve_centralized(problem: SfoProblem, batch: SampleBatch,
 
 
 def evaluate_objective(problem: SfoProblem, x: np.ndarray, batch: SampleBatch) -> float:
-    """Network-wide objective at x, using the direct batch matrix estimators."""
-    return problem.objective_on(
-        x,
-        y=batch.y,
-        v=batch.v if problem.uses_second_stream else None,
-        s=batch.s if problem.uses_target else None,
-    )
+    """Network-wide objective at x, from the batch's cached statistics."""
+    return problem.objective_on(x, batch)
 
 
 def constraint_residuals(problem: SfoProblem, x: np.ndarray) -> np.ndarray:

@@ -12,11 +12,15 @@ and an optional second stream adds extra mixed components on top of it,
 A drifting variant replaces the mixture by a single time-varying steering
 vector, y(t) = p(t) s(t) + n(t) with p(t) = p0 + lambda(t) * delta, used for
 tracking studies. All draws are i.i.d. Gaussian and seed-deterministic.
+
+Every problem family depends on a batch only through its second-order
+statistics, which a batch computes once, on first use, and keeps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 import math
 
 import numpy as np
@@ -124,7 +128,13 @@ class SignalModel:
 @dataclass(frozen=True)
 class SampleBatch:
     """One batch of N samples, stacked network-wide; ``channels`` is the
-    per-node row split of the stacked streams."""
+    per-node row split of the stacked streams.
+
+    The statistics (``cov_y``, ``cov_v``, ``cross``, ``target_power``) are
+    computed on first use and kept, read-only, so every solve and evaluation
+    on the batch shares one product per stream. The streams must not be
+    modified once a statistic has been read.
+    """
 
     y: np.ndarray                 # (M, N) primary stream
     channels: tuple[int, ...]
@@ -140,12 +150,43 @@ class SampleBatch:
     def n_samples(self) -> int:
         return self.y.shape[1]
 
+    @cached_property
+    def cov_y(self) -> np.ndarray:
+        """R_yy, the (M, M) primary-stream covariance."""
+        return _frozen(estimate_covariance(self.y))
+
+    @cached_property
+    def cov_v(self) -> np.ndarray:
+        """R_vv, the (M, M) second-stream covariance."""
+        if self.v is None:
+            raise ValueError("batch has no second stream")
+        return _frozen(estimate_covariance(self.v))
+
+    @cached_property
+    def cross(self) -> np.ndarray:
+        """R_ys, the (M, S) cross-correlation with the target rows."""
+        if self.s is None:
+            raise ValueError("batch has no target rows")
+        return _frozen(estimate_cross(self.y, self.s))
+
+    @cached_property
+    def target_power(self) -> float:
+        """tr(R_ss), the mean power of the target rows."""
+        if self.s is None:
+            raise ValueError("batch has no target rows")
+        return mean_squared_norm(self.s)
+
     def to_csv(self, path, stream: str = "y") -> None:
         """Dump one stream as CSV, rows = channels, columns = samples."""
         data = {"y": self.y, "v": self.v, "s": self.s}[stream]
         if data is None:
             raise ValueError(f"batch has no '{stream}' stream")
         np.savetxt(path, data, delimiter=",")
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def sample_stationary(model: SignalModel, t: int, n_samples: int, rng_seed=None) -> SampleBatch:

@@ -4,7 +4,10 @@ Everything here deliberately avoids the library's own code paths: statistics
 are accumulated sample by sample, the estimation solver goes through least
 squares on raw samples, the constrained solvers go through scipy's SLSQP
 with multiple starts, and the trace-ratio optimum comes from scalar
-bisection on the sum of principal generalized eigenvalues.
+bisection on the sum of principal generalized eigenvalues. The one
+exception is the sample-domain engine step, which replays an iteration the
+way the nodes run it, by fusing the samples up the tree with the library's
+``fuse_and_forward``, so that the statistics-domain engine can be held to it.
 """
 
 from __future__ import annotations
@@ -12,6 +15,18 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as sla
 from scipy.optimize import minimize
+
+from dasf.engine import (
+    build_anchor,
+    build_transition_matrix,
+    distribute_update,
+    fuse_and_forward,
+    plan_local_layout,
+    select_updating_node,
+)
+from dasf.network import prune_to_tree
+from dasf.sfo import CompressedInstance, align_to_anchor, solve_instance
+from dasf.signals import estimate_covariance, estimate_cross, mean_squared_norm
 
 
 def covariance_loop(y: np.ndarray) -> np.ndarray:
@@ -174,3 +189,54 @@ def tro_grid_2d(cov_y, cov_v, n_grid: int = 200_001) -> float:
     num = np.einsum("ij,ik,kj->j", d, cov_v, d)
     den = np.einsum("ij,ik,kj->j", d, cov_y, d)
     return float(np.max(num / den))
+
+
+# ---------------------------------------------------------------------------
+# sample-domain engine and objectives
+
+
+def objective_on_samples(problem, x, y, v=None, s=None) -> float:
+    """A family's objective estimated on the filtered samples X^T y(t)."""
+    z = x.T @ y
+    if problem.kind == "mmse":
+        d = np.atleast_2d(s) - z
+        return float(np.sum(d * d)) / y.shape[1]
+    if problem.kind == "tro":
+        return -(mean_squared_norm(x.T @ v) / mean_squared_norm(z))
+    a = problem.linear_term
+    sign = -1.0 if problem.kind == "qcqp" else 1.0
+    return 0.5 * mean_squared_norm(z) + sign * float(np.sum(x * a))
+
+
+def sample_domain_step(problem, graph, x, batch, iteration, log):
+    """One iteration with the local problem built from fused samples.
+
+    Every stream and term is fused up the pruned tree with
+    ``fuse_and_forward`` (logging each send), the local statistics are
+    estimated from the fused samples, and the solution is aligned and
+    disseminated as the engine does. Returns the next network filter.
+    """
+    q = select_updating_node(iteration, graph.node_count)
+    tree = prune_to_tree(graph, q)
+    layout = plan_local_layout(tree, graph, problem.n_filters)
+
+    def fuse(data, stream):
+        return fuse_and_forward(graph, tree, layout, x, data, stream, iteration, log)
+
+    y = fuse(batch.y, "y")
+    v = fuse(batch.v, "v") if problem.uses_second_stream else None
+    terms = {name: fuse(b, f"det:{name}") for name, b in problem.b_term_matrices().items()}
+    c = build_transition_matrix(graph, layout, x)
+    instance = CompressedInstance(
+        problem=problem,
+        cov_y=estimate_covariance(y),
+        cov_v=None if v is None else estimate_covariance(v),
+        cross=estimate_cross(y, batch.s) if problem.uses_target else None,
+        target_power=mean_squared_norm(batch.s) if problem.uses_target else None,
+        b_terms=terms,
+        metric=c.T @ c,
+        anchor=build_anchor(graph, layout, x),
+    )
+    outcome = solve_instance(instance)
+    x_local = align_to_anchor(outcome.x, instance.anchor, problem.symmetry)
+    return distribute_update(graph, tree, layout, x, x_local, iteration, log)

@@ -31,11 +31,11 @@ from dasf.network import (
     prune_to_tree,
 )
 from dasf.sfo import (
-    CompressedInstance,
     MmseProblem,
     QcqpProblem,
     ScqpProblem,
     TroProblem,
+    centralized_instance,
     evaluate_objective,
     solve_centralized,
     solve_instance,
@@ -262,22 +262,22 @@ def test_criterion_7_solver_oracle_gaps(criterion_report):
             prob = _family_problem(kind, dim, q, rng)
             if kind == "mmse":
                 s = rng.standard_normal((q, n))
-                inst = CompressedInstance(problem=prob, y=y, s=s)
+                inst = centralized_instance(prob, SampleBatch(y=y, channels=(dim,), s=s))
                 f_ref = oracles.mse_of(oracles.lstsq_estimator(y, s), y, s)
             elif kind == "qcqp":
-                inst = CompressedInstance(problem=prob, y=y)
+                inst = centralized_instance(prob, SampleBatch(y=y, channels=(dim,)))
                 _, f_ref = oracles.qcqp_slsqp(
                     estimate_covariance(y), prob.linear_term, prob.gain_vector,
                     prob.target_response, prob.radius, np.eye(dim),
                     np.random.default_rng(i))
             elif kind == "tro":
                 v = rng.standard_normal((dim, n)) + y
-                inst = CompressedInstance(problem=prob, y=y, v=v)
+                inst = centralized_instance(prob, SampleBatch(y=y, channels=(dim,), v=v))
                 rho = oracles.tro_rho_bisect(
                     estimate_covariance(y), estimate_covariance(v), np.eye(dim), q)
                 f_ref = -rho
             else:
-                inst = CompressedInstance(problem=prob, y=y)
+                inst = centralized_instance(prob, SampleBatch(y=y, channels=(dim,)))
                 _, f_ref = oracles.scqp_slsqp(
                     estimate_covariance(y), prob.linear_term, np.eye(dim),
                     np.random.default_rng(i))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from dasf import engine
 from dasf.engine import (
     CSV_HEADER,
@@ -28,6 +29,7 @@ from dasf.engine import (
 )
 from dasf.network import (
     NetworkGraph,
+    make_erdos_renyi,
     make_fully_connected,
     make_path,
     make_random_tree,
@@ -36,6 +38,7 @@ from dasf.network import (
 from dasf.sfo import (
     MmseProblem,
     QcqpProblem,
+    ScqpProblem,
     TroProblem,
     align_to_anchor,
     evaluate_objective,
@@ -232,7 +235,7 @@ def test_compressed_terms_equal_transition_products():
     tree = prune_to_tree(graph, 3)
     layout = plan_local_layout(tree, graph, 2)
     inst, c = assemble_local_instance(prob, graph, tree, layout, x, batch)
-    assert np.allclose(inst.y, c.T @ batch.y, atol=1e-12)
+    assert np.allclose(inst.cov_y, c.T @ batch.cov_y @ c, atol=1e-12)
     assert np.allclose(inst.term("linear"), c.T @ prob.linear_term, atol=1e-12)
     assert np.allclose(inst.term("gain"), c.T @ prob.gain_vector[:, None], atol=1e-12)
     assert np.allclose(inst.metric, c.T @ c, atol=1e-12)
@@ -316,10 +319,12 @@ def test_step_update_is_consistent_with_local_solution():
     x_next, info = dasf_step(prob, graph, x, batch, iteration=3)
     assert info.node == select_updating_node(3, 5)
     assert np.allclose(x_next, info.transition @ info.x_local, atol=1e-12)
-    # the network-wide filtered output equals the local one after lifting
-    lifted = (info.transition @ info.x_local).T @ batch.y
-    local = info.x_local.T @ info.instance.y
-    assert np.allclose(lifted, local, atol=1e-9 * max(1.0, np.abs(local).max()))
+    # the network-wide filtered powers equal the local ones after lifting
+    lifted = info.transition @ info.x_local
+    for network, local in ((batch.cov_y, info.instance.cov_y), (batch.cov_v, info.instance.cov_v)):
+        local_power = info.x_local.T @ local @ info.x_local
+        assert np.allclose(lifted.T @ network @ lifted, local_power,
+                           atol=1e-9 * max(1.0, np.abs(local_power).max()))
 
 
 def test_single_node_step_is_centralized_solve():
@@ -355,6 +360,50 @@ def test_fc_mode_rejects_incomplete_graph():
     x0 = prob.random_feasible(6, rng)
     with pytest.raises(ValueError):
         dasf_step(prob, graph, x0, batch, iteration=0, mode="fc")
+
+
+# ---------------------------------------------------------------------------
+# statistics-domain engine against the sample-domain oracle
+
+
+def _family_problem(kind, m, q, rng):
+    if kind == "mmse":
+        return MmseProblem(n_filters=q)
+    if kind == "tro":
+        return TroProblem(n_filters=q)
+    if kind == "scqp":
+        return ScqpProblem(n_filters=q, linear_term=rng.standard_normal((m, q)))
+    return _qcqp(m, q, rng)
+
+
+@pytest.mark.parametrize("topology", ["tree", "erdos_renyi"])
+@pytest.mark.parametrize("kind", ["mmse", "qcqp", "tro", "scqp"])
+def test_statistics_engine_matches_sample_domain_oracle(kind, topology):
+    rng = np.random.default_rng(25)
+    if topology == "tree":
+        # single-channel leaves below Q = 3 forward raw rows
+        graph = make_random_tree(8, (1, 2, 1, 1, 2, 1, 3, 1), rng_seed=5)
+        q = 3
+    else:
+        graph = make_erdos_renyi(6, 2, 0.5, rng_seed=7)
+        q = 2
+    m, n = graph.total_channels, 400
+    prob = _family_problem(kind, m, q, rng)
+    sources = rng.standard_normal((q, n))
+    y = rng.uniform(-0.5, 0.5, (m, q)) @ sources + 0.3 * rng.standard_normal((m, n))
+    v = y + rng.uniform(-0.5, 0.5, (m, q)) @ rng.standard_normal((q, n)) if kind == "tro" else None
+    batch = SampleBatch(y=y, channels=graph.channels, v=v,
+                        s=sources if kind == "mmse" else None)
+    x0 = prob.random_feasible(m, rng)
+    result = dasf_run(prob, graph, batch, 40, x0=x0, warn_on_bound=False)
+
+    log = TransportLog()
+    x = x0
+    for i, got in enumerate(result.x_history[1:]):
+        x = oracles.sample_domain_step(prob, graph, x, batch, i, log)
+        assert np.abs(got - x).max() <= 1e-10 * np.abs(x).max(), i
+    assert result.transport.records == log.records
+    assert (topology == "tree") == any(r.kind == "raw" for r in log.records)
 
 
 # ---------------------------------------------------------------------------
@@ -513,19 +562,37 @@ def test_align_to_anchor_recovers_rotated_solution():
 def test_records_csv_round_trip(tmp_path):
     records = [
         ConvergenceRecord(run=0, iteration=0, node=1, objective=-1.25,
-                          epsilon=float("nan"), max_residual=0.0, tx_samples=40),
+                          epsilon=float("nan"), max_residual=0.0, tx_samples=40,
+                          solver_iters=3, local_dim=7),
         ConvergenceRecord(run=0, iteration=1, node=2, objective=-2.5,
-                          epsilon=0.125, max_residual=1e-12, tx_samples=40),
+                          epsilon=0.125, max_residual=1e-12, tx_samples=40,
+                          solver_iters=1, local_dim=5),
     ]
     path = tmp_path / "run.csv"
     write_records_csv(records, path)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == CSV_HEADER.split(",")
+    assert rows[0][-2:] == ["solver_iters", "local_dim"]
     assert rows[1][:3] == ["0", "0", "1"]
     assert rows[1][4] == "nan"
     assert float(rows[2][4]) == 0.125
+    assert rows[1][-2:] == ["3", "7"] and rows[2][-2:] == ["1", "5"]
     assert len(rows) == 3
+
+
+def test_run_records_carry_solver_effort():
+    rng = np.random.default_rng(24)
+    graph = make_path(4, 2)
+    prob = TroProblem(n_filters=2)
+    batch = _random_batch(graph, 200, rng, with_v=True)
+    x0 = prob.random_feasible(8, rng)
+    result = dasf_run(prob, graph, batch, 6, x0=x0)
+    x = x0
+    for rec in result.records:
+        x, info = dasf_step(prob, graph, x, batch, rec.iteration)
+        assert rec.solver_iters == info.outcome.iterations >= 1
+        assert rec.local_dim == info.layout.local_dim == info.instance.dim
 
 
 # ---------------------------------------------------------------------------

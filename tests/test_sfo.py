@@ -9,7 +9,6 @@ import oracles
 from dasf.network import make_fully_connected, make_path
 from dasf.sfo import (
     FEASIBILITY_RTOL,
-    CompressedInstance,
     InfeasibleProblemError,
     MmseProblem,
     QcqpProblem,
@@ -19,6 +18,7 @@ from dasf.sfo import (
     align_orthogonal,
     align_signs,
     align_to_anchor,
+    centralized_instance,
     check_constraint_bound,
     evaluate_objective,
     solve_centralized,
@@ -198,7 +198,7 @@ def test_tro_constant_ratio_returns_anchor():
     batch = SampleBatch(y=y, channels=(4,), v=y.copy())   # ratio is 1 everywhere
     anchor, _ = np.linalg.qr(rng.standard_normal((4, 2)))
     prob = TroProblem(n_filters=2)
-    inst = CompressedInstance(problem=prob, y=batch.y, v=batch.v, anchor=anchor)
+    inst = centralized_instance(prob, batch, anchor)
     out = solve_tro(inst)
     assert np.allclose(out.x, anchor, atol=1e-10)
 
@@ -207,8 +207,8 @@ def test_tro_rank_deficient_anchor_rejected():
     rng = np.random.default_rng(11)
     y = rng.standard_normal((4, 100))
     anchor = np.ones((4, 2))                    # identical columns
-    inst = CompressedInstance(problem=TroProblem(n_filters=2), y=y, v=2 * y,
-                              anchor=anchor)
+    inst = centralized_instance(TroProblem(n_filters=2),
+                                SampleBatch(y=y, channels=(4,), v=2 * y), anchor)
     with pytest.raises(SolverError):
         solve_tro(inst)
 
@@ -246,8 +246,9 @@ def test_scqp_hard_case_follows_anchor_sign():
     _, vec = np.linalg.eigh(cov)
     u1 = vec[:, :1]
     prob = ScqpProblem(n_filters=1, linear_term=np.zeros((4, 1)))
+    batch = SampleBatch(y=y, channels=(4,))
     for sign in (1.0, -1.0):
-        inst = CompressedInstance(problem=prob, y=y, anchor=sign * u1)
+        inst = centralized_instance(prob, batch, sign * u1)
         out = solve_scqp(inst)
         assert float(u1[:, 0] @ out.x[:, 0]) * sign > 0.999
 
@@ -377,3 +378,28 @@ def test_solver_outputs_are_feasible(m, seed, kind):
     if out.residuals.size:
         assert out.residuals.max() <= FEASIBILITY_RTOL
     assert out.objective == pytest.approx(evaluate_objective(prob, out.x, batch))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(min_value=1, max_value=8),
+    seed=st.integers(min_value=0, max_value=10_000),
+    kind=st.sampled_from(["mmse", "qcqp", "tro", "scqp"]),
+)
+def test_objective_from_statistics_equals_sample_estimate(m, seed, kind):
+    rng = np.random.default_rng(seed)
+    q = int(rng.integers(1, 4))
+    if kind == "mmse":
+        prob = MmseProblem(n_filters=q)
+    elif kind == "qcqp":
+        prob = _qcqp(m, q, rng)
+    elif kind == "tro":
+        prob = TroProblem(n_filters=q)
+    else:
+        prob = ScqpProblem(n_filters=q, linear_term=rng.standard_normal((m, q)))
+    batch = _batch(m, 50, rng, with_v=True, s_rows=q)
+    x = rng.standard_normal((m, q))
+    expected = oracles.objective_on_samples(prob, x, batch.y, batch.v, batch.s)
+    assert evaluate_objective(prob, x, batch) == pytest.approx(expected, rel=1e-10, abs=1e-12)
+    inst = centralized_instance(prob, batch)
+    assert inst.objective(x) == pytest.approx(expected, rel=1e-10, abs=1e-12)

@@ -141,6 +141,33 @@ def test_batch_to_csv(tmp_path):
 # estimators against loop oracles
 
 
+def test_batch_statistics_computed_once_and_shared(monkeypatch):
+    # one product per stream serves the centralized solve, every step and
+    # every objective evaluation on the batch
+    from dasf import signals
+    from dasf.engine import dasf_run
+    from dasf.network import make_path
+    from dasf.sfo import TroProblem, evaluate_objective, solve_centralized
+
+    shapes = []
+    real = signals.estimate_covariance
+    monkeypatch.setattr(signals, "estimate_covariance",
+                        lambda y: shapes.append(y.shape) or real(y))
+    batch = sample_stationary(_model(channels=(2, 2, 2), extras=2), 0, 300, rng_seed=4)
+    prob = TroProblem(n_filters=2)
+    out = solve_centralized(prob, batch)
+    dasf_run(prob, make_path(3, 2), batch, 6, rng_seed=0)
+    evaluate_objective(prob, out.x, batch)
+    assert shapes == [(6, 300), (6, 300)]
+    assert np.allclose(batch.cov_y, oracles.covariance_loop(batch.y), atol=1e-12)
+    assert np.allclose(batch.cov_v, oracles.covariance_loop(batch.v), atol=1e-12)
+    assert np.allclose(batch.cross, oracles.cross_loop(batch.y, batch.s), atol=1e-12)
+    assert batch.target_power == pytest.approx(mean_squared_norm(batch.s))
+    assert not (batch.cov_y.flags.writeable or batch.cross.flags.writeable)
+    with pytest.raises(ValueError):
+        SampleBatch(y=batch.y, channels=batch.channels).cov_v
+
+
 def test_covariance_matches_loop_oracle():
     rng = np.random.default_rng(4)
     y = rng.standard_normal((4, 37))
