@@ -11,11 +11,15 @@ One iteration of the scheme, at updating node q:
 3. q assembles a compressed instance of the same problem family and
    solves it; the simulator forms it from the batch's statistics through
    C (covariances C^T R C, terms C^T B, metric C^T C), which equals the
-   statistics of the fused streams, and logs every transmission exactly as
-   the sample protocol of step 2 sends it,
+   statistics of the fused streams,
 4. the solution is split into q's new block plus one square mixing block per
    branch (or direct new blocks for raw branches) and sent back down, and
-   every node updates its block by multiplying with its branch's mix.
+   every node updates its block by multiplying with its branch's mix; the
+   simulator applies the update as C x_local, which equals those products.
+
+The plan also fixes every send of an iteration (``LocalLayout.fusion_sends``
+and ``mix_sends``), and the simulator logs each of them from that schedule
+exactly as the protocol sends it, without touching the data.
 
 The local-to-network change of coordinates is a tall sparse matrix C with
 one nonzero block per block row; its identities (local signals equal C^T
@@ -58,7 +62,6 @@ __all__ = [
     "build_anchor",
     "fuse_and_forward",
     "assemble_local_instance",
-    "distribute_update",
     "dasf_step",
     "dasf_run",
     "StepInfo",
@@ -231,6 +234,12 @@ class LocalLayout:
     fallback: frozenset[int]                  # nodes forwarding raw rows
     subtree_channels: dict[int, int] = field(repr=False)
     raw_stack: dict[int, tuple[int, ...]] = field(repr=False)  # preorder per fallback node
+    # one iteration's sends as (sender, receiver, kind, rows): leaf-to-root
+    # per fused stream (raw nodes ship their subtree's channels), then
+    # root-to-leaf per branch and member in preorder (raw branches their
+    # members' subtree rows, compressed branches the mixing block)
+    fusion_sends: tuple[tuple[int, int, str, int], ...] = field(repr=False)
+    mix_sends: tuple[tuple[int, int, str, int], ...] = field(repr=False)
 
 
 def plan_local_layout(tree: PrunedTree, graph: NetworkGraph, n_filters: int) -> LocalLayout:
@@ -239,7 +248,8 @@ def plan_local_layout(tree: PrunedTree, graph: NetworkGraph, n_filters: int) -> 
     A node compresses when its subtree (itself included) carries at least
     n_filters channels; otherwise it forwards its raw rows, stacked with its
     children's raw rows in preorder. A compressed node therefore never has a
-    compressed descendant below a raw one.
+    compressed descendant below a raw one. The same decisions fix the sends
+    of every iteration at q, so the plan lists them once.
     """
     q = tree.root
     if graph.total_channels < n_filters:
@@ -277,6 +287,15 @@ def plan_local_layout(tree: PrunedTree, graph: NetworkGraph, n_filters: int) -> 
         ))
         offset += width
 
+    fusion_sends = tuple(
+        (k, tree.parent[k], "raw", subtree[k]) if k in fallback
+        else (k, tree.parent[k], "compressed", n_filters)
+        for k in reversed(tree.order[1:]))
+    mix_sends = tuple(
+        (tree.parent[k], k, "new_block", subtree[k]) if seg.raw
+        else (tree.parent[k], k, "mix_block", n_filters)
+        for seg in branches for k in seg.members)
+
     return LocalLayout(
         node=q,
         n_filters=n_filters,
@@ -287,6 +306,8 @@ def plan_local_layout(tree: PrunedTree, graph: NetworkGraph, n_filters: int) -> 
         fallback=fallback,
         subtree_channels=subtree,
         raw_stack=raw_stack,
+        fusion_sends=fusion_sends,
+        mix_sends=mix_sends,
     )
 
 
@@ -321,11 +342,6 @@ def build_anchor(graph: NetworkGraph, layout: LocalLayout, x: np.ndarray) -> np.
 # fusion (leaf-to-root signal flow)
 
 
-def _log(log: TransportLog | None, **kwargs) -> None:
-    if log is not None:
-        log.add(TransportRecord(**kwargs))
-
-
 def fuse_and_forward(graph: NetworkGraph, tree: PrunedTree, layout: LocalLayout,
                      x: np.ndarray, data: np.ndarray, stream: str,
                      iteration: int = 0, log: TransportLog | None = None) -> np.ndarray:
@@ -358,75 +374,36 @@ def fuse_and_forward(graph: NetworkGraph, tree: PrunedTree, layout: LocalLayout,
                     payload = payload + messages[c]
             kind = "compressed"
         messages[k] = payload
-        _log(log, iteration=iteration, sender=k, receiver=tree.parent[k],
-             stream=stream, kind=kind, rows=payload.shape[0], cols=payload.shape[1])
+        if log is not None:
+            log.add(TransportRecord(iteration, k, tree.parent[k], stream, kind,
+                                    payload.shape[0], payload.shape[1]))
 
     segments = [data[graph.block_slice(q)]]
     segments += [messages[seg.root] for seg in layout.branches]
     return np.vstack(segments)
 
 
-def _log_fusion(log: TransportLog, tree: PrunedTree, layout: LocalLayout, stream: str,
-                cols: int, iteration: int) -> None:
-    """Log the leaf-to-root sends of one stream of ``cols`` columns: the
-    records fuse_and_forward makes, in its order, without touching data."""
-    for k in reversed(tree.order[1:]):
-        raw = k in layout.fallback
-        log.add(TransportRecord(
-            iteration=iteration, sender=k, receiver=tree.parent[k], stream=stream,
-            kind="raw" if raw else "compressed",
-            rows=layout.subtree_channels[k] if raw else layout.n_filters, cols=cols))
-
-
-def assemble_local_instance(problem: SfoProblem, graph: NetworkGraph, tree: PrunedTree,
-                            layout: LocalLayout, x: np.ndarray, batch: SampleBatch,
-                            iteration: int = 0,
-                            log: TransportLog | None = None) -> tuple[CompressedInstance, np.ndarray]:
+def assemble_local_instance(problem: SfoProblem, graph: NetworkGraph,
+                            layout: LocalLayout, x: np.ndarray,
+                            batch: SampleBatch) -> tuple[CompressedInstance, np.ndarray]:
     """Build the compressed instance the updating node solves, plus the
     transition matrix C it implies.
 
     The instance is the network-wide one through C: C^T R C from the
     batch's cached statistics, C^T B for the deterministic terms and C^T C
     for the metric, which is what fusing the streams and terms up the tree
-    yields. The log gets the sends of that fusion: the signal streams, then
-    each term under stream name "det:<name>" (exempt from the signal channel
-    cap but counted as transmitted scalars).
+    yields.
     """
     c = build_transition_matrix(graph, layout, x)
     network = centralized_instance(problem, batch)
-    instance = network.compressed(c, build_anchor(graph, layout, x))
-    if log is not None:
-        streams = ["y", "v"] if problem.uses_second_stream else ["y"]
-        for stream in streams:
-            _log_fusion(log, tree, layout, stream, batch.n_samples, iteration)
-        for name, b in network.b_terms.items():
-            _log_fusion(log, tree, layout, f"det:{name}", b.shape[1], iteration)
-    return instance, c
+    return network.compressed(c, build_anchor(graph, layout, x)), c
 
 
-# --------------------------------------------------------------------------
-# dissemination (root-to-leaf update flow)
-
-
-def distribute_update(graph: NetworkGraph, tree: PrunedTree, layout: LocalLayout,
-                      x: np.ndarray, x_local: np.ndarray, iteration: int = 0,
-                      log: TransportLog | None = None) -> np.ndarray:
-    """Apply the local solution network-wide: q keeps its rows, compressed
-    branches right-multiply their blocks by the branch mixing block, raw
-    branches receive their new rows directly. Equals C @ x_local."""
-    x_next = np.array(x)
-    x_next[layout.own_rows] = x_local[:layout.own_channels]
-    for seg in layout.branches:
-        block = x_local[seg.cols]
-        x_next[seg.rows] = block if seg.raw else x[seg.rows] @ block
-        # a raw branch's root ships each subtree its stacked new rows; a
-        # compressed branch relays the mixing block to every member
-        for k in seg.members:
-            _log(log, iteration=iteration, sender=tree.parent[k], receiver=k,
-                 stream="mix", kind="new_block" if seg.raw else "mix_block",
-                 rows=layout.subtree_channels[k] if seg.raw else layout.n_filters,
-                 cols=layout.n_filters)
-    return x_next
+def _log_sends(log: TransportLog, sends: Sequence[tuple[int, int, str, int]],
+               iteration: int, stream: str, cols: int) -> None:
+    """Log one stream's sends from a plan's schedule."""
+    for sender, receiver, kind, rows in sends:
+        log.add(TransportRecord(iteration, sender, receiver, stream, kind, rows, cols))
 
 
 # --------------------------------------------------------------------------
@@ -464,11 +441,20 @@ def dasf_step(problem: SfoProblem, graph: NetworkGraph, x: np.ndarray,
     elif mode != "ti":
         raise ValueError(f"unknown mode '{mode}'")
     tree, layout = _plan(graph, q, problem.n_filters)
-    instance, c = assemble_local_instance(
-        problem, graph, tree, layout, x, batch, iteration, log)
+    instance, c = assemble_local_instance(problem, graph, layout, x, batch)
+    if log is not None:
+        # fusion toward q: the signal streams, then each term under stream
+        # "det:<name>" (exempt from the signal channel cap but counted)
+        streams = ["y", "v"] if problem.uses_second_stream else ["y"]
+        for stream in streams:
+            _log_sends(log, layout.fusion_sends, iteration, stream, batch.n_samples)
+        for name, b in instance.b_terms.items():
+            _log_sends(log, layout.fusion_sends, iteration, f"det:{name}", b.shape[1])
     outcome = solve_instance(instance)
     x_local = align_to_anchor(outcome.x, instance.anchor, problem.symmetry)
-    x_next = distribute_update(graph, tree, layout, x, x_local, iteration, log)
+    x_next = c @ x_local
+    if log is not None:
+        _log_sends(log, layout.mix_sends, iteration, "mix", problem.n_filters)
     info = StepInfo(
         node=q,
         tree=tree,

@@ -145,6 +145,11 @@ class SampleBatch:
     def __post_init__(self):
         if self.y.shape[0] != sum(self.channels):
             raise ValueError("row count does not match the channel split")
+        if self.v is not None and self.v.shape != self.y.shape:
+            raise ValueError(f"v has shape {self.v.shape}, y has shape {self.y.shape}")
+        if self.s is not None and (self.s.ndim != 2 or self.s.shape[1] != self.y.shape[1]):
+            raise ValueError(f"s has shape {self.s.shape}, expected (rows, {self.y.shape[1]}) "
+                             f"to match y of shape {self.y.shape}")
 
     @property
     def n_samples(self) -> int:

@@ -17,9 +17,9 @@ import scipy.linalg as sla
 from scipy.optimize import minimize
 
 from dasf.engine import (
+    TransportRecord,
     build_anchor,
     build_transition_matrix,
-    distribute_update,
     fuse_and_forward,
     plan_local_layout,
     select_updating_node,
@@ -213,8 +213,9 @@ def sample_domain_step(problem, graph, x, batch, iteration, log):
 
     Every stream and term is fused up the pruned tree with
     ``fuse_and_forward`` (logging each send), the local statistics are
-    estimated from the fused samples, and the solution is aligned and
-    disseminated as the engine does. Returns the next network filter.
+    estimated from the fused samples, and the aligned solution is lifted
+    through C. The dissemination sends are logged here branch by branch,
+    not read from the plan's schedule. Returns the next network filter.
     """
     q = select_updating_node(iteration, graph.node_count)
     tree = prune_to_tree(graph, q)
@@ -239,4 +240,12 @@ def sample_domain_step(problem, graph, x, batch, iteration, log):
     )
     outcome = solve_instance(instance)
     x_local = align_to_anchor(outcome.x, instance.anchor, problem.symmetry)
-    return distribute_update(graph, tree, layout, x, x_local, iteration, log)
+    # each member of a raw branch gets its subtree's new rows from its
+    # parent; each member of a compressed branch gets the mixing block
+    for seg in layout.branches:
+        for k in seg.members:
+            rows = layout.subtree_channels[k] if seg.raw else problem.n_filters
+            log.add(TransportRecord(iteration, tree.parent[k], k, "mix",
+                                    "new_block" if seg.raw else "mix_block",
+                                    rows, problem.n_filters))
+    return c @ x_local

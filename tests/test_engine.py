@@ -20,7 +20,6 @@ from dasf.engine import (
     build_transition_matrix,
     dasf_run,
     dasf_step,
-    distribute_update,
     fuse_and_forward,
     normalized_error,
     plan_local_layout,
@@ -234,7 +233,7 @@ def test_compressed_terms_equal_transition_products():
     x = prob.random_feasible(12, rng)
     tree = prune_to_tree(graph, 3)
     layout = plan_local_layout(tree, graph, 2)
-    inst, c = assemble_local_instance(prob, graph, tree, layout, x, batch)
+    inst, c = assemble_local_instance(prob, graph, layout, x, batch)
     assert np.allclose(inst.cov_y, c.T @ batch.cov_y @ c, atol=1e-12)
     assert np.allclose(inst.term("linear"), c.T @ prob.linear_term, atol=1e-12)
     assert np.allclose(inst.term("gain"), c.T @ prob.gain_vector[:, None], atol=1e-12)
@@ -249,7 +248,7 @@ def test_local_objective_matches_global_through_map():
     x = prob.random_feasible(10, rng)
     tree = prune_to_tree(graph, 2)
     layout = plan_local_layout(tree, graph, 2)
-    inst, c = assemble_local_instance(prob, graph, tree, layout, x, batch)
+    inst, c = assemble_local_instance(prob, graph, layout, x, batch)
     for _ in range(5):
         cand = rng.standard_normal((layout.local_dim, 2))
         lifted = c @ cand
@@ -289,25 +288,34 @@ def test_raw_rows_arrive_unchanged():
     assert np.array_equal(fused[5], batch.y[5])   # node 3's raw row
 
 
-def test_distribute_matches_linear_map():
+def test_step_update_applies_branch_mixing_blocks():
     rng = np.random.default_rng(7)
-    graph = make_random_tree(6, 2, rng_seed=21)
-    x = rng.standard_normal((12, 2))
-    tree = prune_to_tree(graph, 5)
-    layout = plan_local_layout(tree, graph, 2)
-    c = build_transition_matrix(graph, layout, x)
-    x_local = rng.standard_normal((layout.local_dim, 2))
-    x_next = distribute_update(graph, tree, layout, x, x_local)
-    assert np.allclose(x_next, c @ x_local, atol=1e-13)
-    # compressed branch members apply the branch mixing block to their rows
+    # node 4 (3 channels) roots a compressed branch; node 2 (1 channel) a raw one
+    graph = NetworkGraph(
+        adjacency=np.array([[0, 1, 0, 1, 0],
+                            [1, 0, 0, 0, 0],
+                            [0, 0, 0, 1, 0],
+                            [1, 0, 1, 0, 1],
+                            [0, 0, 0, 1, 0]]),
+        channels=(2, 1, 2, 3, 1),
+    )
+    prob = MmseProblem(n_filters=2)
+    batch = _random_batch(graph, 80, rng, s_rows=2)
+    x = prob.random_feasible(graph.total_channels, rng)
+    x_next, info = dasf_step(prob, graph, x, batch, iteration=0)
+    layout, x_local = info.layout, info.x_local
+    assert layout.node == 1
+    assert {seg.raw for seg in layout.branches} == {True, False}
+    assert np.array_equal(x_next[layout.own_rows], x_local[:layout.own_channels])
     for seg in layout.branches:
+        block = x_local[seg.cols]
         if seg.raw:
+            assert np.allclose(x_next[seg.rows], block, atol=1e-13)
             continue
-        mix = x_local[seg.offset:seg.offset + seg.width]
+        # every member of a compressed branch applies the branch mixing block
         for k in seg.members:
             assert np.allclose(x_next[graph.block_slice(k)],
-                               x[graph.block_slice(k)] @ mix, atol=1e-13)
-    assert np.array_equal(x_next[graph.block_slice(5)], x_local[:2])
+                               x[graph.block_slice(k)] @ block, atol=1e-13)
 
 
 def test_step_update_is_consistent_with_local_solution():
@@ -620,11 +628,13 @@ def test_transition_identities_property(nodes, seed):
     anchor = build_anchor(graph, layout, x)
     assert np.allclose(c @ anchor, x, atol=1e-12)
     y = rng.standard_normal((graph.total_channels, 15))
-    fused = fuse_and_forward(graph, tree, layout, x, y, "y")
+    log = TransportLog()
+    fused = fuse_and_forward(graph, tree, layout, x, y, "y", log=log)
     assert np.allclose(fused, c.T @ y, atol=1e-10)
-    x_local = rng.standard_normal((layout.local_dim, n_filters))
-    x_next = distribute_update(graph, tree, layout, x, x_local)
-    assert np.allclose(x_next, c @ x_local, atol=1e-12)
+    # the plan's schedule is the sends the sample-domain fusion makes
+    assert layout.fusion_sends == tuple(
+        (r.sender, r.receiver, r.kind, r.rows) for r in log.records)
+    assert len(layout.mix_sends) == nodes - 1
     # q's rows and the branches' rows cover every network row exactly once
     rows = np.concatenate([np.arange(graph.total_channels)[layout.own_rows],
                            *(seg.rows for seg in layout.branches)])

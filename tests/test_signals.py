@@ -127,6 +127,17 @@ def test_batch_row_split_validated():
         SampleBatch(y=np.zeros((3, 4)), channels=(2, 2))
 
 
+def test_batch_rejects_mismatched_streams():
+    y = np.zeros((4, 100))
+    with pytest.raises(ValueError, match=r"\(4, 40\).*\(4, 100\)"):
+        SampleBatch(y=y, channels=(2, 2), v=np.zeros((4, 40)))
+    with pytest.raises(ValueError, match=r"\(2, 60\).*\(4, 100\)"):
+        SampleBatch(y=y, channels=(2, 2), s=np.zeros((2, 60)))
+    with pytest.raises(ValueError, match=r"\(100,\)"):
+        SampleBatch(y=y, channels=(2, 2), s=np.zeros(100))
+    SampleBatch(y=y, channels=(2, 2), v=np.ones((4, 100)), s=np.ones((1, 100)))
+
+
 def test_batch_to_csv(tmp_path):
     batch = SampleBatch(y=np.arange(6.0).reshape(2, 3), channels=(1, 1))
     path = tmp_path / "y.csv"
