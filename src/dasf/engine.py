@@ -18,15 +18,15 @@ One iteration of the scheme, at updating node q:
    simulator applies the update as C x_local, which equals those products.
 
 The plan also fixes every send of an iteration (``LocalLayout.fusion_sends``
-and ``mix_sends``), and the simulator logs each of them from that schedule
-exactly as the protocol sends it, without touching the data.
+and ``mix_sends``, with their row totals). The transport log stores those
+schedules as they are, one entry per stream, and expands them into
+per-send records only when queried.
 
 The local-to-network change of coordinates is a tall sparse matrix C with
 one nonzero block per block row; its identities (local signals equal C^T
 times the network signals, the network filter equals C times the local one)
-are the backbone of the tests. ``fuse_and_forward`` simulates step 2 on the
-samples themselves; no run calls it, and the tests hold the statistics path
-to it as the sample-domain oracle.
+are the backbone of the tests, which also hold the statistics path to a
+sample-domain oracle that fuses the samples themselves up the tree.
 """
 
 from __future__ import annotations
@@ -54,13 +54,11 @@ from .signals import SampleBatch
 
 __all__ = [
     "select_updating_node",
-    "compress",
     "BranchSegment",
     "LocalLayout",
     "plan_local_layout",
     "build_transition_matrix",
     "build_anchor",
-    "fuse_and_forward",
     "assemble_local_instance",
     "dasf_step",
     "dasf_run",
@@ -77,12 +75,6 @@ __all__ = [
 ]
 
 
-def compress(x_block: np.ndarray, y_block: np.ndarray) -> np.ndarray:
-    """Filter a node's signal block through its compressor: X_k^T Y_k,
-    n_filters rows regardless of the node's channel count."""
-    return x_block.T @ y_block
-
-
 def select_updating_node(iteration: int, node_count: int) -> int:
     """Round-robin schedule over 1-based node ids: iteration i updates
     node (i mod K) + 1."""
@@ -93,6 +85,9 @@ def select_updating_node(iteration: int, node_count: int) -> int:
 
 # --------------------------------------------------------------------------
 # transport accounting
+
+# one planned transmission: (sender, receiver, kind, rows)
+_Send = tuple[int, int, str, int]
 
 
 @dataclass(frozen=True)
@@ -113,31 +108,51 @@ class TransportRecord:
 
 
 class TransportLog:
-    """Append-only record of every transmission, queryable by facet."""
+    """Append-only record of every transmission, queryable by facet.
+
+    The log keeps whole send schedules, one entry per (iteration, stream,
+    cols, sends) with sends a plan's tuple of (sender, receiver, kind, rows),
+    plus running totals of records and scalars. Queries expand the entries
+    into TransportRecords, in the order they were logged.
+    """
 
     def __init__(self):
-        self.records: list[TransportRecord] = []
+        self._entries: list[tuple[int, str, int, tuple[_Send, ...]]] = []
+        self._records = 0
+        self._scalars = 0
+
+    def add_sends(self, iteration: int, stream: str, cols: int,
+                  sends: tuple[_Send, ...], rows: int) -> int:
+        """Log one stream's sends; rows is the sum of their row counts.
+        Returns the scalars they carry."""
+        self._entries.append((iteration, stream, cols, sends))
+        self._records += len(sends)
+        self._scalars += rows * cols
+        return rows * cols
 
     def add(self, record: TransportRecord) -> None:
-        self.records.append(record)
+        self.add_sends(record.iteration, record.stream, record.cols,
+                       ((record.sender, record.receiver, record.kind, record.rows),),
+                       record.rows)
+
+    @property
+    def records(self) -> list[TransportRecord]:
+        return self.sent()
 
     def sent(self, iteration=None, sender=None, stream=None, kind=None) -> list[TransportRecord]:
-        out = self.records
-        if iteration is not None:
-            out = [r for r in out if r.iteration == iteration]
-        if sender is not None:
-            out = [r for r in out if r.sender == sender]
-        if stream is not None:
-            out = [r for r in out if r.stream == stream]
-        if kind is not None:
-            out = [r for r in out if r.kind == kind]
-        return list(out)
+        return [
+            TransportRecord(it, snd, rcv, strm, knd, rows, cols)
+            for it, strm, cols, sends in self._entries
+            if (iteration is None or it == iteration) and (stream is None or strm == stream)
+            for snd, rcv, knd, rows in sends
+            if (sender is None or snd == sender) and (kind is None or knd == kind)
+        ]
 
     def scalars(self) -> int:
-        return sum(r.scalars for r in self.records)
+        return self._scalars
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self._records
 
 
 @dataclass(frozen=True)
@@ -232,14 +247,15 @@ class LocalLayout:
     branches: tuple[BranchSegment, ...]       # ascending branch-root order
     local_dim: int
     fallback: frozenset[int]                  # nodes forwarding raw rows
-    subtree_channels: dict[int, int] = field(repr=False)
-    raw_stack: dict[int, tuple[int, ...]] = field(repr=False)  # preorder per fallback node
     # one iteration's sends as (sender, receiver, kind, rows): leaf-to-root
     # per fused stream (raw nodes ship their subtree's channels), then
     # root-to-leaf per branch and member in preorder (raw branches their
-    # members' subtree rows, compressed branches the mixing block)
-    fusion_sends: tuple[tuple[int, int, str, int], ...] = field(repr=False)
-    mix_sends: tuple[tuple[int, int, str, int], ...] = field(repr=False)
+    # members' subtree rows, compressed branches the mixing block); each
+    # schedule's row total is kept beside it
+    fusion_sends: tuple[_Send, ...] = field(repr=False)
+    mix_sends: tuple[_Send, ...] = field(repr=False)
+    fusion_rows: int
+    mix_rows: int
 
 
 def plan_local_layout(tree: PrunedTree, graph: NetworkGraph, n_filters: int) -> LocalLayout:
@@ -259,14 +275,6 @@ def plan_local_layout(tree: PrunedTree, graph: NetworkGraph, n_filters: int) -> 
     for k in reversed(tree.order):
         subtree[k] = graph.channel_count(k) + sum(subtree[c] for c in tree.children(k))
     fallback = frozenset(k for k in tree.order if k != q and subtree[k] < n_filters)
-
-    raw_stack: dict[int, tuple[int, ...]] = {}
-    for k in reversed(tree.order):
-        if k in fallback:
-            stack: list[int] = [k]
-            for c in tree.children(k):
-                stack.extend(raw_stack[c])
-            raw_stack[k] = tuple(stack)
 
     own = graph.channel_count(q)
     offset = own
@@ -304,10 +312,10 @@ def plan_local_layout(tree: PrunedTree, graph: NetworkGraph, n_filters: int) -> 
         branches=tuple(branches),
         local_dim=offset,
         fallback=fallback,
-        subtree_channels=subtree,
-        raw_stack=raw_stack,
         fusion_sends=fusion_sends,
         mix_sends=mix_sends,
+        fusion_rows=sum(send[3] for send in fusion_sends),
+        mix_rows=sum(send[3] for send in mix_sends),
     )
 
 
@@ -338,51 +346,6 @@ def build_anchor(graph: NetworkGraph, layout: LocalLayout, x: np.ndarray) -> np.
     return np.vstack([x[layout.own_rows], *parts])
 
 
-# --------------------------------------------------------------------------
-# fusion (leaf-to-root signal flow)
-
-
-def fuse_and_forward(graph: NetworkGraph, tree: PrunedTree, layout: LocalLayout,
-                     x: np.ndarray, data: np.ndarray, stream: str,
-                     iteration: int = 0, log: TransportLog | None = None) -> np.ndarray:
-    """Simulate the leaf-to-root flow of one signal stream, returning the
-    local (local_dim, n_samples) batch the updating node assembles.
-
-    Compressing nodes send their filtered block plus everything already
-    fused below them; raw nodes send their channel rows unchanged. Raw rows
-    are absorbed into the first compressing ancestor by filtering with the
-    senders' current blocks, which equals summing the senders' own
-    compressed contributions.
-    """
-    q = tree.root
-    messages: dict[int, np.ndarray] = {}
-    for k in reversed(tree.order):
-        if k == q:
-            continue
-        if k in layout.fallback:
-            stacks = [data[graph.block_slice(k)]]
-            stacks += [messages[c] for c in tree.children(k)]
-            payload = stacks[0] if len(stacks) == 1 else np.vstack(stacks)
-            kind = "raw"
-        else:
-            payload = compress(x[graph.block_slice(k)], data[graph.block_slice(k)])
-            for c in tree.children(k):
-                if c in layout.fallback:
-                    x_rows = np.vstack([x[graph.block_slice(j)] for j in layout.raw_stack[c]])
-                    payload = payload + compress(x_rows, messages[c])
-                else:
-                    payload = payload + messages[c]
-            kind = "compressed"
-        messages[k] = payload
-        if log is not None:
-            log.add(TransportRecord(iteration, k, tree.parent[k], stream, kind,
-                                    payload.shape[0], payload.shape[1]))
-
-    segments = [data[graph.block_slice(q)]]
-    segments += [messages[seg.root] for seg in layout.branches]
-    return np.vstack(segments)
-
-
 def assemble_local_instance(problem: SfoProblem, graph: NetworkGraph,
                             layout: LocalLayout, x: np.ndarray,
                             batch: SampleBatch) -> tuple[CompressedInstance, np.ndarray]:
@@ -397,13 +360,6 @@ def assemble_local_instance(problem: SfoProblem, graph: NetworkGraph,
     c = build_transition_matrix(graph, layout, x)
     network = centralized_instance(problem, batch)
     return network.compressed(c, build_anchor(graph, layout, x)), c
-
-
-def _log_sends(log: TransportLog, sends: Sequence[tuple[int, int, str, int]],
-               iteration: int, stream: str, cols: int) -> None:
-    """Log one stream's sends from a plan's schedule."""
-    for sender, receiver, kind, rows in sends:
-        log.add(TransportRecord(iteration, sender, receiver, stream, kind, rows, cols))
 
 
 # --------------------------------------------------------------------------
@@ -421,6 +377,7 @@ class StepInfo:
     instance: CompressedInstance
     outcome: SolveOutcome
     x_local: np.ndarray
+    tx_scalars: int       # scalars this step logged (0 without a log)
 
 
 def dasf_step(problem: SfoProblem, graph: NetworkGraph, x: np.ndarray,
@@ -442,19 +399,23 @@ def dasf_step(problem: SfoProblem, graph: NetworkGraph, x: np.ndarray,
         raise ValueError(f"unknown mode '{mode}'")
     tree, layout = _plan(graph, q, problem.n_filters)
     instance, c = assemble_local_instance(problem, graph, layout, x, batch)
+    tx = 0
     if log is not None:
         # fusion toward q: the signal streams, then each term under stream
         # "det:<name>" (exempt from the signal channel cap but counted)
         streams = ["y", "v"] if problem.uses_second_stream else ["y"]
         for stream in streams:
-            _log_sends(log, layout.fusion_sends, iteration, stream, batch.n_samples)
+            tx += log.add_sends(iteration, stream, batch.n_samples,
+                                layout.fusion_sends, layout.fusion_rows)
         for name, b in instance.b_terms.items():
-            _log_sends(log, layout.fusion_sends, iteration, f"det:{name}", b.shape[1])
+            tx += log.add_sends(iteration, f"det:{name}", b.shape[1],
+                                layout.fusion_sends, layout.fusion_rows)
     outcome = solve_instance(instance)
     x_local = align_to_anchor(outcome.x, instance.anchor, problem.symmetry)
     x_next = c @ x_local
     if log is not None:
-        _log_sends(log, layout.mix_sends, iteration, "mix", problem.n_filters)
+        tx += log.add_sends(iteration, "mix", problem.n_filters,
+                            layout.mix_sends, layout.mix_rows)
     info = StepInfo(
         node=q,
         tree=tree,
@@ -463,6 +424,7 @@ def dasf_step(problem: SfoProblem, graph: NetworkGraph, x: np.ndarray,
         instance=instance,
         outcome=outcome,
         x_local=x_local,
+        tx_scalars=tx,
     )
     return x_next, info
 
@@ -576,14 +538,12 @@ def dasf_run(problem: SfoProblem, graph: NetworkGraph, batch, n_iterations: int,
     rows: list[tuple[int, int, float, float, int, int, int]] = []
     for i in range(n_iterations):
         batch_i = batch(i) if callable(batch) else batch
-        start = len(log)
         x, info = dasf_step(problem, graph, x, batch_i, i, mode=mode, log=log)
         history.append(x)
         objective = evaluate_objective(problem, x, batch_i)
         residuals = constraint_residuals(problem, x)
         max_residual = float(residuals.max()) if residuals.size else 0.0
-        tx = sum(r.scalars for r in log.records[start:])
-        rows.append((i, info.node, objective, max_residual, tx,
+        rows.append((i, info.node, objective, max_residual, info.tx_scalars,
                      info.outcome.iterations, info.layout.local_dim))
 
     # a fixed reference is mapped through the solution symmetry to the

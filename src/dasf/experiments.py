@@ -569,13 +569,16 @@ def _build_model(config: ExperimentConfig, n_filters: int, rng) -> SignalModel:
 def tracking_reference(model: SignalModel, t0: int, n_samples: int) -> np.ndarray:
     """Closed-form estimator target for the drifting model over one batch
     window: the average true covariance and cross-correlation across the
-    window's sample times, solved directly."""
-    tau = np.arange(t0, t0 + n_samples)
-    lam = model.drift.schedule(tau)
-    p = model.drift.p0[:, None] + lam[None, :] * model.drift.delta[:, None]
-    m = p.shape[0]
-    cov = model.source_var * (p @ p.T) / n_samples + model.noise_var * np.eye(m)
-    cross = model.source_var * p.mean(axis=1)[:, None]
+    window's sample times, solved directly. With p(tau) = p0 + lambda(tau)
+    delta, the window mean of p p^T only needs the means of lambda and
+    lambda^2."""
+    lam = model.drift.schedule(np.arange(t0, t0 + n_samples))
+    lam1, lam2 = lam.mean(), np.mean(lam * lam)
+    p0, delta = model.drift.p0, model.drift.delta
+    mixed = np.outer(p0, delta)
+    ppt = np.outer(p0, p0) + lam1 * (mixed + mixed.T) + lam2 * np.outer(delta, delta)
+    cov = model.source_var * ppt + model.noise_var * np.eye(p0.shape[0])
+    cross = model.source_var * (p0 + lam1 * delta)[:, None]
     return sla.solve(cov, cross, assume_a="pos")
 
 

@@ -410,8 +410,11 @@ def solve_mmse(instance: CompressedInstance) -> SolveOutcome:
     """Closed-form normal equations with conditional diagonal loading.
 
     Solves R x = r for R the batch covariance and r the batch
-    cross-correlation with the target rows. When cond(R) exceeds COND_LIMIT
-    the diagonal is loaded with DIAG_LOAD * trace(R) / dim.
+    cross-correlation with the target rows, through one symmetric
+    eigendecomposition R = V diag(w) V^T: x = V (V^T r) / (w + load). The
+    load is DIAG_LOAD * trace(R) / dim when max|w| > COND_LIMIT * min|w|,
+    which is cond(R) > COND_LIMIT in the 2-norm, and zero otherwise. A
+    non-finite or all-zero R raises SolverError.
     """
     if instance.cross is None:
         raise SolverError("mmse needs target rows on the instance")
@@ -419,9 +422,16 @@ def solve_mmse(instance: CompressedInstance) -> SolveOutcome:
     if instance.cross.shape[1] != prob.n_filters:
         raise SolverError("target row count must equal n_filters")
     cov = instance.cov_y
-    if np.linalg.cond(cov) > COND_LIMIT:
-        cov = cov + (DIAG_LOAD * np.trace(cov) / cov.shape[0]) * np.eye(cov.shape[0])
-    x = sla.solve(cov, instance.cross, assume_a="sym")
+    for name, a in (("covariance", cov), ("cross-correlation", instance.cross)):
+        if not np.isfinite(a).all():
+            raise SolverError(f"mmse: {name} has non-finite entries")
+    w, v = np.linalg.eigh(cov)
+    mag = np.abs(w)
+    top = mag.max()
+    if top == 0.0:
+        raise SolverError("mmse: covariance is all zero")
+    load = DIAG_LOAD * np.trace(cov) / cov.shape[0] if top > COND_LIMIT * mag.min() else 0.0
+    x = v @ ((v.T @ instance.cross) / (w + load)[:, None])
     return _finalize(instance, x, iterations=1)
 
 

@@ -220,13 +220,13 @@ def sample_adaptive(model: SignalModel, t: int, n_samples: int, rng_seed=None) -
     if model.drift is None:
         return sample_stationary(model, t, n_samples, rng_seed)
     rng = np.random.default_rng(rng_seed)
-    m_total = model.total_channels
-    tau = np.arange(t, t + n_samples)
-    lam = model.drift.schedule(tau)
+    lam = model.drift.schedule(np.arange(t, t + n_samples))
     s = math.sqrt(model.source_var) * rng.standard_normal((1, n_samples))
-    noise = math.sqrt(model.noise_var) * rng.standard_normal((m_total, n_samples))
-    steering = model.drift.p0[:, None] + lam[None, :] * model.drift.delta[:, None]
-    y = steering * s + noise
+    y = rng.standard_normal((model.total_channels, n_samples))
+    y *= math.sqrt(model.noise_var)
+    # (p0 + lambda delta) s as two rank-one terms, never the M x N steering
+    y += np.outer(model.drift.p0, s[0])
+    y += np.outer(model.drift.delta, lam * s[0])
     return SampleBatch(y=y, channels=model.channels, t=int(t), s=s)
 
 

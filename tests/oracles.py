@@ -6,8 +6,10 @@ squares on raw samples, the constrained solvers go through scipy's SLSQP
 with multiple starts, and the trace-ratio optimum comes from scalar
 bisection on the sum of principal generalized eigenvalues. The one
 exception is the sample-domain engine step, which replays an iteration the
-way the nodes run it, by fusing the samples up the tree with the library's
-``fuse_and_forward``, so that the statistics-domain engine can be held to it.
+way the nodes run it, by fusing the samples up the tree with
+``fuse_and_forward`` here, so that the statistics-domain engine can be held
+to it. It uses the library's tree, layout and transition matrix, but derives
+its per-node channel counts and raw stacks from the tree itself.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from dasf.engine import (
     TransportRecord,
     build_anchor,
     build_transition_matrix,
-    fuse_and_forward,
     plan_local_layout,
     select_updating_node,
 )
@@ -195,6 +196,57 @@ def tro_grid_2d(cov_y, cov_v, n_grid: int = 200_001) -> float:
 # sample-domain engine and objectives
 
 
+def compress(x_block: np.ndarray, y_block: np.ndarray) -> np.ndarray:
+    """Filter a node's signal block through its compressor: X_k^T Y_k,
+    n_filters rows regardless of the node's channel count."""
+    return x_block.T @ y_block
+
+
+def subtree_channels(graph, tree, node: int) -> int:
+    """Channels carried by the subtree hanging from ``node``, itself included."""
+    return sum(graph.channel_count(k) for k in tree.branch(node))
+
+
+def fuse_and_forward(graph, tree, layout, x, data, stream, iteration=0, log=None):
+    """Simulate the leaf-to-root flow of one signal stream, returning the
+    local (local_dim, n_samples) batch the updating node assembles.
+
+    Compressing nodes send their filtered block plus everything already
+    fused below them; raw nodes send their channel rows unchanged, stacked
+    with their children's in preorder. Raw rows are absorbed into the first
+    compressing ancestor by filtering with the senders' current blocks,
+    which equals summing the senders' own compressed contributions.
+    """
+    q = tree.root
+    messages: dict[int, np.ndarray] = {}
+    for k in reversed(tree.order):
+        if k == q:
+            continue
+        if k in layout.fallback:
+            stacks = [data[graph.block_slice(k)]]
+            stacks += [messages[c] for c in tree.children(k)]
+            payload = stacks[0] if len(stacks) == 1 else np.vstack(stacks)
+            kind = "raw"
+        else:
+            payload = compress(x[graph.block_slice(k)], data[graph.block_slice(k)])
+            for c in tree.children(k):
+                if c in layout.fallback:
+                    # every node under a raw node is raw, in preorder
+                    x_rows = np.vstack([x[graph.block_slice(j)] for j in tree.branch(c)])
+                    payload = payload + compress(x_rows, messages[c])
+                else:
+                    payload = payload + messages[c]
+            kind = "compressed"
+        messages[k] = payload
+        if log is not None:
+            log.add(TransportRecord(iteration, k, tree.parent[k], stream, kind,
+                                    payload.shape[0], payload.shape[1]))
+
+    segments = [data[graph.block_slice(q)]]
+    segments += [messages[seg.root] for seg in layout.branches]
+    return np.vstack(segments)
+
+
 def objective_on_samples(problem, x, y, v=None, s=None) -> float:
     """A family's objective estimated on the filtered samples X^T y(t)."""
     z = x.T @ y
@@ -244,7 +296,7 @@ def sample_domain_step(problem, graph, x, batch, iteration, log):
     # parent; each member of a compressed branch gets the mixing block
     for seg in layout.branches:
         for k in seg.members:
-            rows = layout.subtree_channels[k] if seg.raw else problem.n_filters
+            rows = subtree_channels(graph, tree, k) if seg.raw else problem.n_filters
             log.add(TransportRecord(iteration, tree.parent[k], k, "mix",
                                     "new_block" if seg.raw else "mix_block",
                                     rows, problem.n_filters))

@@ -17,7 +17,6 @@ from dasf.engine import (
     build_transition_matrix,
     dasf_run,
     dasf_step,
-    fuse_and_forward,
     plan_local_layout,
 )
 from dasf.experiments import run_study, validate_config
@@ -201,8 +200,8 @@ def test_criterion_5_transition_matrix_identities(criterion_report):
         c = build_transition_matrix(graph, layout, x)
         y = rng.standard_normal((m, 30))
         b = rng.standard_normal((m, 3))
-        fused_y = fuse_and_forward(graph, tree, layout, x, y, "y")
-        fused_b = fuse_and_forward(graph, tree, layout, x, b, "det:b")
+        fused_y = oracles.fuse_and_forward(graph, tree, layout, x, y, "y")
+        fused_b = oracles.fuse_and_forward(graph, tree, layout, x, b, "det:b")
         rel_y = np.linalg.norm(fused_y - c.T @ y) / max(1.0, np.linalg.norm(c.T @ y))
         rel_b = np.linalg.norm(fused_b - c.T @ b) / max(1.0, np.linalg.norm(c.T @ b))
         anchor_gap = float(np.abs(c @ build_anchor(graph, layout, x) - x).max())

@@ -20,7 +20,6 @@ from dasf.engine import (
     build_transition_matrix,
     dasf_run,
     dasf_step,
-    fuse_and_forward,
     normalized_error,
     plan_local_layout,
     select_updating_node,
@@ -150,8 +149,8 @@ def test_layout_single_fallback_inside_branch():
     assert layout.fallback == frozenset({1})
     (seg,) = layout.branches
     assert not seg.raw and seg.width == 2  # branch root still compresses
-    assert layout.subtree_channels[2] == 2
-    assert layout.raw_stack == {1: (1,)}
+    assert oracles.subtree_channels(graph, tree, 2) == 2
+    assert {k: tree.branch(k) for k in layout.fallback} == {1: (1,)}
 
 
 def test_layout_whole_branch_raw():
@@ -166,7 +165,7 @@ def test_layout_whole_branch_raw():
     assert seg.raw and seg.root == 2
     assert seg.members == (2, 3)
     assert seg.width == 2 and seg.offset == 4
-    assert layout.raw_stack[2] == (2, 3)
+    assert tree.branch(2) == (2, 3)
     assert layout.local_dim == 6
 
 
@@ -265,7 +264,7 @@ def test_path_fusion_hand_unrolled():
     batch = _random_batch(graph, 25, rng)
     tree = prune_to_tree(graph, 3)
     layout = plan_local_layout(tree, graph, 1)
-    fused = fuse_and_forward(graph, tree, layout, x, batch.y, "y")
+    fused = oracles.fuse_and_forward(graph, tree, layout, x, batch.y, "y")
     # node 1 filters its rows, node 2 adds its own filtered rows and relays
     relay = x[0:2].T @ batch.y[0:2] + x[2:4].T @ batch.y[2:4]
     assert np.allclose(fused[0:2], batch.y[4:6], atol=0)
@@ -282,7 +281,7 @@ def test_raw_rows_arrive_unchanged():
     batch = _random_batch(graph, 10, rng)
     tree = prune_to_tree(graph, 1)
     layout = plan_local_layout(tree, graph, 3)
-    fused = fuse_and_forward(graph, tree, layout, x, batch.y, "y")
+    fused = oracles.fuse_and_forward(graph, tree, layout, x, batch.y, "y")
     assert np.array_equal(fused[0:4], batch.y[0:4])
     assert np.array_equal(fused[4], batch.y[4])   # node 2's raw row
     assert np.array_equal(fused[5], batch.y[5])   # node 3's raw row
@@ -476,6 +475,66 @@ def test_run_tx_samples_match_transport_log():
     assert sum(rec.tx_samples for rec in result.records) == log.scalars()
 
 
+def test_run_builds_no_transport_records(monkeypatch):
+    # the log keeps the plans' schedules; records are made only on query
+    made = []
+    real = engine.TransportRecord
+
+    def counting(*args, **kwargs):
+        made.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "TransportRecord", counting)
+    graph = make_path(3, (4, 1, 1))
+    rng = np.random.default_rng(21)
+    prob = MmseProblem(n_filters=3)
+    result = dasf_run(prob, graph, _random_batch(graph, 60, rng, s_rows=3), 9, rng_seed=4)
+    assert not made
+    assert len(result.transport.records) == len(made) == len(result.transport) > 0
+
+
+def test_run_does_not_query_the_log(monkeypatch):
+    # per-step queries of a growing log would make a run quadratic
+    calls = []
+    real_scalars, real_sent = TransportLog.scalars, TransportLog.sent
+    monkeypatch.setattr(TransportLog, "scalars",
+                        lambda self: calls.append("scalars") or real_scalars(self))
+    monkeypatch.setattr(TransportLog, "records",
+                        property(lambda self: calls.append("records") or real_sent(self)))
+    monkeypatch.setattr(TransportLog, "sent",
+                        lambda self, *a, **kw: calls.append("sent") or real_sent(self, *a, **kw))
+    graph = make_random_tree(6, (1, 2, 1, 3, 1, 2), rng_seed=3)
+    rng = np.random.default_rng(22)
+    prob = MmseProblem(n_filters=2)
+    result = dasf_run(prob, graph, _random_batch(graph, 50, rng, s_rows=2), 12, rng_seed=5)
+    assert calls == []
+    assert result.transport.scalars() == sum(rec.tx_samples for rec in result.records)
+    assert calls == ["scalars"]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    nodes=st.integers(min_value=2, max_value=7),
+    seed=st.integers(min_value=0, max_value=500),
+    kind=st.sampled_from(["mmse", "qcqp"]),
+)
+def test_log_totals_equal_expanded_records_property(nodes, seed, kind):
+    rng = np.random.default_rng(seed)
+    channels = tuple(int(c) for c in rng.integers(1, 4, nodes))
+    graph = make_random_tree(nodes, channels, rng_seed=seed)
+    q = int(rng.integers(1, min(3, graph.total_channels) + 1))
+    prob = _family_problem(kind, graph.total_channels, q, rng)
+    batch = _random_batch(graph, 30, rng, s_rows=q if kind == "mmse" else 0)
+    result = dasf_run(prob, graph, batch, nodes + 2, rng_seed=seed, warn_on_bound=False)
+    log = result.transport
+    records = log.records
+    assert len(log) == len(records)
+    assert log.scalars() == sum(r.scalars for r in records)
+    for rec in result.records:
+        assert rec.tx_samples == sum(r.scalars for r in records if r.iteration == rec.iteration)
+        assert rec.tx_samples == sum(r.scalars for r in log.sent(iteration=rec.iteration))
+
+
 def test_audit_flags_violations():
     log = TransportLog()
     log.add(TransportRecord(iteration=0, sender=1, receiver=2, stream="y",
@@ -629,7 +688,7 @@ def test_transition_identities_property(nodes, seed):
     assert np.allclose(c @ anchor, x, atol=1e-12)
     y = rng.standard_normal((graph.total_channels, 15))
     log = TransportLog()
-    fused = fuse_and_forward(graph, tree, layout, x, y, "y", log=log)
+    fused = oracles.fuse_and_forward(graph, tree, layout, x, y, "y", log=log)
     assert np.allclose(fused, c.T @ y, atol=1e-10)
     # the plan's schedule is the sends the sample-domain fusion makes
     assert layout.fusion_sends == tuple(

@@ -3,6 +3,8 @@ import copy
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dasf.cli
 import dasf.experiments as experiments
@@ -289,6 +291,26 @@ def test_tracking_reference_constant_schedule():
     cov = 2.0 * np.outer(p0, p0) + 0.3 * np.eye(3)
     expected = np.linalg.solve(cov, 2.0 * p0[:, None])
     assert np.allclose(ref, expected, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    t0=st.integers(min_value=0, max_value=900),
+    n_samples=st.integers(min_value=1, max_value=400),
+)
+def test_tracking_reference_closed_form_equals_sample_average(seed, t0, n_samples):
+    # knots at 100, 400 and 700: windows start before, between and past them
+    rng = np.random.default_rng(seed)
+    spec = DriftSpec(p0=rng.standard_normal(5), delta=rng.standard_normal(5),
+                     schedule=LambdaSchedule((100.0, 400.0, 700.0), (0.0, 1.0, 0.3)))
+    model = SignalModel(channels=(2, 3), source_var=0.7, noise_var=0.2, drift=spec)
+    lam = spec.schedule(np.arange(t0, t0 + n_samples))
+    p = spec.p0[:, None] + lam[None, :] * spec.delta[:, None]
+    cov = 0.7 * (p @ p.T) / n_samples + 0.2 * np.eye(5)
+    expected = np.linalg.solve(cov, 0.7 * p.mean(axis=1)[:, None])
+    ref = tracking_reference(model, t0, n_samples)
+    assert np.linalg.norm(ref - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 import oracles
 from dasf.network import make_fully_connected, make_path
 from dasf.sfo import (
+    COND_LIMIT,
+    CompressedInstance,
+    DIAG_LOAD,
     FEASIBILITY_RTOL,
     InfeasibleProblemError,
     MmseProblem,
@@ -23,6 +26,7 @@ from dasf.sfo import (
     evaluate_objective,
     solve_centralized,
     solve_instance,
+    solve_mmse,
     solve_scqp,
     solve_tro,
 )
@@ -71,6 +75,38 @@ def test_mmse_loading_handles_singular_covariance():
     cov = estimate_covariance(y)
     pinv_x = np.linalg.pinv(cov) @ (y @ s.T / y.shape[1])
     assert np.allclose(out.x, pinv_x, atol=1e-5)
+
+
+@pytest.mark.parametrize("factor", [0.99, 1.01])
+def test_mmse_loading_decision_is_the_condition_number(factor):
+    # eigenvalues from 1 down to 1 / (factor COND_LIMIT) in a random basis:
+    # the solve loads exactly when np.linalg.cond says cond > COND_LIMIT
+    rng = np.random.default_rng(40)
+    w = np.array([1.0, 0.6, 0.3, 1.0 / (factor * COND_LIMIT)])
+    v, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    cov = (v * w) @ v.T
+    cov = 0.5 * (cov + cov.T)
+    cross = rng.standard_normal((4, 1))
+    loads = np.linalg.cond(cov) > COND_LIMIT
+    assert loads == (factor > 1.0)
+    out = solve_mmse(CompressedInstance(problem=MmseProblem(n_filters=1),
+                                        cov_y=cov, cross=cross, target_power=1.0))
+    load = DIAG_LOAD * np.trace(cov) / 4
+    loaded = v @ ((v.T @ cross) / (w + load)[:, None])
+    unloaded = v @ ((v.T @ cross) / w[:, None])
+    expected, other = (loaded, unloaded) if loads else (unloaded, loaded)
+    assert np.allclose(out.x, expected, rtol=1e-2, atol=0)
+    assert not np.allclose(out.x, other, rtol=0.5, atol=0)
+
+
+@pytest.mark.parametrize("cause, y_value", [("non-finite", np.nan), ("all zero", 0.0)])
+def test_mmse_rejects_degenerate_covariance(cause, y_value):
+    # without the check the eigen-solve returns inf or NaN silently
+    rng = np.random.default_rng(41)
+    batch = SampleBatch(y=np.full((3, 20), y_value), channels=(3,),
+                        s=rng.standard_normal((1, 20)))
+    with pytest.raises(SolverError, match=f"mmse: covariance .*{cause}"):
+        solve_centralized(MmseProblem(n_filters=1), batch)
 
 
 def test_mmse_requires_target_rows():

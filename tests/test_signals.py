@@ -114,6 +114,22 @@ def test_drift_steering_moves_with_schedule():
     assert np.allclose(batch.y[2], 0.0)
 
 
+def test_drift_batch_equals_steering_product():
+    # same normals in the same order as y = (p0 + lam delta) s + noise
+    rng = np.random.default_rng(3)
+    spec = DriftSpec(p0=rng.standard_normal(4), delta=rng.standard_normal(4),
+                     schedule=LambdaSchedule((50.0, 150.0), (0.2, 0.9)))
+    model = SignalModel(channels=(1, 3), source_var=0.5, noise_var=0.3, drift=spec)
+    batch = sample_adaptive(model, 40, 200, rng_seed=11)
+    draws = np.random.default_rng(11)
+    s = np.sqrt(0.5) * draws.standard_normal((1, 200))
+    noise = np.sqrt(0.3) * draws.standard_normal((4, 200))
+    lam = spec.schedule(np.arange(40, 240))
+    steering = spec.p0[:, None] + lam[None, :] * spec.delta[:, None]
+    assert np.array_equal(batch.s, s)
+    assert np.allclose(batch.y, steering * s + noise, rtol=0, atol=1e-14)
+
+
 def test_drift_model_rejects_stationary_sampler():
     sched = LambdaSchedule((0.0,), (0.0,))
     spec = DriftSpec(np.ones(2), np.ones(2), sched)
