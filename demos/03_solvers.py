@@ -43,7 +43,7 @@ rng = np.random.default_rng(99)
 def report(label, problem, outcome):
     res = constraint_residuals(problem, outcome.x)
     worst = res.max() if res.size else 0.0
-    print(f"{label:5s} objective={outcome.objective:+.6f}  "
+    print(f"{label:5s} objective={evaluate_objective(problem, outcome.x, batch):+.6f}  "
           f"inner iterations={outcome.iterations:3d}  max residual={worst:.2e}")
 
 
@@ -91,4 +91,5 @@ print(f"      ||X||_F = {np.linalg.norm(out.x):.12f}")
 x_rand = scqp.random_feasible(m, rng)
 print()
 print("random feasible SCQP point objective:", f"{evaluate_objective(scqp, x_rand, batch):+.6f}")
-print("solver SCQP objective:               ", f"{out.objective:+.6f}")
+print("solver SCQP objective:               ",
+      f"{evaluate_objective(scqp, out.x, batch):+.6f}")

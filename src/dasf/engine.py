@@ -10,8 +10,8 @@ One iteration of the scheme, at updating node q:
    carries fewer channels than the filter width forward raw rows instead,
 3. q assembles a compressed instance of the same problem family and
    solves it; the simulator forms it from the batch's statistics through
-   C (covariances C^T R C, terms C^T B, metric C^T C), which equals the
-   statistics of the fused streams,
+   C (covariances C^T R C, terms C^T B), which equals the statistics of the
+   fused streams, whitened per compressed branch so that C^T C = I,
 4. the solution is split into q's new block plus one square mixing block per
    branch (or direct new blocks for raw branches) and sent back down, and
    every node updates its block by multiplying with its branch's mix; the
@@ -34,6 +34,7 @@ from __future__ import annotations
 import csv
 import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -58,7 +59,6 @@ __all__ = [
     "LocalLayout",
     "plan_local_layout",
     "build_transition_matrix",
-    "build_anchor",
     "assemble_local_instance",
     "dasf_step",
     "dasf_run",
@@ -73,6 +73,8 @@ __all__ = [
     "audit_transport",
     "normalized_error",
 ]
+
+GRAM_RTOL = 1e-10   # branch Gram directions this small against its largest are dropped
 
 
 def select_updating_node(iteration: int, node_count: int) -> int:
@@ -217,18 +219,18 @@ def audit_transport(log: TransportLog, n_filters: int) -> TransportAudit:
 class BranchSegment:
     """One branch of the pruned tree, as seen from the updating node.
 
-    A compressed branch occupies n_filters local coordinates; a raw branch
-    (subtree channel count below the filter width) occupies one coordinate
-    per channel, ordered by the preorder member list. rows lists the
-    members' network rows in that order; it is read-only because plans are
-    shared across iterations.
+    A compressed branch occupies n_filters local coordinates, fewer when an
+    iteration drops directions of its Gram; a raw branch (subtree channel
+    count below the filter width) occupies one coordinate per channel, in
+    preorder. rows lists the members' network rows in that order; it is
+    read-only because plans are shared across iterations.
     """
 
     root: int
     members: tuple[int, ...]   # preorder, branch root first
     raw: bool
-    width: int                 # columns this branch occupies in C
-    offset: int                # first column of the branch segment
+    width: int                 # columns this branch occupies in C, all kept
+    offset: int                # first column of the branch segment, all kept
     rows: np.ndarray = field(repr=False, compare=False)
 
     @property
@@ -245,7 +247,7 @@ class LocalLayout:
     own_channels: int                         # q's block, always columns [0, own)
     own_rows: slice                           # q's network rows
     branches: tuple[BranchSegment, ...]       # ascending branch-root order
-    local_dim: int
+    local_dim: int                            # every Gram direction kept
     fallback: frozenset[int]                  # nodes forwarding raw rows
     # one iteration's sends as (sender, receiver, kind, rows): leaf-to-root
     # per fused stream (raw nodes ship their subtree's channels), then
@@ -256,6 +258,24 @@ class LocalLayout:
     mix_sends: tuple[_Send, ...] = field(repr=False)
     fusion_rows: int
     mix_rows: int
+
+    @cached_property
+    def c_index(self) -> tuple[np.ndarray, ...]:
+        """Index arrays of C at full width, made once per plan: the flattened
+        C's identity entries at q's and the raw branches' rows; the compressed
+        rows, their flattened entries, each branch's first row, each row's branch."""
+        d, raw = self.local_dim, [seg for seg in self.branches if seg.raw]
+        mixed = [seg for seg in self.branches if not seg.raw]
+        ident_rows = np.r_[tuple([self.own_rows] + [seg.rows for seg in raw])]
+        ident_cols = np.r_[tuple([slice(0, self.own_channels)] + [seg.cols for seg in raw])]
+        rows = np.r_[tuple([np.zeros(0, dtype=int)] + [seg.rows for seg in mixed])]
+        branch = np.repeat(np.arange(len(mixed)), [seg.rows.size for seg in mixed])
+        cols = np.array([seg.offset for seg in mixed], dtype=int)[branch, None]
+        index = (ident_rows * d + ident_cols, rows[:, None] * d + cols + np.arange(self.n_filters),
+                 rows, np.flatnonzero(np.diff(branch, prepend=-1)), branch)
+        for a in index:
+            a.setflags(write=False)
+        return index
 
 
 def plan_local_layout(tree: PrunedTree, graph: NetworkGraph, n_filters: int) -> LocalLayout:
@@ -320,30 +340,33 @@ def plan_local_layout(tree: PrunedTree, graph: NetworkGraph, n_filters: int) -> 
 
 
 def build_transition_matrix(graph: NetworkGraph, layout: LocalLayout,
-                            x: np.ndarray) -> np.ndarray:
-    """The (total_channels, local_dim) map C from local to network coordinates.
+                            x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The map C from local to network coordinates, and the anchor: the
+    local point C^T x, which C maps back to the current network filter x.
 
-    Block column 0 holds the identity at the updating node's rows. Each
-    compressed branch column holds the members' current filter blocks at
-    their rows; each raw branch column holds per-member identities. Every
-    block row of C has exactly one nonzero block.
+    C has one nonzero block per block row: the identity at the updating
+    node's rows and at each raw branch's rows, and X_b V Lambda^{-1/2} at
+    the rows of each compressed branch b, for eigh(X_b^T X_b) = V Lambda V^T
+    of the branch's Gram; so C^T C = I, and the anchor holds q's and the raw
+    branches' current blocks and Lambda^{1/2} V^T per compressed branch.
+    Gram directions with lambda <= GRAM_RTOL * lambda_max are dropped,
+    which leaves that branch fewer than n_filters columns; C @ anchor then
+    misses x only by the dropped directions.
     """
+    ident_flat, mixed_flat, rows, starts, branch = layout.c_index
     c = np.zeros((graph.total_channels, layout.local_dim))
-    c[layout.own_rows, :layout.own_channels] = np.eye(layout.own_channels)
-    for seg in layout.branches:
-        c[seg.rows, seg.cols] = np.eye(seg.width) if seg.raw else x[seg.rows]
-    return c
-
-
-def build_anchor(graph: NetworkGraph, layout: LocalLayout, x: np.ndarray) -> np.ndarray:
-    """Local point mapping back to the current network filter: C @ anchor = x.
-
-    Identity mixing blocks for compressed branches, the members' current
-    blocks for raw branches, q's current block on top.
-    """
-    eye = np.eye(layout.n_filters)
-    parts = [x[seg.rows] if seg.raw else eye for seg in layout.branches]
-    return np.vstack([x[layout.own_rows], *parts])
+    flat = c.reshape(-1)
+    flat[ident_flat] = 1.0
+    if starts.size:
+        xc = x[rows]
+        lam, vec = np.linalg.eigh(np.add.reduceat(xc[:, :, None] * xc[:, None, :], starts, axis=0))
+        keep = lam > GRAM_RTOL * lam[:, -1:]
+        # a dropped direction's column comes out zero, and every other is not
+        whiten = vec / np.sqrt(np.where(keep, lam, np.inf))[:, None, :]
+        flat[mixed_flat] = np.einsum("ij,ijk->ik", xc, whiten[branch])
+        if not keep.all():
+            c = c[:, c.any(axis=0)]
+    return c, c.T @ x
 
 
 def assemble_local_instance(problem: SfoProblem, graph: NetworkGraph,
@@ -353,13 +376,12 @@ def assemble_local_instance(problem: SfoProblem, graph: NetworkGraph,
     transition matrix C it implies.
 
     The instance is the network-wide one through C: C^T R C from the
-    batch's cached statistics, C^T B for the deterministic terms and C^T C
-    for the metric, which is what fusing the streams and terms up the tree
-    yields.
+    batch's cached statistics and C^T B for the deterministic terms, which
+    is what fusing the streams and terms up the tree and whitening each
+    compressed branch yields.
     """
-    c = build_transition_matrix(graph, layout, x)
-    network = centralized_instance(problem, batch)
-    return network.compressed(c, build_anchor(graph, layout, x)), c
+    c, anchor = build_transition_matrix(graph, layout, x)
+    return centralized_instance(problem, batch).compressed(c, anchor), c
 
 
 # --------------------------------------------------------------------------
@@ -544,7 +566,7 @@ def dasf_run(problem: SfoProblem, graph: NetworkGraph, batch, n_iterations: int,
         residuals = constraint_residuals(problem, x)
         max_residual = float(residuals.max()) if residuals.size else 0.0
         rows.append((i, info.node, objective, max_residual, info.tx_scalars,
-                     info.outcome.iterations, info.layout.local_dim))
+                     info.outcome.iterations, info.instance.dim))
 
     # a fixed reference is mapped through the solution symmetry to the
     # representative closest to the final iterate, so distances to it are

@@ -1,24 +1,25 @@
 """Spatial filter optimization: problem families, local instances, solvers.
 
 Every problem couples second-order statistics of one or two streams with
-deterministic terms and at most one quadratic ("metric") constraint family,
+deterministic terms and at most one quadratic constraint family on X^T X,
 and objectives are evaluated in closed trace form on those statistics. The
-same solver code serves the network-wide problem, where the metric is the
-identity, and the compressed per-node problems built by the fusion engine:
-for the current transition matrix C every covariance R becomes C^T R C,
-every term B becomes C^T B and the metric becomes C^T C.
+same solver code serves the network-wide problem and the compressed
+per-node problems built by the fusion engine: for the current transition
+matrix C every covariance R becomes C^T R C and every term B becomes C^T B.
+The engine gives C orthonormal columns, so C^T C = I and the quadratic
+constraints keep their network-wide form in every local problem.
 
 Shipped families:
 
 * mmse  - unconstrained target estimation, closed-form normal equations
-* qcqp  - quadratic objective, one metric-ball and one linear-response
-          equality constraint, solved via null-space elimination plus a
-          secular equation for the ball multiplier
-* tro   - filtered-power trace ratio of two streams on the metric-orthonormal
-          manifold, solved by a ratio fixed point over generalized
+* qcqp  - quadratic objective, one ball and one linear-response equality
+          constraint, solved via null-space elimination plus a secular
+          equation for the ball multiplier
+* tro   - filtered-power trace ratio of two streams on the orthonormal
+          (Stiefel) manifold, solved by a ratio fixed point over
           eigenvector subproblems
-* scqp  - quadratic objective on the metric unit sphere, solved via the
-          secular equation of the shifted linear system
+* scqp  - quadratic objective on the unit sphere, solved via the secular
+          equation of the shifted linear system
 """
 
 from __future__ import annotations
@@ -114,18 +115,13 @@ class SfoProblem:
         ``target_power`` (a SampleBatch or a CompressedInstance)."""
         raise NotImplementedError
 
-    def residuals_on(self, x, metric=None, terms=None) -> np.ndarray:
+    def residuals_on(self, x, terms=None) -> np.ndarray:
         """Per-constraint feasibility residuals (violations, relative scale)."""
         return np.zeros(0)
 
     def random_feasible(self, dim: int, rng) -> np.ndarray:
-        """A random (dim, n_filters) point satisfying the identity-metric constraints."""
+        """A random (dim, n_filters) point satisfying the constraints."""
         raise NotImplementedError
-
-
-def _metric_quadratic(x: np.ndarray, metric: np.ndarray | None) -> np.ndarray:
-    """X^T M X with M = identity when metric is None."""
-    return x.T @ x if metric is None else x.T @ metric @ x
 
 
 def _power(x: np.ndarray, cov: np.ndarray) -> float:
@@ -154,13 +150,13 @@ class MmseProblem(SfoProblem):
 
 @dataclass(frozen=True)
 class QcqpProblem(SfoProblem):
-    """Quadratic objective with a metric ball and a linear-response equality.
+    """Quadratic objective with a ball and a linear-response equality.
 
     minimize   0.5 E||x(t)||^2 - tr(X^T A),  x(t) = X^T y(t)
-    subject to tr(X^T M X) <= radius^2  and  X^T c = target_response
+    subject to tr(X^T X) <= radius^2  and  X^T c = target_response
 
-    where A = ``linear_term`` (M, Q), c = ``gain_vector`` (M,), and M is the
-    identity network-wide. Feasibility requires radius^2 >= ||d||^2 / ||c||^2.
+    where A = ``linear_term`` (M, Q) and c = ``gain_vector`` (M,).
+    Feasibility requires radius^2 >= ||d||^2 / ||c||^2.
     """
 
     linear_term: np.ndarray = None
@@ -195,10 +191,10 @@ class QcqpProblem(SfoProblem):
         a = (terms or self.b_term_matrices())["linear"]
         return 0.5 * _power(x, stats.cov_y) - float(np.sum(x * a))
 
-    def residuals_on(self, x, metric=None, terms=None):
+    def residuals_on(self, x, terms=None):
         c = (terms or self.b_term_matrices())["gain"].ravel()
         d = self.target_response
-        ball = np.trace(_metric_quadratic(x, metric)) - self.radius**2
+        ball = float(np.sum(x * x)) - self.radius**2
         out = np.empty(1 + self.n_filters)
         out[0] = max(0.0, ball) / max(1.0, self.radius**2)
         out[1:] = np.abs(x.T @ c - d) / max(1.0, float(np.max(np.abs(d), initial=0.0)))
@@ -225,7 +221,7 @@ class TroProblem(SfoProblem):
     """Maximize the filtered-power ratio of the second stream over the first.
 
     maximize   E||X^T v(t)||^2 / E||X^T y(t)||^2
-    subject to X^T M X = I
+    subject to X^T X = I
 
     reported as a minimization of the negated ratio. The solution set is the
     full right-orthogonal orbit of any optimizer.
@@ -241,8 +237,8 @@ class TroProblem(SfoProblem):
     def objective_on(self, x, stats, terms=None):
         return -(_power(x, stats.cov_v) / _power(x, stats.cov_y))
 
-    def residuals_on(self, x, metric=None, terms=None):
-        gap = _metric_quadratic(x, metric) - np.eye(self.n_filters)
+    def residuals_on(self, x, terms=None):
+        gap = x.T @ x - np.eye(self.n_filters)
         return np.abs(gap).ravel()
 
     def random_feasible(self, dim, rng):
@@ -254,10 +250,10 @@ class TroProblem(SfoProblem):
 
 @dataclass(frozen=True)
 class ScqpProblem(SfoProblem):
-    """Quadratic objective on the metric unit sphere.
+    """Quadratic objective on the unit sphere.
 
     minimize   0.5 E||x(t)||^2 + tr(X^T A)
-    subject to tr(X^T M X) = 1
+    subject to tr(X^T X) = 1
     """
 
     linear_term: np.ndarray = None
@@ -281,8 +277,8 @@ class ScqpProblem(SfoProblem):
         a = (terms or self.b_term_matrices())["linear"]
         return 0.5 * _power(x, stats.cov_y) + float(np.sum(x * a))
 
-    def residuals_on(self, x, metric=None, terms=None):
-        return np.array([abs(np.trace(_metric_quadratic(x, metric)) - 1.0)])
+    def residuals_on(self, x, terms=None):
+        return np.array([abs(float(np.sum(x * x)) - 1.0)])
 
     def random_feasible(self, dim, rng):
         x = rng.standard_normal((dim, self.n_filters))
@@ -295,11 +291,11 @@ class ScqpProblem(SfoProblem):
 
 @dataclass
 class CompressedInstance:
-    """Data for one solve: statistics, compressed terms, metric, anchor.
+    """Data for one solve: statistics, compressed terms, ridge, anchor.
 
-    With ``metric`` None and the network-wide statistics and terms this is
-    the centralized problem (``centralized_instance``); ``compressed`` maps
-    it to the local coordinates of a transition matrix C.
+    With the network-wide statistics and terms this is the centralized
+    problem (``centralized_instance``); ``compressed`` maps it to the local
+    coordinates of a transition matrix C with orthonormal columns.
     """
 
     problem: SfoProblem
@@ -308,7 +304,7 @@ class CompressedInstance:
     cross: np.ndarray | None = None             # (dim, S) cross-correlation with the targets
     target_power: float | None = None           # tr(R_ss), unchanged by compression
     b_terms: dict[str, np.ndarray] = field(default_factory=dict)
-    metric: np.ndarray | None = None            # (dim, dim), None = identity
+    load: float = 0.0                           # ridge the mmse solve adds to cov_y
     anchor: np.ndarray | None = None            # (dim, Q) tie-break reference
 
     @property
@@ -316,9 +312,9 @@ class CompressedInstance:
         return self.cov_y.shape[0]
 
     def compressed(self, c: np.ndarray, anchor: np.ndarray | None = None) -> CompressedInstance:
-        """The same problem over local points X with network point C X:
-        covariances C^T R C, cross-correlation C^T R_ys, terms C^T B and
-        metric C^T M C (C^T C for the identity)."""
+        """The same problem over local points X with network point C X, for C
+        with orthonormal columns: C^T R C, C^T R_ys and C^T B; the ridge stays,
+        as C^T (R + load I) C = C^T R C + load I."""
         return CompressedInstance(
             problem=self.problem,
             cov_y=_congruence(c, self.cov_y),
@@ -326,12 +322,9 @@ class CompressedInstance:
             cross=None if self.cross is None else c.T @ self.cross,
             target_power=self.target_power,
             b_terms={name: c.T @ b for name, b in self.b_terms.items()},
-            metric=c.T @ c if self.metric is None else _congruence(c, self.metric),
+            load=self.load,
             anchor=anchor,
         )
-
-    def metric_or_eye(self) -> np.ndarray:
-        return np.eye(self.dim) if self.metric is None else self.metric
 
     def term(self, name: str) -> np.ndarray:
         if name in self.b_terms:
@@ -342,7 +335,7 @@ class CompressedInstance:
         return self.problem.objective_on(x, self, terms=self.b_terms or None)
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
-        return self.problem.residuals_on(x, metric=self.metric, terms=self.b_terms or None)
+        return self.problem.residuals_on(x, terms=self.b_terms or None)
 
 
 def _congruence(c: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -353,10 +346,9 @@ def _congruence(c: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SolveOutcome:
-    """Solver result: solution, local objective, feasibility, effort."""
+    """Solver result: solution, feasibility, effort."""
 
     x: np.ndarray
-    objective: float
     residuals: np.ndarray
     iterations: int
     history: tuple[float, ...] = ()   # inner objective/ratio trace when iterative
@@ -364,13 +356,12 @@ class SolveOutcome:
 
 def _finalize(instance: CompressedInstance, x: np.ndarray, iterations: int,
               history=()) -> SolveOutcome:
-    """Shared exit path: feasibility check against the instance's metric."""
+    """Shared exit path: feasibility check on the instance's constraints."""
     res = instance.residuals(x)
     if res.size and float(res.max()) > FEASIBILITY_RTOL:
         raise SolverError(f"solution violates constraints (max residual {res.max():.3e})")
     return SolveOutcome(
         x=x,
-        objective=instance.objective(x),
         residuals=res,
         iterations=iterations,
         history=tuple(history),
@@ -407,14 +398,11 @@ def align_to_anchor(x: np.ndarray, anchor: np.ndarray | None, symmetry: str) -> 
 
 
 def solve_mmse(instance: CompressedInstance) -> SolveOutcome:
-    """Closed-form normal equations with conditional diagonal loading.
+    """Closed-form normal equations (R + load I) x = r.
 
-    Solves R x = r for R the batch covariance and r the batch
-    cross-correlation with the target rows, through one symmetric
-    eigendecomposition R = V diag(w) V^T: x = V (V^T r) / (w + load). The
-    load is DIAG_LOAD * trace(R) / dim when max|w| > COND_LIMIT * min|w|,
-    which is cond(R) > COND_LIMIT in the 2-norm, and zero otherwise. A
-    non-finite or all-zero R raises SolverError.
+    R is the batch covariance, r the batch cross-correlation with the target
+    rows and load the instance's ridge (set by ``centralized_instance``). A
+    non-finite, all-zero or singular R raises SolverError.
     """
     if instance.cross is None:
         raise SolverError("mmse needs target rows on the instance")
@@ -425,13 +413,14 @@ def solve_mmse(instance: CompressedInstance) -> SolveOutcome:
     for name, a in (("covariance", cov), ("cross-correlation", instance.cross)):
         if not np.isfinite(a).all():
             raise SolverError(f"mmse: {name} has non-finite entries")
-    w, v = np.linalg.eigh(cov)
-    mag = np.abs(w)
-    top = mag.max()
-    if top == 0.0:
+    if not cov.any():
         raise SolverError("mmse: covariance is all zero")
-    load = DIAG_LOAD * np.trace(cov) / cov.shape[0] if top > COND_LIMIT * mag.min() else 0.0
-    x = v @ ((v.T @ instance.cross) / (w + load)[:, None])
+    if instance.load:
+        cov = cov + instance.load * np.eye(cov.shape[0])
+    try:
+        x = np.linalg.solve(cov, instance.cross)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError("mmse: covariance is singular") from exc
     return _finalize(instance, x, iterations=1)
 
 
@@ -465,62 +454,48 @@ def _secular_root(f: Callable[[float], float], start: float,
 def solve_qcqp(instance: CompressedInstance) -> SolveOutcome:
     """Ball-constrained quadratic program with a linear-response equality.
 
-    Eliminates the equality X^T c = d via a null-space basis Z of c^T,
-    writes X = X_p + Z U, and diagonalizes the reduced pencil
-    (Z^T R Z, Z^T M Z), so that the stationarity system for any ball
-    multiplier mu >= 0 is diagonal and the ball value is a cheap scalar
-    function of mu; the optimal mu is the root of that secular equation.
-    mu = 0 is returned immediately when the equality-only minimizer already
-    sits inside the ball, and the plane's minimum-metric-norm point (the
-    mu -> inf limit) when the ball only touches the plane. The problem is
-    convex, so the KKT point found is the global minimum and no tie-break is
-    needed.
+    Eliminates the equality X^T c = d via an orthonormal null-space basis Z
+    of c^T, writes X = X_p + Z U with X_p = c d^T / ||c||^2, the plane's
+    minimum-norm point, and diagonalizes Z^T R Z, so that the stationarity
+    system for any ball multiplier mu >= 0 is diagonal and, since Z is
+    orthogonal to X_p, the ball value is ||X_p||^2 + ||U(mu)||^2; the
+    optimal mu is the root of that secular equation. mu = 0 is returned
+    immediately when the equality-only minimizer already sits inside the
+    ball, and X_p (the mu -> inf limit) when the ball only touches the
+    plane. The problem is convex, so the KKT point found is the global
+    minimum and no tie-break is needed.
     """
     prob: QcqpProblem = instance.problem
     cov = instance.cov_y
     a = instance.term("linear")
     c = instance.term("gain").ravel()
     d = prob.target_response
-    metric = instance.metric_or_eye()
     r2 = prob.radius**2
 
     cn2 = float(c @ c)
     if cn2 <= 0.0 or not np.isfinite(cn2):
         raise SolverError("gain vector is zero after compression")
-    # feasibility: the minimum metric-ball value on the response plane; a
-    # least-squares solve, since at a tight ball every feasible X has rank one
-    # and so the compressed metric is singular for Q > 1
-    m_inv_c = np.linalg.lstsq(metric, c, rcond=None)[0]
-    c_m_c = float(c @ m_inv_c)
-    min_ball = float(d @ d) / c_m_c
+    x_p = np.outer(c, d) / cn2
+    min_ball = float(d @ d) / cn2
     if r2 < min_ball * (1.0 - 1e-9):
         raise InfeasibleProblemError(
             f"radius^2 {r2:.6g} below plane minimum {min_ball:.6g}"
         )
-    if r2 <= min_ball * (1.0 + BALL_TIGHT_RTOL):
-        return _finalize(instance, np.outer(m_inv_c, d) / c_m_c, iterations=0)
-
-    x_p = np.outer(c, d) / cn2
     z = sla.null_space(c[None, :])
-    if z.shape[1] == 0:
-        # the plane pins X completely (dim == 1)
+    if r2 <= min_ball * (1.0 + BALL_TIGHT_RTOL) or z.shape[1] == 0:
+        # the ball only touches the plane, or the plane pins X (dim == 1)
         return _finalize(instance, x_p, iterations=0)
 
-    rzz = z.T @ cov @ z
-    mzz = z.T @ metric @ z
-    lam, vec = sla.eigh(rzz, mzz)         # vec^T mzz vec = I
-    lam = np.maximum(lam, 0.0)            # covariance pencil, clip roundoff
-    b0 = vec.T @ (z.T @ (a - cov @ x_p))  # constant part of the reduced rhs
-    b1 = vec.T @ (z.T @ (metric @ x_p))   # part multiplying -mu
-    p0 = float(np.trace(x_p.T @ metric @ x_p))
+    lam, vec = np.linalg.eigh(z.T @ cov @ z)
+    lam = np.maximum(lam, 0.0)            # covariance, clip roundoff
+    b0 = vec.T @ (z.T @ (a - cov @ x_p))  # reduced rhs in the eigenbasis
 
     def ball_value(mu: float) -> float:
-        w = (b0 - mu * b1) / (lam + mu)[:, None]
-        return p0 + 2.0 * float(np.sum(w * b1)) + float(np.sum(w * w))
+        w = b0 / (lam + mu)[:, None]
+        return min_ball + float(np.sum(w * w))
 
     def solution(mu: float) -> np.ndarray:
-        w = (b0 - mu * b1) / (lam + mu)[:, None]
-        return x_p + z @ (vec @ w)
+        return x_p + z @ (vec @ (b0 / (lam + mu)[:, None]))
 
     if lam.min() > 0.0 and ball_value(0.0) <= r2 + BALL_TOL:
         return _finalize(instance, solution(0.0), iterations=0)
@@ -532,24 +507,27 @@ def solve_qcqp(instance: CompressedInstance) -> SolveOutcome:
 
 
 def solve_tro(instance: CompressedInstance) -> SolveOutcome:
-    """Trace-ratio maximization on the metric-orthonormal manifold.
+    """Trace-ratio maximization on the orthonormal manifold.
 
-    Alternates between evaluating the current ratio rho and replacing the
-    iterate with the n_filters principal generalized eigenvectors of
-    (R_v - rho R_y, M). The produced rho sequence is non-decreasing; the
-    fixed point is the global maximizer. Stops when the ratio moves by at
-    most RATIO_TOL, returning the previous iterate in that case so that a
-    stationary anchor is returned unchanged (constant-ratio instances).
-    Per-column signs are flipped toward the anchor.
+    Starts from the anchor's orthonormal basis (QR) and alternates between
+    evaluating the current ratio rho and replacing the iterate with the
+    n_filters principal eigenvectors of R_v - rho R_y. The produced rho
+    sequence is non-decreasing; the fixed point is the global maximizer.
+    Stops when the ratio moves by at most RATIO_TOL, returning the previous
+    iterate in that case so that a stationary anchor is returned unchanged
+    (constant-ratio instances). Per-column signs are flipped toward the
+    anchor.
     """
     prob: TroProblem = instance.problem
     cov_y = instance.cov_y
     cov_v = instance.cov_v
-    metric = instance.metric_or_eye()
     n = prob.n_filters
 
     anchor = instance.anchor
-    x = _metric_orthonormalize(anchor if anchor is not None else np.eye(instance.dim, n), metric)
+    x, r = np.linalg.qr(anchor if anchor is not None else np.eye(instance.dim, n))
+    diag = np.abs(np.diag(r))
+    if diag.min() <= 1e-6 * max(1.0, diag.max()):
+        raise SolverError("anchor is rank deficient")
 
     def ratio(xx: np.ndarray) -> float:
         den = float(np.trace(xx.T @ cov_y @ xx))
@@ -563,7 +541,7 @@ def solve_tro(instance: CompressedInstance) -> SolveOutcome:
     iterations = 0
     for _ in range(RATIO_MAX_ITER):
         iterations += 1
-        _, vec = sla.eigh(cov_v - rho * cov_y, metric)
+        _, vec = np.linalg.eigh(cov_v - rho * cov_y)
         x_new = vec[:, -n:][:, ::-1]         # principal columns, descending
         rho_new = ratio(x_new)
         history.append(rho_new)
@@ -578,20 +556,11 @@ def solve_tro(instance: CompressedInstance) -> SolveOutcome:
     return _finalize(instance, x, iterations=iterations, history=history)
 
 
-def _metric_orthonormalize(x: np.ndarray, metric: np.ndarray) -> np.ndarray:
-    """Return x b with b chosen so that (x b)^T metric (x b) = I."""
-    gram = x.T @ metric @ x
-    lam, vec = sla.eigh(gram)
-    if lam.min() <= 1e-12 * max(1.0, lam.max()):
-        raise SolverError("anchor is rank deficient under the metric")
-    return x @ (vec / np.sqrt(lam)) @ vec.T
-
-
 def solve_scqp(instance: CompressedInstance) -> SolveOutcome:
-    """Quadratic minimization on the metric unit sphere via a secular equation.
+    """Quadratic minimization on the unit sphere via a secular equation.
 
-    Stationarity reads (R + mu M) X = -A with a scalar multiplier mu; in the
-    generalized eigenbasis of (R, M) the sphere condition becomes
+    Stationarity reads (R + mu I) X = -A with a scalar multiplier mu; in the
+    eigenbasis of R the sphere condition becomes
     phi(mu) = sum_ij beta_ij^2 / (lambda_i + mu)^2 = 1, whose unique root on
     (-lambda_min, inf) is the global minimizer. When A has no component in
     the bottom eigenspace and the interior pseudo-solution sits inside the
@@ -602,13 +571,9 @@ def solve_scqp(instance: CompressedInstance) -> SolveOutcome:
     prob: ScqpProblem = instance.problem
     cov = instance.cov_y
     a = instance.term("linear")
-    metric = instance.metric_or_eye()
     n = prob.n_filters
 
-    try:
-        lam, u = sla.eigh(cov, metric)       # u^T metric u = I
-    except np.linalg.LinAlgError as exc:
-        raise SolverError("metric is not positive definite") from exc
+    lam, u = np.linalg.eigh(cov)
     beta = u.T @ a
     lam_min = float(lam[0])
     scale = max(1.0, float(np.abs(lam).max()), float(np.abs(beta).max()))
@@ -638,7 +603,7 @@ def solve_scqp(instance: CompressedInstance) -> SolveOutcome:
             direction = np.zeros(n)
             direction[0] = 1.0
             if instance.anchor is not None:
-                g = (instance.anchor - x0).T @ metric @ u1
+                g = (instance.anchor - x0).T @ u1
                 gn = float(np.linalg.norm(g))
                 if gn > 0:
                     direction = g / gn
@@ -668,12 +633,15 @@ def solve_instance(instance: CompressedInstance) -> SolveOutcome:
 
 def centralized_instance(problem: SfoProblem, batch: SampleBatch,
                          anchor: np.ndarray | None = None) -> CompressedInstance:
-    """The network-wide problem as an identity-metric instance, on the
-    batch's cached statistics."""
+    """The network-wide problem on the batch's cached statistics. An mmse
+    instance carries the ridge DIAG_LOAD * trace(R) / M when cond(R) >
+    COND_LIMIT in the 2-norm, and none otherwise."""
     if problem.uses_second_stream and batch.v is None:
         raise ValueError("problem needs a second stream but the batch has none")
     if problem.uses_target and batch.s is None:
         raise ValueError("problem needs target rows but the batch has none")
+    load = (DIAG_LOAD * float(np.trace(batch.cov_y)) / batch.cov_y.shape[0]
+            if problem.uses_target and batch.cov_y_cond > COND_LIMIT else 0.0)
     return CompressedInstance(
         problem=problem,
         cov_y=batch.cov_y,
@@ -681,7 +649,7 @@ def centralized_instance(problem: SfoProblem, batch: SampleBatch,
         cross=batch.cross if problem.uses_target else None,
         target_power=batch.target_power if problem.uses_target else None,
         b_terms=dict(problem.b_term_matrices()),
-        metric=None,
+        load=load,
         anchor=anchor,
     )
 
@@ -701,7 +669,7 @@ def evaluate_objective(problem: SfoProblem, x: np.ndarray, batch: SampleBatch) -
 
 
 def constraint_residuals(problem: SfoProblem, x: np.ndarray) -> np.ndarray:
-    """Network-wide constraint residuals at x (identity metric)."""
+    """Network-wide constraint residuals at x."""
     return problem.residuals_on(x)
 
 

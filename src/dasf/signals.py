@@ -130,10 +130,10 @@ class SampleBatch:
     """One batch of N samples, stacked network-wide; ``channels`` is the
     per-node row split of the stacked streams.
 
-    The statistics (``cov_y``, ``cov_v``, ``cross``, ``target_power``) are
-    computed on first use and kept, read-only, so every solve and evaluation
-    on the batch shares one product per stream. The streams must not be
-    modified once a statistic has been read.
+    The statistics (``cov_y``, ``cov_y_cond``, ``cov_v``, ``cross``,
+    ``target_power``) are computed on first use and kept, read-only, so
+    every solve and evaluation on the batch shares one product per stream.
+    The streams must not be modified once a statistic has been read.
     """
 
     y: np.ndarray                 # (M, N) primary stream
@@ -159,6 +159,15 @@ class SampleBatch:
     def cov_y(self) -> np.ndarray:
         """R_yy, the (M, M) primary-stream covariance."""
         return _frozen(estimate_covariance(self.y))
+
+    @cached_property
+    def cov_y_cond(self) -> float:
+        """cond(R_yy) in the 2-norm, from its eigenvalues; inf if singular, NaN
+        if not finite."""
+        if not np.isfinite(self.cov_y).all():
+            return math.nan
+        mag = np.abs(np.linalg.eigvalsh(self.cov_y))
+        return float(mag.max() / mag.min()) if mag.min() > 0.0 else math.inf
 
     @cached_property
     def cov_v(self) -> np.ndarray:

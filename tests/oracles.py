@@ -7,9 +7,11 @@ with multiple starts, and the trace-ratio optimum comes from scalar
 bisection on the sum of principal generalized eigenvalues. The one
 exception is the sample-domain engine step, which replays an iteration the
 way the nodes run it, by fusing the samples up the tree with
-``fuse_and_forward`` here, so that the statistics-domain engine can be held
-to it. It uses the library's tree, layout and transition matrix, but derives
-its per-node channel counts and raw stacks from the tree itself.
+``fuse_and_forward`` here, whitening each compressed branch from its own
+Gram and updating every node from its branch's mixing block, so that the
+statistics-domain engine can be held to it. It uses the library's tree and
+layout, but derives its per-node channel counts and raw stacks from the
+tree itself.
 """
 
 from __future__ import annotations
@@ -19,14 +21,19 @@ import scipy.linalg as sla
 from scipy.optimize import minimize
 
 from dasf.engine import (
+    GRAM_RTOL,
     TransportRecord,
-    build_anchor,
-    build_transition_matrix,
     plan_local_layout,
     select_updating_node,
 )
 from dasf.network import prune_to_tree
-from dasf.sfo import CompressedInstance, align_to_anchor, solve_instance
+from dasf.sfo import (
+    COND_LIMIT,
+    DIAG_LOAD,
+    CompressedInstance,
+    align_to_anchor,
+    solve_instance,
+)
 from dasf.signals import estimate_covariance, estimate_cross, mean_squared_norm
 
 
@@ -260,26 +267,53 @@ def objective_on_samples(problem, x, y, v=None, s=None) -> float:
     return 0.5 * mean_squared_norm(z) + sign * float(np.sum(x * a))
 
 
+def whitening(x_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(T, T^+) for a compressed branch with stacked filter rows X_b: from
+    eigh(X_b^T X_b) = V L V^T, T = V L^{-1/2} and T^+ = L^{1/2} V^T, over
+    the directions with eigenvalue above GRAM_RTOL times the largest. The
+    Gram is summed row by row, in the order the engine sums it: rounding
+    in a Gram near rank loss is amplified by 1 / L in the whitened
+    coordinates, and would otherwise separate two correct trajectories."""
+    lam, vec = np.linalg.eigh(np.add.reduce(x_rows[:, :, None] * x_rows[:, None, :], axis=0))
+    keep = lam > GRAM_RTOL * lam[-1]
+    lam, vec = lam[keep], vec[:, keep]
+    return vec / np.sqrt(lam), (vec * np.sqrt(lam)).T
+
+
 def sample_domain_step(problem, graph, x, batch, iteration, log):
     """One iteration with the local problem built from fused samples.
 
     Every stream and term is fused up the pruned tree with
-    ``fuse_and_forward`` (logging each send), the local statistics are
-    estimated from the fused samples, and the aligned solution is lifted
-    through C. The dissemination sends are logged here branch by branch,
-    not read from the plan's schedule. Returns the next network filter.
+    ``fuse_and_forward`` (logging each send), q whitens each compressed
+    branch's fused rows with ``whitening`` of the branch's filter rows, and
+    the local statistics are estimated from the result; an mmse instance
+    is loaded as the network-wide one would be (np.linalg.cond on the
+    network covariance). The aligned solution is applied the way the nodes
+    apply it: q and the raw branches take their rows, and every member of a
+    compressed branch multiplies its block by the branch's mixing block
+    T x'_b. The dissemination sends are logged here branch by branch, not
+    read from the plan's schedule. Returns the next network filter.
     """
     q = select_updating_node(iteration, graph.node_count)
     tree = prune_to_tree(graph, q)
     layout = plan_local_layout(tree, graph, problem.n_filters)
+    own = layout.own_channels
+    maps = [(np.eye(seg.width), x[seg.rows]) if seg.raw else whitening(x[seg.rows])
+            for seg in layout.branches]
 
     def fuse(data, stream):
-        return fuse_and_forward(graph, tree, layout, x, data, stream, iteration, log)
+        fused = fuse_and_forward(graph, tree, layout, x, data, stream, iteration, log)
+        return np.vstack([fused[:own]] + [t.T @ fused[seg.cols]
+                                          for seg, (t, _) in zip(layout.branches, maps)])
 
     y = fuse(batch.y, "y")
     v = fuse(batch.v, "v") if problem.uses_second_stream else None
     terms = {name: fuse(b, f"det:{name}") for name, b in problem.b_term_matrices().items()}
-    c = build_transition_matrix(graph, layout, x)
+    load = 0.0
+    if problem.uses_target:
+        cov = estimate_covariance(batch.y)
+        if np.linalg.cond(cov) > COND_LIMIT:
+            load = DIAG_LOAD * np.trace(cov) / cov.shape[0]
     instance = CompressedInstance(
         problem=problem,
         cov_y=estimate_covariance(y),
@@ -287,17 +321,43 @@ def sample_domain_step(problem, graph, x, batch, iteration, log):
         cross=estimate_cross(y, batch.s) if problem.uses_target else None,
         target_power=mean_squared_norm(batch.s) if problem.uses_target else None,
         b_terms=terms,
-        metric=c.T @ c,
-        anchor=build_anchor(graph, layout, x),
+        load=load,
+        anchor=np.vstack([x[layout.own_rows]] + [a for _, a in maps]),
     )
     outcome = solve_instance(instance)
     x_local = align_to_anchor(outcome.x, instance.anchor, problem.symmetry)
+    x_next = np.empty_like(x)
+    x_next[layout.own_rows] = x_local[:own]
+    offset = own
     # each member of a raw branch gets its subtree's new rows from its
     # parent; each member of a compressed branch gets the mixing block
-    for seg in layout.branches:
+    for seg, (t, _) in zip(layout.branches, maps):
+        block = x_local[offset:offset + t.shape[1]]
+        offset += t.shape[1]
+        if seg.raw:
+            x_next[seg.rows] = block
         for k in seg.members:
+            if not seg.raw:
+                x_next[graph.block_slice(k)] = x[graph.block_slice(k)] @ (t @ block)
             rows = subtree_channels(graph, tree, k) if seg.raw else problem.n_filters
             log.add(TransportRecord(iteration, tree.parent[k], k, "mix",
                                     "new_block" if seg.raw else "mix_block",
                                     rows, problem.n_filters))
-    return c @ x_local
+    return x_next
+
+
+def branch_maps(layout, x, c):
+    """(segment, local columns, T) per branch of a step's transition matrix
+    c: T is the identity for a raw branch, and for a compressed branch the
+    T with X_b T equal to c's block, by least squares, over as many columns
+    as ``whitening`` keeps directions of the branch's Gram."""
+    out = []
+    offset = layout.own_channels
+    for seg in layout.branches:
+        width = seg.width if seg.raw else whitening(x[seg.rows])[0].shape[1]
+        cols = slice(offset, offset + width)
+        t = (np.eye(width) if seg.raw
+             else np.linalg.lstsq(x[seg.rows], c[seg.rows, cols], rcond=None)[0])
+        out.append((seg, cols, t))
+        offset += width
+    return out

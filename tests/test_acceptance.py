@@ -13,7 +13,6 @@ import pytest
 import oracles
 from dasf.engine import (
     audit_transport,
-    build_anchor,
     build_transition_matrix,
     dasf_run,
     dasf_step,
@@ -173,7 +172,7 @@ def test_criterion_4_monotone_descent(criterion_report, family_runs):
 
 def test_criterion_5_transition_matrix_identities(criterion_report):
     rng = np.random.default_rng(50)
-    worst_rel = 0.0
+    worst_rel = worst_ortho = 0.0
     fc_exact = True
     triples = 0
     for i in range(100):
@@ -197,30 +196,41 @@ def test_criterion_5_transition_matrix_identities(criterion_report):
         root = int(rng.integers(1, nodes + 1))
         tree = prune_to_tree(graph, root)
         layout = plan_local_layout(tree, graph, q_width)
-        c = build_transition_matrix(graph, layout, x)
+        c, anchor = build_transition_matrix(graph, layout, x)
+        maps = oracles.branch_maps(layout, x, c)
         y = rng.standard_normal((m, 30))
         b = rng.standard_normal((m, 3))
-        fused_y = oracles.fuse_and_forward(graph, tree, layout, x, y, "y")
-        fused_b = oracles.fuse_and_forward(graph, tree, layout, x, b, "det:b")
+
+        def whitened(fused):
+            # q whitens each compressed branch's fused rows
+            return np.vstack([fused[:layout.own_channels]]
+                             + [t.T @ fused[seg.cols] for seg, _, t in maps])
+
+        fused_y = whitened(oracles.fuse_and_forward(graph, tree, layout, x, y, "y"))
+        fused_b = whitened(oracles.fuse_and_forward(graph, tree, layout, x, b, "det:b"))
         rel_y = np.linalg.norm(fused_y - c.T @ y) / max(1.0, np.linalg.norm(c.T @ y))
         rel_b = np.linalg.norm(fused_b - c.T @ b) / max(1.0, np.linalg.norm(c.T @ b))
-        anchor_gap = float(np.abs(c @ build_anchor(graph, layout, x) - x).max())
+        anchor_gap = float(np.abs(c @ anchor - x).max())
+        worst_ortho = max(worst_ortho, float(np.abs(c.T @ c - np.eye(c.shape[1])).max()))
         worst_rel = max(worst_rel, rel_y, rel_b, anchor_gap)
         if graph.is_complete() and not layout.fallback:
             expected = np.zeros_like(c)
             expected[graph.block_slice(root), :layout.own_channels] = np.eye(
                 layout.own_channels)
-            for seg in layout.branches:
+            for seg, cols, t in maps:
                 (member,) = seg.members
-                expected[graph.block_slice(member),
-                         seg.offset:seg.offset + seg.width] = x[graph.block_slice(member)]
-            fc_exact = fc_exact and np.array_equal(c, expected)
+                expected[graph.block_slice(member), cols] = x[graph.block_slice(member)] @ t
+            fc_exact = (fc_exact and np.array_equal(c != 0.0, expected != 0.0)
+                        and np.array_equal(c[:, :layout.own_channels],
+                                           expected[:, :layout.own_channels]))
+            worst_rel = max(worst_rel, float(np.abs(c - expected).max()))
         triples += 1
     ok = triples == 100 and worst_rel <= 1e-12 and fc_exact
     criterion_report(
         5, ok,
-        f"100 random (graph, q, X) triples: worst relative gap between fused "
-        f"streams/terms and the transition-matrix products {worst_rel:.3e} <= 1e-12, "
+        f"100 random (graph, q, X) triples: worst relative gap between whitened "
+        f"fused streams/terms and the transition-matrix products, and of C @ anchor "
+        f"to X {worst_rel:.3e} <= 1e-12 (largest |C^T C - I| {worst_ortho:.3e}), "
         f"fully connected structure exact: {fc_exact}")
 
 
@@ -282,7 +292,7 @@ def test_criterion_7_solver_oracle_gaps(criterion_report):
                     np.random.default_rng(i))
             out = solve_instance(inst)
             gaps[kind] = max(gaps[kind],
-                             abs(out.objective - f_ref) / (1.0 + abs(f_ref)))
+                             abs(inst.objective(out.x) - f_ref) / (1.0 + abs(f_ref)))
     worst = max(gaps.values())
     ok = worst <= 1e-6
     detail = ", ".join(f"{k} {v:.2e}" for k, v in gaps.items())

@@ -16,7 +16,6 @@ from dasf.engine import (
     TransportRecord,
     assemble_local_instance,
     audit_transport,
-    build_anchor,
     build_transition_matrix,
     dasf_run,
     dasf_step,
@@ -186,12 +185,16 @@ def test_transition_matrix_structure_fully_connected():
     x = rng.standard_normal((6, 1))
     tree = prune_to_tree(graph, 2)
     layout = plan_local_layout(tree, graph, 1)
-    c = build_transition_matrix(graph, layout, x)
+    c, anchor = build_transition_matrix(graph, layout, x)
     expected = np.zeros((6, 4))
     expected[2:4, 0:2] = np.eye(2)     # updating node rows
-    expected[0:2, 2] = x[0:2, 0]       # branch 1
-    expected[4:6, 3] = x[4:6, 0]       # branch 3
-    assert np.array_equal(c, expected)
+    expected[0:2, 2] = x[0:2, 0] / np.linalg.norm(x[0:2, 0])   # branch 1, whitened
+    expected[4:6, 3] = x[4:6, 0] / np.linalg.norm(x[4:6, 0])   # branch 3, whitened
+    assert np.array_equal(c != 0.0, expected != 0.0)
+    assert np.array_equal(c[:, :2], expected[:, :2])
+    assert np.allclose(c, expected, rtol=0, atol=1e-15)
+    assert np.allclose(anchor[2:, 0], [np.linalg.norm(x[0:2]), np.linalg.norm(x[4:6])],
+                       rtol=1e-15)
 
 
 def test_anchor_maps_back_to_current_filter():
@@ -201,8 +204,7 @@ def test_anchor_maps_back_to_current_filter():
     for q in graph.nodes:
         tree = prune_to_tree(graph, q)
         layout = plan_local_layout(tree, graph, 2)
-        c = build_transition_matrix(graph, layout, x)
-        anchor = build_anchor(graph, layout, x)
+        c, anchor = build_transition_matrix(graph, layout, x)
         assert anchor.shape == (layout.local_dim, 2)
         assert np.allclose(c @ anchor, x, atol=1e-13)
 
@@ -213,7 +215,7 @@ def test_transition_matrix_one_block_per_row():
     x = rng.standard_normal((15, 2))
     tree = prune_to_tree(graph, 4)
     layout = plan_local_layout(tree, graph, 2)
-    c = build_transition_matrix(graph, layout, x)
+    c, _ = build_transition_matrix(graph, layout, x)
     bounds = [0] + [seg.offset for seg in layout.branches] + [layout.local_dim]
     for k in graph.nodes:
         rows = c[graph.block_slice(k)]
@@ -236,7 +238,13 @@ def test_compressed_terms_equal_transition_products():
     assert np.allclose(inst.cov_y, c.T @ batch.cov_y @ c, atol=1e-12)
     assert np.allclose(inst.term("linear"), c.T @ prob.linear_term, atol=1e-12)
     assert np.allclose(inst.term("gain"), c.T @ prob.gain_vector[:, None], atol=1e-12)
-    assert np.allclose(inst.metric, c.T @ c, atol=1e-12)
+    # the local metric C^T C is the identity: each compressed branch block
+    # is X_b T_b with T_b whitening the branch's Gram
+    assert np.allclose(c.T @ c, np.eye(layout.local_dim), atol=1e-12)
+    for seg, cols, t in oracles.branch_maps(layout, x, c):
+        assert np.allclose(x[seg.rows] @ t, c[seg.rows, cols], atol=1e-12)
+        gram = x[seg.rows].T @ x[seg.rows]
+        assert np.allclose(t.T @ gram @ t, np.eye(t.shape[1]), atol=1e-12)
 
 
 def test_local_objective_matches_global_through_map():
@@ -306,15 +314,18 @@ def test_step_update_applies_branch_mixing_blocks():
     assert layout.node == 1
     assert {seg.raw for seg in layout.branches} == {True, False}
     assert np.array_equal(x_next[layout.own_rows], x_local[:layout.own_channels])
-    for seg in layout.branches:
-        block = x_local[seg.cols]
+    for seg, cols, t in oracles.branch_maps(layout, x, info.transition):
+        block = x_local[cols]
         if seg.raw:
             assert np.allclose(x_next[seg.rows], block, atol=1e-13)
             continue
-        # every member of a compressed branch applies the branch mixing block
+        # every member of a compressed branch applies the branch's Q x Q
+        # mixing block T_b x'_b, with T_b whitening the branch's Gram
+        mix = t @ block
+        assert mix.shape == (2, 2)
         for k in seg.members:
             assert np.allclose(x_next[graph.block_slice(k)],
-                               x[graph.block_slice(k)] @ block, atol=1e-13)
+                               x[graph.block_slice(k)] @ mix, atol=1e-13)
 
 
 def test_step_update_is_consistent_with_local_solution():
@@ -683,13 +694,16 @@ def test_transition_identities_property(nodes, seed):
     root = int(rng.integers(1, nodes + 1))
     tree = prune_to_tree(graph, root)
     layout = plan_local_layout(tree, graph, n_filters)
-    c = build_transition_matrix(graph, layout, x)
-    anchor = build_anchor(graph, layout, x)
+    c, anchor = build_transition_matrix(graph, layout, x)
     assert np.allclose(c @ anchor, x, atol=1e-12)
     y = rng.standard_normal((graph.total_channels, 15))
     log = TransportLog()
     fused = oracles.fuse_and_forward(graph, tree, layout, x, y, "y", log=log)
-    assert np.allclose(fused, c.T @ y, atol=1e-10)
+    # q whitens each branch's fused rows: local signals are C^T y
+    own = layout.own_channels
+    whitened = np.vstack([fused[:own]] + [t.T @ fused[seg.cols]
+                                          for seg, _, t in oracles.branch_maps(layout, x, c)])
+    assert np.allclose(whitened, c.T @ y, atol=1e-10)
     # the plan's schedule is the sends the sample-domain fusion makes
     assert layout.fusion_sends == tuple(
         (r.sender, r.receiver, r.kind, r.rows) for r in log.records)
@@ -699,3 +713,51 @@ def test_transition_identities_property(nodes, seed):
                            *(seg.rows for seg in layout.branches)])
     assert np.array_equal(np.sort(rows), np.arange(graph.total_channels))
     assert not any(seg.rows.flags.writeable for seg in layout.branches)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nodes=st.integers(min_value=2, max_value=7),
+    seed=st.integers(min_value=0, max_value=2000),
+)
+@example(nodes=6, seed=17)   # Q = 3: a raw branch, an all-zero and a rank-one block
+def test_whitened_map_property(nodes, seed):
+    # some compressed branches get filter blocks of rank below Q, or all zero
+    rng = np.random.default_rng(seed)
+    channels = tuple(int(c) for c in rng.integers(1, 5, nodes))
+    graph = make_random_tree(nodes, channels, rng_seed=seed)
+    n_filters = int(rng.integers(1, min(3, graph.total_channels) + 1))
+    x = rng.standard_normal((graph.total_channels, n_filters))
+    root = int(rng.integers(1, nodes + 1))
+    layout = plan_local_layout(prune_to_tree(graph, root), graph, n_filters)
+    ranks = {}
+    for seg in layout.branches:
+        if not seg.raw and rng.random() < 0.6:
+            ranks[seg.root] = int(rng.integers(0, n_filters))
+            factor = rng.standard_normal((n_filters, ranks[seg.root]))
+            x[seg.rows] = x[seg.rows] @ factor @ rng.standard_normal((ranks[seg.root], n_filters))
+    c, anchor = build_transition_matrix(graph, layout, x)
+    maps = oracles.branch_maps(layout, x, c)
+    assert c.shape[1] == anchor.shape[0] == layout.own_channels + sum(
+        cols.stop - cols.start for _, cols, _ in maps)
+    for seg, cols, _ in maps:
+        if seg.root in ranks:
+            assert cols.stop - cols.start == ranks[seg.root]
+    # rounding in a Gram grows the whitened columns' gap from orthonormality
+    # with the condition number of the directions kept (up to 1 / GRAM_RTOL)
+    cond = 1.0
+    for seg, _, t in maps:
+        if not seg.raw and t.shape[1]:
+            lam = np.linalg.eigvalsh(x[seg.rows].T @ x[seg.rows])[-t.shape[1]:]
+            cond = max(cond, lam[-1] / lam[0])
+    assert np.abs(c.T @ c - np.eye(c.shape[1])).max() <= 1e-12 * max(1.0, cond / 1e3)
+    assert np.allclose(c @ anchor, x, rtol=0, atol=1e-12 * max(1.0, np.abs(x).max()))
+    x_local = rng.standard_normal((c.shape[1], n_filters))
+    x_next = c @ x_local
+    for seg, cols, t in maps:
+        if seg.raw:
+            continue
+        assert np.allclose(x[seg.rows] @ t, c[seg.rows, cols], atol=1e-12)
+        for k in seg.members:
+            rows = graph.block_slice(k)
+            assert np.allclose(x_next[rows], x[rows] @ (t @ x_local[cols]), atol=1e-11)

@@ -9,7 +9,6 @@ import oracles
 from dasf.network import make_fully_connected, make_path
 from dasf.sfo import (
     COND_LIMIT,
-    CompressedInstance,
     DIAG_LOAD,
     FEASIBILITY_RTOL,
     InfeasibleProblemError,
@@ -56,10 +55,12 @@ def _qcqp(m, q, rng, radius_scale=1.5):
 def test_mmse_matches_lstsq_oracle():
     rng = np.random.default_rng(0)
     batch = _batch(6, 400, rng, s_rows=2)
-    out = solve_centralized(MmseProblem(n_filters=2), batch)
+    prob = MmseProblem(n_filters=2)
+    out = solve_centralized(prob, batch)
     expected = oracles.lstsq_estimator(batch.y, batch.s)
     assert np.allclose(out.x, expected, atol=1e-9)
-    assert out.objective == pytest.approx(oracles.mse_of(out.x, batch.y, batch.s))
+    assert evaluate_objective(prob, out.x, batch) == pytest.approx(
+        oracles.mse_of(out.x, batch.y, batch.s))
     assert out.residuals.size == 0
 
 
@@ -79,19 +80,21 @@ def test_mmse_loading_handles_singular_covariance():
 
 @pytest.mark.parametrize("factor", [0.99, 1.01])
 def test_mmse_loading_decision_is_the_condition_number(factor):
-    # eigenvalues from 1 down to 1 / (factor COND_LIMIT) in a random basis:
-    # the solve loads exactly when np.linalg.cond says cond > COND_LIMIT
+    # a batch whose covariance has eigenvalues from 1 down to
+    # 1 / (factor COND_LIMIT) in a random basis: the network instance is
+    # loaded exactly when np.linalg.cond says cond > COND_LIMIT
     rng = np.random.default_rng(40)
     w = np.array([1.0, 0.6, 0.3, 1.0 / (factor * COND_LIMIT)])
     v, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-    cov = (v * w) @ v.T
-    cov = 0.5 * (cov + cov.T)
-    cross = rng.standard_normal((4, 1))
+    batch = SampleBatch(y=2.0 * v * np.sqrt(w), channels=(4,),
+                        s=rng.standard_normal((1, 4)))
+    cov, cross = batch.cov_y, batch.cross
     loads = np.linalg.cond(cov) > COND_LIMIT
     assert loads == (factor > 1.0)
-    out = solve_mmse(CompressedInstance(problem=MmseProblem(n_filters=1),
-                                        cov_y=cov, cross=cross, target_power=1.0))
+    inst = centralized_instance(MmseProblem(n_filters=1), batch)
     load = DIAG_LOAD * np.trace(cov) / 4
+    assert inst.load == (load if loads else 0.0)
+    out = solve_mmse(inst)
     loaded = v @ ((v.T @ cross) / (w + load)[:, None])
     unloaded = v @ ((v.T @ cross) / w[:, None])
     expected, other = (loaded, unloaded) if loads else (unloaded, loaded)
@@ -130,8 +133,9 @@ def test_qcqp_matches_slsqp_oracle():
         cov, prob.linear_term, prob.gain_vector, prob.target_response,
         prob.radius, np.eye(6), np.random.default_rng(30),
     )
-    assert out.objective <= f_ref + 1e-6 * (1 + abs(f_ref))
-    assert abs(out.objective - f_ref) <= 1e-6 * (1 + abs(f_ref))
+    f = evaluate_objective(prob, out.x, batch)
+    assert f <= f_ref + 1e-6 * (1 + abs(f_ref))
+    assert abs(f - f_ref) <= 1e-6 * (1 + abs(f_ref))
     assert out.residuals.max() <= FEASIBILITY_RTOL
 
 
@@ -200,8 +204,9 @@ def test_tro_diagonal_analytic():
     y = np.sqrt(m) * np.eye(m)                  # sample covariance exactly I
     d = np.array([1.0, 2.0, 3.0, 4.0])
     batch = SampleBatch(y=y, channels=(m,), v=d[:, None] * y)
-    out = solve_centralized(TroProblem(n_filters=2), batch)
-    assert out.objective == pytest.approx(-(16.0 + 9.0) / 2.0)
+    prob = TroProblem(n_filters=2)
+    out = solve_centralized(prob, batch)
+    assert evaluate_objective(prob, out.x, batch) == pytest.approx(-(16.0 + 9.0) / 2.0)
     # solution spans the two dominant coordinate axes
     span = np.abs(out.x[2:, :])
     assert np.allclose(np.abs(out.x[:2, :]), 0.0, atol=1e-10)
@@ -221,11 +226,12 @@ def test_tro_history_is_nondecreasing():
 def test_tro_matches_bisection_oracle():
     rng = np.random.default_rng(9)
     batch = _batch(5, 600, rng, with_v=True)
-    out = solve_centralized(TroProblem(n_filters=2), batch)
+    prob = TroProblem(n_filters=2)
+    out = solve_centralized(prob, batch)
     rho_ref = oracles.tro_rho_bisect(
         estimate_covariance(batch.y), estimate_covariance(batch.v), np.eye(5), 2,
     )
-    assert -out.objective == pytest.approx(rho_ref, rel=1e-7)
+    assert -evaluate_objective(prob, out.x, batch) == pytest.approx(rho_ref, rel=1e-7)
 
 
 def test_tro_constant_ratio_returns_anchor():
@@ -257,10 +263,11 @@ def test_scqp_matches_slsqp_oracle():
     rng = np.random.default_rng(12)
     a = rng.standard_normal((5, 2))
     batch = _batch(5, 500, rng)
-    out = solve_centralized(ScqpProblem(n_filters=2, linear_term=a), batch)
+    prob = ScqpProblem(n_filters=2, linear_term=a)
+    out = solve_centralized(prob, batch)
     cov = estimate_covariance(batch.y)
     x_ref, f_ref = oracles.scqp_slsqp(cov, a, np.eye(5), np.random.default_rng(31))
-    assert abs(out.objective - f_ref) <= 1e-6 * (1 + abs(f_ref))
+    assert abs(evaluate_objective(prob, out.x, batch) - f_ref) <= 1e-6 * (1 + abs(f_ref))
     assert out.residuals.max() <= FEASIBILITY_RTOL
 
 
@@ -269,9 +276,9 @@ def test_scqp_zero_linear_term_is_bottom_eigenvector():
     batch = _batch(5, 400, rng)
     cov = estimate_covariance(batch.y)
     lam, vec = np.linalg.eigh(cov)
-    out = solve_centralized(ScqpProblem(n_filters=1, linear_term=np.zeros((5, 1))),
-                            batch)
-    assert out.objective == pytest.approx(0.5 * lam[0], rel=1e-10)
+    prob = ScqpProblem(n_filters=1, linear_term=np.zeros((5, 1)))
+    out = solve_centralized(prob, batch)
+    assert evaluate_objective(prob, out.x, batch) == pytest.approx(0.5 * lam[0], rel=1e-10)
     assert abs(float(vec[:, 0] @ out.x[:, 0])) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -410,10 +417,11 @@ def test_solver_outputs_are_feasible(m, seed, kind):
         batch = _batch(m, 80, rng)
     out = solve_centralized(prob, batch)
     assert np.all(np.isfinite(out.x))
-    assert np.isfinite(out.objective)
+    local = centralized_instance(prob, batch).objective(out.x)
+    assert np.isfinite(local)
     if out.residuals.size:
         assert out.residuals.max() <= FEASIBILITY_RTOL
-    assert out.objective == pytest.approx(evaluate_objective(prob, out.x, batch))
+    assert local == pytest.approx(evaluate_objective(prob, out.x, batch))
 
 
 @settings(max_examples=40, deadline=None)
