@@ -7,6 +7,14 @@ mapping into a frozen ExperimentConfig, collecting one error per violated
 field; ``run_study`` executes the Monte-Carlo loop, computes a centralized
 reference per run, and writes per-run CSVs, an aggregate CSV, a resolved
 config echo, and a gnuplot script for the error curves.
+
+Tracking studies (a drift schedule, adaptive mode) draw each iteration's
+batch as its second-order statistics (``sample_drift_statistics``), exactly
+in distribution with the samples ``sample_adaptive`` returns but without
+the M x N noise draw. Per-seed values therefore differ from earlier
+versions, which drew the samples, while their distribution does not.
+``sample_adaptive`` still returns samples, and the other modes still draw
+them.
 """
 
 from __future__ import annotations
@@ -33,7 +41,13 @@ from .sfo import (
     TroProblem,
     solve_centralized,
 )
-from .signals import DriftSpec, LambdaSchedule, SignalModel, sample_adaptive, sample_stationary
+from .signals import (
+    DriftSpec,
+    LambdaSchedule,
+    SignalModel,
+    sample_drift_statistics,
+    sample_stationary,
+)
 
 __all__ = [
     "ConfigError",
@@ -597,7 +611,7 @@ def _single_run(config: ExperimentConfig, n_filters: int, variant: str, run_inde
             return tracking_reference(model, i * n, n)
 
         def batch(i):
-            return sample_adaptive(model, i * n, n, rng)
+            return sample_drift_statistics(model, i * n, n, rng)
 
         eps0_ref = reference(0)
     elif config.sample_mode == "adaptive":

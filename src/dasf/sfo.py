@@ -32,7 +32,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.optimize import brentq
 
-from .signals import SampleBatch
+from .signals import COND_LIMIT, SampleBatch
 
 __all__ = [
     "SfoProblem",
@@ -76,7 +76,6 @@ BALL_TIGHT_RTOL = 1e-12     # r^2 this close to the plane minimum: the ball only
 SECULAR_MAX_STEPS = 400     # bracket doublings or halvings before a secular solve gives up
 RATIO_TOL = 1e-10           # trace-ratio fixed-point tolerance
 RATIO_MAX_ITER = 200
-COND_LIMIT = 1e12           # conditioning threshold for diagonal loading
 DIAG_LOAD = 1e-10           # loading factor, scaled by trace(R)/dim
 
 
@@ -641,7 +640,7 @@ def centralized_instance(problem: SfoProblem, batch: SampleBatch,
     if problem.uses_target and batch.s is None:
         raise ValueError("problem needs target rows but the batch has none")
     load = (DIAG_LOAD * float(np.trace(batch.cov_y)) / batch.cov_y.shape[0]
-            if problem.uses_target and batch.cov_y_cond > COND_LIMIT else 0.0)
+            if problem.uses_target and batch.cov_y_ill_conditioned else 0.0)
     return CompressedInstance(
         problem=problem,
         cov_y=batch.cov_y,

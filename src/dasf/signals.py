@@ -14,7 +14,12 @@ vector, y(t) = p(t) s(t) + n(t) with p(t) = p0 + lambda(t) * delta, used for
 tracking studies. All draws are i.i.d. Gaussian and seed-deterministic.
 
 Every problem family depends on a batch only through its second-order
-statistics, which a batch computes once, on first use, and keeps.
+statistics, which a batch computes once, on first use, and keeps. Tracking
+studies therefore never draw a drift batch's M x N samples:
+``sample_drift_statistics`` draws its statistics directly, exactly in
+distribution with the batch ``sample_adaptive`` returns, from about M^2
+noise normals instead of M N. Per-seed batches differ from the sample draw,
+their distribution does not. ``sample_adaptive`` still returns samples.
 """
 
 from __future__ import annotations
@@ -25,6 +30,9 @@ import math
 
 import numpy as np
 
+COND_LIMIT = 1e12           # conditioning threshold for MMSE diagonal loading
+DRIFT_RANK_RTOL = 1e-12     # A A^T directions this far below the largest are rounding
+
 __all__ = [
     "LambdaSchedule",
     "DriftSpec",
@@ -32,6 +40,7 @@ __all__ = [
     "SampleBatch",
     "sample_stationary",
     "sample_adaptive",
+    "sample_drift_statistics",
     "estimate_covariance",
     "estimate_cross",
     "mean_squared_norm",
@@ -130,19 +139,26 @@ class SampleBatch:
     """One batch of N samples, stacked network-wide; ``channels`` is the
     per-node row split of the stacked streams.
 
-    The statistics (``cov_y``, ``cov_y_cond``, ``cov_v``, ``cross``,
-    ``target_power``) are computed on first use and kept, read-only, so
-    every solve and evaluation on the batch shares one product per stream.
-    The streams must not be modified once a statistic has been read.
+    The statistics (``cov_y``, ``cov_y_ill_conditioned``, ``cov_v``,
+    ``cross``, ``target_power``) are computed on first use and kept,
+    read-only, so every solve and evaluation on the batch shares one product
+    per stream. The streams must not be modified once a statistic has been
+    read. A batch made by ``from_statistics`` holds no samples (``y`` is
+    None): only its statistics and its target rows.
     """
 
-    y: np.ndarray                 # (M, N) primary stream
+    y: np.ndarray | None          # (M, N) primary stream; None for a statistics batch
     channels: tuple[int, ...]
     t: int = 0                    # sample index of the first column
     v: np.ndarray | None = None   # (M, N) second stream
     s: np.ndarray | None = None   # (S, N) latent target rows
 
     def __post_init__(self):
+        if self.y is None:
+            if self.s is None or self.s.ndim != 2 or self.v is not None:
+                raise ValueError("a batch without samples y needs 2-d target rows s "
+                                 "and no second stream")
+            return
         if self.y.shape[0] != sum(self.channels):
             raise ValueError("row count does not match the channel split")
         if self.v is not None and self.v.shape != self.y.shape:
@@ -151,9 +167,26 @@ class SampleBatch:
             raise ValueError(f"s has shape {self.s.shape}, expected (rows, {self.y.shape[1]}) "
                              f"to match y of shape {self.y.shape}")
 
+    @classmethod
+    def from_statistics(cls, channels, s: np.ndarray, cov_y: np.ndarray,
+                        cross: np.ndarray, t: int = 0) -> SampleBatch:
+        """A batch of ``s.shape[1]`` samples given by its statistics R_yy
+        (M, M) and R_ys (M, S) and its target rows s (S, N); it allocates no
+        (M, N) array, and ``to_csv`` refuses its ``y``."""
+        m = sum(channels)
+        batch = cls(y=None, channels=tuple(channels), t=int(t), s=s)
+        if cov_y.shape != (m, m):
+            raise ValueError(f"cov_y has shape {cov_y.shape}, expected ({m}, {m}) "
+                             f"for channels {batch.channels}")
+        if cross.shape != (m, s.shape[0]):
+            raise ValueError(f"cross has shape {cross.shape}, expected ({m}, {s.shape[0]}) "
+                             f"for s of shape {s.shape}")
+        batch.__dict__.update(cov_y=_frozen(cov_y), cross=_frozen(cross))
+        return batch
+
     @property
     def n_samples(self) -> int:
-        return self.y.shape[1]
+        return (self.s if self.y is None else self.y).shape[1]
 
     @cached_property
     def cov_y(self) -> np.ndarray:
@@ -161,13 +194,22 @@ class SampleBatch:
         return _frozen(estimate_covariance(self.y))
 
     @cached_property
-    def cov_y_cond(self) -> float:
-        """cond(R_yy) in the 2-norm, from its eigenvalues; inf if singular, NaN
-        if not finite."""
-        if not np.isfinite(self.cov_y).all():
-            return math.nan
-        mag = np.abs(np.linalg.eigvalsh(self.cov_y))
-        return float(mag.max() / mag.min()) if mag.min() > 0.0 else math.inf
+    def cov_y_ill_conditioned(self) -> bool:
+        """cond(R_yy) > COND_LIMIT in the 2-norm (True if singular, False if
+        not finite). With t = ||R||_inf / COND_LIMIT >= lambda_max / COND_LIMIT,
+        a Cholesky factor of R - t I proves lambda_min > t, so the eigenvalues
+        are computed only when that factorization fails."""
+        r = self.cov_y
+        if not np.isfinite(r).all():
+            return False
+        screen = np.abs(r).sum(axis=1).max() / COND_LIMIT
+        try:
+            np.linalg.cholesky(r - screen * np.eye(r.shape[0]))
+            return False
+        except np.linalg.LinAlgError:
+            pass
+        mag = np.abs(np.linalg.eigvalsh(r))
+        return not mag.min() > 0.0 or mag.max() / mag.min() > COND_LIMIT
 
     @cached_property
     def cov_v(self) -> np.ndarray:
@@ -192,6 +234,8 @@ class SampleBatch:
 
     def to_csv(self, path, stream: str = "y") -> None:
         """Dump one stream as CSV, rows = channels, columns = samples."""
+        if self.y is None and stream != "s":
+            raise ValueError(f"batch holds statistics only, it has no '{stream}' samples")
         data = {"y": self.y, "v": self.v, "s": self.s}[stream]
         if data is None:
             raise ValueError(f"batch has no '{stream}' stream")
@@ -237,6 +281,59 @@ def sample_adaptive(model: SignalModel, t: int, n_samples: int, rng_seed=None) -
     y += np.outer(model.drift.p0, s[0])
     y += np.outer(model.drift.delta, lam * s[0])
     return SampleBatch(y=y, channels=model.channels, t=int(t), s=s)
+
+
+def sample_drift_statistics(model: SignalModel, t: int, n_samples: int,
+                            rng_seed=None) -> SampleBatch:
+    """Draw the statistics of one drift batch starting at sample index ``t``,
+    exactly in distribution with the batch ``sample_adaptive`` draws, without
+    its M x N samples.
+
+    With P = [p0, delta] and A = [s; lambda s], the batch is
+    y = P A + sqrt(noise_var) W for white W, so its statistics need only
+    A A^T, H = W A^T and W W^T. Over the r directions of
+    A A^T = V diag(sigma^2) V^T with sigma^2 > 0, H = G diag(sigma) V^T and
+    W W^T = G G^T + Wishart_M(N - r, I), with G an (M, r) normal draw: the
+    rows of W are rotation invariant, so the part of W orthogonal to A is
+    white and independent of G. Draw order is s (as in ``sample_adaptive``),
+    G, then the Wishart factor.
+    """
+    drift = model.drift
+    if drift is None:
+        raise ValueError("model has no drift spec, use sample_adaptive")
+    rng = np.random.default_rng(rng_seed)
+    m, n = model.total_channels, n_samples
+    lam = drift.schedule(np.arange(t, t + n))
+    s = math.sqrt(model.source_var) * rng.standard_normal((1, n))
+    a = np.vstack([s, lam * s])
+    aat = a @ a.T
+    sig2, v = np.linalg.eigh(aat)
+    keep = sig2 > DRIFT_RANK_RTOL * sig2[-1]
+    g = rng.standard_normal((m, int(keep.sum())))
+    h = (g * np.sqrt(sig2[keep])) @ v[:, keep].T
+    k = np.hstack([g, _wishart_factor(rng, m, n - g.shape[1])])
+    cov, cross = _drift_statistics(np.column_stack([drift.p0, drift.delta]),
+                                   aat, h, k @ k.T, model.noise_var, n)
+    return SampleBatch.from_statistics(model.channels, s, cov, cross, t)
+
+
+def _wishart_factor(rng, m: int, n: int) -> np.ndarray:
+    """K with K K^T ~ Wishart_m(n, I): Bartlett's lower-triangular factor
+    (diagonal sqrt(chi2(n - i)), normals below) when n >= m, else an (m, n)
+    normal draw."""
+    if n < m:
+        return rng.standard_normal((m, n))
+    low = np.tril(rng.standard_normal((m, m)), -1)
+    np.fill_diagonal(low, np.sqrt(rng.chisquare(n - np.arange(m))))
+    return low
+
+
+def _drift_statistics(p, aat, h, wwt, noise_var: float, n: int):
+    """R_yy and R_ys of y = P A + sqrt(noise_var) W from A A^T, H = W A^T and
+    W W^T, with s the first row of A; R_yy is exactly symmetric."""
+    sd = math.sqrt(noise_var)
+    half = 0.5 * noise_var * wwt + sd * (h @ p.T) + 0.5 * (p @ aat) @ p.T
+    return (half + half.T) / n, (sd * h[:, :1] + p @ aat[:, :1]) / n
 
 
 def estimate_covariance(y: np.ndarray) -> np.ndarray:

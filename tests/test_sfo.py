@@ -102,6 +102,32 @@ def test_mmse_loading_decision_is_the_condition_number(factor):
     assert not np.allclose(out.x, other, rtol=0.5, atol=0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(min_value=1, max_value=30),
+    log_cond=st.floats(min_value=0.0, max_value=16.0),
+    log_scale=st.floats(min_value=-8.0, max_value=8.0),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_mmse_loading_decision_property(m, log_cond, log_scale, seed):
+    # the batch's Cholesky screen decides as the eigenvalue rule does, and as
+    # np.linalg.cond outside the band where their rounding of lambda_min
+    # differs (about m eps COND_LIMIT relative)
+    rng = np.random.default_rng(seed)
+    exponents = np.concatenate([[0.0, 1.0], rng.uniform(0, 1, max(m - 2, 0))])[:m]
+    w = 10.0 ** (-log_cond * exponents)
+    v, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    cov = 10.0 ** log_scale * (v * w) @ v.T
+    cov = (cov + cov.T) / 2
+    batch = SampleBatch.from_statistics((m,), np.ones((1, 3)), cov, np.zeros((m, 1)))
+    decided = batch.cov_y_ill_conditioned
+    mag = np.abs(np.linalg.eigvalsh(cov))
+    assert decided == (not mag.min() > 0 or mag.max() / mag.min() > COND_LIMIT)
+    cond = np.linalg.cond(cov)
+    if abs(cond / COND_LIMIT - 1) > m * np.finfo(float).eps * COND_LIMIT:
+        assert decided == (cond > COND_LIMIT)
+
+
 @pytest.mark.parametrize("cause, y_value", [("non-finite", np.nan), ("all zero", 0.0)])
 def test_mmse_rejects_degenerate_covariance(cause, y_value):
     # without the check the eigen-solve returns inf or NaN silently

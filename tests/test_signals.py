@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from dasf import signals
 from dasf.signals import (
     DriftSpec,
     LambdaSchedule,
@@ -14,6 +15,7 @@ from dasf.signals import (
     mean_squared_error,
     mean_squared_norm,
     sample_adaptive,
+    sample_drift_statistics,
     sample_stationary,
 )
 
@@ -128,6 +130,124 @@ def test_drift_batch_equals_steering_product():
     steering = spec.p0[:, None] + lam[None, :] * spec.delta[:, None]
     assert np.array_equal(batch.s, s)
     assert np.allclose(batch.y, steering * s + noise, rtol=0, atol=1e-14)
+
+
+def _drift_model(m, noise_var, schedule, seed=0, source_var=0.5, scale=0.5, delta_std=1.5):
+    rng = np.random.default_rng(seed)
+    spec = DriftSpec(p0=rng.uniform(-scale, scale, m), delta=rng.normal(0.0, delta_std, m),
+                     schedule=schedule)
+    return SignalModel(channels=(1,) * (m % 3) + (3,) * (m // 3), source_var=source_var,
+                       noise_var=noise_var, drift=spec)
+
+
+RAMP = LambdaSchedule((50.0, 150.0), (0.2, 0.9))
+
+
+@pytest.mark.parametrize("t, n", [(0, 30), (40, 200), (149, 1)])
+def test_drift_statistics_noise_free_equal_samples(t, n):
+    # s is drawn first on both paths, so without noise the batches coincide
+    model = _drift_model(5, 0.0, RAMP, seed=1)
+    ref = sample_adaptive(model, t, n, rng_seed=7)
+    got = sample_drift_statistics(model, t, n, rng_seed=7)
+    assert got.y is None and got.n_samples == n and got.t == t
+    assert np.array_equal(got.s, ref.s)
+    assert np.allclose(got.cov_y, ref.cov_y, rtol=0, atol=1e-12)
+    assert np.allclose(got.cross, ref.cross, rtol=0, atol=1e-12)
+    assert abs(got.target_power - ref.target_power) <= 1e-12
+    assert not (got.cov_y.flags.writeable or got.cross.flags.writeable)
+
+
+def test_drift_statistics_assembly_equals_sample_estimates():
+    rng = np.random.default_rng(2)
+    m, n, nv = 6, 40, 0.3
+    p = rng.standard_normal((m, 2))
+    s = rng.standard_normal(n)
+    a = np.vstack([s, np.linspace(0.1, 0.8, n) * s])
+    w = rng.standard_normal((m, n))
+    cov, cross = signals._drift_statistics(p, a @ a.T, w @ a.T, w @ w.T, nv, n)
+    y = p @ a + np.sqrt(nv) * w
+    assert np.allclose(cov, estimate_covariance(y), rtol=0, atol=1e-12)
+    assert np.allclose(cross, estimate_cross(y, s), rtol=0, atol=1e-12)
+    assert np.array_equal(cov, cov.T)
+
+
+@pytest.mark.parametrize("m, n", [(4, 9), (5, 3)])
+def test_wishart_factor_moments(m, n):
+    # K K^T ~ Wishart_m(n, I): entry means n I, variances n off the diagonal
+    # and 2n on it; n >= m takes Bartlett's factor, n < m a Gram
+    rng = np.random.default_rng(8)
+    draws = np.array([(lambda k: k @ k.T)(signals._wishart_factor(rng, m, n))
+                      for _ in range(20_000)])
+    d = len(draws)
+    dev = draws - draws.mean(axis=0)
+    mean_se = draws.std(axis=0) / np.sqrt(d)
+    assert np.all(np.abs(draws.mean(axis=0) - n * np.eye(m)) <= 5 * mean_se)
+    var = (dev ** 2).mean(axis=0)
+    var_se = (dev ** 2).std(axis=0) / np.sqrt(d)
+    assert np.all(np.abs(var - n * (1 + np.eye(m))) <= 5 * var_se)
+
+
+@pytest.mark.parametrize("schedule, t, n", [
+    (RAMP, 49, 3),        # N < M, lambda ramps
+    (RAMP, 0, 10),        # constant lambda over the window: A A^T has rank 1
+    (RAMP, 60, 200),      # lambda ramps, N > M
+])
+def test_drift_statistics_match_sample_adaptive_moments(schedule, t, n):
+    model = _drift_model(4, 0.3, schedule, seed=3)
+
+    def stats(sampler, seed):
+        rng = np.random.default_rng(seed)
+        out = []
+        for _ in range(5000):
+            b = sampler(model, t, n, rng)
+            out.append(np.concatenate([b.cov_y[np.triu_indices(4)], b.cross[:, 0]]))
+        return np.array(out)
+
+    ref, got = stats(sample_adaptive, 21), stats(sample_drift_statistics, 22)
+    # first moments, then second moments, which see the zero-mean W A^T term
+    for a, b in ((ref, got), (ref ** 2, got ** 2)):
+        se = np.sqrt(a.var(axis=0) / len(a) + b.var(axis=0) / len(b))
+        assert np.all(np.abs(a.mean(axis=0) - b.mean(axis=0)) <= 5 * se)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(min_value=1, max_value=40),
+    n=st.integers(min_value=1, max_value=500),
+    ramp=st.booleans(),
+    t=st.integers(min_value=0, max_value=1000),
+    log_vars=st.tuples(*[st.floats(min_value=-4, max_value=3)] * 4),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_drift_statistics_property(m, n, ramp, t, log_vars, seed):
+    source_var, noise_var, scale, delta_std = (10.0 ** x for x in log_vars)
+    schedule = (LambdaSchedule((200.0, 700.0), (0.0, 1.0)) if ramp
+                else LambdaSchedule((0.0,), (0.4,)))
+    model = _drift_model(m, noise_var, schedule, seed=seed, source_var=source_var,
+                         scale=scale, delta_std=delta_std)
+    batch = sample_drift_statistics(model, t, n, rng_seed=seed)
+    cov, cross = batch.cov_y, batch.cross
+    assert cov.shape == (m, m) and cross.shape == (m, 1) and batch.n_samples == n
+    assert np.isfinite(cov).all() and np.isfinite(cross).all()
+    assert np.array_equal(cov, cov.T)
+    assert np.linalg.eigvalsh(cov).min() >= -1e-12 * np.linalg.norm(cov, 2)
+
+
+def test_statistics_batch_rejects_bad_shapes():
+    s = np.ones((1, 10))
+    with pytest.raises(ValueError, match=r"cov_y has shape \(4, 4\), expected \(5, 5\)"):
+        SampleBatch.from_statistics((2, 3), s, np.eye(4), np.zeros((5, 1)))
+    with pytest.raises(ValueError, match=r"cross has shape \(5, 2\), expected \(5, 1\)"):
+        SampleBatch.from_statistics((2, 3), s, np.eye(5), np.zeros((5, 2)))
+    batch = SampleBatch.from_statistics((2, 3), s, np.eye(5), np.zeros((5, 1)))
+    assert batch.n_samples == 10
+
+
+def test_statistics_batch_refuses_sample_dump(tmp_path):
+    batch = SampleBatch.from_statistics((2,), np.ones((1, 3)), np.eye(2), np.zeros((2, 1)))
+    with pytest.raises(ValueError, match="statistics only"):
+        batch.to_csv(tmp_path / "y.csv")
+    assert not (tmp_path / "y.csv").exists()
 
 
 def test_drift_model_rejects_stationary_sampler():
