@@ -35,9 +35,11 @@ import csv
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg.lapack import dsyevd
 
 from .network import NetworkGraph, PrunedTree, prune_to_tree
 from .sfo import (
@@ -266,9 +268,10 @@ class LocalLayout:
         rows, their flattened entries, each branch's first row, each row's branch."""
         d, raw = self.local_dim, [seg for seg in self.branches if seg.raw]
         mixed = [seg for seg in self.branches if not seg.raw]
-        ident_rows = np.r_[tuple([self.own_rows] + [seg.rows for seg in raw])]
-        ident_cols = np.r_[tuple([slice(0, self.own_channels)] + [seg.cols for seg in raw])]
-        rows = np.r_[tuple([np.zeros(0, dtype=int)] + [seg.rows for seg in mixed])]
+        ident_rows = np.concatenate([_arange(self.own_rows)] + [seg.rows for seg in raw])
+        ident_cols = np.concatenate([np.arange(self.own_channels)]
+                                    + [_arange(seg.cols) for seg in raw])
+        rows = np.concatenate([np.zeros(0, dtype=int)] + [seg.rows for seg in mixed])
         branch = np.repeat(np.arange(len(mixed)), [seg.rows.size for seg in mixed])
         cols = np.array([seg.offset for seg in mixed], dtype=int)[branch, None]
         index = (ident_rows * d + ident_cols, rows[:, None] * d + cols + np.arange(self.n_filters),
@@ -276,6 +279,10 @@ class LocalLayout:
         for a in index:
             a.setflags(write=False)
         return index
+
+
+def _arange(span: slice) -> np.ndarray:
+    return np.arange(span.start, span.stop)
 
 
 def plan_local_layout(tree: PrunedTree, graph: NetworkGraph, n_filters: int) -> LocalLayout:
@@ -303,7 +310,7 @@ def plan_local_layout(tree: PrunedTree, graph: NetworkGraph, n_filters: int) -> 
         raw = n in fallback
         width = subtree[n] if raw else n_filters
         members = tree.branch(n)
-        rows = np.r_[tuple(graph.block_slice(k) for k in members)]
+        rows = np.concatenate([_arange(graph.block_slice(k)) for k in members])
         rows.setflags(write=False)
         branches.append(BranchSegment(
             root=n,
@@ -359,14 +366,27 @@ def build_transition_matrix(graph: NetworkGraph, layout: LocalLayout,
     flat[ident_flat] = 1.0
     if starts.size:
         xc = x[rows]
-        lam, vec = np.linalg.eigh(np.add.reduceat(xc[:, :, None] * xc[:, None, :], starts, axis=0))
+        lam, vec = _branch_eigh(np.add.reduceat(xc[:, :, None] * xc[:, None, :], starts, axis=0))
         keep = lam > GRAM_RTOL * lam[:, -1:]
         # a dropped direction's column comes out zero, and every other is not
         whiten = vec / np.sqrt(np.where(keep, lam, np.inf))[:, None, :]
         flat[mixed_flat] = np.einsum("ij,ijk->ik", xc, whiten[branch])
-        if not keep.all():
+        if not keep[:, 0].all():   # eigenvalues ascend: the smallest goes first
             c = c[:, c.any(axis=0)]
     return c, c.T @ x
+
+
+def _branch_eigh(grams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh of a stack of small symmetric Grams (lower triangle),
+    one LAPACK dsyevd call per Gram: at Q x Q that skips numpy's per-call
+    wrapping, and gives the same eigenpairs."""
+    lam = np.empty(grams.shape[:2])
+    vec = np.empty(grams.shape)
+    for b, g in enumerate(grams):
+        lam[b], vec[b], info = dsyevd(g, lower=1)
+        if info:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return lam, vec
 
 
 def assemble_local_instance(problem: SfoProblem, graph: NetworkGraph,
@@ -498,13 +518,15 @@ def write_records_csv(records: Sequence[ConvergenceRecord], path) -> None:
             ])
 
 
-def normalized_error(x: np.ndarray, reference: np.ndarray) -> float:
-    """Squared distance to the reference, relative to the reference's energy."""
+def normalized_error(x: np.ndarray, reference: np.ndarray):
+    """Squared distance to the reference, relative to the reference's energy:
+    a float for one point, one value per point for a (T, M, Q) stack."""
     denom = float(np.sum(reference * reference))
     if denom == 0.0:
         raise ValueError("reference filter is zero")
     diff = x - reference
-    return float(np.sum(diff * diff)) / denom
+    err = np.einsum("...ij,...ij->...", diff, diff) / denom
+    return float(err) if err.ndim == 0 else err
 
 
 @dataclass
@@ -545,6 +567,9 @@ def dasf_run(problem: SfoProblem, graph: NetworkGraph, batch, n_iterations: int,
     measure against: a fixed array is symmetry-aligned once to the final
     iterate, a callable is evaluated per iteration and used as-is. x0
     defaults to a random point satisfying the network-wide constraints.
+
+    Only the steps run in the loop. The records' objectives, residuals and
+    errors are evaluated once, over the stacked trajectory, after it.
     """
     if warn_on_bound:
         check_constraint_bound(problem, graph)
@@ -556,43 +581,62 @@ def dasf_run(problem: SfoProblem, graph: NetworkGraph, batch, n_iterations: int,
         raise ValueError("x0 shape must be (total_channels, n_filters)")
 
     log = TransportLog()
-    history = [x]
-    rows: list[tuple[int, int, float, float, int, int, int]] = []
+    # the trajectory, filled in place; x_history views it
+    traj = np.empty((n_iterations + 1,) + x.shape)
+    traj[0] = x
+    # an adaptive run keeps each batch's statistics the objective reads, not
+    # the batch, so its samples go when the next batch is drawn
+    stats = None
+    steps: list[tuple[int, int, int, int]] = []
     for i in range(n_iterations):
         batch_i = batch(i) if callable(batch) else batch
         x, info = dasf_step(problem, graph, x, batch_i, i, mode=mode, log=log)
-        history.append(x)
-        objective = evaluate_objective(problem, x, batch_i)
-        residuals = constraint_residuals(problem, x)
-        max_residual = float(residuals.max()) if residuals.size else 0.0
-        rows.append((i, info.node, objective, max_residual, info.tx_scalars,
-                     info.outcome.iterations, info.instance.dim))
+        traj[i + 1] = x
+        if callable(batch):
+            if stats is None:
+                stats = {name: np.empty((n_iterations,) + np.shape(getattr(batch_i, name)))
+                         for name in _objective_statistics(problem)}
+            for name, stack in stats.items():
+                stack[i] = getattr(batch_i, name)
+        steps.append((info.node, info.tx_scalars, info.outcome.iterations, info.instance.dim))
+
+    # every record's figures in one evaluation over the stacked trajectory
+    path = traj[1:]
+    source = batch if stats is None else SimpleNamespace(**stats)
+    objective = evaluate_objective(problem, path, source) if n_iterations else np.zeros(0)
+    max_residual = np.max(constraint_residuals(problem, path), axis=-1, initial=0.0)
 
     # a fixed reference is mapped through the solution symmetry to the
     # representative closest to the final iterate, so distances to it are
     # meaningful along the whole trajectory
     ref_fixed = None
-    if reference is not None and not callable(reference):
-        ref_fixed = align_to_anchor(np.asarray(reference, dtype=float),
-                                    history[-1], problem.symmetry)
+    if reference is None:
+        eps = np.full(n_iterations, np.nan)
+    elif callable(reference):
+        eps = np.array([normalized_error(xi, reference(i)) for i, xi in enumerate(path)])
+    else:
+        ref_fixed = align_to_anchor(np.asarray(reference, dtype=float), traj[-1],
+                                    problem.symmetry)
+        eps = normalized_error(path, ref_fixed)
 
-    records = []
-    for idx, (i, node, objective, max_residual, tx, solver_iters, local_dim) in enumerate(rows):
-        if ref_fixed is not None:
-            eps = normalized_error(history[idx + 1], ref_fixed)
-        elif callable(reference):
-            eps = normalized_error(history[idx + 1], reference(i))
-        else:
-            eps = np.nan
-        records.append(ConvergenceRecord(
-            run=run_index, iteration=i, node=node, objective=objective,
-            epsilon=eps, max_residual=max_residual, tx_samples=tx,
-            solver_iters=solver_iters, local_dim=local_dim,
-        ))
-
+    # Python floats, so the CSV's repr columns read as plain numbers
+    records = [
+        ConvergenceRecord(
+            run=run_index, iteration=i, node=node, objective=f, epsilon=e,
+            max_residual=r, tx_samples=tx, solver_iters=solver_iters, local_dim=local_dim,
+        )
+        for i, ((node, tx, solver_iters, local_dim), f, e, r) in enumerate(
+            zip(steps, objective.tolist(), eps.tolist(), max_residual.tolist()))
+    ]
     return RunResult(
         records=records,
-        x_history=tuple(history),
+        x_history=tuple(traj),
         transport=log,
         reference=ref_fixed,
     )
+
+
+def _objective_statistics(problem: SfoProblem) -> tuple[str, ...]:
+    """The batch statistics a family's objective reads."""
+    return (("cov_y",) + (("cov_v",) if problem.uses_second_stream else ())
+            + (("cross", "target_power") if problem.uses_target else ()))

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg as sla
 import yaml
+from scipy.linalg.lapack import dgesv
 
 from . import network as net
 from .engine import RunResult, dasf_run, normalized_error
@@ -584,16 +584,22 @@ def tracking_reference(model: SignalModel, t0: int, n_samples: int) -> np.ndarra
     """Closed-form estimator target for the drifting model over one batch
     window: the average true covariance and cross-correlation across the
     window's sample times, solved directly. With p(tau) = p0 + lambda(tau)
-    delta, the window mean of p p^T only needs the means of lambda and
-    lambda^2."""
-    lam = model.drift.schedule(np.arange(t0, t0 + n_samples))
-    lam1, lam2 = lam.mean(), np.mean(lam * lam)
-    p0, delta = model.drift.p0, model.drift.delta
-    mixed = np.outer(p0, delta)
-    ppt = np.outer(p0, p0) + lam1 * (mixed + mixed.T) + lam2 * np.outer(delta, delta)
-    cov = model.source_var * ppt + model.noise_var * np.eye(p0.shape[0])
-    cross = model.source_var * (p0 + lam1 * delta)[:, None]
-    return sla.solve(cov, cross, assume_a="pos")
+    delta, U = [p0, delta] and S = [[1, m1], [m1, m2]] for the window means
+    m1 of lambda and m2 of lambda^2, the covariance is sv U S U^T + nv I and
+    the cross-correlation sv U S e1, so the target is the rank-2 form
+    sv U (nv I + sv S U^T U)^{-1} S e1. A noise_var of 0 raises LinAlgError:
+    the covariance then has rank at most 2."""
+    sv, nv = model.source_var, model.noise_var
+    if nv == 0.0:
+        raise np.linalg.LinAlgError("tracking reference: noise_var is 0, the window "
+                                    "covariance is singular")
+    lam1, lam2 = model.drift.schedule.window_means(t0, n_samples)
+    u = np.column_stack([model.drift.p0, model.drift.delta])
+    s = np.array([[1.0, lam1], [lam1, lam2]])
+    _, _, z, info = dgesv(nv * np.eye(2) + sv * (s @ (u.T @ u)), s[:, :1])
+    if info:
+        raise np.linalg.LinAlgError("tracking reference: singular window system")
+    return sv * (u @ z)
 
 
 def _single_run(config: ExperimentConfig, n_filters: int, variant: str, run_index: int,

@@ -100,6 +100,8 @@ class NetworkGraph:
         offsets = np.concatenate([[0], np.cumsum(chans)])
         offsets.setflags(write=False)
         object.__setattr__(self, "_offsets", offsets)
+        object.__setattr__(self, "_neighbors", tuple(
+            tuple(int(j) + 1 for j in np.flatnonzero(row)) for row in adj))
 
     @property
     def node_count(self) -> int:
@@ -121,10 +123,10 @@ class NetworkGraph:
         return slice(int(self._offsets[node - 1]), int(self._offsets[node]))
 
     def neighbors(self, node: int) -> tuple[int, ...]:
-        return tuple(int(j) + 1 for j in np.flatnonzero(self.adjacency[node - 1]))
+        return self._neighbors[node - 1]
 
     def degree(self, node: int) -> int:
-        return int(self.adjacency[node - 1].sum())
+        return len(self._neighbors[node - 1])
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         iu = np.triu_indices(self.node_count, 1)

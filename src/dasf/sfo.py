@@ -30,6 +30,7 @@ from typing import Callable, ClassVar
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.lapack import dgesv
 from scipy.optimize import brentq
 
 from .signals import COND_LIMIT, SampleBatch
@@ -108,24 +109,32 @@ class SfoProblem:
         """Number of scalar constraints (matrix equalities count entrywise)."""
         return 0
 
-    def objective_on(self, x, stats, terms=None) -> float:
+    def objective_on(self, x, stats, terms=None):
         """Objective at x from second-order statistics: ``stats`` carries
         ``cov_y`` and, where the family uses them, ``cov_v``, ``cross`` and
-        ``target_power`` (a SampleBatch or a CompressedInstance)."""
+        ``target_power`` (a SampleBatch or a CompressedInstance). x may be a
+        (T, M, Q) stack of points, and the statistics a stack of T batches'
+        (or one batch's for all T); the result then has shape (T,)."""
         raise NotImplementedError
 
     def residuals_on(self, x, terms=None) -> np.ndarray:
-        """Per-constraint feasibility residuals (violations, relative scale)."""
-        return np.zeros(0)
+        """Per-constraint feasibility residuals (violations, relative scale),
+        on the last axis; a (T, M, Q) stack of points gives T rows."""
+        return np.zeros(x.shape[:-2] + (0,))
 
     def random_feasible(self, dim: int, rng) -> np.ndarray:
         """A random (dim, n_filters) point satisfying the constraints."""
         raise NotImplementedError
 
 
-def _power(x: np.ndarray, cov: np.ndarray) -> float:
+def _trace(a: np.ndarray, b: np.ndarray):
+    """tr(A^T B), per point of a stack, without the product A * B."""
+    return np.einsum("...ij,...ij->...", a, b)
+
+
+def _power(x: np.ndarray, cov: np.ndarray):
     """tr(X^T R X), the mean power of the filtered stream E||X^T y(t)||^2."""
-    return float(np.sum(x * (cov @ x)))
+    return _trace(x, cov @ x)
 
 
 @dataclass(frozen=True)
@@ -138,9 +147,9 @@ class MmseProblem(SfoProblem):
     kind: ClassVar[str] = "mmse"
     uses_target: ClassVar[bool] = True
 
-    def objective_on(self, x, stats, terms=None) -> float:
+    def objective_on(self, x, stats, terms=None):
         # E||s(t) - X^T y(t)||^2 = tr R_ss - 2 tr(X^T R_ys) + tr(X^T R_yy X)
-        return (stats.target_power - 2.0 * float(np.sum(x * stats.cross))
+        return (stats.target_power - 2.0 * _trace(x, stats.cross)
                 + _power(x, stats.cov_y))
 
     def random_feasible(self, dim, rng):
@@ -188,15 +197,15 @@ class QcqpProblem(SfoProblem):
 
     def objective_on(self, x, stats, terms=None):
         a = (terms or self.b_term_matrices())["linear"]
-        return 0.5 * _power(x, stats.cov_y) - float(np.sum(x * a))
+        return 0.5 * _power(x, stats.cov_y) - _trace(x, a)
 
     def residuals_on(self, x, terms=None):
         c = (terms or self.b_term_matrices())["gain"].ravel()
         d = self.target_response
-        ball = float(np.sum(x * x)) - self.radius**2
-        out = np.empty(1 + self.n_filters)
-        out[0] = max(0.0, ball) / max(1.0, self.radius**2)
-        out[1:] = np.abs(x.T @ c - d) / max(1.0, float(np.max(np.abs(d), initial=0.0)))
+        ball = _trace(x, x) - self.radius**2
+        out = np.empty(x.shape[:-2] + (1 + self.n_filters,))
+        out[..., 0] = np.maximum(0.0, ball) / max(1.0, self.radius**2)
+        out[..., 1:] = np.abs(c @ x - d) / max(1.0, float(np.max(np.abs(d), initial=0.0)))
         return out
 
     def random_feasible(self, dim, rng):
@@ -237,8 +246,8 @@ class TroProblem(SfoProblem):
         return -(_power(x, stats.cov_v) / _power(x, stats.cov_y))
 
     def residuals_on(self, x, terms=None):
-        gap = x.T @ x - np.eye(self.n_filters)
-        return np.abs(gap).ravel()
+        gap = np.swapaxes(x, -1, -2) @ x - np.eye(self.n_filters)
+        return np.abs(gap).reshape(x.shape[:-2] + (-1,))
 
     def random_feasible(self, dim, rng):
         if dim < self.n_filters:
@@ -274,10 +283,10 @@ class ScqpProblem(SfoProblem):
 
     def objective_on(self, x, stats, terms=None):
         a = (terms or self.b_term_matrices())["linear"]
-        return 0.5 * _power(x, stats.cov_y) + float(np.sum(x * a))
+        return 0.5 * _power(x, stats.cov_y) + _trace(x, a)
 
     def residuals_on(self, x, terms=None):
-        return np.array([abs(float(np.sum(x * x)) - 1.0)])
+        return np.abs(_trace(x, x) - 1.0)[..., None]
 
     def random_feasible(self, dim, rng):
         x = rng.standard_normal((dim, self.n_filters))
@@ -331,7 +340,7 @@ class CompressedInstance:
         return self.problem.b_term_matrices()[name]
 
     def objective(self, x: np.ndarray) -> float:
-        return self.problem.objective_on(x, self, terms=self.b_terms or None)
+        return float(self.problem.objective_on(x, self, terms=self.b_terms or None))
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
         return self.problem.residuals_on(x, terms=self.b_terms or None)
@@ -416,10 +425,9 @@ def solve_mmse(instance: CompressedInstance) -> SolveOutcome:
         raise SolverError("mmse: covariance is all zero")
     if instance.load:
         cov = cov + instance.load * np.eye(cov.shape[0])
-    try:
-        x = np.linalg.solve(cov, instance.cross)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError("mmse: covariance is singular") from exc
+    _, _, x, info = dgesv(cov, instance.cross)
+    if info:
+        raise SolverError("mmse: covariance is singular")
     return _finalize(instance, x, iterations=1)
 
 
@@ -662,13 +670,16 @@ def solve_centralized(problem: SfoProblem, batch: SampleBatch,
 # network-wide evaluation helpers
 
 
-def evaluate_objective(problem: SfoProblem, x: np.ndarray, batch: SampleBatch) -> float:
-    """Network-wide objective at x, from the batch's cached statistics."""
-    return problem.objective_on(x, batch)
+def evaluate_objective(problem: SfoProblem, x: np.ndarray, batch: SampleBatch):
+    """Network-wide objective at x, from the batch's cached statistics: a
+    float for one point, one value per point for a (T, M, Q) stack, whose
+    statistics may be stacked the same way (see ``SfoProblem.objective_on``)."""
+    out = problem.objective_on(x, batch)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def constraint_residuals(problem: SfoProblem, x: np.ndarray) -> np.ndarray:
-    """Network-wide constraint residuals at x."""
+    """Network-wide constraint residuals at x, one row per point of a stack."""
     return problem.residuals_on(x)
 
 

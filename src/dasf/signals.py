@@ -70,6 +70,26 @@ class LambdaSchedule:
     def __call__(self, t):
         return np.interp(t, self.times, self.values)
 
+    def window_means(self, t0: int, n: int) -> tuple[float, float]:
+        """Means of lambda and lambda^2 over the n integer times t0 .. t0+n-1,
+        from the knots. The times before the first knot, between two knots
+        and past the last knot take an arithmetic sequence of k values
+        running from a to b, with mean (a + b) / 2 and variance
+        (b - a)^2 (k + 1) / (12 (k - 1))."""
+        end = t0 + n
+        cuts = [min(max(math.ceil(t), t0), end) for t in self.times]   # first time at or past each knot
+        pieces = list(zip([t0, *cuts], [*cuts, end]))                    # [lo, hi) per piece
+        ends = self(np.array([t for lo, hi in pieces for t in (lo, hi - 1)], dtype=float)).tolist()
+        sum1 = sum2 = 0.0
+        for (lo, hi), a, b in zip(pieces, ends[::2], ends[1::2]):
+            k = hi - lo
+            if k > 0:
+                mid = 0.5 * (a + b)
+                var = (b - a) ** 2 * (k + 1) / (12 * (k - 1)) if k > 1 else 0.0
+                sum1 += k * mid
+                sum2 += k * (mid * mid + var)
+        return sum1 / n, sum2 / n
+
 
 @dataclass(frozen=True)
 class DriftSpec:

@@ -38,6 +38,7 @@ from dasf.sfo import (
     ScqpProblem,
     TroProblem,
     align_to_anchor,
+    constraint_residuals,
     evaluate_objective,
     solve_centralized,
 )
@@ -671,6 +672,78 @@ def test_run_records_carry_solver_effort():
         x, info = dasf_step(prob, graph, x, batch, rec.iteration)
         assert rec.solver_iters == info.outcome.iterations >= 1
         assert rec.local_dim == info.layout.local_dim == info.instance.dim
+
+
+@pytest.mark.parametrize("source", ["fixed batch", "callable batch", "callable reference"])
+@pytest.mark.parametrize("kind", ["mmse", "qcqp", "tro", "scqp"])
+def test_run_records_equal_pointwise_evaluation(kind, source):
+    # the run evaluates its records once over the stacked trajectory
+    rng = np.random.default_rng(27)
+    graph = make_erdos_renyi(5, 2, 0.6, rng_seed=3)
+    m, n_iter = graph.total_channels, 9
+    prob = _family_problem(kind, m, 2, rng)
+    batches = [_random_batch(graph, 80, rng, with_v=kind == "tro",
+                             s_rows=2 if kind == "mmse" else 0) for _ in range(n_iter)]
+    refs = [prob.random_feasible(m, rng) for _ in range(n_iter)]
+    batch, reference = batches[0], solve_centralized(prob, batches[0]).x
+    if source == "callable batch":
+        batch = batches.__getitem__
+    elif source == "callable reference":
+        reference = refs.__getitem__
+    result = dasf_run(prob, graph, batch, n_iter, rng_seed=8, reference=reference,
+                      warn_on_bound=False)
+    assert len(result.records) == n_iter
+    for i, rec in enumerate(result.records):
+        x = result.x_history[i + 1]
+        batch_i = batches[i] if source == "callable batch" else batches[0]
+        ref_i = refs[i] if source == "callable reference" else result.reference
+        expected = (evaluate_objective(prob, x, batch_i),
+                    float(np.max(constraint_residuals(prob, x), initial=0.0)),
+                    normalized_error(x, ref_i))
+        for got, want in zip((rec.objective, rec.max_residual, rec.epsilon), expected):
+            assert type(got) is float
+            assert abs(got - want) <= 1e-12 * abs(want), (i, got, want)
+    # the trajectory is one array, and x_history views it
+    base = result.x_history[0].base
+    assert base is not None and all(x.base is base for x in result.x_history)
+
+
+@pytest.mark.parametrize("kind", ["mmse", "tro"])
+def test_run_keeps_no_batch_of_a_callable_batch(kind):
+    rng = np.random.default_rng(28)
+    graph = make_path(4, 2)
+    prob = _family_problem(kind, graph.total_channels, 2, rng)
+    drawn = []
+
+    def batch(i):
+        b = _random_batch(graph, 60, rng, with_v=kind == "tro", s_rows=2 if kind == "mmse" else 0)
+        drawn.append(weakref.ref(b))
+        return b
+
+    result = dasf_run(prob, graph, batch, 6, rng_seed=1, warn_on_bound=False)
+    gc.collect()
+    assert len(result.records) == len(drawn) == 6
+    assert all(ref() is None for ref in drawn)
+
+
+def test_branch_eigh_equals_numpy_eigh():
+    rng = np.random.default_rng(29)
+    for q in range(1, 5):
+        x = rng.standard_normal((6, 5, q))
+        x[0, :, -1] = x[0, :, 0] if q > 1 else 0.0    # a rank-deficient Gram
+        grams = np.einsum("bij,bik->bjk", x, x)
+        lam, vec = engine._branch_eigh(grams)
+        lam_ref, vec_ref = np.linalg.eigh(grams)
+        assert np.abs(lam - lam_ref).max() <= 1e-15 * np.abs(lam_ref).max()
+        assert np.abs(vec - vec_ref).max() <= 1e-15
+
+
+def test_branch_eigh_failure_raises(monkeypatch):
+    monkeypatch.setattr(engine, "dsyevd", lambda g, lower: (np.zeros(len(g)), g, 1))
+    graph = make_fully_connected(3, 2)
+    layout = plan_local_layout(prune_to_tree(graph, 1), graph, 1)
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        build_transition_matrix(graph, layout, np.ones((6, 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import copy
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -311,6 +312,46 @@ def test_tracking_reference_closed_form_equals_sample_average(seed, t0, n_sample
     expected = np.linalg.solve(cov, 0.7 * p.mean(axis=1)[:, None])
     ref = tracking_reference(model, t0, n_samples)
     assert np.linalg.norm(ref - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def _reference_by_interp(model, t0, n_samples):
+    """The reference as first written: lambda at every sample time, and the
+    full M x M covariance solved."""
+    lam = model.drift.schedule(np.arange(t0, t0 + n_samples))
+    lam1, lam2 = lam.mean(), np.mean(lam * lam)
+    p0, delta = model.drift.p0, model.drift.delta
+    mixed = np.outer(p0, delta)
+    ppt = np.outer(p0, p0) + lam1 * (mixed + mixed.T) + lam2 * np.outer(delta, delta)
+    cov = model.source_var * ppt + model.noise_var * np.eye(p0.shape[0])
+    cross = model.source_var * (p0 + lam1 * delta)[:, None]
+    return sla.solve(cov, cross, assume_a="pos")
+
+
+# a ramp between non-integer knots, a step (a repeated knot), a hold
+_KNOTS = LambdaSchedule((100.5, 400.0, 650.0, 650.0, 700.25), (0.0, 1.0, 0.8, 0.1, 0.3))
+
+
+@pytest.mark.parametrize("t0, n_samples", [
+    (0, 50), (0, 1000), (90, 20), (100, 1), (101, 300), (350, 300), (399, 2),
+    (640, 20), (650, 1), (649, 1), (690, 400), (800, 100), (0, 651)])
+def test_tracking_reference_matches_interpolated_form(t0, n_samples):
+    rng = np.random.default_rng(t0 + n_samples)
+    spec = DriftSpec(p0=rng.uniform(-0.5, 0.5, 30), delta=rng.normal(0.0, 0.5, 30),
+                     schedule=_KNOTS)
+    model = SignalModel(channels=(10, 20), source_var=0.5, noise_var=0.1, drift=spec)
+    lam = _KNOTS(np.arange(t0, t0 + n_samples))
+    assert np.allclose(_KNOTS.window_means(t0, n_samples), (lam.mean(), np.mean(lam * lam)),
+                       rtol=1e-14, atol=1e-16)
+    expected = _reference_by_interp(model, t0, n_samples)
+    ref = tracking_reference(model, t0, n_samples)
+    assert np.linalg.norm(ref - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_tracking_reference_without_noise_raises():
+    spec = DriftSpec(p0=np.ones(4), delta=np.arange(4.0), schedule=_KNOTS)
+    model = SignalModel(channels=(4,), source_var=1.0, noise_var=0.0, drift=spec)
+    with pytest.raises(np.linalg.LinAlgError, match="noise_var is 0"):
+        tracking_reference(model, 0, 200)
 
 
 # ---------------------------------------------------------------------------

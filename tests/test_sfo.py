@@ -10,6 +10,7 @@ from dasf.network import make_fully_connected, make_path
 from dasf.sfo import (
     COND_LIMIT,
     DIAG_LOAD,
+    CompressedInstance,
     FEASIBILITY_RTOL,
     InfeasibleProblemError,
     MmseProblem,
@@ -136,6 +137,15 @@ def test_mmse_rejects_degenerate_covariance(cause, y_value):
                         s=rng.standard_normal((1, 20)))
     with pytest.raises(SolverError, match=f"mmse: covariance .*{cause}"):
         solve_centralized(MmseProblem(n_filters=1), batch)
+
+
+def test_mmse_exactly_singular_covariance_raises():
+    # rank one with no ridge: the LU factorization meets an exact zero pivot
+    instance = CompressedInstance(problem=MmseProblem(n_filters=1),
+                                  cov_y=np.array([[1.0, 1.0], [1.0, 1.0]]),
+                                  cross=np.array([[1.0], [0.5]]), target_power=1.0, load=0.0)
+    with pytest.raises(SolverError, match="mmse: covariance is singular"):
+        solve_mmse(instance)
 
 
 def test_mmse_requires_target_rows():
