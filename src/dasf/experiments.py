@@ -39,6 +39,7 @@ from .sfo import (
     ScqpProblem,
     SfoProblem,
     TroProblem,
+    preload_solver,
     solve_centralized,
 )
 from .signals import (
@@ -667,6 +668,7 @@ def _run_variant(config: ExperimentConfig, n_filters: int) -> StudyResult:
     payloads = [(config, n_filters, variant, idx, children[idx]) for idx in range(config.runs)]
 
     if config.workers > 1:
+        preload_solver(config.problem_kind)
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             outcomes = list(pool.map(_run_worker, payloads))
     else:

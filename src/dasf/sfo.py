@@ -31,7 +31,6 @@ from typing import Callable, ClassVar
 import numpy as np
 import scipy.linalg as sla
 from scipy.linalg.lapack import dgesv
-from scipy.optimize import brentq
 
 from .signals import COND_LIMIT, SampleBatch
 
@@ -51,6 +50,7 @@ __all__ = [
     "solve_tro",
     "solve_scqp",
     "solve_instance",
+    "preload_solver",
     "centralized_instance",
     "solve_centralized",
     "evaluate_objective",
@@ -75,7 +75,7 @@ FEASIBILITY_RTOL = 1e-8     # relative feasibility tolerance on returned solutio
 BALL_TOL = 1e-10            # ball slack accepted by the QCQP interior shortcut
 BALL_TIGHT_RTOL = 1e-12     # r^2 this close to the plane minimum: the ball only touches it
 SECULAR_MAX_STEPS = 400     # bracket doublings or halvings before a secular solve gives up
-RATIO_TOL = 1e-10           # trace-ratio fixed-point tolerance
+RATIO_TOL = 1e-10           # trace-ratio fixed-point tolerance, relative to max(1, |rho|)
 RATIO_MAX_ITER = 200
 DIAG_LOAD = 1e-10           # loading factor, scaled by trace(R)/dim
 
@@ -440,7 +440,14 @@ def _secular_root(f: Callable[[float], float], start: float,
     brentq then polishes to full relative precision. Returns the root and
     the steps plus brentq iterations spent. A bracket that does not close in
     SECULAR_MAX_STEPS steps raises a SolverError naming the family.
+
+    scipy.optimize is imported here, not at module scope: only the QCQP and
+    SCQP secular solves use it, and it loads scipy.sparse and scipy.fft
+    along, so ``import dasf`` and MMSE/TRO runs never pay for it. Once it is
+    loaded, the import statement costs under a microsecond per call.
     """
+    from scipy.optimize import brentq
+
     a, fa = start, f(start)
     factor = 2.0 if fa > 0.0 else 0.5
     for steps in range(1, SECULAR_MAX_STEPS + 1):
@@ -520,10 +527,16 @@ def solve_tro(instance: CompressedInstance) -> SolveOutcome:
     evaluating the current ratio rho and replacing the iterate with the
     n_filters principal eigenvectors of R_v - rho R_y. The produced rho
     sequence is non-decreasing; the fixed point is the global maximizer.
-    Stops when the ratio moves by at most RATIO_TOL, returning the previous
-    iterate in that case so that a stationary anchor is returned unchanged
-    (constant-ratio instances). Per-column signs are flipped toward the
-    anchor.
+    Stops when the ratio moves by at most RATIO_TOL * max(1, |rho|), the
+    rounding floor of a ratio that grows as the primary stream's noise
+    shrinks, returning the previous iterate in that case so that a
+    stationary anchor is returned unchanged (constant-ratio instances).
+    Per-column signs are flipped toward the anchor. Where rho is so large
+    (from about 1e9) that forming R_v - rho R_y rounds much of R_v away, the
+    steps may stall above that floor; the SolverError then names rho's
+    magnitude and the last step. A DASF run whose solves still settle there
+    may see its objective -rho rise by that rounding, about 1e-8 of rho in
+    one iteration at rho ~ 1e9.
     """
     prob: TroProblem = instance.problem
     cov_y = instance.cov_y
@@ -544,20 +557,18 @@ def solve_tro(instance: CompressedInstance) -> SolveOutcome:
 
     rho = ratio(x)
     history = [rho]
-    converged = False
-    iterations = 0
-    for _ in range(RATIO_MAX_ITER):
-        iterations += 1
+    for iterations in range(1, RATIO_MAX_ITER + 1):
         _, vec = np.linalg.eigh(cov_v - rho * cov_y)
         x_new = vec[:, -n:][:, ::-1]         # principal columns, descending
         rho_new = ratio(x_new)
         history.append(rho_new)
-        if abs(rho_new - rho) <= RATIO_TOL:
-            converged = True
+        step = abs(rho_new - rho)
+        if step <= RATIO_TOL * max(1.0, abs(rho)):
             break                             # keep x, the anchor-closest candidate
         x, rho = x_new, rho_new
-    if not converged:
-        raise SolverError(f"trace ratio did not converge in {RATIO_MAX_ITER} iterations")
+    else:
+        raise SolverError(f"trace ratio did not converge in {RATIO_MAX_ITER} iterations "
+                          f"(rho ~ {rho:.1e}, last step {step:.1e})")
     if anchor is not None:
         x = align_signs(x, anchor)
     return _finalize(instance, x, iterations=iterations, history=history)
@@ -631,6 +642,15 @@ _SOLVERS: dict[str, Callable[[CompressedInstance], SolveOutcome]] = {
     "tro": solve_tro,
     "scqp": solve_scqp,
 }
+
+
+def preload_solver(kind: str) -> None:
+    """Import now what the solver of family ``kind`` imports at its first
+    solve (scipy.optimize, for the QCQP and SCQP secular equations). A
+    process pool forked afterwards inherits the loaded module, so its
+    workers do not each load it again."""
+    if kind in ("qcqp", "scqp"):
+        import scipy.optimize  # noqa: F401
 
 
 def solve_instance(instance: CompressedInstance) -> SolveOutcome:

@@ -1,7 +1,13 @@
-"""Guard on the exported surface: every listed name exists, and the package
-exports exactly the names it exported before."""
+"""Guard on the exported surface: every listed name exists, the package
+exports exactly the names it exported before, and importing it leaves
+scipy.optimize to the first solve, or the study, that needs it."""
 
 import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -67,3 +73,60 @@ def test_every_exported_name_resolves(name):
 def test_package_exports_are_frozen():
     assert len(PACKAGE_ALL) == 42
     assert dasf.__all__ == PACKAGE_ALL
+
+
+# a tight ball, so the solve goes through the secular equation
+_FOOTPRINT_PROBE = """
+import json, sys
+import numpy as np
+import dasf
+from dasf.sfo import FEASIBILITY_RTOL, preload_solver
+at_import = "scipy.optimize" in sys.modules
+preload_solver("mmse"), preload_solver("tro")
+after_other_preloads = "scipy.optimize" in sys.modules
+rng = np.random.default_rng(4)
+a, c, d = rng.standard_normal((5, 2)), rng.standard_normal(5), rng.standard_normal(2)
+prob = dasf.QcqpProblem(n_filters=2, linear_term=a, gain_vector=c, target_response=d,
+                        radius=1.1 * np.linalg.norm(d) / np.linalg.norm(c))
+batch = dasf.SampleBatch(y=rng.standard_normal((5, 300)), channels=(5,))
+out = dasf.solve_centralized(prob, batch)
+print(json.dumps({"at_import": at_import, "after_other_preloads": after_other_preloads,
+                  "after_solve": "scipy.optimize" in sys.modules,
+                  "iterations": out.iterations,
+                  "feasible": bool(out.residuals.max() <= FEASIBILITY_RTOL)}))
+"""
+
+
+def _probe(script):
+    src = str(Path(dasf.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    probe = _probe(_FOOTPRINT_PROBE)
+    assert not probe["at_import"] and not probe["after_other_preloads"]
+    assert probe["after_solve"] and probe["iterations"] > 0 and probe["feasible"]
+
+
+_STUDY_PROBE = """
+import json, sys
+from dasf import run_study, validate_config
+study = run_study(validate_config({
+    "schema_version": 1, "problem": {"kind": %r, "n_filters": 1},
+    "network": {"kind": "erdos_renyi", "nodes": 4, "channels": 2, "edge_prob": 0.8},
+    "signals": {"sources": 1},
+    "run": {"monte_carlo_runs": 2, "iterations": 2, "samples": 200, "workers": 2}}),
+    write=False)
+print(json.dumps([study.run_count, "scipy.optimize" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("kind, loaded", [("mmse", False), ("qcqp", True), ("scqp", True)])
+def test_parallel_study_loads_scipy_optimize_before_forking(kind, loaded):
+    # every solve runs in a worker, so the parent holds scipy.optimize only if
+    # it loaded it for the forked workers to inherit
+    assert _probe(_STUDY_PROBE % kind) == [2, loaded]
