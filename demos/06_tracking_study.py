@@ -35,13 +35,14 @@ raw = {
 
 study = run_tracking(validate_config(raw))
 med = study.epsilon_median
+# the drift weight per iteration, as the study wrote it next to the errors
+lam = np.loadtxt(OUT / "aggregate.csv", delimiter=",", skiprows=1)[:, 4]
 
 print(f"tracking study: {study.run_count} runs, {med.size - 1} iterations")
 print()
 print("iter   weight  median eps")
 for j in (0, 10, 20, 30, 40, 50, 60, 70, 85, 100, 110):
-    lam = np.interp(j, [0, 30, 70], [0.0, 0.0, 1.0])
-    print(f"{j:4d}   {lam:.2f}    {med[j]:.3e}")
+    print(f"{j:4d}   {lam[j]:.2f}    {med[j]:.3e}")
 
 settled = med[20:30].mean()
 during = med[35:70].max()
@@ -50,7 +51,8 @@ print()
 print(f"settled error before the drift: {settled:.3e}")
 print(f"worst error while drifting:     {during:.3e}")
 print(f"settled error after the drift:  {after:.3e}")
-print(f"outputs under {OUT}: aggregate.csv, lambda.dat, epsilon.gp")
+print(f"outputs under {OUT}: aggregate.csv (with a lambda column), epsilon.gp, "
+      "run_<i>.csv, study.meta")
 
 try:
     import matplotlib
@@ -65,7 +67,6 @@ if plt is not None:
     ax.set_xlabel("iteration")
     ax.set_ylabel("normalized error")
     ax2 = ax.twinx()
-    lam = np.interp(np.arange(med.size), [0, 30, 70], [0.0, 0.0, 1.0])
     ax2.plot(lam, color="gray", alpha=0.6, label="mixing weight")
     ax2.set_ylabel("mixing weight")
     ax2.set_ylim(0, 1.1)

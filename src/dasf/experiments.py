@@ -4,9 +4,12 @@ A study is described by one YAML file (dialect documented in the README,
 versioned by a top-level ``schema_version: 1`` key) with five sections:
 problem, network, signals, run, output. ``validate_config`` turns the raw
 mapping into a frozen ExperimentConfig, collecting one error per violated
-field; ``run_study`` executes the Monte-Carlo loop, computes a centralized
-reference per run, and writes per-run CSVs, an aggregate CSV, a resolved
-config echo, and a gnuplot script for the error curves.
+field; ``ExperimentConfig.with_overrides`` checks a CLI override by the rule
+of its config key. ``run_study`` executes the Monte-Carlo loop, computes a
+reference per run, and writes per-run CSVs, an aggregate CSV (with the drift
+weight as a ``lambda`` column in tracking studies), a resolved config echo,
+and a gnuplot script for the error curves. A study whose every run fails
+raises StudyFailedError.
 
 Tracking studies (a drift schedule, adaptive mode) draw each iteration's
 batch as its second-order statistics (``sample_drift_statistics``), exactly
@@ -23,6 +26,7 @@ import dataclasses
 import logging
 import math
 import warnings
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,6 +61,7 @@ __all__ = [
     "load_config",
     "validate_config",
     "StudyResult",
+    "StudyFailedError",
     "run_study",
     "run_tracking",
     "write_study_outputs",
@@ -81,6 +86,11 @@ class ConfigError(Exception):
         super().__init__(
             "invalid experiment config:\n" + "\n".join(f"  - {e}" for e in self.errors)
         )
+
+
+class StudyFailedError(RuntimeError):
+    """Every Monte-Carlo run of a study failed. The message counts the
+    failures by exception type and quotes the first one."""
 
 
 @dataclass(frozen=True)
@@ -137,19 +147,23 @@ class ExperimentConfig:
 
     def with_overrides(self, seed=None, runs=None, iterations=None,
                        out_dir=None, sample_mode=None) -> "ExperimentConfig":
-        """CLI-flag overrides; None keeps the configured value."""
-        updates = {}
-        if seed is not None:
-            updates["seed"] = int(seed)
-        if runs is not None:
-            updates["runs"] = int(runs)
-        if iterations is not None:
-            updates["iterations"] = int(iterations)
-        if out_dir is not None:
-            updates["out_dir"] = str(out_dir)
-        if sample_mode is not None:
-            updates["sample_mode"] = str(sample_mode)
-        cfg = dataclasses.replace(self, **updates)
+        """CLI-flag overrides; None keeps the configured value. A value
+        passes the rule its run key passes in validate_config."""
+        given = {"seed": seed, "monte_carlo_runs": runs, "iterations": iterations,
+                 "mode": sample_mode}
+        errors: list[str] = []
+        run = _Section("run", {k: v for k, v in given.items() if v is not None}, errors, [])
+        taken = {key: run.take(key, **_RUN_RULES[key]) for key in run.data}
+        if errors:
+            raise ConfigError(errors)
+        cfg = dataclasses.replace(
+            self,
+            seed=taken.get("seed", self.seed),
+            runs=taken.get("monte_carlo_runs", self.runs),
+            iterations=taken.get("iterations", self.iterations),
+            sample_mode=taken.get("mode", self.sample_mode),
+            out_dir=self.out_dir if out_dir is None else str(out_dir),
+        )
         _check_semantics(cfg)
         return cfg
 
@@ -253,6 +267,60 @@ def _positive(v):
     return None if v > 0 else f"must be positive, got {v}"
 
 
+def _non_negative(v):
+    return None if v >= 0 else f"must not be negative, got {v}"
+
+
+def _sample_mode(v):
+    return None if v in SAMPLE_MODES else f"expected one of {', '.join(SAMPLE_MODES)}, got {v!r}"
+
+
+def _positive_ints(v):
+    """The check for "a positive integer or a list of them"."""
+    if isinstance(v, bool) or not isinstance(v, (int, list)):
+        return f"expected an integer or a list, got {v!r}"
+    for item in v if isinstance(v, list) else [v]:
+        if isinstance(item, bool) or not isinstance(item, int) or item < 1:
+            return f"expected positive integers, got {item!r}"
+    return None
+
+
+def _filter_widths(v):
+    message = _positive_ints(v)
+    if message is None and isinstance(v, list):
+        if not v:
+            message = "empty sweep"
+        elif len(set(v)) != len(v):
+            message = "sweep values must be distinct"
+    return message
+
+
+def _schedule(v):
+    """[[iteration, weight], ...], with the ordering and range rules of
+    LambdaSchedule."""
+    if not isinstance(v, list) or not v:
+        return "required, a non-empty list of [iteration, weight] pairs"
+    for item in v:
+        if (not isinstance(item, list) or len(item) != 2
+                or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in item)):
+            return f"entries must be [iteration, weight] pairs, got {item!r}"
+    try:
+        LambdaSchedule(*zip(*v))
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+# the rules of the run keys a CLI flag overrides, which validate_config and
+# ExperimentConfig.with_overrides apply alike
+_RUN_RULES = {
+    "monte_carlo_runs": {"kind": int, "check": _positive},
+    "iterations": {"kind": int, "check": _non_negative},
+    "mode": {"kind": str, "check": _sample_mode},
+    "seed": {"kind": int, "check": _non_negative},
+}
+
+
 def validate_config(raw: dict) -> ExperimentConfig:
     """Check every field, apply and log defaults, return the frozen config.
 
@@ -281,8 +349,10 @@ def validate_config(raw: dict) -> ExperimentConfig:
     kind = prob.take("kind", required=True, kind=str,
                      check=lambda v: None if v in PROBLEM_KINDS
                      else f"unknown kind {v!r}, expected one of {', '.join(PROBLEM_KINDS)}")
-    widths = _take_filter_widths(prob, errors)
-    term_seed = prob.take("term_seed", default=0, kind=int)
+    widths = prob.take("n_filters", required=True, check=_filter_widths)
+    if isinstance(widths, int):
+        widths = [widths]
+    term_seed = prob.take("term_seed", default=0, kind=int, check=_non_negative)
     radius_scale = prob.take(
         "radius_scale", default=1.5, kind=float,
         check=lambda v: None if v >= 1.0
@@ -296,7 +366,12 @@ def validate_config(raw: dict) -> ExperimentConfig:
                            check=lambda v: None if v in TOPOLOGY_KINDS
                            else f"unknown kind {v!r}, expected one of {', '.join(TOPOLOGY_KINDS)}")
     nodes = netsec.take("nodes", required=True, kind=int, check=_positive)
-    channels = _take_channels(netsec, nodes, errors)
+    channels = netsec.take("channels", required=True, check=_positive_ints)
+    if isinstance(channels, int):
+        channels = [channels] * (nodes or 1)
+    elif channels is not None and nodes is not None and len(channels) != nodes:
+        errors.append(
+            f"network.channels: list length {len(channels)} does not match nodes {nodes}")
     total = netsec.take("total_channels", default=None, kind=int)
     if total is not None and channels is not None and total != sum(channels):
         errors.append(
@@ -308,7 +383,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
         errors.append("network.edge_prob: required for erdos_renyi")
     if topology not in (None, "erdos_renyi") and edge_prob is not None:
         errors.append(f"network.edge_prob: not meaningful for kind {topology!r}")
-    graph_seed = netsec.take("graph_seed", default=None, kind=int)
+    graph_seed = netsec.take("graph_seed", default=None, kind=int, check=_non_negative)
     netsec.reject_unknown()
 
     sig = _Section("signals", raw.get("signals"), errors, defaults)
@@ -320,22 +395,28 @@ def validate_config(raw: dict) -> ExperimentConfig:
                          note_default=True)
     mix_scale = sig.take("mix_scale", default=0.5, kind=float, check=_positive,
                          note_default=True)
-    drift = _take_drift(sig.take("drift", default=None), errors)
+    drift = None
+    drift_raw = sig.take("drift")
+    if drift_raw is not None:
+        dsec = _Section("signals.drift", drift_raw, errors, defaults)
+        delta_std = dsec.take("delta_std", default=0.5, kind=float, check=_positive)
+        schedule = dsec.take("schedule", required=True, check=_schedule)
+        dsec.reject_unknown()
+        if schedule is not None:
+            drift = DriftConfig(delta_std=delta_std,
+                                schedule=tuple((float(t), float(w)) for t, w in schedule))
     sig.reject_unknown()
 
     run = _Section("run", raw.get("run"), errors, defaults)
     if "run" not in raw:
         errors.append("run: required section")
-    runs = run.take("monte_carlo_runs", default=DEFAULT_RUNS, kind=int,
-                    check=_positive, note_default=True)
-    iterations = run.take("iterations", required=True, kind=int,
-                          check=lambda v: None if v >= 0 else "must not be negative")
+    runs = run.take("monte_carlo_runs", default=DEFAULT_RUNS, note_default=True,
+                    **_RUN_RULES["monte_carlo_runs"])
+    iterations = run.take("iterations", required=True, **_RUN_RULES["iterations"])
     samples = run.take("samples", default=DEFAULT_SAMPLES, kind=int, check=_positive,
                        note_default=True)
-    sample_mode = run.take("mode", default="batch", kind=str, note_default=True,
-                           check=lambda v: None if v in SAMPLE_MODES
-                           else f"expected one of {', '.join(SAMPLE_MODES)}, got {v!r}")
-    seed = run.take("seed", default=0, kind=int, note_default=True)
+    sample_mode = run.take("mode", default="batch", note_default=True, **_RUN_RULES["mode"])
+    seed = run.take("seed", default=0, note_default=True, **_RUN_RULES["seed"])
     workers = run.take("workers", default=1, kind=int, check=_positive)
     run.reject_unknown()
 
@@ -349,12 +430,12 @@ def validate_config(raw: dict) -> ExperimentConfig:
     config = ExperimentConfig(
         schema_version=1,
         problem_kind=kind,
-        filter_widths=widths,
+        filter_widths=tuple(widths),
         term_seed=term_seed,
         radius_scale=radius_scale,
         topology=topology,
         nodes=nodes,
-        channels=channels,
+        channels=tuple(channels),
         edge_prob=edge_prob if topology == "erdos_renyi" else None,
         graph_seed=graph_seed,
         sources=sources,
@@ -376,87 +457,6 @@ def validate_config(raw: dict) -> ExperimentConfig:
     for line in defaults:
         logger.info("config default applied: %s", line)
     return config
-
-
-def _take_filter_widths(prob: _Section, errors: list[str]) -> tuple[int, ...]:
-    prob.seen.add("n_filters")
-    raw = prob.data.get("n_filters")
-    if raw is None:
-        errors.append("problem.n_filters: required, no default")
-        return (1,)
-    values = raw if isinstance(raw, list) else [raw]
-    widths: list[int] = []
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-            errors.append(f"problem.n_filters: widths must be positive integers, got {v!r}")
-            return (1,)
-        widths.append(v)
-    if not widths:
-        errors.append("problem.n_filters: empty sweep")
-        return (1,)
-    if len(set(widths)) != len(widths):
-        errors.append("problem.n_filters: sweep values must be distinct")
-    return tuple(widths)
-
-
-def _take_channels(netsec: _Section, nodes, errors: list[str]) -> tuple[int, ...]:
-    netsec.seen.add("channels")
-    raw = netsec.data.get("channels")
-    if raw is None:
-        errors.append("network.channels: required, no default")
-        return (1,)
-    if isinstance(raw, int) and not isinstance(raw, bool):
-        if raw < 1:
-            errors.append(f"network.channels: must be positive, got {raw}")
-            return (1,)
-        return tuple([raw] * (nodes or 1))
-    if isinstance(raw, list):
-        if nodes is not None and len(raw) != nodes:
-            errors.append(
-                f"network.channels: list length {len(raw)} does not match nodes {nodes}")
-            return (1,)
-        out = []
-        for v in raw:
-            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-                errors.append(f"network.channels: entries must be positive integers, got {v!r}")
-                return (1,)
-            out.append(v)
-        return tuple(out)
-    errors.append(f"network.channels: expected an integer or a list, got {raw!r}")
-    return (1,)
-
-
-def _take_drift(raw, errors: list[str]) -> DriftConfig | None:
-    if raw is None:
-        return None
-    if not isinstance(raw, dict):
-        errors.append("signals.drift: must be a mapping")
-        return None
-    unknown = set(raw) - {"delta_std", "schedule"}
-    for key in sorted(unknown):
-        errors.append(f"signals.drift.{key}: unknown key")
-    delta_std = raw.get("delta_std", 0.5)
-    if isinstance(delta_std, bool) or not isinstance(delta_std, (int, float)) or delta_std <= 0:
-        errors.append(f"signals.drift.delta_std: must be a positive number, got {delta_std!r}")
-        delta_std = 0.5
-    schedule = raw.get("schedule")
-    if not isinstance(schedule, list) or not schedule:
-        errors.append("signals.drift.schedule: required, a non-empty list of [iteration, weight] pairs")
-        return None
-    points: list[tuple[float, float]] = []
-    for item in schedule:
-        if (not isinstance(item, list) or len(item) != 2
-                or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in item)):
-            errors.append(f"signals.drift.schedule: entries must be [iteration, weight] pairs, got {item!r}")
-            return None
-        points.append((float(item[0]), float(item[1])))
-    times = [p[0] for p in points]
-    weights = [p[1] for p in points]
-    if any(b < a for a, b in zip(times, times[1:])):
-        errors.append("signals.drift.schedule: iteration breakpoints must be non-decreasing")
-    if any(w < 0 or w > 1 for w in weights):
-        errors.append("signals.drift.schedule: weights must lie in [0, 1]")
-    return DriftConfig(delta_std=float(delta_std), schedule=tuple(points))
 
 
 def _check_semantics(config: ExperimentConfig) -> None:
@@ -536,9 +536,9 @@ def _build_graph(config: ExperimentConfig, rng) -> net.NetworkGraph:
     raise ValueError(f"unknown topology {config.topology!r}")
 
 
-def _build_problem(config: ExperimentConfig, n_filters: int) -> SfoProblem:
+def _build_problem(config: ExperimentConfig) -> SfoProblem:
     """Deterministic problem data shared by every Monte-Carlo run."""
-    m = config.total_channels
+    m, n_filters = config.total_channels, config.n_filters
     if config.problem_kind == "mmse":
         return MmseProblem(n_filters=n_filters)
     if config.problem_kind == "tro":
@@ -559,7 +559,7 @@ def _build_problem(config: ExperimentConfig, n_filters: int) -> SfoProblem:
     )
 
 
-def _build_model(config: ExperimentConfig, n_filters: int, rng) -> SignalModel:
+def _build_model(config: ExperimentConfig, rng) -> SignalModel:
     m = config.total_channels
     if config.drift is not None:
         times = tuple(t * config.samples for t, _ in config.drift.schedule)
@@ -571,7 +571,7 @@ def _build_model(config: ExperimentConfig, n_filters: int, rng) -> SignalModel:
         )
         return SignalModel(channels=config.channels, source_var=config.source_var,
                            noise_var=config.noise_var, drift=spec)
-    sources = config.sources if config.sources is not None else n_filters
+    sources = config.sources if config.sources is not None else config.n_filters
     mix_y = rng.uniform(-config.mix_scale, config.mix_scale, (m, sources))
     mix_v = None
     if config.problem_kind == "tro":
@@ -603,14 +603,14 @@ def tracking_reference(model: SignalModel, t0: int, n_samples: int) -> np.ndarra
     return sv * (u @ z)
 
 
-def _single_run(config: ExperimentConfig, n_filters: int, variant: str, run_index: int,
+def _single_run(config: ExperimentConfig, variant: str, run_index: int,
                 seed_seq: np.random.SeedSequence) -> tuple[RunResult, np.ndarray]:
     """One Monte-Carlo run with the given engine variant; returns the run
     plus its error trace including the initial point."""
     rng = np.random.default_rng(seed_seq)
     graph = _build_graph(config, rng)
-    problem = _build_problem(config, n_filters)
-    model = _build_model(config, n_filters, rng)
+    problem = _build_problem(config)
+    model = _build_model(config, rng)
     n = config.samples
 
     if config.drift is not None:
@@ -619,30 +619,22 @@ def _single_run(config: ExperimentConfig, n_filters: int, variant: str, run_inde
 
         def batch(i):
             return sample_drift_statistics(model, i * n, n, rng)
-
-        eps0_ref = reference(0)
-    elif config.sample_mode == "adaptive":
-        # stationary statistics: the reference comes from one independent
-        # batch of the same size, so the error floors at estimation level
-        fit_batch = sample_stationary(model, 0, n, rng)
-        reference = solve_centralized(problem, fit_batch).x
-
-        def batch(i):
-            return sample_stationary(model, 0, n, rng)
-
-        eps0_ref = None
     else:
-        batch = sample_stationary(model, 0, n, rng)
-        reference = solve_centralized(problem, batch).x
-        eps0_ref = None
+        # the reference is solved on the first batch, which batch mode
+        # reuses; adaptive mode draws a fresh batch every iteration, so its
+        # error floors at estimation level
+        first = sample_stationary(model, 0, n, rng)
+        reference = solve_centralized(problem, first).x
+        batch = first if config.sample_mode == "batch" else (
+            lambda i: sample_stationary(model, 0, n, rng))
 
     x0 = problem.random_feasible(graph.total_channels, rng)
     result = dasf_run(
         problem, graph, batch, config.iterations, mode=variant, x0=x0,
         reference=reference, run_index=run_index, warn_on_bound=(run_index == 0),
     )
-    if eps0_ref is None:
-        eps0_ref = result.reference   # symmetry-aligned fixed reference
+    # a fixed reference is measured symmetry-aligned, as dasf_run measures it
+    eps0_ref = reference(0) if callable(reference) else result.reference
     eps0 = normalized_error(result.x_history[0], eps0_ref)
     eps_full = np.concatenate([[eps0], result.epsilon_trace()])
     return result, eps_full
@@ -651,21 +643,21 @@ def _single_run(config: ExperimentConfig, n_filters: int, variant: str, run_inde
 def _run_worker(args) -> tuple[int, RunResult | None, np.ndarray | None, str | None]:
     """One run; any error becomes that run's recorded failure, so the rest of
     the study goes on."""
-    config, n_filters, variant, run_index, seed_seq = args
+    config, variant, run_index, seed_seq = args
     try:
-        result, eps = _single_run(config, n_filters, variant, run_index, seed_seq)
+        result, eps = _single_run(config, variant, run_index, seed_seq)
         return run_index, result, eps, None
     except Exception as exc:
         logger.debug("run %d raised", run_index, exc_info=True)
         return run_index, None, None, f"{type(exc).__name__}: {exc}"
 
 
-def _run_variant(config: ExperimentConfig, n_filters: int) -> StudyResult:
+def _run_variant(config: ExperimentConfig) -> StudyResult:
     master = np.random.SeedSequence(config.seed)
     children = master.spawn(config.runs)
     # a fully connected topology uses its star directly, any other is pruned
     variant = "fc" if config.topology == "fully_connected" else "ti"
-    payloads = [(config, n_filters, variant, idx, children[idx]) for idx in range(config.runs)]
+    payloads = [(config, variant, idx, children[idx]) for idx in range(config.runs)]
 
     if config.workers > 1:
         preload_solver(config.problem_kind)
@@ -687,8 +679,10 @@ def _run_variant(config: ExperimentConfig, n_filters: int) -> StudyResult:
         indices.append(idx)
         eps_rows.append(eps)
     if not results:
-        raise RuntimeError(
-            "every Monte-Carlo run failed; first error: " + failed[0][1])
+        counts = Counter(error.partition(":")[0] for _, error in failed).most_common()
+        raise StudyFailedError(
+            f"every Monte-Carlo run failed ({', '.join(f'{n} {name}' for name, n in counts)}); "
+            f"first error: {failed[0][1]}")
 
     epsilon = np.vstack(eps_rows)
     n_done = epsilon.shape[0]
@@ -698,7 +692,7 @@ def _run_variant(config: ExperimentConfig, n_filters: int) -> StudyResult:
         sem = np.zeros(epsilon.shape[1])
     return StudyResult(
         config=config,
-        n_filters=n_filters,
+        n_filters=config.n_filters,
         run_results=results,
         run_indices=tuple(indices),
         failed=tuple(failed),
@@ -721,7 +715,7 @@ def run_study(config: ExperimentConfig, write: bool = True):
     variants = config.expand_filter_sweep()
     studies = []
     for variant_config in variants:
-        study = _run_variant(variant_config, variant_config.n_filters)
+        study = _run_variant(variant_config)
         if write:
             out = Path(config.out_dir)
             if len(variants) > 1:
@@ -749,24 +743,27 @@ def _fmt(x: float) -> str:
 
 
 def write_study_outputs(study: StudyResult, out_dir: Path) -> None:
-    """Emit run_<idx>.csv per run, aggregate.csv, study.meta, and the
-    gnuplot script epsilon.gp that plots aggregate.csv (plus lambda.dat when
-    tracking)."""
+    """Emit run_<idx>.csv per run, aggregate.csv (with a lambda column when
+    tracking), study.meta, and the gnuplot script epsilon.gp that plots
+    aggregate.csv."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     for idx, result in zip(study.run_indices, study.run_results):
         result.to_csv(out_dir / f"run_{idx}.csv")
 
-    header = "iter,epsilon_median,epsilon_mean,epsilon_sem"
-    lines = [header]
-    for j in range(study.epsilon.shape[1]):
-        lines.append(",".join([
-            str(j),
-            _fmt(study.epsilon_median[j]),
-            _fmt(study.epsilon_mean[j]),
-            _fmt(study.epsilon_sem[j]),
-        ]))
+    columns = {
+        "epsilon_median": study.epsilon_median,
+        "epsilon_mean": study.epsilon_mean,
+        "epsilon_sem": study.epsilon_sem,
+    }
+    tracking = study.config.drift is not None
+    if tracking:
+        times, weights = zip(*study.config.drift.schedule)
+        columns["lambda"] = np.interp(np.arange(study.epsilon.shape[1]), times, weights)
+    lines = [",".join(["iter", *columns])]
+    lines += [",".join([str(j), *(_fmt(c[j]) for c in columns.values())])
+              for j in range(study.epsilon.shape[1])]
     (out_dir / "aggregate.csv").write_text("\n".join(lines) + "\n")
 
     meta = {
@@ -778,19 +775,8 @@ def write_study_outputs(study: StudyResult, out_dir: Path) -> None:
     }
     (out_dir / "study.meta").write_text(yaml.safe_dump(meta, sort_keys=True))
 
-    tracking = study.config.drift is not None
-    if tracking:
-        model_times = [t for t, _ in study.config.drift.schedule]
-        weights = [w for _, w in study.config.drift.schedule]
-        lam = np.interp(np.arange(study.epsilon.shape[1]), model_times, weights)
-        lam_lines = ["# iter lambda"]
-        lam_lines += [f"{j} {_fmt(lam[j])}" for j in range(lam.size)]
-        (out_dir / "lambda.dat").write_text("\n".join(lam_lines) + "\n")
-
-    # aggregate.csv is comma-separated under a header row; lambda.dat is
-    # space-separated, so a tracking plot accepts either separator
     gp = [
-        "set datafile separator " + ("', '" if tracking else "','"),
+        "set datafile separator ','",
         "set logscale y",
         "set xlabel 'iteration'",
         "set ylabel 'normalized error'",
@@ -802,6 +788,6 @@ def write_study_outputs(study: StudyResult, out_dir: Path) -> None:
     ]
     if tracking:
         gp += ["set y2label 'mixing weight'", "set y2range [0:1.1]", "set y2tics"]
-        curves.append("     'lambda.dat' using 1:2 axes x1y2 with lines title 'lambda'")
+        curves.append("     'aggregate.csv' skip 1 using 1:5 axes x1y2 with lines title 'lambda'")
     gp.append(", \\\n".join(curves))
     (out_dir / "epsilon.gp").write_text("\n".join(gp) + "\n")

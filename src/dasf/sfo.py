@@ -662,11 +662,8 @@ def centralized_instance(problem: SfoProblem, batch: SampleBatch,
                          anchor: np.ndarray | None = None) -> CompressedInstance:
     """The network-wide problem on the batch's cached statistics. An mmse
     instance carries the ridge DIAG_LOAD * trace(R) / M when cond(R) >
-    COND_LIMIT in the 2-norm, and none otherwise."""
-    if problem.uses_second_stream and batch.v is None:
-        raise ValueError("problem needs a second stream but the batch has none")
-    if problem.uses_target and batch.s is None:
-        raise ValueError("problem needs target rows but the batch has none")
+    COND_LIMIT in the 2-norm, and none otherwise. A batch without the
+    stream the problem reads raises the batch's ValueError."""
     load = (DIAG_LOAD * float(np.trace(batch.cov_y)) / batch.cov_y.shape[0]
             if problem.uses_target and batch.cov_y_ill_conditioned else 0.0)
     return CompressedInstance(

@@ -1,4 +1,6 @@
 import copy
+import json
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dasf
 import dasf.cli
 import dasf.experiments as experiments
 from dasf.experiments import (
@@ -239,6 +242,41 @@ def test_with_overrides():
     assert config.seed == 0 and config.runs == 2     # original untouched
 
 
+@pytest.mark.parametrize("overrides, path", [
+    ({"runs": 0}, "run.monte_carlo_runs: must be positive"),
+    ({"runs": -2}, "run.monte_carlo_runs: must be positive"),
+    ({"iterations": -1}, "run.iterations: must not be negative"),
+    ({"seed": -5}, "run.seed: must not be negative"),
+    ({"sample_mode": "foo"}, "run.mode: expected one of batch, adaptive"),
+])
+def test_overrides_pass_the_field_rules(tmp_path, capsys, overrides, path):
+    config = validate_config(_base_raw())
+    with pytest.raises(ConfigError) as info:
+        config.with_overrides(**overrides)
+    (error,) = info.value.errors
+    assert error.startswith(path)
+    # the CLI reports the same error as a config failure, before any run
+    flags = {"runs": "--runs", "iterations": "--iters", "seed": "--seed"}
+    if set(overrides) <= set(flags):
+        raw = _base_raw()
+        raw["output"] = {"dir": str(tmp_path / "out")}
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        argv = [arg for key, value in overrides.items() for arg in (flags[key], str(value))]
+        assert dasf.cli.main(["run", str(cfg), *argv]) == 2
+        assert json.loads(capsys.readouterr().err) == {"error": "config", "details": [error]}
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section, key", [
+    ("run", "seed"), ("problem", "term_seed"), ("network", "graph_seed")])
+def test_negative_seeds_rejected(section, key):
+    raw = _base_raw()
+    raw[section][key] = -1
+    (error,) = _errors_of(raw)
+    assert error == f"{section}.{key}: must not be negative, got -1"
+
+
 def test_override_recheck_catches_new_conflicts():
     raw = _base_raw()
     raw["run"]["mode"] = "adaptive"
@@ -269,8 +307,8 @@ def test_problem_terms_deterministic_in_term_seed():
     raw = _base_raw()
     raw["problem"] = {"kind": "qcqp", "n_filters": 2, "term_seed": 5}
     config = validate_config(raw)
-    p1 = _build_problem(config, 2)
-    p2 = _build_problem(config, 2)
+    p1 = _build_problem(config)
+    p2 = _build_problem(config)
     assert np.array_equal(p1.linear_term, p2.linear_term)
     assert np.array_equal(p1.gain_vector, p2.gain_vector)
     assert p1.radius == p2.radius
@@ -278,7 +316,7 @@ def test_problem_terms_deterministic_in_term_seed():
         1.5 * np.linalg.norm(p1.target_response) / np.linalg.norm(p1.gain_vector))
 
     raw["problem"]["term_seed"] = 6
-    p3 = _build_problem(validate_config(raw), 2)
+    p3 = _build_problem(validate_config(raw))
     assert not np.array_equal(p1.linear_term, p3.linear_term)
 
 
@@ -452,11 +490,35 @@ def test_tracking_study_and_outputs(tmp_path):
     assert study.config.drift is not None
     assert study.epsilon.shape == (2, 4)
     out = tmp_path / "out"
-    lam_lines = (out / "lambda.dat").read_text().strip().split("\n")
-    assert lam_lines[0].startswith("#")
-    values = [float(line.split()[1]) for line in lam_lines[1:]]
+    agg = (out / "aggregate.csv").read_text().strip().split("\n")
+    assert agg[0] == "iter,epsilon_median,epsilon_mean,epsilon_sem,lambda"
+    values = [float(line.split(",")[4]) for line in agg[1:]]
     assert values == pytest.approx([0.0, 1 / 3, 2 / 3, 1.0])
+    assert not (out / "lambda.dat").exists()
     assert "lambda" in (out / "epsilon.gp").read_text()
+
+
+def test_tracking_plot_columns_match_the_aggregate_header(tmp_path):
+    # every curve of epsilon.gp reads a column aggregate.csv has, under the
+    # name its title promises; lambda (column 5) goes on the second y axis
+    raw = _study_raw(tmp_path, monte_carlo_runs=1, iterations=2, mode="adaptive")
+    raw["signals"] = {"drift": {"schedule": [[0, 0.0], [2, 1.0]]}}
+    run_study(validate_config(raw))
+    out = tmp_path / "out"
+    header = (out / "aggregate.csv").read_text().split("\n")[0].split(",")
+    gp = (out / "epsilon.gp").read_text()
+    assert "set datafile separator ','" in gp
+    curves = re.findall(r"'([^']*)' skip 1 using (\d+):(\d+)( axes x1y2)? with lines "
+                        r"title '([^']*)'", gp)
+    assert len(curves) == gp.count(" using ") == 3
+    plotted = {}
+    for name, x, y, axes, title in curves:
+        assert name == "aggregate.csv" and header[int(x) - 1] == "iter"
+        plotted[title] = (header[int(y) - 1], bool(axes))
+    assert plotted == {"median": ("epsilon_median", False),
+                       "mean": ("epsilon_mean", False),
+                       "lambda": ("lambda", True)}
+    assert header.index("lambda") + 1 == 5
 
 
 def test_tight_qcqp_ball_completes_every_run(tmp_path):
@@ -473,10 +535,10 @@ def test_tight_qcqp_ball_completes_every_run(tmp_path):
 def test_unexpected_run_error_is_recorded(tmp_path, monkeypatch):
     real = experiments._single_run
 
-    def flaky(config, n_filters, variant, run_index, seed_seq):
+    def flaky(config, variant, run_index, seed_seq):
         if run_index == 1:
             raise KeyError("lost")
-        return real(config, n_filters, variant, run_index, seed_seq)
+        return real(config, variant, run_index, seed_seq)
 
     monkeypatch.setattr(experiments, "_single_run", flaky)
     study = run_study(validate_config(_study_raw(tmp_path, monte_carlo_runs=3, workers=1)))
@@ -485,6 +547,23 @@ def test_unexpected_run_error_is_recorded(tmp_path, monkeypatch):
     meta = yaml.safe_load((tmp_path / "out" / "study.meta").read_text())
     assert meta["failed_runs"] == [[1, "KeyError: 'lost'"]]
     assert meta["completed_runs"] == 2
+
+
+def test_study_whose_runs_all_fail_raises_typed_error(tmp_path, monkeypatch):
+    def failing(config, variant, run_index, seed_seq):
+        if run_index == 1:
+            raise KeyError("lost")
+        raise np.linalg.LinAlgError("singular")
+
+    monkeypatch.setattr(experiments, "_single_run", failing)
+    with pytest.raises(experiments.StudyFailedError) as info:
+        run_study(validate_config(_study_raw(tmp_path, monte_carlo_runs=3)))
+    assert isinstance(info.value, RuntimeError)
+    assert str(info.value) == ("every Monte-Carlo run failed (2 LinAlgError, 1 KeyError); "
+                               "first error: LinAlgError: singular")
+    assert "StudyFailedError" in experiments.__all__
+    assert "StudyFailedError" not in dasf.__all__
+    assert not (tmp_path / "out").exists()
 
 
 def test_engine_variant_follows_topology(tmp_path, monkeypatch):

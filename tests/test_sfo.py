@@ -155,6 +155,15 @@ def test_mmse_requires_target_rows():
         solve_centralized(MmseProblem(n_filters=1), batch)
 
 
+def test_centralized_instance_names_the_missing_stream():
+    # the batch's own statistics raise, naming the stream the problem reads
+    batch = _batch(4, 50, np.random.default_rng(3))
+    with pytest.raises(ValueError, match="batch has no second stream"):
+        centralized_instance(TroProblem(n_filters=1), batch)
+    with pytest.raises(ValueError, match="batch has no target rows"):
+        centralized_instance(MmseProblem(n_filters=1), batch)
+
+
 # ---------------------------------------------------------------------------
 # qcqp
 
