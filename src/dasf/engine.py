@@ -520,9 +520,10 @@ def write_records_csv(records: Sequence[ConvergenceRecord], path) -> None:
 
 def normalized_error(x: np.ndarray, reference: np.ndarray):
     """Squared distance to the reference, relative to the reference's energy:
-    a float for one point, one value per point for a (T, M, Q) stack."""
-    denom = float(np.sum(reference * reference))
-    if denom == 0.0:
+    a float for one point, one value per point for a (T, M, Q) stack of
+    points, against one reference or a stack of them."""
+    denom = np.sum(reference * reference, axis=(-2, -1))
+    if not np.all(denom):
         raise ValueError("reference filter is zero")
     diff = x - reference
     err = np.einsum("...ij,...ij->...", diff, diff) / denom
@@ -613,7 +614,8 @@ def dasf_run(problem: SfoProblem, graph: NetworkGraph, batch, n_iterations: int,
     if reference is None:
         eps = np.full(n_iterations, np.nan)
     elif callable(reference):
-        eps = np.array([normalized_error(xi, reference(i)) for i, xi in enumerate(path)])
+        refs = np.array([reference(i) for i in range(n_iterations)]).reshape(path.shape)
+        eps = normalized_error(path, refs)
     else:
         ref_fixed = align_to_anchor(np.asarray(reference, dtype=float), traj[-1],
                                     problem.symmetry)

@@ -25,6 +25,8 @@ from __future__ import annotations
 import dataclasses
 import logging
 import math
+import os
+import platform
 import warnings
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -32,8 +34,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy
 import yaml
-from scipy.linalg.lapack import dgesv
 
 from . import network as net
 from .engine import RunResult, dasf_run, normalized_error
@@ -581,26 +583,28 @@ def _build_model(config: ExperimentConfig, rng) -> SignalModel:
                        noise_var=config.noise_var, mix_y=mix_y, mix_v=mix_v)
 
 
-def tracking_reference(model: SignalModel, t0: int, n_samples: int) -> np.ndarray:
+def tracking_reference(model: SignalModel, t0, n_samples) -> np.ndarray:
     """Closed-form estimator target for the drifting model over one batch
     window: the average true covariance and cross-correlation across the
     window's sample times, solved directly. With p(tau) = p0 + lambda(tau)
     delta, U = [p0, delta] and S = [[1, m1], [m1, m2]] for the window means
     m1 of lambda and m2 of lambda^2, the covariance is sv U S U^T + nv I and
     the cross-correlation sv U S e1, so the target is the rank-2 form
-    sv U (nv I + sv S U^T U)^{-1} S e1. A noise_var of 0 raises LinAlgError:
-    the covariance then has rank at most 2."""
+    sv U (nv I + sv S U^T U)^{-1} S e1. Arrays of window starts and lengths
+    (broadcast) give a stack of targets, one (M, 1) per window, in one call.
+    A noise_var of 0 raises LinAlgError: the covariance then has rank at
+    most 2."""
     sv, nv = model.source_var, model.noise_var
     if nv == 0.0:
         raise np.linalg.LinAlgError("tracking reference: noise_var is 0, the window "
                                     "covariance is singular")
     lam1, lam2 = model.drift.schedule.window_means(t0, n_samples)
-    u = np.column_stack([model.drift.p0, model.drift.delta])
-    s = np.array([[1.0, lam1], [lam1, lam2]])
-    _, _, z, info = dgesv(nv * np.eye(2) + sv * (s @ (u.T @ u)), s[:, :1])
-    if info:
-        raise np.linalg.LinAlgError("tracking reference: singular window system")
-    return sv * (u @ z)
+    u = model.drift.basis
+    s = np.empty(np.shape(lam1) + (2, 2))
+    s[..., 0, 0] = 1.0
+    s[..., 0, 1] = s[..., 1, 0] = lam1
+    s[..., 1, 1] = lam2
+    return sv * (u @ np.linalg.solve(nv * np.eye(2) + sv * (s @ (u.T @ u)), s[..., :1]))
 
 
 def _single_run(config: ExperimentConfig, variant: str, run_index: int,
@@ -614,8 +618,12 @@ def _single_run(config: ExperimentConfig, variant: str, run_index: int,
     n = config.samples
 
     if config.drift is not None:
+        # every window's target in one call (window 0 also scores x0);
+        # iteration i fuses window i
+        targets = tracking_reference(model, n * np.arange(max(config.iterations, 1)), n)
+
         def reference(i):
-            return tracking_reference(model, i * n, n)
+            return targets[i]
 
         def batch(i):
             return sample_drift_statistics(model, i * n, n, rng)
@@ -652,6 +660,11 @@ def _run_worker(args) -> tuple[int, RunResult | None, np.ndarray | None, str | N
         return run_index, None, None, f"{type(exc).__name__}: {exc}"
 
 
+def _failure_counts(failed) -> dict[str, int]:
+    """Failed runs counted by exception type, the most frequent first."""
+    return dict(Counter(error.partition(":")[0] for _, error in failed).most_common())
+
+
 def _run_variant(config: ExperimentConfig) -> StudyResult:
     master = np.random.SeedSequence(config.seed)
     children = master.spawn(config.runs)
@@ -679,10 +692,9 @@ def _run_variant(config: ExperimentConfig) -> StudyResult:
         indices.append(idx)
         eps_rows.append(eps)
     if not results:
-        counts = Counter(error.partition(":")[0] for _, error in failed).most_common()
+        counts = ", ".join(f"{n} {name}" for name, n in _failure_counts(failed).items())
         raise StudyFailedError(
-            f"every Monte-Carlo run failed ({', '.join(f'{n} {name}' for name, n in counts)}); "
-            f"first error: {failed[0][1]}")
+            f"every Monte-Carlo run failed ({counts}); first error: {failed[0][1]}")
 
     epsilon = np.vstack(eps_rows)
     n_done = epsilon.shape[0]
@@ -772,6 +784,13 @@ def write_study_outputs(study: StudyResult, out_dir: Path) -> None:
         "engine_variant": study.engine_variant,
         "completed_runs": study.run_count,
         "failed_runs": [[idx, msg] for idx, msg in study.failed],
+        "failure_counts": _failure_counts(study.failed),
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "cpu_count": os.cpu_count(),
+        },
     }
     (out_dir / "study.meta").write_text(yaml.safe_dump(meta, sort_keys=True))
 

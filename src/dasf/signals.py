@@ -20,6 +20,10 @@ studies therefore never draw a drift batch's M x N samples:
 distribution with the batch ``sample_adaptive`` returns, from about M^2
 noise normals instead of M N. Per-seed batches differ from the sample draw,
 their distribution does not. ``sample_adaptive`` still returns samples.
+The draw's generator contract, which fixes every per-seed value: it takes
+the N normals of s, then the M r normals of G (r <= 2, the rank of A A^T),
+then M x M normals and M chi-squares for Bartlett's factor, in that order;
+when N - r < M the last two are replaced by M x (N - r) normals.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from functools import cached_property
 import math
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dsyevd
 
 COND_LIMIT = 1e12           # conditioning threshold for MMSE diagonal loading
 DRIFT_RANK_RTOL = 1e-12     # A A^T directions this far below the largest are rounding
@@ -70,25 +75,22 @@ class LambdaSchedule:
     def __call__(self, t):
         return np.interp(t, self.times, self.values)
 
-    def window_means(self, t0: int, n: int) -> tuple[float, float]:
+    def window_means(self, t0, n):
         """Means of lambda and lambda^2 over the n integer times t0 .. t0+n-1,
-        from the knots. The times before the first knot, between two knots
-        and past the last knot take an arithmetic sequence of k values
+        from the knots, for one window or for arrays of window starts and
+        lengths (broadcast). The times before the first knot, between two
+        knots and past the last knot take an arithmetic sequence of k values
         running from a to b, with mean (a + b) / 2 and variance
         (b - a)^2 (k + 1) / (12 (k - 1))."""
-        end = t0 + n
-        cuts = [min(max(math.ceil(t), t0), end) for t in self.times]   # first time at or past each knot
-        pieces = list(zip([t0, *cuts], [*cuts, end]))                    # [lo, hi) per piece
-        ends = self(np.array([t for lo, hi in pieces for t in (lo, hi - 1)], dtype=float)).tolist()
-        sum1 = sum2 = 0.0
-        for (lo, hi), a, b in zip(pieces, ends[::2], ends[1::2]):
-            k = hi - lo
-            if k > 0:
-                mid = 0.5 * (a + b)
-                var = (b - a) ** 2 * (k + 1) / (12 * (k - 1)) if k > 1 else 0.0
-                sum1 += k * mid
-                sum2 += k * (mid * mid + var)
-        return sum1 / n, sum2 / n
+        start = np.asarray(t0, dtype=float)[..., None]
+        start, end = np.broadcast_arrays(start, start + np.asarray(n)[..., None])
+        cuts = np.clip(np.ceil(self.times), start, end)   # first time at or past each knot
+        lo = np.concatenate([start, cuts], axis=-1)        # [lo, hi) per piece
+        hi = np.concatenate([cuts, end], axis=-1)
+        a, b, k = self(lo), self(hi - 1), hi - lo
+        mid = 0.5 * (a + b)
+        var = (b - a) ** 2 * (k + 1) / (12 * np.maximum(k - 1, 1))   # 0 when k = 1
+        return (k * mid).sum(axis=-1) / n, (k * (mid * mid + var)).sum(axis=-1) / n
 
 
 @dataclass(frozen=True)
@@ -106,6 +108,11 @@ class DriftSpec:
             raise ValueError("p0 and delta must have the same length")
         object.__setattr__(self, "p0", p0)
         object.__setattr__(self, "delta", delta)
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """U = [p0, delta], the (M, 2) steering basis."""
+        return _frozen(np.column_stack([self.p0, self.delta]))
 
 
 @dataclass(frozen=True)
@@ -217,17 +224,16 @@ class SampleBatch:
     def cov_y_ill_conditioned(self) -> bool:
         """cond(R_yy) > COND_LIMIT in the 2-norm (True if singular, False if
         not finite). With t = ||R||_inf / COND_LIMIT >= lambda_max / COND_LIMIT,
-        a Cholesky factor of R - t I proves lambda_min > t, so the eigenvalues
-        are computed only when that factorization fails."""
+        a Cholesky factor of a copy of R - t I proves lambda_min > t, so the
+        eigenvalues are computed only when that factorization fails."""
         r = self.cov_y
-        if not np.isfinite(r).all():
-            return False
         screen = np.abs(r).sum(axis=1).max() / COND_LIMIT
-        try:
-            np.linalg.cholesky(r - screen * np.eye(r.shape[0]))
+        if not math.isfinite(screen):
             return False
-        except np.linalg.LinAlgError:
-            pass
+        shifted = np.array(r, order="F")   # LAPACK's order, so dpotrf works in place
+        shifted.ravel(order="K")[::r.shape[0] + 1] -= screen
+        if dpotrf(shifted, lower=1, clean=0, overwrite_a=1)[1] == 0:
+            return False
         mag = np.abs(np.linalg.eigvalsh(r))
         return not mag.min() > 0.0 or mag.max() / mag.min() > COND_LIMIT
 
@@ -315,25 +321,30 @@ def sample_drift_statistics(model: SignalModel, t: int, n_samples: int,
     A A^T = V diag(sigma^2) V^T with sigma^2 > 0, H = G diag(sigma) V^T and
     W W^T = G G^T + Wishart_M(N - r, I), with G an (M, r) normal draw: the
     rows of W are rotation invariant, so the part of W orthogonal to A is
-    white and independent of G. Draw order is s (as in ``sample_adaptive``),
-    G, then the Wishart factor.
+    white and independent of G. The generator gives, in this order, the N
+    normals of s (as ``sample_adaptive``), the M r of G, and the Wishart
+    factor's M^2 normals then its M chi-squares (M (N - r) normals alone
+    when N - r < M).
     """
     drift = model.drift
     if drift is None:
         raise ValueError("model has no drift spec, use sample_adaptive")
     rng = np.random.default_rng(rng_seed)
     m, n = model.total_channels, n_samples
-    lam = drift.schedule(np.arange(t, t + n))
-    s = math.sqrt(model.source_var) * rng.standard_normal((1, n))
-    a = np.vstack([s, lam * s])
+    a = np.empty((2, n))   # A = [s; lambda s], and the batch keeps s = A[:1]
+    s = a[:1]
+    rng.standard_normal(out=s)
+    s *= math.sqrt(model.source_var)
+    np.multiply(drift.schedule(np.arange(t, t + n)), s[0], out=a[1])
     aat = a @ a.T
-    sig2, v = np.linalg.eigh(aat)
-    keep = sig2 > DRIFT_RANK_RTOL * sig2[-1]
-    g = rng.standard_normal((m, int(keep.sum())))
-    h = (g * np.sqrt(sig2[keep])) @ v[:, keep].T
-    k = np.hstack([g, _wishart_factor(rng, m, n - g.shape[1])])
-    cov, cross = _drift_statistics(np.column_stack([drift.p0, drift.delta]),
-                                   aat, h, k @ k.T, model.noise_var, n)
+    sig2, v, info = dsyevd(aat, lower=1)
+    if info:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    r = int(np.count_nonzero(sig2 > DRIFT_RANK_RTOL * sig2[-1]))   # ascending: the last r
+    g = rng.standard_normal((m, r))
+    h = (g * np.sqrt(sig2[2 - r:])) @ v[:, 2 - r:].T
+    k = np.hstack([g, _wishart_factor(rng, m, n - r)])
+    cov, cross = _drift_statistics(drift.basis, aat, h, k @ k.T, model.noise_var, n)
     return SampleBatch.from_statistics(model.channels, s, cov, cross, t)
 
 
@@ -343,8 +354,10 @@ def _wishart_factor(rng, m: int, n: int) -> np.ndarray:
     normal draw."""
     if n < m:
         return rng.standard_normal((m, n))
-    low = np.tril(rng.standard_normal((m, m)), -1)
-    np.fill_diagonal(low, np.sqrt(rng.chisquare(n - np.arange(m))))
+    low = rng.standard_normal((m, m))
+    rows = np.arange(m)
+    low[rows[:, None] < rows] = 0.0   # in place, where np.tril would copy
+    np.fill_diagonal(low, np.sqrt(rng.chisquare(n - rows)))
     return low
 
 

@@ -11,7 +11,9 @@ way the nodes run it, by fusing the samples up the tree with
 Gram and updating every node from its branch's mixing block, so that the
 statistics-domain engine can be held to it. It uses the library's tree and
 layout, but derives its per-node channel counts and raw stacks from the
-tree itself.
+tree itself. The drift statistics draw and the conditioning screen are kept
+in their first written form, so that the library's faster forms are held to
+the same random stream and the same decisions.
 """
 
 from __future__ import annotations
@@ -34,7 +36,13 @@ from dasf.sfo import (
     align_to_anchor,
     solve_instance,
 )
-from dasf.signals import estimate_covariance, estimate_cross, mean_squared_norm
+from dasf.signals import (
+    DRIFT_RANK_RTOL,
+    SampleBatch,
+    estimate_covariance,
+    estimate_cross,
+    mean_squared_norm,
+)
 
 
 def covariance_loop(y: np.ndarray) -> np.ndarray:
@@ -361,3 +369,49 @@ def branch_maps(layout, x, c):
         out.append((seg, cols, t))
         offset += width
     return out
+
+
+def drift_statistics_draw(model, t: int, n_samples: int, rng_seed=None) -> SampleBatch:
+    """The drift statistics draw as first written, the reference for the
+    library's random stream: ``np.linalg.eigh`` for A A^T, boolean masks for
+    its kept directions, and ``np.tril`` for Bartlett's factor. Draw order is
+    s, G, then the Wishart factor (M x M normals, then M chi-squares; or
+    M x (N - r) normals when N - r < M)."""
+    drift = model.drift
+    rng = np.random.default_rng(rng_seed)
+    m, n = model.total_channels, n_samples
+    lam = drift.schedule(np.arange(t, t + n))
+    s = np.sqrt(model.source_var) * rng.standard_normal((1, n))
+    a = np.vstack([s, lam * s])
+    aat = a @ a.T
+    sig2, v = np.linalg.eigh(aat)
+    keep = sig2 > DRIFT_RANK_RTOL * sig2[-1]
+    g = rng.standard_normal((m, int(keep.sum())))
+    h = (g * np.sqrt(sig2[keep])) @ v[:, keep].T
+    n_rest = n - g.shape[1]
+    if n_rest < m:
+        bartlett = rng.standard_normal((m, n_rest))
+    else:
+        bartlett = np.tril(rng.standard_normal((m, m)), -1)
+        np.fill_diagonal(bartlett, np.sqrt(rng.chisquare(n_rest - np.arange(m))))
+    k = np.hstack([g, bartlett])
+    p, sd = np.column_stack([drift.p0, drift.delta]), np.sqrt(model.noise_var)
+    half = 0.5 * model.noise_var * (k @ k.T) + sd * (h @ p.T) + 0.5 * (p @ aat) @ p.T
+    cov, cross = (half + half.T) / n, (sd * h[:, :1] + p @ aat[:, :1]) / n
+    return SampleBatch.from_statistics(model.channels, s, cov, cross, t)
+
+
+def cholesky_screen(r: np.ndarray) -> bool:
+    """The conditioning screen as first written: cond(R) > COND_LIMIT, decided
+    by np.linalg.cholesky of R - t I with t = ||R||_inf / COND_LIMIT, and by
+    the eigenvalues when that fails."""
+    if not np.isfinite(r).all():
+        return False
+    screen = np.abs(r).sum(axis=1).max() / COND_LIMIT
+    try:
+        np.linalg.cholesky(r - screen * np.eye(r.shape[0]))
+        return False
+    except np.linalg.LinAlgError:
+        pass
+    mag = np.abs(np.linalg.eigvalsh(r))
+    return not mag.min() > 0.0 or mag.max() / mag.min() > COND_LIMIT

@@ -627,6 +627,12 @@ def test_normalized_error_values():
     assert normalized_error(2 * ref, ref) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         normalized_error(ref, np.zeros((2, 1)))
+    # a stack of points against a stack of references: one energy per reference
+    refs = np.stack([ref, 3 * ref, -ref])
+    points = np.stack([2 * ref, ref, ref])
+    assert np.allclose(normalized_error(points, refs), [1.0, 4 / 9, 4.0], rtol=1e-15)
+    with pytest.raises(ValueError):
+        normalized_error(points, np.stack([ref, np.zeros((2, 1)), ref]))
 
 
 def test_align_to_anchor_recovers_rotated_solution():
@@ -684,7 +690,8 @@ def test_run_records_equal_pointwise_evaluation(kind, source):
     prob = _family_problem(kind, m, 2, rng)
     batches = [_random_batch(graph, 80, rng, with_v=kind == "tro",
                              s_rows=2 if kind == "mmse" else 0) for _ in range(n_iter)]
-    refs = [prob.random_feasible(m, rng) for _ in range(n_iter)]
+    # references of distinct energies: each point's error has its own denominator
+    refs = [(1.0 + i) * prob.random_feasible(m, rng) for i in range(n_iter)]
     batch, reference = batches[0], solve_centralized(prob, batches[0]).x
     if source == "callable batch":
         batch = batches.__getitem__

@@ -1,9 +1,12 @@
 import copy
 import json
+import os
+import platform
 import re
 
 import numpy as np
 import pytest
+import scipy
 import scipy.linalg as sla
 import yaml
 from hypothesis import given, settings
@@ -369,9 +372,12 @@ def _reference_by_interp(model, t0, n_samples):
 _KNOTS = LambdaSchedule((100.5, 400.0, 650.0, 650.0, 700.25), (0.0, 1.0, 0.8, 0.1, 0.3))
 
 
-@pytest.mark.parametrize("t0, n_samples", [
+_KNOT_WINDOWS = [
     (0, 50), (0, 1000), (90, 20), (100, 1), (101, 300), (350, 300), (399, 2),
-    (640, 20), (650, 1), (649, 1), (690, 400), (800, 100), (0, 651)])
+    (640, 20), (650, 1), (649, 1), (690, 400), (800, 100), (0, 651)]
+
+
+@pytest.mark.parametrize("t0, n_samples", _KNOT_WINDOWS)
 def test_tracking_reference_matches_interpolated_form(t0, n_samples):
     rng = np.random.default_rng(t0 + n_samples)
     spec = DriftSpec(p0=rng.uniform(-0.5, 0.5, 30), delta=rng.normal(0.0, 0.5, 30),
@@ -383,6 +389,25 @@ def test_tracking_reference_matches_interpolated_form(t0, n_samples):
     expected = _reference_by_interp(model, t0, n_samples)
     ref = tracking_reference(model, t0, n_samples)
     assert np.linalg.norm(ref - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_tracking_references_in_one_call_match_each_window():
+    rng = np.random.default_rng(12)
+    spec = DriftSpec(p0=rng.uniform(-0.5, 0.5, 30), delta=rng.normal(0.0, 0.5, 30),
+                     schedule=_KNOTS)
+    model = SignalModel(channels=(10, 20), source_var=0.5, noise_var=0.1, drift=spec)
+    t0, n = np.array(_KNOT_WINDOWS).T
+    stacked = tracking_reference(model, t0, n)
+    assert stacked.shape == (len(_KNOT_WINDOWS), 30, 1)
+    for ref, (t, k) in zip(stacked, _KNOT_WINDOWS):
+        one = tracking_reference(model, t, k)
+        assert one.shape == (30, 1)
+        assert np.linalg.norm(ref - one) <= 1e-12 * np.linalg.norm(one)
+    # consecutive windows of one length, as a tracking run asks for them
+    run = tracking_reference(model, 40 * np.arange(25), 40)
+    for i, ref in enumerate(run):
+        one = tracking_reference(model, 40 * i, 40)
+        assert np.linalg.norm(ref - one) <= 1e-12 * np.linalg.norm(one)
 
 
 def test_tracking_reference_without_noise_raises():
@@ -546,6 +571,10 @@ def test_unexpected_run_error_is_recorded(tmp_path, monkeypatch):
     assert study.failed == ((1, "KeyError: 'lost'"),)
     meta = yaml.safe_load((tmp_path / "out" / "study.meta").read_text())
     assert meta["failed_runs"] == [[1, "KeyError: 'lost'"]]
+    assert meta["failure_counts"] == {"KeyError": 1}
+    assert meta["environment"] == {
+        "python": platform.python_version(), "numpy": np.__version__,
+        "scipy": scipy.__version__, "cpu_count": os.cpu_count()}
     assert meta["completed_runs"] == 2
 
 

@@ -210,6 +210,32 @@ def test_drift_statistics_match_sample_adaptive_moments(schedule, t, n):
         assert np.all(np.abs(a.mean(axis=0) - b.mean(axis=0)) <= 5 * se)
 
 
+@pytest.mark.parametrize("schedule, t, n", [
+    (LambdaSchedule((0.0,), (0.0,)), 0, 2000),     # lambda = 0: A A^T has rank 1
+    (LambdaSchedule((0.0,), (1.0,)), 300, 2000),   # lambda = 1: the rows of A are equal
+    (RAMP, 60, 80),                                # a ramp
+    (RAMP, 120, 60),                               # the window straddles the knot at 150
+    (RAMP, 40, 20),                                # N - r < M: no Bartlett factor
+])
+def test_drift_statistics_draw_keeps_the_random_stream(schedule, t, n):
+    # same generator calls in the same order, same arithmetic: every value,
+    # the screen's decision and the generator state after each draw are
+    # bitwise those of the draw as first written
+    model = _drift_model(30, 0.3, schedule, seed=5)
+    ours, ref = np.random.default_rng(9), np.random.default_rng(9)
+    for _ in range(3):
+        got = sample_drift_statistics(model, t, n, ours)
+        want = oracles.drift_statistics_draw(model, t, n, ref)
+        assert np.array_equal(got.s, want.s)
+        assert np.array_equal(got.cov_y, want.cov_y)
+        assert np.array_equal(got.cross, want.cross)
+        assert got.target_power == want.target_power
+        assert got.cov_y_ill_conditioned == oracles.cholesky_screen(want.cov_y)
+        assert ours.bit_generator.state == ref.bit_generator.state
+    # N < M leaves W W^T rank deficient, so that case exercises the eigenvalue path
+    assert got.cov_y_ill_conditioned == (n < 30)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     m=st.integers(min_value=1, max_value=40),
@@ -231,6 +257,28 @@ def test_drift_statistics_property(m, n, ramp, t, log_vars, seed):
     assert np.isfinite(cov).all() and np.isfinite(cross).all()
     assert np.array_equal(cov, cov.T)
     assert np.linalg.eigvalsh(cov).min() >= -1e-12 * np.linalg.norm(cov, 2)
+
+
+_ROWS = np.random.default_rng(4).standard_normal((6, 9))
+
+
+@pytest.mark.parametrize("cov, decided", [
+    (np.array([[1.0, np.nan], [np.nan, 1.0]]), False),   # not finite
+    (np.array([[1.0, np.inf], [np.inf, 1.0]]), False),
+    (np.array([[1.0, 1.0], [1.0, 1.0]]), True),           # exactly singular
+    (np.zeros((3, 3)), True),
+    (np.array([[4.0]]), False),                           # 1 x 1
+    (np.array([[0.0]]), True),
+    (_ROWS @ _ROWS.T, False),                             # the Cholesky screen passes
+    (np.diag([1.0, 1e-13]), True),                        # it fails, the eigenvalues decide
+])
+def test_conditioning_screen_edge_cases(cov, decided):
+    m = cov.shape[0]
+    batch = SampleBatch.from_statistics((m,), np.ones((1, 3)), cov.copy(), np.zeros((m, 1)))
+    assert batch.cov_y_ill_conditioned == decided == oracles.cholesky_screen(cov)
+    # only a shifted copy is factorized: the frozen statistic is untouched
+    assert not batch.cov_y.flags.writeable
+    assert np.array_equal(batch.cov_y, cov, equal_nan=True)
 
 
 def test_statistics_batch_rejects_bad_shapes():
