@@ -22,6 +22,18 @@ and ``mix_sends``, with their row totals). The transport log stores those
 schedules as they are, one entry per stream, and expands them into
 per-send records only when queried.
 
+An iteration is plan-time work plus a step kernel. Plan-time work is done
+once per (graph, q, filter width): the tree, the layout, C's index arrays
+and a read-only template of C with its identity entries; and once per
+batch: the network-wide instance (``centralized_instance``) the local ones
+are compressed from, and the streams fused toward q. The kernel (``_step``)
+then issues only the numeric calls: the template's copy, the branch Grams,
+one dsyevd per compressed branch, the whitening, the congruence C^T R C
+and C^T B, the local solve and the lift C x_local, with the plan's sends
+logged around the solve. ``dasf_run`` resolves each node's plan the first
+time it visits the node and calls the kernel directly; ``dasf_step`` is
+validation, the same kernel and a StepInfo.
+
 The local-to-network change of coordinates is a tall sparse matrix C with
 one nonzero block per block row; its identities (local signals equal C^T
 times the network signals, the network filter equals C times the local one)
@@ -36,7 +48,7 @@ import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import SimpleNamespace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dsyevd
@@ -262,20 +274,29 @@ class LocalLayout:
     mix_rows: int
 
     @cached_property
+    def c_template(self) -> np.ndarray:
+        """C at full width with only its identity entries, at q's and each raw
+        branch's rows; made once per plan, read-only, and copied by every
+        step as the start of its C."""
+        own = self.own_channels
+        c = np.zeros((own + sum(seg.rows.size for seg in self.branches), self.local_dim))
+        c[self.own_rows, :own] = np.eye(own)
+        for seg in self.branches:
+            if seg.raw:
+                c[seg.rows, seg.cols] = np.eye(seg.width)
+        c.setflags(write=False)
+        return c
+
+    @cached_property
     def c_index(self) -> tuple[np.ndarray, ...]:
-        """Index arrays of C at full width, made once per plan: the flattened
-        C's identity entries at q's and the raw branches' rows; the compressed
+        """Index arrays of C at full width, made once per plan: the compressed
         rows, their flattened entries, each branch's first row, each row's branch."""
-        d, raw = self.local_dim, [seg for seg in self.branches if seg.raw]
-        mixed = [seg for seg in self.branches if not seg.raw]
-        ident_rows = np.concatenate([_arange(self.own_rows)] + [seg.rows for seg in raw])
-        ident_cols = np.concatenate([np.arange(self.own_channels)]
-                                    + [_arange(seg.cols) for seg in raw])
+        d, mixed = self.local_dim, [seg for seg in self.branches if not seg.raw]
         rows = np.concatenate([np.zeros(0, dtype=int)] + [seg.rows for seg in mixed])
         branch = np.repeat(np.arange(len(mixed)), [seg.rows.size for seg in mixed])
         cols = np.array([seg.offset for seg in mixed], dtype=int)[branch, None]
-        index = (ident_rows * d + ident_cols, rows[:, None] * d + cols + np.arange(self.n_filters),
-                 rows, np.flatnonzero(np.diff(branch, prepend=-1)), branch)
+        index = (rows[:, None] * d + cols + np.arange(self.n_filters), rows,
+                 np.flatnonzero(np.diff(branch, prepend=-1)), branch)
         for a in index:
             a.setflags(write=False)
         return index
@@ -359,19 +380,25 @@ def build_transition_matrix(graph: NetworkGraph, layout: LocalLayout,
     Gram directions with lambda <= GRAM_RTOL * lambda_max are dropped,
     which leaves that branch fewer than n_filters columns; C @ anchor then
     misses x only by the dropped directions.
+
+    C starts as a copy of the plan's identity template. One test, on each
+    Gram's smallest eigenvalue, decides whether every direction is kept;
+    only when one is dropped are the directions masked one by one.
     """
-    ident_flat, mixed_flat, rows, starts, branch = layout.c_index
-    c = np.zeros((graph.total_channels, layout.local_dim))
-    flat = c.reshape(-1)
-    flat[ident_flat] = 1.0
+    mixed_flat, rows, starts, branch = layout.c_index
+    c = layout.c_template.copy()
     if starts.size:
-        xc = x[rows]
+        xc = x.take(rows, axis=0)
         lam, vec = _branch_eigh(np.add.reduceat(xc[:, :, None] * xc[:, None, :], starts, axis=0))
-        keep = lam > GRAM_RTOL * lam[:, -1:]
-        # a dropped direction's column comes out zero, and every other is not
-        whiten = vec / np.sqrt(np.where(keep, lam, np.inf))[:, None, :]
-        flat[mixed_flat] = np.einsum("ij,ijk->ik", xc, whiten[branch])
-        if not keep[:, 0].all():   # eigenvalues ascend: the smallest goes first
+        # eigenvalues ascend: every direction is kept when each smallest is
+        kept = all(w[0] > GRAM_RTOL * w[-1] for w in lam.tolist())
+        if kept:
+            whiten = vec / np.sqrt(lam)[:, None, :]
+        else:
+            # a dropped direction's column comes out zero, and every other is not
+            whiten = vec / np.sqrt(np.where(lam > GRAM_RTOL * lam[:, -1:], lam, np.inf))[:, None, :]
+        c.reshape(-1)[mixed_flat] = np.einsum("ij,ijk->ik", xc, whiten.take(branch, axis=0))
+        if not kept:
             c = c[:, c.any(axis=0)]
     return c, c.T @ x
 
@@ -431,33 +458,13 @@ def dasf_step(problem: SfoProblem, graph: NetworkGraph, x: np.ndarray,
     mode "ti" prunes the (arbitrary connected) topology to a tree rooted at
     the updating node; mode "fc" additionally requires a fully connected
     network, whose pruned tree is its star. Both modes then take the exact
-    same code path.
+    same code path: the step kernel ``dasf_run`` runs every iteration through.
     """
     q = select_updating_node(iteration, graph.node_count)
-    if mode == "fc":
-        if not graph.is_complete():
-            raise ValueError("mode 'fc' requires a fully connected network")
-    elif mode != "ti":
-        raise ValueError(f"unknown mode '{mode}'")
+    _check_mode(graph, mode)
     tree, layout = _plan(graph, q, problem.n_filters)
-    instance, c = assemble_local_instance(problem, graph, layout, x, batch)
-    tx = 0
-    if log is not None:
-        # fusion toward q: the signal streams, then each term under stream
-        # "det:<name>" (exempt from the signal channel cap but counted)
-        streams = ["y", "v"] if problem.uses_second_stream else ["y"]
-        for stream in streams:
-            tx += log.add_sends(iteration, stream, batch.n_samples,
-                                layout.fusion_sends, layout.fusion_rows)
-        for name, b in instance.b_terms.items():
-            tx += log.add_sends(iteration, f"det:{name}", b.shape[1],
-                                layout.fusion_sends, layout.fusion_rows)
-    outcome = solve_instance(instance)
-    x_local = align_to_anchor(outcome.x, instance.anchor, problem.symmetry)
-    x_next = c @ x_local
-    if log is not None:
-        tx += log.add_sends(iteration, "mix", problem.n_filters,
-                            layout.mix_sends, layout.mix_rows)
+    x_next, c, instance, outcome, x_local, tx = _step(
+        graph, layout, *_batch_plan(problem, batch), x, iteration, log)
     info = StepInfo(
         node=q,
         tree=tree,
@@ -469,6 +476,48 @@ def dasf_step(problem: SfoProblem, graph: NetworkGraph, x: np.ndarray,
         tx_scalars=tx,
     )
     return x_next, info
+
+
+def _check_mode(graph: NetworkGraph, mode: str) -> None:
+    if mode == "fc":
+        if not graph.is_complete():
+            raise ValueError("mode 'fc' requires a fully connected network")
+    elif mode != "ti":
+        raise ValueError(f"unknown mode '{mode}'")
+
+
+def _batch_plan(problem: SfoProblem, batch: SampleBatch
+                ) -> tuple[CompressedInstance, tuple[tuple[str, int], ...]]:
+    """Per-batch work of the step: the network-wide instance every local one
+    is compressed from, and the (stream, columns) of each stream fused toward
+    q: the signal streams, then each term under stream "det:<name>" (exempt
+    from the signal channel cap but counted)."""
+    central = centralized_instance(problem, batch)
+    streams = ("y", "v") if problem.uses_second_stream else ("y",)
+    fused = tuple((stream, batch.n_samples) for stream in streams) + tuple(
+        (f"det:{name}", b.shape[1]) for name, b in central.b_terms.items())
+    return central, fused
+
+
+def _step(graph: NetworkGraph, layout: LocalLayout, central: CompressedInstance,
+          fused: tuple[tuple[str, int], ...], x: np.ndarray, iteration: int,
+          log: TransportLog | None, out: np.ndarray | None = None):
+    """The step kernel: C and the anchor, the compressed instance, the local
+    solve and the lift C x_local (into ``out`` when given), with the plan's
+    fusion sends logged before the solve and its mixing sends after. Returns
+    the next filter, C, the instance, the solve outcome, x_local and the
+    scalars logged."""
+    c, anchor = build_transition_matrix(graph, layout, x)
+    instance = central.compressed(c, anchor)
+    tx = 0
+    if log is not None:
+        for stream, cols in fused:
+            tx += log.add_sends(iteration, stream, cols, layout.fusion_sends, layout.fusion_rows)
+    outcome = solve_instance(instance)
+    x_local = align_to_anchor(outcome.x, anchor, central.problem.symmetry)
+    if log is not None:
+        tx += log.add_sends(iteration, "mix", layout.n_filters, layout.mix_sends, layout.mix_rows)
+    return np.matmul(c, x_local, out=out), c, instance, outcome, x_local, tx
 
 
 # graph -> {(root, n_filters): (tree, layout)}; weak keys drop a graph's
@@ -488,9 +537,9 @@ def _plan(graph: NetworkGraph, root: int, n_filters: int) -> tuple[PrunedTree, L
     return plans[key]
 
 
-@dataclass(frozen=True)
-class ConvergenceRecord:
-    """One row of a run's convergence table."""
+class ConvergenceRecord(NamedTuple):
+    """One row of a run's convergence table: an immutable named tuple, which
+    a run builds thousands of at a fraction of a frozen dataclass's cost."""
 
     run: int
     iteration: int
@@ -581,25 +630,36 @@ def dasf_run(problem: SfoProblem, graph: NetworkGraph, batch, n_iterations: int,
     if x.shape != (graph.total_channels, problem.n_filters):
         raise ValueError("x0 shape must be (total_channels, n_filters)")
 
+    _check_mode(graph, mode)
+
     log = TransportLog()
     # the trajectory, filled in place; x_history views it
     traj = np.empty((n_iterations + 1,) + x.shape)
     traj[0] = x
+    adaptive = callable(batch)
+    # plans resolve once per node the run visits, and a fixed batch's
+    # network-wide instance once per run
+    layouts: dict[int, LocalLayout] = {}
     # an adaptive run keeps each batch's statistics the objective reads, not
     # the batch, so its samples go when the next batch is drawn
     stats = None
     steps: list[tuple[int, int, int, int]] = []
     for i in range(n_iterations):
-        batch_i = batch(i) if callable(batch) else batch
-        x, info = dasf_step(problem, graph, x, batch_i, i, mode=mode, log=log)
-        traj[i + 1] = x
-        if callable(batch):
+        q = select_updating_node(i, graph.node_count)
+        batch_i = batch(i) if adaptive else batch
+        layout = layouts.get(q)
+        if layout is None:
+            layout = layouts[q] = _plan(graph, q, problem.n_filters)[1]
+        if adaptive or not i:
+            planned = _batch_plan(problem, batch_i)
+        x, _, instance, outcome, _, tx = _step(graph, layout, *planned, x, i, log, traj[i + 1])
+        if adaptive:
             if stats is None:
                 stats = {name: np.empty((n_iterations,) + np.shape(getattr(batch_i, name)))
                          for name in _objective_statistics(problem)}
             for name, stack in stats.items():
                 stack[i] = getattr(batch_i, name)
-        steps.append((info.node, info.tx_scalars, info.outcome.iterations, info.instance.dim))
+        steps.append((q, tx, outcome.iterations, instance.dim))
 
     # every record's figures in one evaluation over the stacked trajectory
     path = traj[1:]

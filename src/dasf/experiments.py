@@ -27,6 +27,7 @@ import logging
 import math
 import os
 import platform
+import time
 import warnings
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -511,6 +512,7 @@ class StudyResult:
     run_results: list[RunResult]
     run_indices: tuple[int, ...]
     failed: tuple[tuple[int, str], ...]
+    run_wall_s: tuple[float, ...]   # wall time of each completed run, in run_indices order
     epsilon: np.ndarray
     epsilon_median: np.ndarray
     epsilon_mean: np.ndarray
@@ -648,16 +650,17 @@ def _single_run(config: ExperimentConfig, variant: str, run_index: int,
     return result, eps_full
 
 
-def _run_worker(args) -> tuple[int, RunResult | None, np.ndarray | None, str | None]:
-    """One run; any error becomes that run's recorded failure, so the rest of
-    the study goes on."""
+def _run_worker(args) -> tuple[int, RunResult | None, np.ndarray | None, str | None, float]:
+    """One run and its wall time; any error becomes that run's recorded
+    failure, so the rest of the study goes on."""
     config, variant, run_index, seed_seq = args
+    start = time.perf_counter()
     try:
         result, eps = _single_run(config, variant, run_index, seed_seq)
-        return run_index, result, eps, None
+        return run_index, result, eps, None, time.perf_counter() - start
     except Exception as exc:
         logger.debug("run %d raised", run_index, exc_info=True)
-        return run_index, None, None, f"{type(exc).__name__}: {exc}"
+        return run_index, None, None, f"{type(exc).__name__}: {exc}", time.perf_counter() - start
 
 
 def _failure_counts(failed) -> dict[str, int]:
@@ -681,15 +684,17 @@ def _run_variant(config: ExperimentConfig) -> StudyResult:
 
     results: list[RunResult] = []
     indices: list[int] = []
+    walls: list[float] = []
     eps_rows: list[np.ndarray] = []
     failed: list[tuple[int, str]] = []
-    for idx, result, eps, error in outcomes:
+    for idx, result, eps, error, wall in outcomes:
         if error is not None:
             logger.warning("run %d failed: %s", idx, error)
             failed.append((idx, error))
             continue
         results.append(result)
         indices.append(idx)
+        walls.append(wall)
         eps_rows.append(eps)
     if not results:
         counts = ", ".join(f"{n} {name}" for name, n in _failure_counts(failed).items())
@@ -708,6 +713,7 @@ def _run_variant(config: ExperimentConfig) -> StudyResult:
         run_results=results,
         run_indices=tuple(indices),
         failed=tuple(failed),
+        run_wall_s=tuple(walls),
         epsilon=epsilon,
         epsilon_median=np.median(epsilon, axis=0),
         epsilon_mean=epsilon.mean(axis=0),
@@ -785,6 +791,7 @@ def write_study_outputs(study: StudyResult, out_dir: Path) -> None:
         "completed_runs": study.run_count,
         "failed_runs": [[idx, msg] for idx, msg in study.failed],
         "failure_counts": _failure_counts(study.failed),
+        "run_wall_s": list(study.run_wall_s),
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,

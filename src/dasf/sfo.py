@@ -24,6 +24,7 @@ Shipped families:
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar
@@ -411,24 +412,37 @@ def solve_mmse(instance: CompressedInstance) -> SolveOutcome:
     R is the batch covariance, r the batch cross-correlation with the target
     rows and load the instance's ridge (set by ``centralized_instance``). A
     non-finite, all-zero or singular R raises SolverError.
+
+    The solve runs first, behind one screen: finite sums of R and r prove
+    every entry finite, and a zero dgesv info a nonzero R. Only when the
+    screen or dgesv fails are the inputs checked one by one, in that order,
+    to name the cause. A ridge would hide an all-zero R, so a loaded
+    instance is checked before its ridge is added.
     """
-    if instance.cross is None:
+    cov, cross = instance.cov_y, instance.cross
+    if cross is None:
         raise SolverError("mmse needs target rows on the instance")
-    prob = instance.problem
-    if instance.cross.shape[1] != prob.n_filters:
+    if cross.shape[1] != instance.problem.n_filters:
         raise SolverError("target row count must equal n_filters")
-    cov = instance.cov_y
-    for name, a in (("covariance", cov), ("cross-correlation", instance.cross)):
+    if instance.load:
+        _check_mmse_inputs(cov, cross)
+        cov = cov + instance.load * np.eye(cov.shape[0])
+    _, _, x, info = dgesv(cov, cross)
+    if info or not (math.isfinite(instance.cov_y.sum()) and math.isfinite(cross.sum())):
+        _check_mmse_inputs(instance.cov_y, cross)
+        if info:
+            raise SolverError("mmse: covariance is singular")
+    # unconstrained: no residuals to check
+    return SolveOutcome(x=x, residuals=np.zeros(0), iterations=1)
+
+
+def _check_mmse_inputs(cov: np.ndarray, cross: np.ndarray) -> None:
+    """Raise the SolverError naming the first non-finite or all-zero input."""
+    for name, a in (("covariance", cov), ("cross-correlation", cross)):
         if not np.isfinite(a).all():
             raise SolverError(f"mmse: {name} has non-finite entries")
     if not cov.any():
         raise SolverError("mmse: covariance is all zero")
-    if instance.load:
-        cov = cov + instance.load * np.eye(cov.shape[0])
-    _, _, x, info = dgesv(cov, instance.cross)
-    if info:
-        raise SolverError("mmse: covariance is singular")
-    return _finalize(instance, x, iterations=1)
 
 
 def _secular_root(f: Callable[[float], float], start: float,

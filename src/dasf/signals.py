@@ -28,6 +28,7 @@ when N - r < M the last two are replaced by M x (N - r) normals.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from functools import cached_property
 import math
@@ -74,6 +75,25 @@ class LambdaSchedule:
 
     def __call__(self, t):
         return np.interp(t, self.times, self.values)
+
+    def constant_value(self, first: float, last: float) -> float | None:
+        """The value lambda takes at every t in [first, last] when that span
+        lies in one constant piece (before the first knot, past the last, or
+        between knots of one value), else None. A -0.0 knot never counts as
+        constant: interpolation may turn it into 0.0 between knots, and the
+        value returned equals ``self(t)`` bit for bit."""
+        # knots lo..hi decide lambda on the span: the last one at or before
+        # first, up to the first one past last, or the last one at last when
+        # last sits on a knot or past the final one
+        times = self.times
+        lo = max(bisect.bisect_right(times, first) - 1, 0)
+        hi = bisect.bisect_right(times, last)
+        if hi == len(times) or (hi and times[hi - 1] == last):
+            hi -= 1
+        v = self.values[lo]
+        if all(w == v and math.copysign(1.0, w) > 0 for w in self.values[lo:hi + 1]):
+            return v
+        return None
 
     def window_means(self, t0, n):
         """Means of lambda and lambda^2 over the n integer times t0 .. t0+n-1,
@@ -335,7 +355,10 @@ def sample_drift_statistics(model: SignalModel, t: int, n_samples: int,
     s = a[:1]
     rng.standard_normal(out=s)
     s *= math.sqrt(model.source_var)
-    np.multiply(drift.schedule(np.arange(t, t + n)), s[0], out=a[1])
+    # lambda at the window's times, or its value when the window sits in one
+    # constant piece of the schedule (the same products either way)
+    lam = drift.schedule.constant_value(t, t + n - 1)
+    np.multiply(drift.schedule(np.arange(t, t + n)) if lam is None else lam, s[0], out=a[1])
     aat = a @ a.T
     sig2, v, info = dsyevd(aat, lower=1)
     if info:

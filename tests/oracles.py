@@ -13,18 +13,30 @@ statistics-domain engine can be held to it. It uses the library's tree and
 layout, but derives its per-node channel counts and raw stacks from the
 tree itself. The drift statistics draw and the conditioning screen are kept
 in their first written form, so that the library's faster forms are held to
-the same random stream and the same decisions.
+the same random stream and the same decisions. The statistics-domain step
+loop is kept the same way (``frozen_dasf_run``): the transition matrix built
+by zero-fill and scatters, and one ``dasf_step``-shaped call per iteration
+with the mmse solve's checks ahead of its LAPACK call, so that the engine's
+planned step kernel is held bitwise to the same trajectory, records and log.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg as sla
 from scipy.optimize import minimize
 
+from scipy.linalg.lapack import dgesv, dsyevd
+
 from dasf.engine import (
     GRAM_RTOL,
+    ConvergenceRecord,
+    RunResult,
+    TransportLog,
     TransportRecord,
+    normalized_error,
     plan_local_layout,
     select_updating_node,
 )
@@ -33,7 +45,13 @@ from dasf.sfo import (
     COND_LIMIT,
     DIAG_LOAD,
     CompressedInstance,
+    SolveOutcome,
+    SolverError,
     align_to_anchor,
+    centralized_instance,
+    check_constraint_bound,
+    constraint_residuals,
+    evaluate_objective,
     solve_instance,
 )
 from dasf.signals import (
@@ -415,3 +433,154 @@ def cholesky_screen(r: np.ndarray) -> bool:
         pass
     mag = np.abs(np.linalg.eigvalsh(r))
     return not mag.min() > 0.0 or mag.max() / mag.min() > COND_LIMIT
+
+
+# ---------------------------------------------------------------------------
+# the statistics-domain step loop as first planned
+
+
+def frozen_transition_matrix(graph, layout, x):
+    """C and the anchor C^T x as first built: a zero-filled C, the identity
+    entries and the whitened compressed rows scattered into it through
+    flattened indices, and every Gram direction masked by its keep test
+    (see ``dasf.engine.build_transition_matrix`` for the map itself)."""
+    d = layout.local_dim
+    raw = [seg for seg in layout.branches if seg.raw]
+    mixed = [seg for seg in layout.branches if not seg.raw]
+    own = np.arange(layout.own_rows.start, layout.own_rows.stop)
+    ident_rows = np.concatenate([own] + [seg.rows for seg in raw])
+    ident_cols = np.concatenate([np.arange(layout.own_channels)]
+                                + [np.arange(seg.offset, seg.offset + seg.width) for seg in raw])
+    rows = np.concatenate([np.zeros(0, dtype=int)] + [seg.rows for seg in mixed])
+    branch = np.repeat(np.arange(len(mixed)), [seg.rows.size for seg in mixed])
+    starts = np.flatnonzero(np.diff(branch, prepend=-1))
+    cols = np.array([seg.offset for seg in mixed], dtype=int)[branch, None]
+    mixed_flat = rows[:, None] * d + cols + np.arange(layout.n_filters)
+
+    c = np.zeros((graph.total_channels, d))
+    flat = c.reshape(-1)
+    flat[ident_rows * d + ident_cols] = 1.0
+    if starts.size:
+        xc = x[rows]
+        grams = np.add.reduceat(xc[:, :, None] * xc[:, None, :], starts, axis=0)
+        lam = np.empty(grams.shape[:2])
+        vec = np.empty(grams.shape)
+        for b, g in enumerate(grams):
+            lam[b], vec[b], info = dsyevd(g, lower=1)
+            if info:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        keep = lam > GRAM_RTOL * lam[:, -1:]
+        whiten = vec / np.sqrt(np.where(keep, lam, np.inf))[:, None, :]
+        flat[mixed_flat] = np.einsum("ij,ijk->ik", xc, whiten[branch])
+        if not keep[:, 0].all():
+            c = c[:, c.any(axis=0)]
+    return c, c.T @ x
+
+
+def _frozen_compressed(central, c, anchor):
+    """``CompressedInstance.compressed`` as first written."""
+    def congruence(r):
+        t = c.T @ (r @ c)
+        return 0.5 * (t + t.T)
+
+    return CompressedInstance(
+        problem=central.problem,
+        cov_y=congruence(central.cov_y),
+        cov_v=None if central.cov_v is None else congruence(central.cov_v),
+        cross=None if central.cross is None else c.T @ central.cross,
+        target_power=central.target_power,
+        b_terms={name: c.T @ b for name, b in central.b_terms.items()},
+        load=central.load,
+        anchor=anchor,
+    )
+
+
+def _frozen_solve(instance):
+    """The local solve as first written: for mmse every input check runs
+    ahead of dgesv; the other families go to the library's solver."""
+    if instance.problem.kind != "mmse":
+        return solve_instance(instance)
+    cov = instance.cov_y
+    for name, a in (("covariance", cov), ("cross-correlation", instance.cross)):
+        if not np.isfinite(a).all():
+            raise SolverError(f"mmse: {name} has non-finite entries")
+    if not cov.any():
+        raise SolverError("mmse: covariance is all zero")
+    if instance.load:
+        cov = cov + instance.load * np.eye(cov.shape[0])
+    _, _, x, info = dgesv(cov, instance.cross)
+    if info:
+        raise SolverError("mmse: covariance is singular")
+    return SolveOutcome(x=x, residuals=instance.residuals(x), iterations=1)
+
+
+def frozen_dasf_run(problem, graph, batch, n_iterations, mode="ti", x0=None,
+                    rng_seed=None, reference=None, run_index=0):
+    """``dasf.dasf_run`` as first planned: every iteration prunes and plans
+    afresh, builds the network-wide instance from its batch, assembles the
+    compressed one with ``frozen_transition_matrix``, logs its sends and
+    solves; the records are evaluated over the stacked trajectory after the
+    loop, as the library does."""
+    check_constraint_bound(problem, graph)
+    rng = np.random.default_rng(rng_seed)
+    if x0 is None:
+        x0 = problem.random_feasible(graph.total_channels, rng)
+    x = np.asarray(x0, dtype=float)
+    log = TransportLog()
+    traj = np.empty((n_iterations + 1,) + x.shape)
+    traj[0] = x
+    read = (("cov_y",) + (("cov_v",) if problem.uses_second_stream else ())
+            + (("cross", "target_power") if problem.uses_target else ()))
+    stats = None
+    steps = []
+    for i in range(n_iterations):
+        batch_i = batch(i) if callable(batch) else batch
+        q = select_updating_node(i, graph.node_count)
+        if mode == "fc" and not graph.is_complete():
+            raise ValueError("mode 'fc' requires a fully connected network")
+        layout = plan_local_layout(prune_to_tree(graph, q), graph, problem.n_filters)
+        c, anchor = frozen_transition_matrix(graph, layout, x)
+        instance = _frozen_compressed(centralized_instance(problem, batch_i), c, anchor)
+        tx = 0
+        streams = ["y", "v"] if problem.uses_second_stream else ["y"]
+        for stream in streams:
+            tx += log.add_sends(i, stream, batch_i.n_samples,
+                                layout.fusion_sends, layout.fusion_rows)
+        for name, b in instance.b_terms.items():
+            tx += log.add_sends(i, f"det:{name}", b.shape[1],
+                                layout.fusion_sends, layout.fusion_rows)
+        outcome = _frozen_solve(instance)
+        x_local = align_to_anchor(outcome.x, instance.anchor, problem.symmetry)
+        x = c @ x_local
+        tx += log.add_sends(i, "mix", problem.n_filters, layout.mix_sends, layout.mix_rows)
+        traj[i + 1] = x
+        if callable(batch):
+            if stats is None:
+                stats = {name: np.empty((n_iterations,) + np.shape(getattr(batch_i, name)))
+                         for name in read}
+            for name, stack in stats.items():
+                stack[i] = getattr(batch_i, name)
+        steps.append((q, tx, outcome.iterations, instance.dim))
+
+    path = traj[1:]
+    source = batch if stats is None else SimpleNamespace(**stats)
+    objective = evaluate_objective(problem, path, source) if n_iterations else np.zeros(0)
+    max_residual = np.max(constraint_residuals(problem, path), axis=-1, initial=0.0)
+    ref_fixed = None
+    if reference is None:
+        eps = np.full(n_iterations, np.nan)
+    elif callable(reference):
+        refs = np.array([reference(i) for i in range(n_iterations)]).reshape(path.shape)
+        eps = normalized_error(path, refs)
+    else:
+        ref_fixed = align_to_anchor(np.asarray(reference, dtype=float), traj[-1],
+                                    problem.symmetry)
+        eps = normalized_error(path, ref_fixed)
+    records = [
+        ConvergenceRecord(run=run_index, iteration=i, node=node, objective=f, epsilon=e,
+                          max_residual=r, tx_samples=tx, solver_iters=it, local_dim=dim)
+        for i, ((node, tx, it, dim), f, e, r) in enumerate(
+            zip(steps, objective.tolist(), eps.tolist(), max_residual.tolist()))
+    ]
+    return RunResult(records=records, x_history=tuple(traj), transport=log,
+                     reference=ref_fixed)

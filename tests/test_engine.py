@@ -1,6 +1,7 @@
 import csv
 import gc
 import weakref
+import zlib
 
 import numpy as np
 import pytest
@@ -377,8 +378,112 @@ def test_fc_mode_rejects_incomplete_graph():
     prob = MmseProblem(n_filters=1)
     batch = _random_batch(graph, 50, rng, s_rows=1)
     x0 = prob.random_feasible(6, rng)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^mode 'fc' requires a fully connected network$"):
         dasf_step(prob, graph, x0, batch, iteration=0, mode="fc")
+    with pytest.raises(ValueError, match="^mode 'fc' requires a fully connected network$"):
+        dasf_run(prob, graph, batch, 3, mode="fc", x0=x0)
+    with pytest.raises(ValueError, match="^unknown mode 'xx'$"):
+        dasf_step(prob, graph, x0, batch, iteration=0, mode="xx")
+
+
+# ---------------------------------------------------------------------------
+# the planned step kernel against the step loop as first planned
+
+
+def _kernel_case(kind, topology, q, rng):
+    """A problem, graph, batch list and feasible x0 for the equality tests:
+    trees carry 1 or 2 channels per node, so Q = 3 plans raw branches."""
+    if topology == "tree":
+        graph = make_random_tree(7, [1 + k % 2 for k in range(7)], rng_seed=rng)
+    elif topology == "er":
+        graph = make_erdos_renyi(10, 3, 0.4, rng)
+    else:
+        graph = make_fully_connected(4, 2)
+    m = graph.total_channels
+    if kind == "mmse":
+        prob = MmseProblem(n_filters=q)
+    elif kind == "tro":
+        prob = TroProblem(n_filters=q)
+    elif kind == "qcqp":
+        prob = _qcqp(m, q, rng)
+    else:
+        prob = ScqpProblem(n_filters=q, linear_term=rng.standard_normal((m, q)))
+    batches = [_random_batch(graph, 80, rng, with_v=kind == "tro", s_rows=q if kind == "mmse" else 0)
+               for _ in range(3)]
+    return prob, graph, batches, prob.random_feasible(m, rng)
+
+
+def _assert_runs_bitwise_equal(run, frozen):
+    assert len(run.x_history) == len(frozen.x_history)
+    for a, b in zip(run.x_history, frozen.x_history):
+        assert np.array_equal(a, b)
+    # every field, by its bits, so that NaN epsilons compare equal
+    for r, f in zip(run.records, frozen.records):
+        assert type(r) is type(f)
+        assert [np.float64(v).tobytes() for v in r] == [np.float64(v).tobytes() for v in f]
+    assert len(run.records) == len(frozen.records)
+    assert run.transport.scalars() == frozen.transport.scalars()
+    assert run.transport.sent() == frozen.transport.sent()
+    assert (run.reference is None) == (frozen.reference is None)
+    if run.reference is not None:
+        assert np.array_equal(run.reference, frozen.reference)
+
+
+@pytest.mark.parametrize("q", [1, 3])
+@pytest.mark.parametrize("topology", ["tree", "er", "fc"])
+@pytest.mark.parametrize("kind", ["mmse", "qcqp", "tro", "scqp"])
+def test_run_is_bitwise_the_frozen_step_loop(kind, topology, q):
+    # fixed batch with a fixed reference, then a callable batch (a fresh
+    # batch per iteration) with a callable reference
+    rng = np.random.default_rng(zlib.crc32(f"{kind}-{topology}-{q}".encode()))
+    prob, graph, batches, x0 = _kernel_case(kind, topology, q, rng)
+    mode = "fc" if topology == "fc" else "ti"
+    n = 2 * graph.node_count + 1
+    reference = solve_centralized(prob, batches[0]).x
+    for batch, ref in ((batches[0], reference),
+                       (lambda i: batches[i % 3], lambda i: (1.0 + i) * reference)):
+        kwargs = dict(mode=mode, x0=x0, reference=ref, run_index=4)
+        run = dasf_run(prob, graph, batch, n, **kwargs)
+        _assert_runs_bitwise_equal(run, oracles.frozen_dasf_run(prob, graph, batch, n, **kwargs))
+
+
+@pytest.mark.parametrize("kind", ["mmse", "scqp"])
+def test_run_is_bitwise_the_frozen_step_loop_with_a_dropped_direction(kind):
+    # two equal columns on the rows of nodes 3 and 4: the Gram of that
+    # branch has rank 1 of 2 when node 2 updates, so the masked path runs
+    rng = np.random.default_rng(60)
+    graph = make_path(4, 2)
+    prob = (MmseProblem(n_filters=2) if kind == "mmse"
+            else ScqpProblem(n_filters=2, linear_term=rng.standard_normal((8, 2))))
+    batch = _random_batch(graph, 80, rng, s_rows=2 if kind == "mmse" else 0)
+    x0 = rng.standard_normal((8, 2))
+    x0[4:, 1] = x0[4:, 0]
+    x0 /= np.sqrt(np.sum(x0 * x0))      # on the unit sphere, for scqp
+    run = dasf_run(prob, graph, batch, 9, x0=x0)
+    _assert_runs_bitwise_equal(run, oracles.frozen_dasf_run(prob, graph, batch, 9, x0=x0))
+    full = plan_local_layout(prune_to_tree(graph, 2), graph, 2).local_dim
+    assert run.records[1].node == 2 and run.records[1].local_dim < full
+
+
+def test_transition_matrix_is_bitwise_the_frozen_one():
+    # every node of three topologies, at a generic point and at one whose
+    # branch Grams drop directions
+    rng = np.random.default_rng(61)
+    dropped = 0
+    for graph in (make_random_tree(8, [1 + k % 3 for k in range(8)], rng_seed=rng),
+                  make_erdos_renyi(7, 2, 0.4, rng), make_fully_connected(4, 3)):
+        for q in (1, 2, 3):
+            x = rng.standard_normal((graph.total_channels, q))
+            deficient = x.copy()
+            deficient[:, -1] = deficient[:, 0]
+            for node in graph.nodes:
+                layout = plan_local_layout(prune_to_tree(graph, node), graph, q)
+                for point in (x, deficient):
+                    c, anchor = build_transition_matrix(graph, layout, point)
+                    c_ref, anchor_ref = oracles.frozen_transition_matrix(graph, layout, point)
+                    assert np.array_equal(c, c_ref) and np.array_equal(anchor, anchor_ref)
+                dropped += c.shape[1] < layout.local_dim
+    assert dropped and not layout.c_template.flags.writeable
 
 
 # ---------------------------------------------------------------------------

@@ -576,6 +576,18 @@ def test_unexpected_run_error_is_recorded(tmp_path, monkeypatch):
         "python": platform.python_version(), "numpy": np.__version__,
         "scipy": scipy.__version__, "cpu_count": os.cpu_count()}
     assert meta["completed_runs"] == 2
+    # one wall time per completed run, none for the failed one
+    assert len(meta["run_wall_s"]) == 2 and meta["run_wall_s"] == list(study.run_wall_s)
+    assert all(isinstance(w, float) and w >= 0.0 for w in meta["run_wall_s"])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_meta_lists_one_wall_time_per_completed_run(tmp_path, workers):
+    run_study(validate_config(_study_raw(tmp_path, monte_carlo_runs=3, workers=workers)))
+    meta = yaml.safe_load((tmp_path / "out" / "study.meta").read_text())
+    walls = meta["run_wall_s"]
+    assert meta["completed_runs"] == 3 and len(walls) == 3
+    assert all(isinstance(w, float) and w >= 0.0 for w in walls)
 
 
 def test_study_whose_runs_all_fail_raises_typed_error(tmp_path, monkeypatch):

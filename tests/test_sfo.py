@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -145,6 +146,35 @@ def test_mmse_exactly_singular_covariance_raises():
                                   cov_y=np.array([[1.0, 1.0], [1.0, 1.0]]),
                                   cross=np.array([[1.0], [0.5]]), target_power=1.0, load=0.0)
     with pytest.raises(SolverError, match="mmse: covariance is singular"):
+        solve_mmse(instance)
+
+
+_NAN_COV = np.array([[1.0, np.nan], [np.nan, 1.0]])
+_INF_DIAG_COV = np.array([[np.inf, 0.0], [0.0, 1.0]])   # dgesv returns a finite x here
+_ZERO_COV = np.zeros((2, 2))
+_GOOD_COV = np.array([[2.0, 0.5], [0.5, 1.0]])
+_INF_CROSS = np.array([[1.0], [np.inf]])
+_GOOD_CROSS = np.array([[1.0], [0.5]])
+
+
+@pytest.mark.parametrize("cov, cross, load, message", [
+    (_ZERO_COV, _GOOD_CROSS, 0.0, "mmse: covariance is all zero"),
+    (_ZERO_COV, _GOOD_CROSS, 1e-3, "mmse: covariance is all zero"),
+    (_NAN_COV, _GOOD_CROSS, 0.0, "mmse: covariance has non-finite entries"),
+    (_INF_DIAG_COV, _GOOD_CROSS, 0.0, "mmse: covariance has non-finite entries"),
+    (_GOOD_COV, _INF_CROSS, 0.0, "mmse: cross-correlation has non-finite entries"),
+    (_GOOD_COV, _INF_CROSS, 1e-3, "mmse: cross-correlation has non-finite entries"),
+    (np.ones((2, 2)), _GOOD_CROSS, 0.0, "mmse: covariance is singular"),
+    # several causes at once: named in the order the checks have always run
+    (_NAN_COV, _INF_CROSS, 0.0, "mmse: covariance has non-finite entries"),
+    (_ZERO_COV, _INF_CROSS, 0.0, "mmse: cross-correlation has non-finite entries"),
+])
+def test_mmse_input_errors_keep_their_messages(cov, cross, load, message):
+    # the solve runs ahead of the input checks, which name the cause only
+    # when its screen or dgesv fails; the messages stay those of the checks
+    instance = CompressedInstance(problem=MmseProblem(n_filters=1), cov_y=cov, cross=cross,
+                                  target_power=1.0, load=load)
+    with pytest.raises(SolverError, match=f"^{re.escape(message)}$"):
         solve_mmse(instance)
 
 

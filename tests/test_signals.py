@@ -141,6 +141,7 @@ def _drift_model(m, noise_var, schedule, seed=0, source_var=0.5, scale=0.5, delt
 
 
 RAMP = LambdaSchedule((50.0, 150.0), (0.2, 0.9))
+STEPS = LambdaSchedule((50.0, 100.0, 150.0), (0.3, 0.3, 0.8))
 
 
 @pytest.mark.parametrize("t, n", [(0, 30), (40, 200), (149, 1)])
@@ -216,6 +217,12 @@ def test_drift_statistics_match_sample_adaptive_moments(schedule, t, n):
     (RAMP, 60, 80),                                # a ramp
     (RAMP, 120, 60),                               # the window straddles the knot at 150
     (RAMP, 40, 20),                                # N - r < M: no Bartlett factor
+    # windows in one constant piece fill lambda from the knot value
+    (STEPS, 0, 40),                                # before the first knot
+    (STEPS, 55, 40),                               # between two equal knots
+    (STEPS, 200, 60),                              # past the last knot
+    (RAMP, 30, 21),                                # ending exactly at a knot
+    (RAMP, 150, 40),                               # starting exactly at a knot
 ])
 def test_drift_statistics_draw_keeps_the_random_stream(schedule, t, n):
     # same generator calls in the same order, same arithmetic: every value,
@@ -234,6 +241,34 @@ def test_drift_statistics_draw_keeps_the_random_stream(schedule, t, n):
         assert ours.bit_generator.state == ref.bit_generator.state
     # N < M leaves W W^T rank deficient, so that case exercises the eigenvalue path
     assert got.cov_y_ill_conditioned == (n < 30)
+
+
+@pytest.mark.parametrize("schedule", [
+    RAMP, STEPS,
+    LambdaSchedule((0.0,), (0.0,)),
+    LambdaSchedule((30.0, 30.0, 70.0), (0.0, 1.0, 1.0)),        # a jump at 30
+    LambdaSchedule((20.0, 40.0, 60.0), (-0.0, 0.0, 0.5)),        # a -0.0 knot
+    LambdaSchedule((10.5, 20.5, 40.0), (0.6, 0.6, 0.1)),         # knots between samples
+])
+def test_schedule_constant_value_equals_interpolation(schedule):
+    # wherever a window gets a constant value it is lambda at every one of
+    # its times, bit for bit
+    constant = 0
+    for first in range(0, 200, 3):
+        for n in (1, 2, 5, 17, 40, 90):
+            last = first + n - 1
+            value = schedule.constant_value(first, last)
+            lam = schedule(np.arange(first, last + 1))
+            if value is not None:
+                constant += 1
+                assert np.array_equal(np.full(n, value), lam)
+                assert not np.signbit(lam).any()
+    assert constant
+    # windows that sit in one constant piece get its value, knots included
+    assert RAMP.constant_value(30, 50) == 0.2 and RAMP.constant_value(150, 189) == 0.9
+    assert RAMP.constant_value(50, 79) is None and STEPS.constant_value(55, 94) == 0.3
+    assert STEPS.constant_value(0, 39) == 0.3 and STEPS.constant_value(200, 259) == 0.8
+    assert STEPS.constant_value(100, 120) is None
 
 
 @settings(max_examples=40, deadline=None)
