@@ -73,7 +73,6 @@ __all__ = [
     "LocalLayout",
     "plan_local_layout",
     "build_transition_matrix",
-    "assemble_local_instance",
     "dasf_step",
     "dasf_run",
     "StepInfo",
@@ -414,21 +413,6 @@ def _branch_eigh(grams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if info:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
     return lam, vec
-
-
-def assemble_local_instance(problem: SfoProblem, graph: NetworkGraph,
-                            layout: LocalLayout, x: np.ndarray,
-                            batch: SampleBatch) -> tuple[CompressedInstance, np.ndarray]:
-    """Build the compressed instance the updating node solves, plus the
-    transition matrix C it implies.
-
-    The instance is the network-wide one through C: C^T R C from the
-    batch's cached statistics and C^T B for the deterministic terms, which
-    is what fusing the streams and terms up the tree and whitening each
-    compressed branch yields.
-    """
-    c, anchor = build_transition_matrix(graph, layout, x)
-    return centralized_instance(problem, batch).compressed(c, anchor), c
 
 
 # --------------------------------------------------------------------------

@@ -5,11 +5,11 @@ versioned by a top-level ``schema_version: 1`` key) with five sections:
 problem, network, signals, run, output. ``validate_config`` turns the raw
 mapping into a frozen ExperimentConfig, collecting one error per violated
 field; ``ExperimentConfig.with_overrides`` checks a CLI override by the rule
-of its config key. ``run_study`` executes the Monte-Carlo loop, computes a
-reference per run, and writes per-run CSVs, an aggregate CSV (with the drift
-weight as a ``lambda`` column in tracking studies), a resolved config echo,
-and a gnuplot script for the error curves. A study whose every run fails
-raises StudyFailedError.
+of its config key. Both read one rule table, ``_RULES``. ``run_study``
+executes the Monte-Carlo loop, computes a reference per run, and writes
+per-run CSVs, an aggregate CSV (with the drift weight as a ``lambda`` column
+in tracking studies), a resolved config echo, and a gnuplot script for the
+error curves. A study whose every run fails raises StudyFailedError.
 
 Tracking studies (a drift schedule, adaptive mode) draw each iteration's
 batch as its second-order statistics (``sample_drift_statistics``), exactly
@@ -27,12 +27,14 @@ import logging
 import math
 import os
 import platform
+import sys
 import time
 import warnings
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy
@@ -151,22 +153,18 @@ class ExperimentConfig:
     def with_overrides(self, seed=None, runs=None, iterations=None,
                        out_dir=None, sample_mode=None) -> "ExperimentConfig":
         """CLI-flag overrides; None keeps the configured value. A value
-        passes the rule its run key passes in validate_config."""
+        passes the rule of its run key in _RULES, as in validate_config."""
         given = {"seed": seed, "monte_carlo_runs": runs, "iterations": iterations,
                  "mode": sample_mode}
+        given = {key: value for key, value in given.items() if value is not None}
+        rules = {key: _RULES["run"][key] for key in given}
         errors: list[str] = []
-        run = _Section("run", {k: v for k, v in given.items() if v is not None}, errors, [])
-        taken = {key: run.take(key, **_RUN_RULES[key]) for key in run.data}
+        taken = _read_section("run", given, rules, errors, [])
         if errors:
             raise ConfigError(errors)
         cfg = dataclasses.replace(
-            self,
-            seed=taken.get("seed", self.seed),
-            runs=taken.get("monte_carlo_runs", self.runs),
-            iterations=taken.get("iterations", self.iterations),
-            sample_mode=taken.get("mode", self.sample_mode),
-            out_dir=self.out_dir if out_dir is None else str(out_dir),
-        )
+            self, **{rules[key].field: value for key, value in taken.items()},
+            out_dir=self.out_dir if out_dir is None else str(out_dir))
         _check_semantics(cfg)
         return cfg
 
@@ -207,63 +205,32 @@ def load_config(path) -> dict:
     return raw
 
 
-class _Section:
-    """One config section with path-prefixed error collection."""
+class _Rule(NamedTuple):
+    """How validate_config reads one config key."""
 
-    def __init__(self, name: str, data, errors: list[str], defaults: list[str]):
-        self.name = name
-        self.data = data if isinstance(data, dict) else {}
-        self.errors = errors
-        self.defaults = defaults
-        self.seen: set[str] = set()
-        if data is not None and not isinstance(data, dict):
-            errors.append(f"{name}: must be a mapping")
-
-    def take(self, key, default=None, required=False, kind=None, check=None,
-             note_default=False):
-        self.seen.add(key)
-        if key not in self.data:
-            if required:
-                self.errors.append(f"{self.name}.{key}: required, no default")
-                return None
-            if note_default:
-                self.defaults.append(f"{self.name}.{key} = {default!r}")
-            return default
-        value = self.data[key]
-        if kind is not None:
-            value = _coerce(value, kind, f"{self.name}.{key}", self.errors)
-            if value is None:
-                return None
-        if check is not None:
-            message = check(value)
-            if message:
-                self.errors.append(f"{self.name}.{key}: {message}")
-                return None
-        return value
-
-    def reject_unknown(self):
-        for key in self.data:
-            if key not in self.seen:
-                self.errors.append(f"{self.name}.{key}: unknown key")
+    field: str | None          # the ExperimentConfig field it fills; None: a cross-check only
+    kind: type | None = None   # int, float or str; None takes the value as it is
+    default: object = None
+    required: bool = False
+    check: Callable[[object], str | None] | None = None   # the error message, or None
+    logged: bool = False       # an applied default is listed in applied_defaults
+    nested: dict[str, _Rule] | None = None   # the rules of a nested mapping's keys
 
 
-def _coerce(value, kind, path, errors):
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            errors.append(f"{path}: expected an integer, got {value!r}")
-            return None
-        return value
+def _coerce(value, kind):
+    """The value as the rule's kind, and None; or None and what is wrong."""
+    if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
+        return None, f"expected an integer, got {value!r}"
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            errors.append(f"{path}: expected a number, got {value!r}")
-            return None
-        return float(value)
-    if kind is str:
-        if not isinstance(value, str):
-            errors.append(f"{path}: expected a string, got {value!r}")
-            return None
-        return value
-    raise AssertionError(kind)
+            return None, f"expected a number, got {value!r}"
+        # false for inf and nan, and for an integer beyond the float range
+        if not abs(value) <= sys.float_info.max:
+            return None, f"expected a finite number, got {value!r}"
+        return float(value), None
+    if kind is str and not isinstance(value, str):
+        return None, f"expected a string, got {value!r}"
+    return value, None
 
 
 def _positive(v):
@@ -272,6 +239,11 @@ def _positive(v):
 
 def _non_negative(v):
     return None if v >= 0 else f"must not be negative, got {v}"
+
+
+def _kind_of(kinds):
+    return lambda v: (None if v in kinds
+                      else f"unknown kind {v!r}, expected one of {', '.join(kinds)}")
 
 
 def _sample_mode(v):
@@ -299,14 +271,16 @@ def _filter_widths(v):
 
 
 def _schedule(v):
-    """[[iteration, weight], ...], with the ordering and range rules of
-    LambdaSchedule."""
+    """[[iteration, weight], ...] of finite numbers, with the ordering and
+    range rules of LambdaSchedule."""
     if not isinstance(v, list) or not v:
         return "required, a non-empty list of [iteration, weight] pairs"
     for item in v:
         if (not isinstance(item, list) or len(item) != 2
                 or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in item)):
             return f"entries must be [iteration, weight] pairs, got {item!r}"
+        if not all(abs(x) <= sys.float_info.max for x in item):
+            return f"entries must be finite numbers, got {item!r}"
     try:
         LambdaSchedule(*zip(*v))
     except ValueError as exc:
@@ -314,21 +288,88 @@ def _schedule(v):
     return None
 
 
-# the rules of the run keys a CLI flag overrides, which validate_config and
-# ExperimentConfig.with_overrides apply alike
-_RUN_RULES = {
-    "monte_carlo_runs": {"kind": int, "check": _positive},
-    "iterations": {"kind": int, "check": _non_negative},
-    "mode": {"kind": str, "check": _sample_mode},
-    "seed": {"kind": int, "check": _non_negative},
+# Every config key, by section: the one statement of its field, kind,
+# default, requiredness, check and default logging. validate_config reads
+# every section by these rules, ExperimentConfig.with_overrides the run keys
+# a CLI flag gives. A section holding a required key is itself required.
+_RULES: dict[str, dict[str, _Rule]] = {
+    "problem": {
+        "kind": _Rule("problem_kind", str, required=True, check=_kind_of(PROBLEM_KINDS)),
+        "n_filters": _Rule("filter_widths", required=True, check=_filter_widths),
+        "term_seed": _Rule("term_seed", int, 0, check=_non_negative),
+        "radius_scale": _Rule("radius_scale", float, 1.5, check=lambda v: None if v >= 1.0
+                              else "must be at least 1 so the response plane meets the ball"),
+    },
+    "network": {
+        "kind": _Rule("topology", str, required=True, check=_kind_of(TOPOLOGY_KINDS)),
+        "nodes": _Rule("nodes", int, required=True, check=_positive),
+        "channels": _Rule("channels", required=True, check=_positive_ints),
+        "total_channels": _Rule(None, int),
+        "edge_prob": _Rule("edge_prob", float, check=lambda v: None if 0.0 < v <= 1.0
+                           else f"must be in (0, 1], got {v}"),
+        "graph_seed": _Rule("graph_seed", int, check=_non_negative),
+    },
+    "signals": {
+        "sources": _Rule("sources", int, check=_positive),
+        "interferers": _Rule("interferers", int, check=_positive),
+        "source_var": _Rule("source_var", float, 0.5, check=_positive, logged=True),
+        "noise_var": _Rule("noise_var", float, 0.1, check=_positive, logged=True),
+        "mix_scale": _Rule("mix_scale", float, 0.5, check=_positive, logged=True),
+        "drift": _Rule("drift", nested={
+            "delta_std": _Rule("delta_std", float, 0.5, check=_positive),
+            "schedule": _Rule("schedule", required=True, check=_schedule),
+        }),
+    },
+    "run": {
+        "monte_carlo_runs": _Rule("runs", int, DEFAULT_RUNS, check=_positive, logged=True),
+        "iterations": _Rule("iterations", int, required=True, check=_non_negative),
+        "samples": _Rule("samples", int, DEFAULT_SAMPLES, check=_positive, logged=True),
+        "mode": _Rule("sample_mode", str, "batch", check=_sample_mode, logged=True),
+        "seed": _Rule("seed", int, 0, check=_non_negative, logged=True),
+        "workers": _Rule("workers", int, 1, check=_positive),
+    },
+    "output": {
+        "dir": _Rule("out_dir", str, "results", logged=True),
+    },
 }
+
+
+def _read_section(path: str, data, rules: dict[str, _Rule], errors: list[str],
+                  defaults: list[str]) -> dict:
+    """Each key's value by its rule, None where it failed. Errors carry the
+    key's path; an unknown key is one; logged defaults are noted."""
+    if data is not None and not isinstance(data, dict):
+        errors.append(f"{path}: must be a mapping")
+    data = data if isinstance(data, dict) else {}
+    values = {}
+    for key, rule in rules.items():
+        name = f"{path}.{key}"
+        if key not in data:
+            if rule.required:
+                errors.append(f"{name}: required, no default")
+            elif rule.logged:
+                defaults.append(f"{name} = {rule.default!r}")
+            values[key] = rule.default
+            continue
+        value, message = _coerce(data[key], rule.kind)
+        if message is None and rule.check is not None:
+            message = rule.check(value)
+        if message:
+            errors.append(f"{name}: {message}")
+            value = None
+        elif rule.nested is not None and value is not None:
+            value = _read_section(name, value, rule.nested, errors, defaults)
+        values[key] = value
+    errors.extend(f"{path}.{key}: unknown key" for key in data if key not in rules)
+    return values
 
 
 def validate_config(raw: dict) -> ExperimentConfig:
     """Check every field, apply and log defaults, return the frozen config.
 
     All violations are collected and raised together as one ConfigError with
-    ``errors`` naming each field path.
+    ``errors`` naming each field path: each key's own, by its rule in
+    _RULES, then those that relate keys.
     """
     errors: list[str] = []
     defaults: list[str] = []
@@ -340,122 +381,42 @@ def validate_config(raw: dict) -> ExperimentConfig:
         errors.append("schema_version: required, no default")
     elif version != 1:
         errors.append(f"schema_version: only version 1 is supported, got {version!r}")
+    errors.extend(f"{key}: unknown section" for key in raw
+                  if key != "schema_version" and key not in _RULES)
 
-    known = {"schema_version", "problem", "network", "signals", "run", "output"}
-    for key in raw:
-        if key not in known:
-            errors.append(f"{key}: unknown section")
+    read = {}
+    for section, rules in _RULES.items():
+        if section not in raw and any(rule.required for rule in rules.values()):
+            errors.append(f"{section}: required section")
+        read[section] = _read_section(section, raw.get(section), rules, errors, defaults)
 
-    prob = _Section("problem", raw.get("problem"), errors, defaults)
-    if "problem" not in raw:
-        errors.append("problem: required section")
-    kind = prob.take("kind", required=True, kind=str,
-                     check=lambda v: None if v in PROBLEM_KINDS
-                     else f"unknown kind {v!r}, expected one of {', '.join(PROBLEM_KINDS)}")
-    widths = prob.take("n_filters", required=True, check=_filter_widths)
-    if isinstance(widths, int):
-        widths = [widths]
-    term_seed = prob.take("term_seed", default=0, kind=int, check=_non_negative)
-    radius_scale = prob.take(
-        "radius_scale", default=1.5, kind=float,
-        check=lambda v: None if v >= 1.0
-        else "must be at least 1 so the response plane meets the ball")
-    prob.reject_unknown()
-
-    netsec = _Section("network", raw.get("network"), errors, defaults)
-    if "network" not in raw:
-        errors.append("network: required section")
-    topology = netsec.take("kind", required=True, kind=str,
-                           check=lambda v: None if v in TOPOLOGY_KINDS
-                           else f"unknown kind {v!r}, expected one of {', '.join(TOPOLOGY_KINDS)}")
-    nodes = netsec.take("nodes", required=True, kind=int, check=_positive)
-    channels = netsec.take("channels", required=True, check=_positive_ints)
+    netsec = read["network"]
+    nodes, channels, total = netsec["nodes"], netsec["channels"], netsec["total_channels"]
     if isinstance(channels, int):
         channels = [channels] * (nodes or 1)
     elif channels is not None and nodes is not None and len(channels) != nodes:
         errors.append(
             f"network.channels: list length {len(channels)} does not match nodes {nodes}")
-    total = netsec.take("total_channels", default=None, kind=int)
     if total is not None and channels is not None and total != sum(channels):
         errors.append(
             f"network.total_channels: {total} does not match the channel sum {sum(channels)}")
-    edge_prob = netsec.take(
-        "edge_prob", default=None, kind=float,
-        check=lambda v: None if 0.0 < v <= 1.0 else f"must be in (0, 1], got {v}")
-    if topology == "erdos_renyi" and edge_prob is None:
+    if netsec["kind"] == "erdos_renyi" and netsec["edge_prob"] is None:
         errors.append("network.edge_prob: required for erdos_renyi")
-    if topology not in (None, "erdos_renyi") and edge_prob is not None:
-        errors.append(f"network.edge_prob: not meaningful for kind {topology!r}")
-    graph_seed = netsec.take("graph_seed", default=None, kind=int, check=_non_negative)
-    netsec.reject_unknown()
-
-    sig = _Section("signals", raw.get("signals"), errors, defaults)
-    sources = sig.take("sources", default=None, kind=int, check=_positive)
-    interferers = sig.take("interferers", default=None, kind=int, check=_positive)
-    source_var = sig.take("source_var", default=0.5, kind=float, check=_positive,
-                          note_default=True)
-    noise_var = sig.take("noise_var", default=0.1, kind=float, check=_positive,
-                         note_default=True)
-    mix_scale = sig.take("mix_scale", default=0.5, kind=float, check=_positive,
-                         note_default=True)
-    drift = None
-    drift_raw = sig.take("drift")
-    if drift_raw is not None:
-        dsec = _Section("signals.drift", drift_raw, errors, defaults)
-        delta_std = dsec.take("delta_std", default=0.5, kind=float, check=_positive)
-        schedule = dsec.take("schedule", required=True, check=_schedule)
-        dsec.reject_unknown()
-        if schedule is not None:
-            drift = DriftConfig(delta_std=delta_std,
-                                schedule=tuple((float(t), float(w)) for t, w in schedule))
-    sig.reject_unknown()
-
-    run = _Section("run", raw.get("run"), errors, defaults)
-    if "run" not in raw:
-        errors.append("run: required section")
-    runs = run.take("monte_carlo_runs", default=DEFAULT_RUNS, note_default=True,
-                    **_RUN_RULES["monte_carlo_runs"])
-    iterations = run.take("iterations", required=True, **_RUN_RULES["iterations"])
-    samples = run.take("samples", default=DEFAULT_SAMPLES, kind=int, check=_positive,
-                       note_default=True)
-    sample_mode = run.take("mode", default="batch", note_default=True, **_RUN_RULES["mode"])
-    seed = run.take("seed", default=0, note_default=True, **_RUN_RULES["seed"])
-    workers = run.take("workers", default=1, kind=int, check=_positive)
-    run.reject_unknown()
-
-    out = _Section("output", raw.get("output"), errors, defaults)
-    out_dir = out.take("dir", default="results", kind=str, note_default=True)
-    out.reject_unknown()
-
+    if netsec["kind"] not in (None, "erdos_renyi") and netsec["edge_prob"] is not None:
+        errors.append(f"network.edge_prob: not meaningful for kind {netsec['kind']!r}")
     if errors:
         raise ConfigError(errors)
 
-    config = ExperimentConfig(
-        schema_version=1,
-        problem_kind=kind,
-        filter_widths=tuple(widths),
-        term_seed=term_seed,
-        radius_scale=radius_scale,
-        topology=topology,
-        nodes=nodes,
-        channels=tuple(channels),
-        edge_prob=edge_prob if topology == "erdos_renyi" else None,
-        graph_seed=graph_seed,
-        sources=sources,
-        interferers=interferers,
-        source_var=source_var,
-        noise_var=noise_var,
-        mix_scale=mix_scale,
-        drift=drift,
-        runs=runs,
-        iterations=iterations,
-        samples=samples,
-        sample_mode=sample_mode,
-        seed=seed,
-        workers=workers,
-        out_dir=out_dir,
-        applied_defaults=tuple(defaults),
-    )
+    values = {rule.field: read[section][key]
+              for section, rules in _RULES.items() for key, rule in rules.items() if rule.field}
+    widths, drift = values["filter_widths"], values["drift"]
+    values["filter_widths"] = tuple(widths) if isinstance(widths, list) else (widths,)
+    values["channels"] = tuple(channels)
+    if drift is not None:
+        values["drift"] = DriftConfig(
+            delta_std=drift["delta_std"],
+            schedule=tuple((float(t), float(w)) for t, w in drift["schedule"]))
+    config = ExperimentConfig(schema_version=1, **values, applied_defaults=tuple(defaults))
     _check_semantics(config)
     for line in defaults:
         logger.info("config default applied: %s", line)
@@ -675,9 +636,12 @@ def _run_variant(config: ExperimentConfig) -> StudyResult:
     variant = "fc" if config.topology == "fully_connected" else "ti"
     payloads = [(config, variant, idx, children[idx]) for idx in range(config.runs)]
 
-    if config.workers > 1:
+    # the pool forks all its workers at the first submit, so it is sized to
+    # the runs, and one run goes in-process
+    pool_size = min(config.workers, config.runs)
+    if pool_size > 1:
         preload_solver(config.problem_kind)
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             outcomes = list(pool.map(_run_worker, payloads))
     else:
         outcomes = [_run_worker(p) for p in payloads]

@@ -15,7 +15,6 @@ from dasf.engine import (
     ConvergenceRecord,
     TransportLog,
     TransportRecord,
-    assemble_local_instance,
     audit_transport,
     build_transition_matrix,
     dasf_run,
@@ -39,6 +38,7 @@ from dasf.sfo import (
     ScqpProblem,
     TroProblem,
     align_to_anchor,
+    centralized_instance,
     constraint_residuals,
     evaluate_objective,
     solve_centralized,
@@ -228,6 +228,13 @@ def test_transition_matrix_one_block_per_row():
         assert hits == 1
 
 
+def _local_instance(problem, graph, layout, x, batch):
+    """The compressed instance the updating node solves, and its C: the
+    network-wide instance taken through the transition matrix."""
+    c, anchor = build_transition_matrix(graph, layout, x)
+    return centralized_instance(problem, batch).compressed(c, anchor), c
+
+
 def test_compressed_terms_equal_transition_products():
     rng = np.random.default_rng(3)
     graph = make_random_tree(6, 2, rng_seed=5)
@@ -236,7 +243,7 @@ def test_compressed_terms_equal_transition_products():
     x = prob.random_feasible(12, rng)
     tree = prune_to_tree(graph, 3)
     layout = plan_local_layout(tree, graph, 2)
-    inst, c = assemble_local_instance(prob, graph, layout, x, batch)
+    inst, c = _local_instance(prob, graph, layout, x, batch)
     assert np.allclose(inst.cov_y, c.T @ batch.cov_y @ c, atol=1e-12)
     assert np.allclose(inst.term("linear"), c.T @ prob.linear_term, atol=1e-12)
     assert np.allclose(inst.term("gain"), c.T @ prob.gain_vector[:, None], atol=1e-12)
@@ -257,7 +264,7 @@ def test_local_objective_matches_global_through_map():
     x = prob.random_feasible(10, rng)
     tree = prune_to_tree(graph, 2)
     layout = plan_local_layout(tree, graph, 2)
-    inst, c = assemble_local_instance(prob, graph, layout, x, batch)
+    inst, c = _local_instance(prob, graph, layout, x, batch)
     for _ in range(5):
         cand = rng.standard_normal((layout.local_dim, 2))
         lifted = c @ cand

@@ -3,6 +3,8 @@ import json
 import os
 import platform
 import re
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -259,16 +261,16 @@ def test_overrides_pass_the_field_rules(tmp_path, capsys, overrides, path):
     (error,) = info.value.errors
     assert error.startswith(path)
     # the CLI reports the same error as a config failure, before any run
-    flags = {"runs": "--runs", "iterations": "--iters", "seed": "--seed"}
-    if set(overrides) <= set(flags):
-        raw = _base_raw()
-        raw["output"] = {"dir": str(tmp_path / "out")}
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text(yaml.safe_dump(raw))
-        argv = [arg for key, value in overrides.items() for arg in (flags[key], str(value))]
-        assert dasf.cli.main(["run", str(cfg), *argv]) == 2
-        assert json.loads(capsys.readouterr().err) == {"error": "config", "details": [error]}
-        assert not (tmp_path / "out").exists()
+    flags = {"runs": "--runs", "iterations": "--iters", "seed": "--seed",
+             "sample_mode": "--mode"}
+    raw = _base_raw()
+    raw["output"] = {"dir": str(tmp_path / "out")}
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(raw))
+    argv = [arg for key, value in overrides.items() for arg in (flags[key], str(value))]
+    assert dasf.cli.main(["run", str(cfg), *argv]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "config", "details": [error]}
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("section, key", [
@@ -278,6 +280,196 @@ def test_negative_seeds_rejected(section, key):
     raw[section][key] = -1
     (error,) = _errors_of(raw)
     assert error == f"{section}.{key}: must not be negative, got -1"
+
+
+def _drift_raw():
+    raw = _base_raw()
+    raw["run"]["mode"] = "adaptive"
+    raw["signals"] = {"drift": {"schedule": [[0, 0.0], [3, 1.0]]}}
+    return raw
+
+
+_UNSET = object()
+
+
+def _raw_with(section, key, value=_UNSET):
+    """A valid config (a tracking one for the drift keys) with the key set
+    to value, or without the key."""
+    raw = _drift_raw() if section == "signals.drift" else _base_raw()
+    owner = raw["signals"]["drift"] if section == "signals.drift" else raw.setdefault(section, {})
+    owner.pop(key, None)
+    if value is not _UNSET:
+        owner[key] = value
+    return raw
+
+
+_REQUIRED = object()
+_KIND_ERRORS = {int: "expected an integer", float: "expected a number", str: "expected a string"}
+
+# every key's rule, stated a second time: the field it fills, its kind, its
+# default (or _REQUIRED), whether an applied default is logged, and a value
+# its check rejects with the message (None: no value of its kind is)
+_KEY_RULES = [
+    ("problem", "kind", "problem_kind", str, _REQUIRED, False,
+     "ring", "unknown kind 'ring', expected one of mmse, qcqp, tro, scqp"),
+    ("problem", "n_filters", "filter_widths", None, _REQUIRED, False,
+     0, "expected positive integers, got 0"),
+    ("problem", "term_seed", "term_seed", int, 0, False, -1, "must not be negative, got -1"),
+    ("problem", "radius_scale", "radius_scale", float, 1.5, False,
+     0.99, "must be at least 1 so the response plane meets the ball"),
+    ("network", "kind", "topology", str, _REQUIRED, False, "ring",
+     "unknown kind 'ring', expected one of fully_connected, erdos_renyi, random_tree, path"),
+    ("network", "nodes", "nodes", int, _REQUIRED, False, 0, "must be positive, got 0"),
+    ("network", "channels", "channels", None, _REQUIRED, False,
+     [2, 0, 2], "expected positive integers, got 0"),
+    ("network", "total_channels", None, int, None, False, None, None),
+    ("network", "edge_prob", "edge_prob", float, None, False, 0.0, "must be in (0, 1], got 0.0"),
+    ("network", "graph_seed", "graph_seed", int, None, False, -1, "must not be negative, got -1"),
+    ("signals", "sources", "sources", int, None, False, 0, "must be positive, got 0"),
+    ("signals", "interferers", "interferers", int, None, False, 0, "must be positive, got 0"),
+    ("signals", "source_var", "source_var", float, 0.5, True, 0.0, "must be positive, got 0.0"),
+    ("signals", "noise_var", "noise_var", float, 0.1, True, 0.0, "must be positive, got 0.0"),
+    ("signals", "mix_scale", "mix_scale", float, 0.5, True, -0.5, "must be positive, got -0.5"),
+    ("signals.drift", "delta_std", "delta_std", float, 0.5, False,
+     0.0, "must be positive, got 0.0"),
+    ("signals.drift", "schedule", "schedule", None, _REQUIRED, False,
+     [], "required, a non-empty list of [iteration, weight] pairs"),
+    ("run", "monte_carlo_runs", "runs", int, 100, True, 0, "must be positive, got 0"),
+    ("run", "iterations", "iterations", int, _REQUIRED, False, -1, "must not be negative, got -1"),
+    ("run", "samples", "samples", int, 10_000, True, 0, "must be positive, got 0"),
+    ("run", "mode", "sample_mode", str, "batch", True,
+     "online", "expected one of batch, adaptive, got 'online'"),
+    ("run", "seed", "seed", int, 0, True, -1, "must not be negative, got -1"),
+    ("run", "workers", "workers", int, 1, False, 0, "must be positive, got 0"),
+    ("output", "dir", "out_dir", str, "results", True, None, None),
+]
+
+
+@pytest.mark.parametrize("section, key, field, kind, default, logged, rejected, message",
+                         _KEY_RULES, ids=[f"{s}.{k}" for s, k, *_ in _KEY_RULES])
+def test_each_key_keeps_its_rule(section, key, field, kind, default, logged, rejected, message):
+    path = f"{section}.{key}"
+    if default is _REQUIRED:
+        assert _errors_of(_raw_with(section, key)) == (f"{path}: required, no default",)
+    else:
+        config = validate_config(_raw_with(section, key))
+        if field is not None:
+            owner = config.drift if section == "signals.drift" else config
+            assert getattr(owner, field) == default
+        assert (f"{path} = {default!r}" in config.applied_defaults) == logged
+    if kind is not None:
+        assert _errors_of(_raw_with(section, key, True)) == (
+            f"{path}: {_KIND_ERRORS[kind]}, got True",)
+    if rejected is not None:
+        assert _errors_of(_raw_with(section, key, rejected)) == (f"{path}: {message}",)
+
+
+def test_sections_with_a_required_key_are_required():
+    for section in ("problem", "network", "run"):
+        raw = _base_raw()
+        del raw[section]
+        assert _errors_of(raw)[0] == f"{section}: required section"
+    raw = _base_raw()
+    raw.pop("signals", None)
+    raw.pop("output", None)
+    assert validate_config(raw).out_dir == "results"
+
+
+@pytest.mark.parametrize("section, key", [
+    ("problem", "radius_scale"), ("network", "edge_prob"), ("signals", "source_var"),
+    ("signals", "noise_var"), ("signals", "mix_scale"), ("signals.drift", "delta_std")])
+def test_non_finite_numbers_rejected(section, key):
+    # YAML's .inf and .nan load as floats; an integer past the float range
+    # has no finite float either
+    for text, shown in ((".inf", "inf"), ("-.inf", "-inf"), (".nan", "nan"),
+                        ("1" + "0" * 400, "1" + "0" * 400)):
+        (error,) = _errors_of(_raw_with(section, key, yaml.safe_load(text)))
+        assert error == f"{section}.{key}: expected a finite number, got {shown}"
+
+
+@pytest.mark.parametrize("entry", [[float("inf"), 1.0], [0, float("nan")], [10**400, 0.5]])
+def test_drift_schedule_rejects_non_finite_entries(entry):
+    raw = _drift_raw()
+    raw["signals"]["drift"]["schedule"].append(entry)
+    (error,) = _errors_of(raw)
+    assert error == f"signals.drift.schedule: entries must be finite numbers, got {entry!r}"
+
+
+_RULES = experiments._RULES
+_DRIFT_RULES = _RULES["signals"]["drift"].nested
+_KEYS = sorted({key for rules in _RULES.values() for key in rules} | set(_DRIFT_RULES))
+
+# YAML-like values: scalars (the table's kind names among the strings, every
+# float including inf and nan), and lists and mappings of them. Integers
+# stay small: an integer network.channels is expanded to network.nodes
+# entries, so a huge nodes value allocates that many (and raises
+# OverflowError past the index range); validate_config sets no upper bound.
+_YAML_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats() | st.text(max_size=5)
+    | st.sampled_from(experiments.PROBLEM_KINDS + experiments.TOPOLOGY_KINDS
+                      + experiments.SAMPLE_MODES),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=3), inner, max_size=4),
+    max_leaves=10)
+
+# every path of the table a drawn value may take: whole sections, their
+# keys, the drift keys, and unknown ones
+_PATHS = ([("schema_version",), ("extra",), *((name,) for name in _RULES)]
+          + [(name, key) for name, rules in _RULES.items() for key in [*rules, "typo"]]
+          + [("signals", "drift", key) for key in [*_DRIFT_RULES, "typo"]])
+
+
+def _valid_raws():
+    sweep = _base_raw()
+    sweep["problem"] = {"kind": "tro", "n_filters": [1, 2], "term_seed": 3}
+    sweep["network"] = {"kind": "erdos_renyi", "nodes": 4, "channels": [1, 2, 1, 2],
+                        "total_channels": 6, "edge_prob": 0.5, "graph_seed": 1}
+    sweep["signals"] = {"sources": 2, "interferers": 3, "noise_var": 0.2}
+    sweep["output"] = {"dir": "elsewhere"}
+    return [_base_raw(), _drift_raw(), sweep]
+
+
+@settings(max_examples=100, deadline=None)
+@given(base=st.sampled_from(range(3)),
+       edits=st.lists(st.tuples(st.sampled_from(_PATHS), st.just(_UNSET) | _YAML_VALUES),
+                      max_size=3))
+def test_validator_raises_only_config_errors(base, edits):
+    # a valid config with up to three paths set to drawn values or removed
+    raw = _valid_raws()[base]
+    for path, value in edits:
+        *parents, last = path
+        owner = raw
+        for key in parents:
+            if not isinstance(owner.get(key), dict):
+                owner[key] = {}
+            owner = owner[key]
+        if value is _UNSET:
+            owner.pop(last, None)
+        else:
+            owner[last] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            config = validate_config(raw)
+        except ConfigError as exc:
+            assert exc.errors and all(isinstance(e, str) for e in exc.errors)
+            return
+    assert isinstance(config, ExperimentConfig)
+
+
+def test_readme_full_config_is_valid_and_lists_every_key():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("A full config:\n\n```yaml\n", 1)[1].split("```", 1)[0]
+    config = validate_config(yaml.safe_load(block))
+    assert config.applied_defaults == ()     # every logged default is spelled out
+    # the commented drift keys, uncommented
+    full = yaml.safe_load(re.sub(r"^( *)# ( *\w+:)", r"\1\2", block, flags=re.M))
+    drift = full["signals"]["drift"]
+    assert set(full) == {"schema_version", *_RULES}
+    documented = {(name, key) for name in _RULES for key in full[name]}
+    documented |= {("signals.drift", key) for key in drift}
+    assert documented == ({(name, key) for name, rules in _RULES.items() for key in rules}
+                          | {("signals.drift", key) for key in _DRIFT_RULES})
 
 
 def test_override_recheck_catches_new_conflicts():
@@ -496,6 +688,35 @@ def test_workers_do_not_change_results(tmp_path):
     study_s = run_study(serial, write=False)
     study_p = run_study(parallel, write=False)
     assert np.array_equal(study_s.epsilon, study_p.epsilon)
+
+
+@pytest.mark.parametrize("workers, runs, pool_sizes", [(64, 2, [2]), (2, 3, [2]), (4, 1, [])])
+def test_pool_is_sized_to_the_runs(tmp_path, monkeypatch, workers, runs, pool_sizes):
+    # the pool forks every worker at its first submit; a stand-in records
+    # its size and maps in-process, so no process starts
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    pooled = run_study(validate_config(
+        _study_raw(tmp_path, monte_carlo_runs=runs, workers=workers)), write=False)
+    assert sizes == pool_sizes
+    serial = run_study(validate_config(
+        _study_raw(tmp_path, monte_carlo_runs=runs, workers=1)), write=False)
+    assert np.array_equal(pooled.epsilon, serial.epsilon)
+    assert pooled.run_indices == serial.run_indices == tuple(range(runs))
 
 
 def test_adaptive_mode_uses_fresh_batches(tmp_path):
