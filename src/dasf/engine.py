@@ -28,11 +28,12 @@ and a read-only template of C with its identity entries; and once per
 batch: the network-wide instance (``centralized_instance``) the local ones
 are compressed from, and the streams fused toward q. The kernel (``_step``)
 then issues only the numeric calls: the template's copy, the branch Grams,
-one dsyevd per compressed branch, the whitening, the congruence C^T R C
-and C^T B, the local solve and the lift C x_local, with the plan's sends
-logged around the solve. ``dasf_run`` resolves each node's plan the first
-time it visits the node and calls the kernel directly; ``dasf_step`` is
-validation, the same kernel and a StepInfo.
+one dsyevd per compressed branch (two for an ill-conditioned one), the
+whitening, the congruence C^T R C and C^T B, the local solve and the lift
+C x_local, with the plan's sends logged around the solve. ``dasf_run``
+resolves each node's plan the first time it visits the node and calls the
+kernel directly; ``dasf_step`` is validation, the same kernel and a
+StepInfo.
 
 The local-to-network change of coordinates is a tall sparse matrix C with
 one nonzero block per block row; its identities (local signals equal C^T
@@ -88,6 +89,7 @@ __all__ = [
 ]
 
 GRAM_RTOL = 1e-10   # branch Gram directions this small against its largest are dropped
+REWHITEN_RTOL = 1e-6   # a kept branch Gram this ill-conditioned is whitened a second time
 
 
 def select_updating_node(iteration: int, node_count: int) -> int:
@@ -378,26 +380,33 @@ def build_transition_matrix(graph: NetworkGraph, layout: LocalLayout,
     branches' current blocks and Lambda^{1/2} V^T per compressed branch.
     Gram directions with lambda <= GRAM_RTOL * lambda_max are dropped,
     which leaves that branch fewer than n_filters columns; C @ anchor then
-    misses x only by the dropped directions.
+    misses x only by the dropped directions. Whitening from the Gram leaves
+    C_b^T C_b off I by about eps * lambda_max / lambda_min, so a branch whose
+    kept lambda_min <= REWHITEN_RTOL * lambda_max is whitened once more, by
+    V_2 Lambda_2^{-1/2} V_2^T from eigh(C_b^T C_b) = V_2 Lambda_2 V_2^T.
 
     C starts as a copy of the plan's identity template. One test, on each
-    Gram's smallest eigenvalue, decides whether every direction is kept;
-    only when one is dropped are the directions masked one by one.
+    Gram's smallest eigenvalue, decides whether every branch is whole and
+    well conditioned; only otherwise do the mask and second whitening run.
     """
     mixed_flat, rows, starts, branch = layout.c_index
     c = layout.c_template.copy()
     if starts.size:
         xc = x.take(rows, axis=0)
         lam, vec = _branch_eigh(np.add.reduceat(xc[:, :, None] * xc[:, None, :], starts, axis=0))
-        # eigenvalues ascend: every direction is kept when each smallest is
-        kept = all(w[0] > GRAM_RTOL * w[-1] for w in lam.tolist())
-        if kept:
-            whiten = vec / np.sqrt(lam)[:, None, :]
-        else:
-            # a dropped direction's column comes out zero, and every other is not
-            whiten = vec / np.sqrt(np.where(lam > GRAM_RTOL * lam[:, -1:], lam, np.inf))[:, None, :]
-        c.reshape(-1)[mixed_flat] = np.einsum("ij,ijk->ik", xc, whiten.take(branch, axis=0))
-        if not kept:
+        # eigenvalues ascend: a branch is whole and well conditioned when its smallest is
+        whole = all(w[0] > REWHITEN_RTOL * w[-1] for w in lam.tolist())
+        # a dropped direction's column comes out zero, and every other is not
+        kept = lam if whole else np.where(lam > GRAM_RTOL * lam[:, -1:], lam, np.inf)
+        blocks = np.einsum("ij,ijk->ik", xc, (vec / np.sqrt(kept)[:, None, :]).take(branch, axis=0))
+        if not whole:
+            dropped = np.isinf(kept).sum(axis=1)   # the kept directions are the last
+            for b in np.flatnonzero(kept.min(axis=1) <= REWHITEN_RTOL * lam[:, -1]):
+                block = blocks[branch == b, dropped[b]:]
+                (lam2,), (vec2,) = _branch_eigh((block.T @ block)[None])
+                blocks[branch == b, dropped[b]:] = block @ ((vec2 / np.sqrt(lam2)) @ vec2.T)
+        c.reshape(-1)[mixed_flat] = blocks
+        if not whole and dropped.any():
             c = c[:, c.any(axis=0)]
     return c, c.T @ x
 

@@ -48,7 +48,6 @@ from .sfo import (
     ScqpProblem,
     SfoProblem,
     TroProblem,
-    preload_solver,
     solve_centralized,
 )
 from .signals import (
@@ -81,6 +80,7 @@ SAMPLE_MODES = ("batch", "adaptive")
 
 DEFAULT_SAMPLES = 10_000
 DEFAULT_RUNS = 100
+MAX_NODES = 10_000   # M x M statistics of that many one-channel nodes take 800 MB
 
 
 class ConfigError(Exception):
@@ -200,6 +200,8 @@ def load_config(path) -> dict:
         raise ConfigError([f"config: cannot read {path}: {exc}"]) from exc
     except yaml.YAMLError as exc:
         raise ConfigError([f"config: not valid YAML: {exc}"]) from exc
+    except ValueError as exc:     # e.g. an integer literal past Python's digit limit
+        raise ConfigError([f"config: unreadable value: {exc}"]) from exc
     if not isinstance(raw, dict):
         raise ConfigError(["config: top level must be a mapping"])
     return raw
@@ -302,7 +304,8 @@ _RULES: dict[str, dict[str, _Rule]] = {
     },
     "network": {
         "kind": _Rule("topology", str, required=True, check=_kind_of(TOPOLOGY_KINDS)),
-        "nodes": _Rule("nodes", int, required=True, check=_positive),
+        "nodes": _Rule("nodes", int, required=True, check=lambda v: _positive(v)
+                       if v <= MAX_NODES else f"must be at most {MAX_NODES}, got {v}"),
         "channels": _Rule("channels", required=True, check=_positive_ints),
         "total_channels": _Rule(None, int),
         "edge_prob": _Rule("edge_prob", float, check=lambda v: None if 0.0 < v <= 1.0
@@ -640,7 +643,6 @@ def _run_variant(config: ExperimentConfig) -> StudyResult:
     # the runs, and one run goes in-process
     pool_size = min(config.workers, config.runs)
     if pool_size > 1:
-        preload_solver(config.problem_kind)
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
             outcomes = list(pool.map(_run_worker, payloads))
     else:

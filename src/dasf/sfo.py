@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Callable, ClassVar
 
 import numpy as np
-import scipy.linalg as sla
 from scipy.linalg.lapack import dgesv
 
 from .signals import COND_LIMIT, SampleBatch
@@ -51,7 +50,6 @@ __all__ = [
     "solve_tro",
     "solve_scqp",
     "solve_instance",
-    "preload_solver",
     "centralized_instance",
     "solve_centralized",
     "evaluate_objective",
@@ -75,7 +73,8 @@ class InfeasibleProblemError(SolverError):
 FEASIBILITY_RTOL = 1e-8     # relative feasibility tolerance on returned solutions
 BALL_TOL = 1e-10            # ball slack accepted by the QCQP interior shortcut
 BALL_TIGHT_RTOL = 1e-12     # r^2 this close to the plane minimum: the ball only touches it
-SECULAR_MAX_STEPS = 400     # bracket doublings or halvings before a secular solve gives up
+SECULAR_MAX_ITER = 100      # Newton (or fallback bisection) steps before a secular solve gives up
+SECULAR_STEP_RTOL = 4.0 * np.finfo(float).eps   # a secular step this small against mu ends it
 RATIO_TOL = 1e-10           # trace-ratio fixed-point tolerance, relative to max(1, |rho|)
 RATIO_MAX_ITER = 200
 DIAG_LOAD = 1e-10           # loading factor, scaled by trace(R)/dim
@@ -367,7 +366,7 @@ def _finalize(instance: CompressedInstance, x: np.ndarray, iterations: int,
               history=()) -> SolveOutcome:
     """Shared exit path: feasibility check on the instance's constraints."""
     res = instance.residuals(x)
-    if res.size and float(res.max()) > FEASIBILITY_RTOL:
+    if res.size and not float(res.max()) <= FEASIBILITY_RTOL:     # NaN fails too
         raise SolverError(f"solution violates constraints (max residual {res.max():.3e})")
     return SolveOutcome(
         x=x,
@@ -445,53 +444,63 @@ def _check_mmse_inputs(cov: np.ndarray, cross: np.ndarray) -> None:
         raise SolverError("mmse: covariance is all zero")
 
 
-def _secular_root(f: Callable[[float], float], start: float,
-                  family: str) -> tuple[float, int]:
-    """Root of a secular function f that decreases through zero on (0, inf).
+def _secular_root(lam: np.ndarray, b: np.ndarray, s2: float, family: str) -> tuple[float, int]:
+    """The least mu >= 0 with g(mu) = sum_i ||b_i||^2 / (lam_i + mu)^2 <= s2,
+    for lam >= 0: the root of g = s2 when g(0) > s2, and the steps taken.
 
-    Steps geometrically from start, doubling while f stays positive and
-    halving while it stays negative, until one step brackets the root, which
-    brentq then polishes to full relative precision. Returns the root and
-    the steps plus brentq iterations spent. A bracket that does not close in
-    SECULAR_MAX_STEPS steps raises a SolverError naming the family.
-
-    scipy.optimize is imported here, not at module scope: only the QCQP and
-    SCQP secular solves use it, and it loads scipy.sparse and scipy.fft
-    along, so ``import dasf`` and MMSE/TRO runs never pay for it. Once it is
-    loaded, the import statement costs under a microsecond per call.
+    Newton's method on h(mu) = 1 / sqrt(g) - 1 / s, which is concave and
+    increasing (Reinsch; More & Sorensen), from mu0 = max(0, max_i(||b_i|| /
+    s - lam_i)), where g(mu0) >= s2, so the iterates rise monotonically to
+    the root. Rows with b_i = 0 are left out, as they would give 0/0 at lam_i
+    + mu = 0. It stops at a step of at most SECULAR_STEP_RTOL * mu or at h >=
+    0; steps stay in the root's bracket [mu0, ||b|| / s - min lam], and a
+    non-finite or non-increasing one is replaced by bisection of it. After
+    SECULAR_MAX_ITER steps a SolverError names the family.
     """
-    from scipy.optimize import brentq
-
-    a, fa = start, f(start)
-    factor = 2.0 if fa > 0.0 else 0.5
-    for steps in range(1, SECULAR_MAX_STEPS + 1):
-        b = a * factor
-        fb = f(b)
-        if fa * fb <= 0.0:
-            break
-        a, fa = b, fb
-    else:
-        raise SolverError(f"{family}: secular equation bracket did not close "
-                          f"in {SECULAR_MAX_STEPS} steps")
-    lo, hi = min(a, b), max(a, b)
-    root, result = brentq(f, lo, hi, xtol=1e-15 * lo, rtol=8.9e-16, maxiter=200,
-                          full_output=True)
-    return root, steps + result.iterations
+    b2 = np.einsum("ij,ij->i", b, b)
+    live = b2 > 0.0
+    lam, b2 = lam[live], b2[live]
+    s = math.sqrt(s2)
+    mu = lo = max(0.0, float(np.max(np.sqrt(b2) / s - lam, initial=0.0)))
+    hi = max(mu, math.sqrt(float(b2.sum())) / s - float(lam.min(initial=0.0)))
+    newton = True
+    for steps in range(SECULAR_MAX_ITER):
+        w2 = b2 / (lam + mu) ** 2
+        g = float(w2.sum())
+        if g <= s2:
+            if newton:             # h >= 0: at the root, up to rounding
+                return mu, steps
+            hi = mu                # a bisection point past the root
+        else:
+            lo = mu
+            step = g * (math.sqrt(g / s2) - 1.0) / float(np.sum(w2 / (lam + mu)))
+            if mu > 0.0 and step <= SECULAR_STEP_RTOL * mu:    # a step rounded to 0 too
+                return mu + step, steps + 1
+            newton = math.isfinite(step) and step > 0.0
+            if newton:
+                mu = min(mu + step, hi)    # the root is at most hi: a step past it is rounding
+                continue
+        mu = 0.5 * (lo + hi)
+        if hi - lo <= SECULAR_STEP_RTOL * hi:
+            return hi, steps + 1
+    raise SolverError(f"{family}: secular equation did not converge "
+                      f"in {SECULAR_MAX_ITER} steps")
 
 
 def solve_qcqp(instance: CompressedInstance) -> SolveOutcome:
     """Ball-constrained quadratic program with a linear-response equality.
 
     Eliminates the equality X^T c = d via an orthonormal null-space basis Z
-    of c^T, writes X = X_p + Z U with X_p = c d^T / ||c||^2, the plane's
-    minimum-norm point, and diagonalizes Z^T R Z, so that the stationarity
-    system for any ball multiplier mu >= 0 is diagonal and, since Z is
-    orthogonal to X_p, the ball value is ||X_p||^2 + ||U(mu)||^2; the
-    optimal mu is the root of that secular equation. mu = 0 is returned
-    immediately when the equality-only minimizer already sits inside the
-    ball, and X_p (the mu -> inf limit) when the ball only touches the
-    plane. The problem is convex, so the KKT point found is the global
-    minimum and no tie-break is needed.
+    of c^T (from one Householder reflector), writes X = X_p + Z U with X_p =
+    c d^T / ||c||^2, the plane's minimum-norm point, and diagonalizes Z^T R
+    Z, so that the stationarity system for any ball multiplier mu >= 0 is
+    diagonal and, since Z is orthogonal to X_p, the ball value is ||X_p||^2
+    + ||U(mu)||^2; the optimal mu is the root of that secular equation, and
+    the iteration count its Newton steps. mu = 0 is returned immediately
+    when the equality-only minimizer already sits inside the ball, and X_p
+    (the mu -> inf limit) when the ball only touches the plane. The problem
+    is convex, so the KKT point found is the global minimum and no
+    tie-break is needed.
     """
     prob: QcqpProblem = instance.problem
     cov = instance.cov_y
@@ -509,29 +518,26 @@ def solve_qcqp(instance: CompressedInstance) -> SolveOutcome:
         raise InfeasibleProblemError(
             f"radius^2 {r2:.6g} below plane minimum {min_ball:.6g}"
         )
-    z = sla.null_space(c[None, :])
-    if r2 <= min_ball * (1.0 + BALL_TIGHT_RTOL) or z.shape[1] == 0:
+    if r2 <= min_ball * (1.0 + BALL_TIGHT_RTOL) or c.size == 1:
         # the ball only touches the plane, or the plane pins X (dim == 1)
         return _finalize(instance, x_p, iterations=0)
 
+    # H = I - 2 v v^T / v^T v maps c to -sign(c_0) ||c|| e_0; its other
+    # columns span c's null space
+    v = c.copy()
+    v[0] += math.copysign(math.sqrt(cn2), c[0])
+    z = np.outer(v, v[1:]) * (-2.0 / float(v @ v))
+    z[1:] += np.eye(c.size - 1)
     lam, vec = np.linalg.eigh(z.T @ cov @ z)
     lam = np.maximum(lam, 0.0)            # covariance, clip roundoff
     b0 = vec.T @ (z.T @ (a - cov @ x_p))  # reduced rhs in the eigenbasis
 
-    def ball_value(mu: float) -> float:
-        w = b0 / (lam + mu)[:, None]
-        return min_ball + float(np.sum(w * w))
-
-    def solution(mu: float) -> np.ndarray:
-        return x_p + z @ (vec @ (b0 / (lam + mu)[:, None]))
-
-    if lam.min() > 0.0 and ball_value(0.0) <= r2 + BALL_TOL:
-        return _finalize(instance, solution(0.0), iterations=0)
-
-    # the ball is active: ball_value - r2 decreases to min_ball - r2 < 0
-    mu, iterations = _secular_root(lambda mu: ball_value(mu) - r2,
-                                   max(1.0, float(lam.max())), "qcqp")
-    return _finalize(instance, solution(mu), iterations=iterations)
+    mu, iterations = 0.0, 0
+    if not (lam.min() > 0.0
+            and min_ball + float(np.sum((b0 / lam[:, None]) ** 2)) <= r2 + BALL_TOL):
+        # the ball is active: the secular equation ||U(mu)||^2 = r^2 - ||X_p||^2
+        mu, iterations = _secular_root(lam, b0, r2 - min_ball, "qcqp")
+    return _finalize(instance, x_p + z @ (vec @ (b0 / (lam + mu)[:, None])), iterations=iterations)
 
 
 def solve_tro(instance: CompressedInstance) -> SolveOutcome:
@@ -593,12 +599,12 @@ def solve_scqp(instance: CompressedInstance) -> SolveOutcome:
 
     Stationarity reads (R + mu I) X = -A with a scalar multiplier mu; in the
     eigenbasis of R the sphere condition becomes
-    phi(mu) = sum_ij beta_ij^2 / (lambda_i + mu)^2 = 1, whose unique root on
-    (-lambda_min, inf) is the global minimizer. When A has no component in
-    the bottom eigenspace and the interior pseudo-solution sits inside the
-    sphere (the hard case, covering A = 0), the solution is completed along
-    the bottom eigenvector, with sign and mixing direction tie-broken toward
-    the anchor.
+    sum_ij beta_ij^2 / (lambda_i + mu)^2 = 1, whose unique root on
+    (-lambda_min, inf) is the global minimizer, found in a few Newton steps
+    (the iteration count). When A has no component in the bottom eigenspace
+    and the interior pseudo-solution sits inside the sphere (the hard case,
+    covering A = 0), the solution is completed along the bottom eigenvector,
+    with sign and mixing direction tie-broken toward the anchor.
     """
     prob: ScqpProblem = instance.problem
     cov = instance.cov_y
@@ -609,14 +615,6 @@ def solve_scqp(instance: CompressedInstance) -> SolveOutcome:
     beta = u.T @ a
     lam_min = float(lam[0])
     scale = max(1.0, float(np.abs(lam).max()), float(np.abs(beta).max()))
-
-    def weights(nu: float) -> np.ndarray:
-        # nu = mu + lam_min > 0 parametrizes the admissible branch
-        return -beta / (lam - lam_min + nu)[:, None]
-
-    def phi(nu: float) -> float:
-        w = weights(nu)
-        return float(np.sum(w * w))
 
     bottom = lam <= lam_min + 1e-10 * scale
     beta_norm = float(np.abs(beta).max(initial=0.0))
@@ -643,11 +641,9 @@ def solve_scqp(instance: CompressedInstance) -> SolveOutcome:
             return _finalize(instance, x, iterations=0)
         # pseudo-solution overshoots the sphere: the root is interior after all
 
-    # regular branch: phi is strictly decreasing on nu > 0 with a unique root,
-    # and phi <= ||beta||^2 / nu^2 puts it below the start
-    start = max(1.0, float(np.linalg.norm(beta))) * np.sqrt(beta.shape[1])
-    nu_root, iterations = _secular_root(lambda nu: phi(nu) - 1.0, start, "scqp")
-    return _finalize(instance, u @ weights(nu_root), iterations=iterations)
+    # regular branch: the secular equation in nu = mu + lam_min > 0
+    nu, iterations = _secular_root(lam - lam_min, beta, 1.0, "scqp")
+    return _finalize(instance, u @ (-beta / (lam - lam_min + nu)[:, None]), iterations=iterations)
 
 
 _SOLVERS: dict[str, Callable[[CompressedInstance], SolveOutcome]] = {
@@ -656,15 +652,6 @@ _SOLVERS: dict[str, Callable[[CompressedInstance], SolveOutcome]] = {
     "tro": solve_tro,
     "scqp": solve_scqp,
 }
-
-
-def preload_solver(kind: str) -> None:
-    """Import now what the solver of family ``kind`` imports at its first
-    solve (scipy.optimize, for the QCQP and SCQP secular equations). A
-    process pool forked afterwards inherits the loaded module, so its
-    workers do not each load it again."""
-    if kind in ("qcqp", "scqp"):
-        import scipy.optimize  # noqa: F401
 
 
 def solve_instance(instance: CompressedInstance) -> SolveOutcome:

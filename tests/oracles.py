@@ -32,6 +32,7 @@ from scipy.linalg.lapack import dgesv, dsyevd
 
 from dasf.engine import (
     GRAM_RTOL,
+    REWHITEN_RTOL,
     ConvergenceRecord,
     RunResult,
     TransportLog,
@@ -296,14 +297,24 @@ def objective_on_samples(problem, x, y, v=None, s=None) -> float:
 def whitening(x_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(T, T^+) for a compressed branch with stacked filter rows X_b: from
     eigh(X_b^T X_b) = V L V^T, T = V L^{-1/2} and T^+ = L^{1/2} V^T, over
-    the directions with eigenvalue above GRAM_RTOL times the largest. The
-    Gram is summed row by row, in the order the engine sums it: rounding
-    in a Gram near rank loss is amplified by 1 / L in the whitened
-    coordinates, and would otherwise separate two correct trajectories."""
-    lam, vec = np.linalg.eigh(np.add.reduce(x_rows[:, :, None] * x_rows[:, None, :], axis=0))
+    the directions with eigenvalue above GRAM_RTOL times the largest. When
+    the smallest kept one is at most REWHITEN_RTOL times the largest, X_b T
+    is whitened once more from its own Gram, eigh = V_2 L_2 V_2^T: T becomes
+    T V_2 L_2^{-1/2} V_2^T and T^+ becomes V_2 L_2^{1/2} V_2^T T^+. Each Gram
+    is summed row by row, in the order the engine sums it: rounding in a
+    Gram near rank loss is amplified by 1 / L in the whitened coordinates,
+    and would otherwise separate two correct trajectories."""
+    def gram_eigh(rows):
+        return np.linalg.eigh(np.add.reduce(rows[:, :, None] * rows[:, None, :], axis=0))
+
+    lam, vec = gram_eigh(x_rows)
     keep = lam > GRAM_RTOL * lam[-1]
     lam, vec = lam[keep], vec[:, keep]
-    return vec / np.sqrt(lam), (vec * np.sqrt(lam)).T
+    t, t_plus = vec / np.sqrt(lam), (vec * np.sqrt(lam)).T
+    if lam.size and lam[0] <= REWHITEN_RTOL * lam[-1]:
+        lam2, vec2 = gram_eigh(x_rows @ t)
+        t, t_plus = t @ (vec2 / np.sqrt(lam2)) @ vec2.T, (vec2 * np.sqrt(lam2)) @ vec2.T @ t_plus
+    return t, t_plus
 
 
 def sample_domain_step(problem, graph, x, batch, iteration, log):
@@ -442,8 +453,10 @@ def cholesky_screen(r: np.ndarray) -> bool:
 def frozen_transition_matrix(graph, layout, x):
     """C and the anchor C^T x as first built: a zero-filled C, the identity
     entries and the whitened compressed rows scattered into it through
-    flattened indices, and every Gram direction masked by its keep test
-    (see ``dasf.engine.build_transition_matrix`` for the map itself)."""
+    flattened indices, every Gram direction masked by its keep test, and
+    each ill-conditioned branch's kept columns whitened a second time,
+    branch by branch (see ``dasf.engine.build_transition_matrix`` for the
+    map itself)."""
     d = layout.local_dim
     raw = [seg for seg in layout.branches if seg.raw]
     mixed = [seg for seg in layout.branches if not seg.raw]
@@ -471,7 +484,18 @@ def frozen_transition_matrix(graph, layout, x):
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
         keep = lam > GRAM_RTOL * lam[:, -1:]
         whiten = vec / np.sqrt(np.where(keep, lam, np.inf))[:, None, :]
-        flat[mixed_flat] = np.einsum("ij,ijk->ik", xc, whiten[branch])
+        blocks = np.einsum("ij,ijk->ik", xc, whiten[branch])
+        for b in range(len(mixed)):
+            kept = lam[b][keep[b]]
+            if kept.size and kept[0] <= REWHITEN_RTOL * kept[-1]:
+                # whiten the kept columns (the last ones) once more from their Gram
+                cols = slice(keep.shape[1] - kept.size, None)
+                block = blocks[branch == b, cols]
+                lam2, vec2, info = dsyevd(block.T @ block, lower=1)
+                if info:
+                    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+                blocks[branch == b, cols] = block @ ((vec2 / np.sqrt(lam2)) @ vec2.T)
+        flat[mixed_flat] = blocks
         if not keep[:, 0].all():
             c = c[:, c.any(axis=0)]
     return c, c.T @ x

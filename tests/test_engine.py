@@ -472,25 +472,33 @@ def test_run_is_bitwise_the_frozen_step_loop_with_a_dropped_direction(kind):
     assert run.records[1].node == 2 and run.records[1].local_dim < full
 
 
-def test_transition_matrix_is_bitwise_the_frozen_one():
-    # every node of three topologies, at a generic point and at one whose
-    # branch Grams drop directions
+def test_transition_matrix_is_bitwise_the_frozen_one(monkeypatch):
+    # every node of three topologies, at a generic point, at one whose branch
+    # Grams drop directions, and at ill-conditioned ones whose Grams are
+    # whitened twice, with and without a dropped direction
     rng = np.random.default_rng(61)
-    dropped = 0
+    eighs = []
+    monkeypatch.setattr(engine, "_branch_eigh",
+                        lambda grams, eigh=engine._branch_eigh: eighs.append(1) or eigh(grams))
+    dropped = builds = 0
     for graph in (make_random_tree(8, [1 + k % 3 for k in range(8)], rng_seed=rng),
                   make_erdos_renyi(7, 2, 0.4, rng), make_fully_connected(4, 3)):
         for q in (1, 2, 3):
             x = rng.standard_normal((graph.total_channels, q))
-            deficient = x.copy()
+            deficient, ill = x.copy(), x.copy()
             deficient[:, -1] = deficient[:, 0]
+            ill[:, -1] = ill[:, 0] + 1e-4 * rng.standard_normal(graph.total_channels)
+            both = ill.copy()
+            both[:, 1 % q] = both[:, 0]
             for node in graph.nodes:
                 layout = plan_local_layout(prune_to_tree(graph, node), graph, q)
-                for point in (x, deficient):
+                for point in (x, deficient, ill, both):
                     c, anchor = build_transition_matrix(graph, layout, point)
                     c_ref, anchor_ref = oracles.frozen_transition_matrix(graph, layout, point)
                     assert np.array_equal(c, c_ref) and np.array_equal(anchor, anchor_ref)
-                dropped += c.shape[1] < layout.local_dim
-    assert dropped and not layout.c_template.flags.writeable
+                    builds += 1
+                    dropped += c.shape[1] < layout.local_dim
+    assert dropped and len(eighs) > builds and not layout.c_template.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -507,9 +515,7 @@ def _family_problem(kind, m, q, rng):
     return _qcqp(m, q, rng)
 
 
-@pytest.mark.parametrize("topology", ["tree", "erdos_renyi"])
-@pytest.mark.parametrize("kind", ["mmse", "qcqp", "tro", "scqp"])
-def test_statistics_engine_matches_sample_domain_oracle(kind, topology):
+def _oracle_case(kind, topology):
     rng = np.random.default_rng(25)
     if topology == "tree":
         # single-channel leaves below Q = 3 forward raw rows
@@ -526,8 +532,14 @@ def test_statistics_engine_matches_sample_domain_oracle(kind, topology):
     batch = SampleBatch(y=y, channels=graph.channels, v=v,
                         s=sources if kind == "mmse" else None)
     x0 = prob.random_feasible(m, rng)
-    result = dasf_run(prob, graph, batch, 40, x0=x0, warn_on_bound=False)
+    return prob, graph, batch, dasf_run(prob, graph, batch, 40, x0=x0, warn_on_bound=False)
 
+
+@pytest.mark.parametrize("topology", ["tree", "erdos_renyi"])
+@pytest.mark.parametrize("kind", ["mmse", "qcqp", "tro", "scqp"])
+def test_statistics_engine_matches_sample_domain_oracle(kind, topology):
+    prob, graph, batch, result = _oracle_case(kind, topology)
+    x0 = result.x_history[0]
     log = TransportLog()
     x = x0
     for i, got in enumerate(result.x_history[1:]):
@@ -535,6 +547,17 @@ def test_statistics_engine_matches_sample_domain_oracle(kind, topology):
         assert np.abs(got - x).max() <= 1e-10 * np.abs(x).max(), i
     assert result.transport.records == log.records
     assert (topology == "tree") == any(r.kind == "raw" for r in log.records)
+
+
+def test_statistics_engine_matches_sample_domain_oracle_per_step():
+    # each step from the engine's own iterate, which the trajectory test
+    # follows only from x0: one branch Gram of this case reaches a condition
+    # number of about 6.5e6, where a single whitening from the Gram put the
+    # two steps 2.9e-10 apart
+    prob, graph, batch, result = _oracle_case("qcqp", "tree")
+    for i, (x, got) in enumerate(zip(result.x_history, result.x_history[1:])):
+        want = oracles.sample_domain_step(prob, graph, x, batch, i, TransportLog())
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), i
 
 
 # ---------------------------------------------------------------------------
@@ -855,6 +878,26 @@ def test_branch_eigh_equals_numpy_eigh():
         lam_ref, vec_ref = np.linalg.eigh(grams)
         assert np.abs(lam - lam_ref).max() <= 1e-15 * np.abs(lam_ref).max()
         assert np.abs(vec - vec_ref).max() <= 1e-15
+
+
+def test_ill_conditioned_branch_is_whitened_to_rounding():
+    # the branch of nodes 2 and 3 has singular values 1 and 1e-4, a Gram
+    # with condition number 1e8: one whitening from the Gram leaves C^T C
+    # about 1e-8 off the identity, the second one rounding
+    rng = np.random.default_rng(62)
+    graph = make_path(3, 2)
+    layout = plan_local_layout(prune_to_tree(graph, 1), graph, 2)
+    x = rng.standard_normal((6, 2))
+    u, _ = np.linalg.qr(rng.standard_normal((4, 2)))
+    v, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+    x[2:] = (u * [1.0, 1e-4]) @ v.T
+    c, anchor = build_transition_matrix(graph, layout, x)
+    assert c.shape[1] == layout.local_dim
+    assert np.abs(c.T @ c - np.eye(c.shape[1])).max() <= 1e-13
+    assert np.abs(c @ anchor - x).max() <= 1e-12
+    t, t_plus = oracles.whitening(x[2:])
+    assert np.abs(x[2:] @ t - c[2:, 2:]).max() <= 1e-12
+    assert np.abs(t_plus - anchor[2:]).max() <= 1e-12
 
 
 def test_branch_eigh_failure_raises(monkeypatch):

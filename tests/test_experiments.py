@@ -18,6 +18,7 @@ import dasf
 import dasf.cli
 import dasf.experiments as experiments
 from dasf.experiments import (
+    MAX_NODES,
     ConfigError,
     ExperimentConfig,
     StudyResult,
@@ -229,6 +230,29 @@ def test_filter_width_wider_than_network_rejected(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_node_count_is_bounded():
+    # checked before an integer channels is expanded to one entry per node
+    raw = _base_raw()
+    for nodes in (MAX_NODES + 1, 10**20):
+        raw["network"]["nodes"] = nodes
+        assert _errors_of(raw) == (f"network.nodes: must be at most {MAX_NODES}, got {nodes}",)
+    raw["network"]["nodes"] = MAX_NODES
+    with pytest.warns(RuntimeWarning, match="rank deficient"):
+        assert validate_config(raw).total_channels == 2 * MAX_NODES
+
+
+def test_huge_yaml_integer_is_a_config_error(tmp_path, capsys):
+    # past Python's integer-string digit limit the YAML loader raises ValueError
+    cfg = tmp_path / "huge.yaml"
+    cfg.write_text(yaml.safe_dump(_base_raw()).replace("seed: 0", "seed: " + "1" * 5000))
+    with pytest.raises(ConfigError) as info:
+        load_config(cfg)
+    (error,) = info.value.errors
+    assert error.startswith("config: unreadable value: ") and "digits" in error
+    assert dasf.cli.main(["run", str(cfg)]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "config", "details": [error]}
+
+
 def test_low_sample_count_warns():
     raw = _base_raw()
     raw["problem"]["n_filters"] = 2
@@ -399,13 +423,12 @@ _RULES = experiments._RULES
 _DRIFT_RULES = _RULES["signals"]["drift"].nested
 _KEYS = sorted({key for rules in _RULES.values() for key in rules} | set(_DRIFT_RULES))
 
-# YAML-like values: scalars (the table's kind names among the strings, every
-# float including inf and nan), and lists and mappings of them. Integers
-# stay small: an integer network.channels is expanded to network.nodes
-# entries, so a huge nodes value allocates that many (and raises
-# OverflowError past the index range); validate_config sets no upper bound.
+# YAML-like values: scalars (small and huge integers, every float including
+# inf and nan, the table's kind names among the strings), and lists and
+# mappings of them
 _YAML_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 40) | st.floats() | st.text(max_size=5)
+    st.none() | st.booleans() | st.integers(-3, 40) | st.integers(-10**30, 10**30)
+    | st.floats() | st.text(max_size=5)
     | st.sampled_from(experiments.PROBLEM_KINDS + experiments.TOPOLOGY_KINDS
                       + experiments.SAMPLE_MODES),
     lambda inner: st.lists(inner, max_size=4)

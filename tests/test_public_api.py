@@ -1,6 +1,6 @@
 """Guard on the exported surface: every listed name exists, the package
-exports exactly the names it exported before, and importing it leaves
-scipy.optimize to the first solve, or the study, that needs it."""
+exports exactly the names it exported before, and neither importing it nor
+any family's solve or study loads scipy.optimize."""
 
 import importlib
 import json
@@ -75,25 +75,25 @@ def test_package_exports_are_frozen():
     assert dasf.__all__ == PACKAGE_ALL
 
 
-# a tight ball, so the solve goes through the secular equation
+# a tight ball, so the QCQP solve goes through the secular equation, and an
+# SCQP solve, which always does
 _FOOTPRINT_PROBE = """
 import json, sys
 import numpy as np
 import dasf
-from dasf.sfo import FEASIBILITY_RTOL, preload_solver
+from dasf.sfo import FEASIBILITY_RTOL
 at_import = "scipy.optimize" in sys.modules
-preload_solver("mmse"), preload_solver("tro")
-after_other_preloads = "scipy.optimize" in sys.modules
 rng = np.random.default_rng(4)
 a, c, d = rng.standard_normal((5, 2)), rng.standard_normal(5), rng.standard_normal(2)
-prob = dasf.QcqpProblem(n_filters=2, linear_term=a, gain_vector=c, target_response=d,
-                        radius=1.1 * np.linalg.norm(d) / np.linalg.norm(c))
 batch = dasf.SampleBatch(y=rng.standard_normal((5, 300)), channels=(5,))
-out = dasf.solve_centralized(prob, batch)
-print(json.dumps({"at_import": at_import, "after_other_preloads": after_other_preloads,
-                  "after_solve": "scipy.optimize" in sys.modules,
-                  "iterations": out.iterations,
-                  "feasible": bool(out.residuals.max() <= FEASIBILITY_RTOL)}))
+outs = [dasf.solve_centralized(prob, batch) for prob in (
+    dasf.QcqpProblem(n_filters=2, linear_term=a, gain_vector=c, target_response=d,
+                     radius=1.1 * np.linalg.norm(d) / np.linalg.norm(c)),
+    dasf.ScqpProblem(n_filters=2, linear_term=a))]
+print(json.dumps({"at_import": at_import,
+                  "after_solves": "scipy.optimize" in sys.modules,
+                  "iterations": [out.iterations for out in outs],
+                  "feasible": all(bool(out.residuals.max() <= FEASIBILITY_RTOL) for out in outs)}))
 """
 
 
@@ -108,25 +108,24 @@ def _probe(script):
 
 def test_import_leaves_scipy_optimize_unloaded():
     probe = _probe(_FOOTPRINT_PROBE)
-    assert not probe["at_import"] and not probe["after_other_preloads"]
-    assert probe["after_solve"] and probe["iterations"] > 0 and probe["feasible"]
+    assert not probe["at_import"] and not probe["after_solves"]
+    assert all(it > 0 for it in probe["iterations"]) and probe["feasible"]
 
 
+# the same study in-process, then with two forked workers
 _STUDY_PROBE = """
 import json, sys
 from dasf import run_study, validate_config
-study = run_study(validate_config({
+counts = [run_study(validate_config({
     "schema_version": 1, "problem": {"kind": %r, "n_filters": 1},
     "network": {"kind": "erdos_renyi", "nodes": 4, "channels": 2, "edge_prob": 0.8},
     "signals": {"sources": 1},
-    "run": {"monte_carlo_runs": 2, "iterations": 2, "samples": 200, "workers": 2}}),
-    write=False)
-print(json.dumps([study.run_count, "scipy.optimize" in sys.modules]))
+    "run": {"monte_carlo_runs": 2, "iterations": 2, "samples": 200, "workers": workers}}),
+    write=False).run_count for workers in (1, 2)]
+print(json.dumps([counts, "scipy.optimize" in sys.modules]))
 """
 
 
-@pytest.mark.parametrize("kind, loaded", [("mmse", False), ("qcqp", True), ("scqp", True)])
-def test_parallel_study_loads_scipy_optimize_before_forking(kind, loaded):
-    # every solve runs in a worker, so the parent holds scipy.optimize only if
-    # it loaded it for the forked workers to inherit
-    assert _probe(_STUDY_PROBE % kind) == [2, loaded]
+@pytest.mark.parametrize("kind", ["mmse", "qcqp", "tro", "scqp"])
+def test_parallel_study_leaves_scipy_optimize_unloaded(kind):
+    assert _probe(_STUDY_PROBE % kind) == [[2, 2], False]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from dasf.network import make_fully_connected, make_path
+from dasf import sfo
 from dasf.sfo import (
     COND_LIMIT,
     DIAG_LOAD,
@@ -268,6 +269,73 @@ def test_qcqp_dimension_one_is_pinned():
     batch = _batch(1, 50, rng)
     out = solve_centralized(prob, batch)
     assert out.x == pytest.approx(np.array([[0.5]]))
+
+
+# ---------------------------------------------------------------------------
+# the secular equation of qcqp and scqp
+
+
+def _secular_g(lam, b, mu):
+    b2 = np.sum(b * b, axis=1)
+    live = b2 > 0
+    with np.errstate(divide="ignore"):
+        return float(np.sum(b2[live] / (lam[live] + mu) ** 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=12),
+    q=st.integers(min_value=1, max_value=3),
+    zeros=st.integers(min_value=0, max_value=3),
+    clustered=st.booleans(),
+    zero_rows=st.floats(min_value=0.0, max_value=0.8),
+    log_frac=st.floats(min_value=-12.0, max_value=6.0),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_secular_root_property(n, q, zeros, clustered, zero_rows, log_frac, seed):
+    # lam >= 0 with exact zeros and clusters, b with zero rows, and s^2 from
+    # 1e-12 to 1e6 of g(0) (of g(1) when a zero lam has a nonzero row)
+    rng = np.random.default_rng(seed)
+    lam = np.sort(10.0 ** rng.uniform(-6, 4, n))
+    if clustered:
+        lam[n // 2:] = lam[n // 2] * (1.0 + 1e-13 * rng.integers(0, 3, n - n // 2))
+    lam[:zeros] = 0.0
+    b = rng.standard_normal((n, q)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
+    b[rng.random(n) < zero_rows] = 0.0
+    b[rng.integers(n)] += 1.0                  # at least one nonzero row
+    g0 = _secular_g(lam, b, 0.0)
+    s2 = 10.0 ** log_frac * (g0 if np.isfinite(g0) else _secular_g(lam, b, 1.0))
+    mu, steps = sfo._secular_root(lam, b, s2, "test")
+    # the least mu >= 0 with g(mu) <= s^2: a root when positive
+    assert mu >= 0.0 and steps <= sfo.SECULAR_MAX_ITER
+    if mu > 0.0:
+        assert abs(_secular_g(lam, b, mu) / s2 - 1.0) <= 1e-13
+    else:
+        assert g0 <= s2
+
+
+def test_secular_root_failure_names_the_family(monkeypatch):
+    monkeypatch.setattr(sfo, "SECULAR_MAX_ITER", 1)
+    with pytest.raises(SolverError, match="^scqp: secular equation did not converge in 1 steps"):
+        sfo._secular_root(np.array([0.0, 1.0]), np.ones((2, 1)), 0.5, "scqp")
+
+
+def test_qcqp_null_space_basis_is_orthonormal():
+    # with the ball active the solution lies on the sphere and the plane to
+    # rounding, which needs c^T Z = 0 and Z^T Z = I of the Householder basis;
+    # gain vectors of either sign of c_0, as the reflector takes its sign
+    rng = np.random.default_rng(71)
+    for m in (2, 5, 40):
+        for sign in (1.0, -1.0):
+            c = rng.standard_normal(m)
+            c[0] = sign * abs(c[0])
+            d = rng.standard_normal(2)
+            prob = QcqpProblem(n_filters=2, linear_term=100.0 * rng.standard_normal((m, 2)),
+                               gain_vector=c, target_response=d,
+                               radius=1.2 * np.linalg.norm(d) / np.linalg.norm(c))
+            out = solve_centralized(prob, _batch(m, 300, rng))
+            assert abs(np.sum(out.x * out.x) / prob.radius**2 - 1.0) <= 1e-13
+            assert np.abs(c @ out.x - d).max() <= 1e-13 * np.abs(d).max()
 
 
 # ---------------------------------------------------------------------------
