@@ -27,13 +27,12 @@ once per (graph, q, filter width): the tree, the layout, C's index arrays
 and a read-only template of C with its identity entries; and once per
 batch: the network-wide instance (``centralized_instance``) the local ones
 are compressed from, and the streams fused toward q. The kernel (``_step``)
-then issues only the numeric calls: the template's copy, the branch Grams,
-one dsyevd per compressed branch (two for an ill-conditioned one), the
-whitening, the congruence C^T R C and C^T B, the local solve and the lift
-C x_local, with the plan's sends logged around the solve. ``dasf_run``
-resolves each node's plan the first time it visits the node and calls the
-kernel directly; ``dasf_step`` is validation, the same kernel and a
-StepInfo.
+then issues only the numeric calls: the template's copy, one thin SVD per
+compressed branch (one dgesvd, whose U is the branch's block of C), the
+congruence C^T R C and C^T B, the local solve and the lift C x_local, with
+the plan's sends logged around the solve. ``dasf_run`` resolves each node's
+plan the first time it visits the node and calls the kernel directly;
+``dasf_step`` is validation, the same kernel and a StepInfo.
 
 The local-to-network change of coordinates is a tall sparse matrix C with
 one nonzero block per block row; its identities (local signals equal C^T
@@ -52,7 +51,7 @@ from types import SimpleNamespace
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dsyevd
+from scipy.linalg.lapack import dgesvd
 
 from .network import NetworkGraph, PrunedTree, prune_to_tree
 from .sfo import (
@@ -88,8 +87,7 @@ __all__ = [
     "normalized_error",
 ]
 
-GRAM_RTOL = 1e-10   # branch Gram directions this small against its largest are dropped
-REWHITEN_RTOL = 1e-6   # a kept branch Gram this ill-conditioned is whitened a second time
+RANK_RTOL = 1e-12   # branch singular values this small against the largest are dropped
 
 
 def select_updating_node(iteration: int, node_count: int) -> int:
@@ -235,10 +233,10 @@ class BranchSegment:
     """One branch of the pruned tree, as seen from the updating node.
 
     A compressed branch occupies n_filters local coordinates, fewer when an
-    iteration drops directions of its Gram; a raw branch (subtree channel
-    count below the filter width) occupies one coordinate per channel, in
-    preorder. rows lists the members' network rows in that order; it is
-    read-only because plans are shared across iterations.
+    iteration drops directions of its filter rows; a raw branch (subtree
+    channel count below the filter width) occupies one coordinate per
+    channel, in preorder. rows lists the members' network rows in that
+    order; it is read-only because plans are shared across iterations.
     """
 
     root: int
@@ -262,7 +260,7 @@ class LocalLayout:
     own_channels: int                         # q's block, always columns [0, own)
     own_rows: slice                           # q's network rows
     branches: tuple[BranchSegment, ...]       # ascending branch-root order
-    local_dim: int                            # every Gram direction kept
+    local_dim: int                            # every branch direction kept
     fallback: frozenset[int]                  # nodes forwarding raw rows
     # one iteration's sends as (sender, receiver, kind, rows): leaf-to-root
     # per fused stream (raw nodes ship their subtree's channels), then
@@ -289,18 +287,19 @@ class LocalLayout:
         return c
 
     @cached_property
-    def c_index(self) -> tuple[np.ndarray, ...]:
-        """Index arrays of C at full width, made once per plan: the compressed
-        rows, their flattened entries, each branch's first row, each row's branch."""
+    def c_index(self) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, int], ...]]:
+        """C's compressed entries at full width, made once per plan: their
+        flattened indices, their network rows, and each compressed branch's
+        span of those rows, as Python ints."""
         d, mixed = self.local_dim, [seg for seg in self.branches if not seg.raw]
+        sizes = [seg.rows.size for seg in mixed]
         rows = np.concatenate([np.zeros(0, dtype=int)] + [seg.rows for seg in mixed])
-        branch = np.repeat(np.arange(len(mixed)), [seg.rows.size for seg in mixed])
-        cols = np.array([seg.offset for seg in mixed], dtype=int)[branch, None]
-        index = (rows[:, None] * d + cols + np.arange(self.n_filters), rows,
-                 np.flatnonzero(np.diff(branch, prepend=-1)), branch)
-        for a in index:
+        cols = np.repeat(np.array([seg.offset for seg in mixed], dtype=int), sizes)
+        flat = (rows * d + cols)[:, None] + np.arange(self.n_filters)
+        for a in (flat, rows):
             a.setflags(write=False)
-        return index
+        stops = np.cumsum(sizes, dtype=int).tolist()
+        return flat, rows, tuple(zip([0] + stops[:-1], stops))
 
 
 def _arange(span: slice) -> np.ndarray:
@@ -374,54 +373,37 @@ def build_transition_matrix(graph: NetworkGraph, layout: LocalLayout,
     local point C^T x, which C maps back to the current network filter x.
 
     C has one nonzero block per block row: the identity at the updating
-    node's rows and at each raw branch's rows, and X_b V Lambda^{-1/2} at
-    the rows of each compressed branch b, for eigh(X_b^T X_b) = V Lambda V^T
-    of the branch's Gram; so C^T C = I, and the anchor holds q's and the raw
-    branches' current blocks and Lambda^{1/2} V^T per compressed branch.
-    Gram directions with lambda <= GRAM_RTOL * lambda_max are dropped,
-    which leaves that branch fewer than n_filters columns; C @ anchor then
-    misses x only by the dropped directions. Whitening from the Gram leaves
-    C_b^T C_b off I by about eps * lambda_max / lambda_min, so a branch whose
-    kept lambda_min <= REWHITEN_RTOL * lambda_max is whitened once more, by
-    V_2 Lambda_2^{-1/2} V_2^T from eigh(C_b^T C_b) = V_2 Lambda_2 V_2^T.
+    node's rows and at each raw branch's rows, and U at the rows of each
+    compressed branch b, for the thin SVD X_b = U S V^T of the branch's
+    stacked filter rows (one LAPACK dgesvd call per branch); so C^T C = I to
+    rounding at any conditioning, and the anchor holds q's and the raw
+    branches' current blocks and S V^T per compressed branch. The protocol
+    whitens from the Q x Q Gram X_b^T X_b each branch sums up the tree, by
+    T_b = V S^{-1}. The simulator computes the same map from the SVD: X_b T_b
+    is U in exact arithmetic, and U is orthonormal to rounding in floating
+    point. The Grams are not logged as sends.
 
-    C starts as a copy of the plan's identity template. One test, on each
-    Gram's smallest eigenvalue, decides whether every branch is whole and
-    well conditioned; only otherwise do the mask and second whitening run.
+    Directions with s <= RANK_RTOL * s_max are dropped: their columns are
+    zeroed and removed, which leaves that branch fewer than n_filters
+    columns, and C @ anchor then misses x only by the dropped directions.
     """
-    mixed_flat, rows, starts, branch = layout.c_index
+    flat, rows, spans = layout.c_index
     c = layout.c_template.copy()
-    if starts.size:
+    if spans:
         xc = x.take(rows, axis=0)
-        lam, vec = _branch_eigh(np.add.reduceat(xc[:, :, None] * xc[:, None, :], starts, axis=0))
-        # eigenvalues ascend: a branch is whole and well conditioned when its smallest is
-        whole = all(w[0] > REWHITEN_RTOL * w[-1] for w in lam.tolist())
-        # a dropped direction's column comes out zero, and every other is not
-        kept = lam if whole else np.where(lam > GRAM_RTOL * lam[:, -1:], lam, np.inf)
-        blocks = np.einsum("ij,ijk->ik", xc, (vec / np.sqrt(kept)[:, None, :]).take(branch, axis=0))
-        if not whole:
-            dropped = np.isinf(kept).sum(axis=1)   # the kept directions are the last
-            for b in np.flatnonzero(kept.min(axis=1) <= REWHITEN_RTOL * lam[:, -1]):
-                block = blocks[branch == b, dropped[b]:]
-                (lam2,), (vec2,) = _branch_eigh((block.T @ block)[None])
-                blocks[branch == b, dropped[b]:] = block @ ((vec2 / np.sqrt(lam2)) @ vec2.T)
-        c.reshape(-1)[mixed_flat] = blocks
-        if not whole and dropped.any():
+        dropped = False
+        for lo, hi in spans:
+            u, s, _, info = dgesvd(xc[lo:hi], full_matrices=0)
+            if info:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            if s[-1] <= RANK_RTOL * s[0]:   # descending: the dropped are the last
+                u[:, s <= RANK_RTOL * s[0]] = 0.0
+                dropped = True
+            xc[lo:hi] = u   # the branch's rows of C replace its filter rows
+        c.reshape(-1)[flat] = xc
+        if dropped:
             c = c[:, c.any(axis=0)]
     return c, c.T @ x
-
-
-def _branch_eigh(grams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.linalg.eigh of a stack of small symmetric Grams (lower triangle),
-    one LAPACK dsyevd call per Gram: at Q x Q that skips numpy's per-call
-    wrapping, and gives the same eigenpairs."""
-    lam = np.empty(grams.shape[:2])
-    vec = np.empty(grams.shape)
-    for b, g in enumerate(grams):
-        lam[b], vec[b], info = dsyevd(g, lower=1)
-        if info:
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    return lam, vec
 
 
 # --------------------------------------------------------------------------

@@ -7,17 +7,18 @@ with multiple starts, and the trace-ratio optimum comes from scalar
 bisection on the sum of principal generalized eigenvalues. The one
 exception is the sample-domain engine step, which replays an iteration the
 way the nodes run it, by fusing the samples up the tree with
-``fuse_and_forward`` here, whitening each compressed branch from its own
-Gram and updating every node from its branch's mixing block, so that the
-statistics-domain engine can be held to it. It uses the library's tree and
-layout, but derives its per-node channel counts and raw stacks from the
-tree itself. The drift statistics draw and the conditioning screen are kept
-in their first written form, so that the library's faster forms are held to
-the same random stream and the same decisions. The statistics-domain step
-loop is kept the same way (``frozen_dasf_run``): the transition matrix built
-by zero-fill and scatters, and one ``dasf_step``-shaped call per iteration
-with the mmse solve's checks ahead of its LAPACK call, so that the engine's
-planned step kernel is held bitwise to the same trajectory, records and log.
+``fuse_and_forward`` here, whitening each compressed branch from numpy's
+SVD of its filter rows and updating every node from its branch's mixing
+block, so that the statistics-domain engine can be held to it. It uses the
+library's tree and layout, but derives its per-node channel counts and raw
+stacks from the tree itself. The drift statistics draw and the conditioning
+screen are kept in their first written form, so that the library's faster
+forms are held to the same random stream and the same decisions. The
+statistics-domain step loop is kept the same way (``frozen_dasf_run``): the
+transition matrix built by zero-fill and scatters, and one
+``dasf_step``-shaped call per iteration with the mmse solve's checks ahead of
+its LAPACK call, so that the engine's planned step kernel is held bitwise to
+the same trajectory, records and log.
 """
 
 from __future__ import annotations
@@ -28,11 +29,10 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.optimize import minimize
 
-from scipy.linalg.lapack import dgesv, dsyevd
+from scipy.linalg.lapack import dgesv, dgesvd
 
 from dasf.engine import (
-    GRAM_RTOL,
-    REWHITEN_RTOL,
+    RANK_RTOL,
     ConvergenceRecord,
     RunResult,
     TransportLog,
@@ -296,25 +296,13 @@ def objective_on_samples(problem, x, y, v=None, s=None) -> float:
 
 def whitening(x_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(T, T^+) for a compressed branch with stacked filter rows X_b: from
-    eigh(X_b^T X_b) = V L V^T, T = V L^{-1/2} and T^+ = L^{1/2} V^T, over
-    the directions with eigenvalue above GRAM_RTOL times the largest. When
-    the smallest kept one is at most REWHITEN_RTOL times the largest, X_b T
-    is whitened once more from its own Gram, eigh = V_2 L_2 V_2^T: T becomes
-    T V_2 L_2^{-1/2} V_2^T and T^+ becomes V_2 L_2^{1/2} V_2^T T^+. Each Gram
-    is summed row by row, in the order the engine sums it: rounding in a
-    Gram near rank loss is amplified by 1 / L in the whitened coordinates,
-    and would otherwise separate two correct trajectories."""
-    def gram_eigh(rows):
-        return np.linalg.eigh(np.add.reduce(rows[:, :, None] * rows[:, None, :], axis=0))
-
-    lam, vec = gram_eigh(x_rows)
-    keep = lam > GRAM_RTOL * lam[-1]
-    lam, vec = lam[keep], vec[:, keep]
-    t, t_plus = vec / np.sqrt(lam), (vec * np.sqrt(lam)).T
-    if lam.size and lam[0] <= REWHITEN_RTOL * lam[-1]:
-        lam2, vec2 = gram_eigh(x_rows @ t)
-        t, t_plus = t @ (vec2 / np.sqrt(lam2)) @ vec2.T, (vec2 * np.sqrt(lam2)) @ vec2.T @ t_plus
-    return t, t_plus
+    numpy's SVD X_b = U S V^T, T = V S^{-1} and T^+ = S V^T, over the
+    directions with singular value above RANK_RTOL times the largest; X_b T
+    is then U, orthonormal to rounding."""
+    _, s, vt = np.linalg.svd(x_rows, full_matrices=False)
+    keep = s > RANK_RTOL * s[0]
+    s, vt = s[keep], vt[keep]
+    return vt.T / s, s[:, None] * vt
 
 
 def sample_domain_step(problem, graph, x, batch, iteration, log):
@@ -387,7 +375,7 @@ def branch_maps(layout, x, c):
     """(segment, local columns, T) per branch of a step's transition matrix
     c: T is the identity for a raw branch, and for a compressed branch the
     T with X_b T equal to c's block, by least squares, over as many columns
-    as ``whitening`` keeps directions of the branch's Gram."""
+    as ``whitening`` keeps directions of the branch's filter rows."""
     out = []
     offset = layout.own_channels
     for seg in layout.branches:
@@ -452,11 +440,11 @@ def cholesky_screen(r: np.ndarray) -> bool:
 
 def frozen_transition_matrix(graph, layout, x):
     """C and the anchor C^T x as first built: a zero-filled C, the identity
-    entries and the whitened compressed rows scattered into it through
-    flattened indices, every Gram direction masked by its keep test, and
-    each ill-conditioned branch's kept columns whitened a second time,
-    branch by branch (see ``dasf.engine.build_transition_matrix`` for the
-    map itself)."""
+    entries and the compressed rows scattered into it through flattened
+    indices, each compressed branch's rows the U of one dgesvd of its filter
+    rows, with the columns of singular values at most RANK_RTOL times the
+    largest zeroed and then removed (see
+    ``dasf.engine.build_transition_matrix`` for the map itself)."""
     d = layout.local_dim
     raw = [seg for seg in layout.branches if seg.raw]
     mixed = [seg for seg in layout.branches if not seg.raw]
@@ -466,37 +454,25 @@ def frozen_transition_matrix(graph, layout, x):
                                 + [np.arange(seg.offset, seg.offset + seg.width) for seg in raw])
     rows = np.concatenate([np.zeros(0, dtype=int)] + [seg.rows for seg in mixed])
     branch = np.repeat(np.arange(len(mixed)), [seg.rows.size for seg in mixed])
-    starts = np.flatnonzero(np.diff(branch, prepend=-1))
     cols = np.array([seg.offset for seg in mixed], dtype=int)[branch, None]
     mixed_flat = rows[:, None] * d + cols + np.arange(layout.n_filters)
 
     c = np.zeros((graph.total_channels, d))
     flat = c.reshape(-1)
     flat[ident_rows * d + ident_cols] = 1.0
-    if starts.size:
-        xc = x[rows]
-        grams = np.add.reduceat(xc[:, :, None] * xc[:, None, :], starts, axis=0)
-        lam = np.empty(grams.shape[:2])
-        vec = np.empty(grams.shape)
-        for b, g in enumerate(grams):
-            lam[b], vec[b], info = dsyevd(g, lower=1)
-            if info:
-                raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        keep = lam > GRAM_RTOL * lam[:, -1:]
-        whiten = vec / np.sqrt(np.where(keep, lam, np.inf))[:, None, :]
-        blocks = np.einsum("ij,ijk->ik", xc, whiten[branch])
+    if mixed:
+        blocks = np.empty((rows.size, layout.n_filters))
+        dropped = False
         for b in range(len(mixed)):
-            kept = lam[b][keep[b]]
-            if kept.size and kept[0] <= REWHITEN_RTOL * kept[-1]:
-                # whiten the kept columns (the last ones) once more from their Gram
-                cols = slice(keep.shape[1] - kept.size, None)
-                block = blocks[branch == b, cols]
-                lam2, vec2, info = dsyevd(block.T @ block, lower=1)
-                if info:
-                    raise np.linalg.LinAlgError("Eigenvalues did not converge")
-                blocks[branch == b, cols] = block @ ((vec2 / np.sqrt(lam2)) @ vec2.T)
+            u, s, _, info = dgesvd(x[rows[branch == b]], full_matrices=0)
+            if info:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            drop = s <= RANK_RTOL * s[0]
+            u[:, drop] = 0.0
+            dropped |= drop.any()
+            blocks[branch == b] = u
         flat[mixed_flat] = blocks
-        if not keep[:, 0].all():
+        if dropped:
             c = c[:, c.any(axis=0)]
     return c, c.T @ x
 

@@ -190,13 +190,15 @@ def test_transition_matrix_structure_fully_connected():
     c, anchor = build_transition_matrix(graph, layout, x)
     expected = np.zeros((6, 4))
     expected[2:4, 0:2] = np.eye(2)     # updating node rows
-    expected[0:2, 2] = x[0:2, 0] / np.linalg.norm(x[0:2, 0])   # branch 1, whitened
-    expected[4:6, 3] = x[4:6, 0] / np.linalg.norm(x[4:6, 0])   # branch 3, whitened
+    expected[0:2, 2] = x[0:2, 0]       # branch 1, whitened up to sign
+    expected[4:6, 3] = x[4:6, 0]       # branch 3, whitened up to sign
     assert np.array_equal(c != 0.0, expected != 0.0)
     assert np.array_equal(c[:, :2], expected[:, :2])
-    assert np.allclose(c, expected, rtol=0, atol=1e-15)
-    assert np.allclose(anchor[2:, 0], [np.linalg.norm(x[0:2]), np.linalg.norm(x[4:6])],
-                       rtol=1e-15)
+    # the SVD picks each column's sign; its column times its anchor entry
+    # is the branch's filter block, whose norm the entry carries
+    for col, rows in ((2, slice(0, 2)), (3, slice(4, 6))):
+        assert np.allclose(c[rows, col] * anchor[col, 0], x[rows, 0], rtol=0, atol=1e-15)
+        assert abs(anchor[col, 0]) == pytest.approx(np.linalg.norm(x[rows]), rel=1e-15)
 
 
 def test_anchor_maps_back_to_current_filter():
@@ -473,14 +475,14 @@ def test_run_is_bitwise_the_frozen_step_loop_with_a_dropped_direction(kind):
 
 
 def test_transition_matrix_is_bitwise_the_frozen_one(monkeypatch):
-    # every node of three topologies, at a generic point, at one whose branch
-    # Grams drop directions, and at ill-conditioned ones whose Grams are
-    # whitened twice, with and without a dropped direction
+    # every node of three topologies, at a generic point, at one whose
+    # branches drop directions, and at ill-conditioned ones, with and without
+    # a dropped direction; one dgesvd per compressed branch
     rng = np.random.default_rng(61)
-    eighs = []
-    monkeypatch.setattr(engine, "_branch_eigh",
-                        lambda grams, eigh=engine._branch_eigh: eighs.append(1) or eigh(grams))
-    dropped = builds = 0
+    svds = []
+    monkeypatch.setattr(engine, "dgesvd",
+                        lambda a, svd=engine.dgesvd, **kw: svds.append(1) or svd(a, **kw))
+    dropped = compressed = 0
     for graph in (make_random_tree(8, [1 + k % 3 for k in range(8)], rng_seed=rng),
                   make_erdos_renyi(7, 2, 0.4, rng), make_fully_connected(4, 3)):
         for q in (1, 2, 3):
@@ -496,9 +498,9 @@ def test_transition_matrix_is_bitwise_the_frozen_one(monkeypatch):
                     c, anchor = build_transition_matrix(graph, layout, point)
                     c_ref, anchor_ref = oracles.frozen_transition_matrix(graph, layout, point)
                     assert np.array_equal(c, c_ref) and np.array_equal(anchor, anchor_ref)
-                    builds += 1
+                    compressed += sum(not seg.raw for seg in layout.branches)
                     dropped += c.shape[1] < layout.local_dim
-    assert dropped and len(eighs) > builds and not layout.c_template.flags.writeable
+    assert dropped and len(svds) == compressed and not layout.c_template.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -868,22 +870,10 @@ def test_run_keeps_no_batch_of_a_callable_batch(kind):
     assert all(ref() is None for ref in drawn)
 
 
-def test_branch_eigh_equals_numpy_eigh():
-    rng = np.random.default_rng(29)
-    for q in range(1, 5):
-        x = rng.standard_normal((6, 5, q))
-        x[0, :, -1] = x[0, :, 0] if q > 1 else 0.0    # a rank-deficient Gram
-        grams = np.einsum("bij,bik->bjk", x, x)
-        lam, vec = engine._branch_eigh(grams)
-        lam_ref, vec_ref = np.linalg.eigh(grams)
-        assert np.abs(lam - lam_ref).max() <= 1e-15 * np.abs(lam_ref).max()
-        assert np.abs(vec - vec_ref).max() <= 1e-15
-
-
 def test_ill_conditioned_branch_is_whitened_to_rounding():
     # the branch of nodes 2 and 3 has singular values 1 and 1e-4, a Gram
-    # with condition number 1e8: one whitening from the Gram leaves C^T C
-    # about 1e-8 off the identity, the second one rounding
+    # with condition number 1e8: whitening from the Gram alone leaves C^T C
+    # about 1e-8 off the identity, the branch's SVD rounding
     rng = np.random.default_rng(62)
     graph = make_path(3, 2)
     layout = plan_local_layout(prune_to_tree(graph, 1), graph, 2)
@@ -900,8 +890,25 @@ def test_ill_conditioned_branch_is_whitened_to_rounding():
     assert np.abs(t_plus - anchor[2:]).max() <= 1e-12
 
 
-def test_branch_eigh_failure_raises(monkeypatch):
-    monkeypatch.setattr(engine, "dsyevd", lambda g, lower: (np.zeros(len(g)), g, 1))
+def test_nearly_rank_one_branch_keeps_both_directions():
+    # singular values 1 and 1e-8: a rank rule on the Gram's eigenvalues
+    # (1e-16 of the largest) dropped the second direction and missed x by
+    # about 1e-8; on the singular values it is kept, and C stays orthonormal
+    rng = np.random.default_rng(63)
+    graph = make_path(3, 2)
+    layout = plan_local_layout(prune_to_tree(graph, 1), graph, 2)
+    x = rng.standard_normal((6, 2))
+    u, _ = np.linalg.qr(rng.standard_normal((4, 2)))
+    v, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+    x[2:] = (u * [1.0, 1e-8]) @ v.T
+    c, anchor = build_transition_matrix(graph, layout, x)
+    assert c.shape[1] == layout.local_dim
+    assert np.abs(c.T @ c - np.eye(c.shape[1])).max() <= 1e-13
+    assert np.abs(c @ anchor - x).max() <= 1e-12
+
+
+def test_branch_svd_failure_raises(monkeypatch):
+    monkeypatch.setattr(engine, "dgesvd", lambda a, full_matrices: (a, a[0], a, 1))
     graph = make_fully_connected(3, 2)
     layout = plan_local_layout(prune_to_tree(graph, 1), graph, 1)
     with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
@@ -956,8 +963,13 @@ def test_transition_identities_property(nodes, seed):
     seed=st.integers(min_value=0, max_value=2000),
 )
 @example(nodes=6, seed=17)   # Q = 3: a raw branch, an all-zero and a rank-one block
+@example(nodes=3, seed=7)    # Q = 3: ratios 1e-9 and 2e-9 kept, 1e-14 dropped
 def test_whitened_map_property(nodes, seed):
-    # some compressed branches get filter blocks of rank below Q, or all zero
+    # each compressed branch gets a filter block U diag(s) V^T of a random
+    # scale: some of rank below Q, or all zero, and the others with
+    # singular-value ratios log-uniform on [1e-14, 1]; a ratio that lands
+    # within 100x of RANK_RTOL moves to 1e-14, so numpy and LAPACK agree on
+    # which directions are kept
     rng = np.random.default_rng(seed)
     channels = tuple(int(c) for c in rng.integers(1, 5, nodes))
     graph = make_random_tree(nodes, channels, rng_seed=seed)
@@ -965,34 +977,44 @@ def test_whitened_map_property(nodes, seed):
     x = rng.standard_normal((graph.total_channels, n_filters))
     root = int(rng.integers(1, nodes + 1))
     layout = plan_local_layout(prune_to_tree(graph, root), graph, n_filters)
-    ranks = {}
+    kept = {}
     for seg in layout.branches:
-        if not seg.raw and rng.random() < 0.6:
-            ranks[seg.root] = int(rng.integers(0, n_filters))
-            factor = rng.standard_normal((n_filters, ranks[seg.root]))
-            x[seg.rows] = x[seg.rows] @ factor @ rng.standard_normal((ranks[seg.root], n_filters))
+        if seg.raw:
+            continue
+        rank = int(rng.integers(0, n_filters)) if rng.random() < 0.6 else n_filters
+        exponents = rng.uniform(-14.0, 0.0, n_filters - 1)
+        exponents[exponents < -10.0] = -14.0
+        ratios = np.concatenate([[1.0], 10.0 ** exponents])[:rank]
+        kept[seg.root] = int(np.count_nonzero(ratios > 1e2 * engine.RANK_RTOL))
+        u = np.linalg.qr(rng.standard_normal((seg.rows.size, n_filters)))[0][:, :rank]
+        v = np.linalg.qr(rng.standard_normal((n_filters, n_filters)))[0][:, :rank]
+        x[seg.rows] = 10.0 ** rng.uniform(-2.0, 2.0) * (u * ratios) @ v.T
     c, anchor = build_transition_matrix(graph, layout, x)
     maps = oracles.branch_maps(layout, x, c)
     assert c.shape[1] == anchor.shape[0] == layout.own_channels + sum(
         cols.stop - cols.start for _, cols, _ in maps)
-    for seg, cols, _ in maps:
-        if seg.root in ranks:
-            assert cols.stop - cols.start == ranks[seg.root]
-    # rounding in a Gram grows the whitened columns' gap from orthonormality
-    # with the condition number of the directions kept (up to 1 / GRAM_RTOL)
-    cond = 1.0
-    for seg, _, t in maps:
-        if not seg.raw and t.shape[1]:
-            lam = np.linalg.eigvalsh(x[seg.rows].T @ x[seg.rows])[-t.shape[1]:]
-            cond = max(cond, lam[-1] / lam[0])
-    assert np.abs(c.T @ c - np.eye(c.shape[1])).max() <= 1e-12 * max(1.0, cond / 1e3)
-    assert np.allclose(c @ anchor, x, rtol=0, atol=1e-12 * max(1.0, np.abs(x).max()))
+    assert np.abs(c.T @ c - np.eye(c.shape[1])).max() <= 1e-13
+    # each branch keeps the directions numpy's SVD finds above RANK_RTOL,
+    # and C @ anchor is x without the others
+    x_kept = x.copy()
+    cond = {}
+    for seg in layout.branches:
+        if seg.raw:
+            continue
+        u, s, vt = np.linalg.svd(x[seg.rows], full_matrices=False)
+        keep = s > engine.RANK_RTOL * s[0]
+        assert np.count_nonzero(c[seg.rows].any(axis=0)) == keep.sum() == kept[seg.root]
+        x_kept[seg.rows] = (u[:, keep] * s[keep]) @ vt[keep]
+        cond[seg.root] = s[0] / s[keep][-1] if keep.any() else 1.0
+    assert np.abs(c @ anchor - x_kept).max() <= 1e-12 * np.linalg.norm(x)
+    # rounding in X_b T grows with the condition number of the directions kept
     x_local = rng.standard_normal((c.shape[1], n_filters))
     x_next = c @ x_local
     for seg, cols, t in maps:
         if seg.raw:
             continue
-        assert np.allclose(x[seg.rows] @ t, c[seg.rows, cols], atol=1e-12)
+        assert np.allclose(x[seg.rows] @ t, c[seg.rows, cols], rtol=0, atol=1e-12 * cond[seg.root])
         for k in seg.members:
             rows = graph.block_slice(k)
-            assert np.allclose(x_next[rows], x[rows] @ (t @ x_local[cols]), atol=1e-11)
+            assert np.allclose(x_next[rows], x[rows] @ (t @ x_local[cols]),
+                               rtol=0, atol=1e-11 * cond[seg.root])

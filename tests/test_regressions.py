@@ -1,7 +1,8 @@
 """Runs that failed, rose or ended silently wrong while the local solvers
 worked in the unwhitened coordinates of C, with their compressed metric
-C^T C near rank loss, while the mmse ridge was decided per local solve, and
-while the trace ratio stopped on an absolute tolerance. Each case is pinned
+C^T C near rank loss, while the mmse ridge was decided per local solve,
+while the trace ratio stopped on an absolute tolerance, and while branch
+directions were dropped by the eigenvalues of their Grams. Each case is pinned
 by its seeds and checked the way the benchmark checks a run: it completes,
 stays finite, passes the transport audit, and its objective rises by at
 most 1e-9 in one iteration. Where no run can complete, the check is that
@@ -137,6 +138,22 @@ def test_qcqp_near_tight_ball_completes(tmp_path, topology, n_filters, radius_sc
 def test_qcqp_near_tight_ball_descends(tmp_path):
     # rose by 1.2e-9 in one iteration
     study = _qcqp_study(tmp_path, {"kind": "random_tree"}, 2, 1 + 1e-6)
+    assert study.failed == ()
+    for result in study.run_results:
+        _check(result, 2)
+
+
+def test_qcqp_nearly_rank_one_branches_descend(tmp_path):
+    # near a tight ball the iterates tend to rank one; a rank rule on the
+    # branch Grams' eigenvalues dropped directions at singular-value ratios
+    # of 1e-5, C @ anchor missed x, and every run rose by 7.5e-8 to 1.1e-6
+    study = _study(
+        tmp_path,
+        problem={"kind": "qcqp", "n_filters": 2, "radius_scale": 1 + 1e-9},
+        network={"kind": "erdos_renyi", "edge_prob": 0.6, "nodes": 5, "channels": 2},
+        run={"monte_carlo_runs": 4, "iterations": 15, "samples": 500, "seed": 0,
+             "workers": 1},
+    )
     assert study.failed == ()
     for result in study.run_results:
         _check(result, 2)
