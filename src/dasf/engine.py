@@ -4,7 +4,8 @@ One iteration of the scheme, at updating node q:
 
 1. prune the network to a spanning tree rooted at q (a fully connected
    network prunes to its star) and plan the local coordinates; both depend
-   only on the graph, q and the filter width, so each is made once,
+   only on the graph, q and the filter width, so they are made once, for
+   every q of the graph together,
 2. every other node compresses its signal block through its current filter
    block and forwards the sum along the tree toward q; nodes whose subtree
    carries fewer channels than the filter width forward raw rows instead,
@@ -23,9 +24,14 @@ schedules as they are, one entry per stream, and expands them into
 per-send records only when queried.
 
 An iteration is plan-time work plus a step kernel. Plan-time work is done
-once per (graph, q, filter width): the tree, the layout, C's index arrays
-and a read-only template of C with its identity entries; and once per
-batch: the network-wide instance (``centralized_instance``) the local ones
+once per (graph, filter width), for every q in one graph-level pass at the
+first plan request (``_plan_graph``): the breadth-first trees of all roots
+(``network.breadth_first_forest``), then subtree channel counts, preorder
+and row offsets as arrays for all of them (``_TreePlans``). Each q's layout
+is cut from those arrays when first requested: its send schedules, C's
+index arrays and a read-only template of C with its identity entries; its
+tree, branches and fallback set are built only when read. Once per batch
+come the network-wide instance (``centralized_instance``) the local ones
 are compressed from, and the streams fused toward q. The kernel (``_step``)
 then issues only the numeric calls: the template's copy, one thin SVD per
 compressed branch (one dgesvd, whose U is the branch's block of C), the
@@ -43,7 +49,6 @@ sample-domain oracle that fuses the samples themselves up the tree.
 
 from __future__ import annotations
 
-import csv
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -53,7 +58,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.linalg.lapack import dgesvd
 
-from .network import NetworkGraph, PrunedTree, prune_to_tree
+from .network import NetworkGraph, PrunedTree, breadth_first_forest
 from .sfo import (
     CompressedInstance,
     SfoProblem,
@@ -226,8 +231,6 @@ def audit_transport(log: TransportLog, n_filters: int) -> TransportAudit:
 
 # --------------------------------------------------------------------------
 # local problem layout
-
-
 @dataclass(frozen=True)
 class BranchSegment:
     """One branch of the pruned tree, as seen from the updating node.
@@ -251,17 +254,21 @@ class BranchSegment:
         return slice(self.offset, self.offset + self.width)
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class LocalLayout:
-    """Coordinate plan for the compressed problem at one updating node."""
+    """Coordinate plan for the compressed problem at one updating node.
+
+    A layout is cut from the arrays of the ``_TreePlans`` it belongs to: the
+    fields the step kernel reads are set when it is cut, and ``branches``
+    and ``fallback`` are built from the same arrays when first read. Every
+    iteration at the node shares it, so it is never changed after the cut.
+    """
 
     node: int                                 # updating node q
     n_filters: int
     own_channels: int                         # q's block, always columns [0, own)
     own_rows: slice                           # q's network rows
-    branches: tuple[BranchSegment, ...]       # ascending branch-root order
     local_dim: int                            # every branch direction kept
-    fallback: frozenset[int]                  # nodes forwarding raw rows
     # one iteration's sends as (sender, receiver, kind, rows): leaf-to-root
     # per fused stream (raw nodes ship their subtree's channels), then
     # root-to-leaf per branch and member in preorder (raw branches their
@@ -271,100 +278,221 @@ class LocalLayout:
     mix_sends: tuple[_Send, ...] = field(repr=False)
     fusion_rows: int
     mix_rows: int
+    # C's compressed entries at full width: their flattened indices, their
+    # network rows, and each compressed branch's span of those rows, as
+    # Python ints; read-only
+    c_index: tuple[np.ndarray, np.ndarray, tuple[tuple[int, int], ...]] = field(repr=False)
+    # C at full width with only its identity entries, at q's and each raw
+    # branch's rows; read-only, and copied by every step as the start of its C
+    c_template: np.ndarray = field(repr=False)
+    _plans: _TreePlans = field(repr=False)
+    _at: int = field(repr=False)              # this layout's tree in _plans
 
     @cached_property
-    def c_template(self) -> np.ndarray:
-        """C at full width with only its identity entries, at q's and each raw
-        branch's rows; made once per plan, read-only, and copied by every
-        step as the start of its C."""
-        own = self.own_channels
-        c = np.zeros((own + sum(seg.rows.size for seg in self.branches), self.local_dim))
-        c[self.own_rows, :own] = np.eye(own)
-        for seg in self.branches:
-            if seg.raw:
-                c[seg.rows, seg.cols] = np.eye(seg.width)
-        c.setflags(write=False)
-        return c
+    def branches(self) -> tuple[BranchSegment, ...]:
+        """One segment per branch, in ascending branch-root order."""
+        p, i = self._plans, self._at
+        pre = p.preorder[i]
+        return tuple(
+            BranchSegment(
+                root=n + 1,
+                members=tuple((pre[p.branch[i, pre] == n] + 1).tolist()),
+                raw=bool(p.raw[i, n]),
+                width=int(p.width[i, n]),
+                offset=int(p.offset[i, n]),
+                rows=p.rows[i, p.start[i, n]:p.start[i, n] + p.sub[i, n]],
+            )
+            for n in np.flatnonzero(p.depth[i] == 1).tolist())
 
     @cached_property
-    def c_index(self) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, int], ...]]:
-        """C's compressed entries at full width, made once per plan: their
-        flattened indices, their network rows, and each compressed branch's
-        span of those rows, as Python ints."""
-        d, mixed = self.local_dim, [seg for seg in self.branches if not seg.raw]
-        sizes = [seg.rows.size for seg in mixed]
-        rows = np.concatenate([np.zeros(0, dtype=int)] + [seg.rows for seg in mixed])
-        cols = np.repeat(np.array([seg.offset for seg in mixed], dtype=int), sizes)
-        flat = (rows * d + cols)[:, None] + np.arange(self.n_filters)
-        for a in (flat, rows):
-            a.setflags(write=False)
-        stops = np.cumsum(sizes, dtype=int).tolist()
-        return flat, rows, tuple(zip([0] + stops[:-1], stops))
+    def fallback(self) -> frozenset[int]:
+        """The nodes forwarding raw rows."""
+        return frozenset((np.flatnonzero(self._plans.raw[self._at]) + 1).tolist())
 
 
-def _arange(span: slice) -> np.ndarray:
-    return np.arange(span.start, span.stop)
+# send kinds, indexed by whether the sender's subtree (fusion) or branch
+# (mixing) is raw
+_UP_KINDS = ("compressed", "raw")
+_DOWN_KINDS = ("mix_block", "new_block")
 
 
-def plan_local_layout(tree: PrunedTree, graph: NetworkGraph, n_filters: int) -> LocalLayout:
-    """Decide per-node compression and the local coordinate order.
+def _sends(sender, receiver, raw, rows, kinds: tuple[str, str]) -> tuple[_Send, ...]:
+    """Every tree's sends, tree after tree, from arrays indexed [tree, send]."""
+    return tuple(zip(sender.ravel().tolist(), receiver.ravel().tolist(),
+                     map(kinds.__getitem__, raw.ravel().tolist()), rows.ravel().tolist()))
+
+
+class _TreePlans:
+    """The layouts at one filter width of a set of trees spanning one graph.
+
+    Every layout rule is applied here, once, to all trees together, on
+    arrays indexed [tree, node] (nodes 0-based) or [tree, position], where a
+    tree's positions are the network's rows in preorder: the root's block,
+    then each branch's members' blocks, children in ascending order.
 
     A node compresses when its subtree (itself included) carries at least
     n_filters channels; otherwise it forwards its raw rows, stacked with its
     children's raw rows in preorder. A compressed node therefore never has a
-    compressed descendant below a raw one. The same decisions fix the sends
-    of every iteration at q, so the plan lists them once.
+    compressed descendant below a raw one. The root's block takes the first
+    local columns, then each branch in ascending branch-root order takes
+    n_filters columns if it compresses and one per channel if it is raw.
+    The same decisions fix every send of an iteration at the root.
+
+    ``layout(i)`` cuts tree i's layout from these arrays by slicing, and
+    ``tree(i)`` builds its PrunedTree. No reference to the graph is kept,
+    so plans cached per graph let the graph go.
     """
-    q = tree.root
-    if graph.total_channels < n_filters:
-        raise ValueError("filter width exceeds the network's channel count")
 
-    subtree: dict[int, int] = {}
-    for k in reversed(tree.order):
-        subtree[k] = graph.channel_count(k) + sum(subtree[c] for c in tree.children(k))
-    fallback = frozenset(k for k in tree.order if k != q and subtree[k] < n_filters)
+    def __init__(self, graph: NetworkGraph, roots: np.ndarray, depth: np.ndarray,
+                 parent: np.ndarray, n_filters: int):
+        if graph.total_channels < n_filters:
+            raise ValueError("filter width exceeds the network's channel count")
+        n_trees, k = depth.shape
+        m = graph.total_channels
+        ch = np.array(graph.channels)
+        first_row = ch.cumsum() - ch
+        # nodes and positions are indexed flat, tree after tree: node j of
+        # tree t at t * k + j, position x of tree t at t * m + x
+        tree_node = np.arange(0, n_trees * k, k)[:, None]
+        up = (parent + tree_node).ravel()           # each non-root's parent
+        node = np.arange(n_trees * k) % k
+        own_ch = ch[node]
+        by_depth = depth.argsort(axis=None, kind="stable")
+        ends = np.bincount(depth.ravel()).cumsum().tolist()
+        layers = [by_depth[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
-    own = graph.channel_count(q)
-    offset = own
-    branches: list[BranchSegment] = []
-    for n in tree.branch_roots():
-        raw = n in fallback
-        width = subtree[n] if raw else n_filters
-        members = tree.branch(n)
-        rows = np.concatenate([_arange(graph.block_slice(k)) for k in members])
-        rows.setflags(write=False)
-        branches.append(BranchSegment(
-            root=n,
-            members=members,
-            raw=raw,
-            width=width,
-            offset=offset,
-            rows=rows,
-        ))
-        offset += width
+        # subtree channel counts, leaves first
+        sub = own_ch.copy()
+        for layer in layers[:0:-1]:
+            np.add.at(sub, up[layer], sub[layer])
+        # a non-root's first position past its parent's: the parent's own
+        # block, then its elder siblings' subtrees (children ascend)
+        kids = by_depth[ends[0]:]
+        kids = kids[up[kids].argsort(kind="stable")]
+        kid_up, kid_sub = up[kids], sub[kids]
+        before = kid_sub.cumsum() - kid_sub
+        head = np.ones(kids.size, dtype=bool)
+        head[1:] = kid_up[1:] != kid_up[:-1]
+        lead = np.zeros_like(sub)
+        lead[kids] = before - np.maximum.accumulate(np.where(head, before, 0)) + own_ch[kid_up]
+        # root first: each node's first position, and its branch (the root's
+        # child it hangs from; the root is its own)
+        start = np.zeros_like(sub)
+        branch = np.arange(n_trees * k)
+        for d, layer in enumerate(layers[1:], 1):
+            p = up[layer]
+            start[layer] = start[p] + lead[layer]
+            if d > 1:
+                branch[layer] = branch[p]
 
-    fusion_sends = tuple(
-        (k, tree.parent[k], "raw", subtree[k]) if k in fallback
-        else (k, tree.parent[k], "compressed", n_filters)
-        for k in reversed(tree.order[1:]))
-    mix_sends = tuple(
-        (tree.parent[k], k, "new_block", subtree[k]) if seg.raw
-        else (tree.parent[k], k, "mix_block", n_filters)
-        for seg in branches for k in seg.members)
+        # each tree's network rows in preorder, and each position's branch
+        node_of_row = np.repeat(np.arange(k), ch)
+        row_node = tree_node + node_of_row
+        pos = np.arange(m)
+        at = start[row_node] + (pos - first_row[node_of_row]) + np.arange(0, n_trees * m, m)[:, None]
+        rows = np.empty((n_trees, m), dtype=np.intp)
+        rows.reshape(-1)[at] = pos
+        br = np.empty((n_trees, m), dtype=np.intp)
+        br.reshape(-1)[at] = branch[row_node]
 
-    return LocalLayout(
-        node=q,
-        n_filters=n_filters,
-        own_channels=own,
-        own_rows=graph.block_slice(q),
-        branches=tuple(branches),
-        local_dim=offset,
-        fallback=fallback,
-        fusion_sends=fusion_sends,
-        mix_sends=mix_sends,
-        fusion_rows=sum(send[3] for send in fusion_sends),
-        mix_rows=sum(send[3] for send in mix_sends),
-    )
+        raw = sub < n_filters            # never a root: its subtree is the network
+        top = (depth == 1).ravel()       # the branch roots
+        width = np.where(top, np.where(raw, sub, n_filters), 0).reshape(n_trees, k)
+        own = ch[roots]
+        root_node = tree_node[:, 0] + roots
+        offset = (width.cumsum(axis=1) - width + own[:, None]).ravel()
+        offset[root_node] = 0
+        dim = width.sum(axis=1) + own
+        mixed = ~raw[br] & (br != root_node[:, None])
+        flat = rows * dim[:, None] + offset[br] + np.where(mixed, 0, pos - start[br])
+
+        self.depth, self.parent, self.n_filters = depth, parent, n_filters
+        self.sub, self.start, self.raw, self.offset = (
+            a.reshape(n_trees, k) for a in (sub, start, raw, offset))
+        self.branch, self.width, self.rows = branch.reshape(n_trees, k) - tree_node, width, rows
+        self.preorder = self.start.argsort(axis=1)[:, 1:]
+        self.c_flat = flat[mixed][:, None] + np.arange(n_filters)
+        self.c_rows = rows[mixed]
+        self.ident = flat[~mixed]
+        for a in (rows, self.c_flat, self.c_rows):
+            a.setflags(write=False)
+        n_mixed = mixed.sum(axis=1)
+        self.c_at = [0] + n_mixed.cumsum().tolist()
+        self.ident_at = [0] + (m - n_mixed).cumsum().tolist()
+        mixed_top = (top & ~raw).reshape(n_trees, k)
+        span_rows = np.where(mixed_top, self.sub, 0)
+        stops = span_rows.cumsum(axis=1)
+        self.spans = tuple(zip((stops - span_rows)[mixed_top].tolist(), stops[mixed_top].tolist()))
+        self.span_at = [0] + mixed_top.sum(axis=1).cumsum().tolist()
+        self.own, self.first_row = own.tolist(), first_row[roots].tolist()
+        self.nodes = (roots + 1).tolist()
+        self.dim, self.m, self.k = dim.tolist(), m, k
+
+        # every tree's sends, k - 1 per schedule, by flat node: leaf-to-root
+        # in reverse breadth-first order, root-to-leaf in preorder
+        self.order = depth.argsort(axis=1, kind="stable")
+        up_nodes = self.order[:, :0:-1] + tree_node
+        down_nodes = self.preorder + tree_node
+        up_raw, down_raw = raw[up_nodes], raw[branch[down_nodes]]
+        up_rows = np.where(up_raw, sub[up_nodes], n_filters)
+        down_rows = np.where(down_raw, sub[down_nodes], n_filters)
+        node1, parent1 = node + 1, parent.ravel() + 1
+        self.fusion = _sends(node1[up_nodes], parent1[up_nodes], up_raw, up_rows, _UP_KINDS)
+        self.mix = _sends(parent1[down_nodes], node1[down_nodes], down_raw, down_rows,
+                          _DOWN_KINDS)
+        self.fusion_rows = up_rows.sum(axis=1).tolist()
+        self.mix_rows = down_rows.sum(axis=1).tolist()
+        self._layouts: dict[int, LocalLayout] = {}
+
+    def layout(self, i: int) -> LocalLayout:
+        """Tree i's layout, cut once."""
+        layout = self._layouts.get(i)
+        if layout is None:
+            lo, hi = self.c_at[i], self.c_at[i + 1]
+            c = np.zeros((self.m, self.dim[i]))
+            c.reshape(-1)[self.ident[self.ident_at[i]:self.ident_at[i + 1]]] = 1.0
+            c.setflags(write=False)
+            own, first = self.own[i], self.first_row[i]
+            sends = slice((self.k - 1) * i, (self.k - 1) * (i + 1))
+            layout = self._layouts[i] = LocalLayout(
+                node=self.nodes[i],
+                n_filters=self.n_filters,
+                own_channels=own,
+                own_rows=slice(first, first + own),
+                local_dim=self.dim[i],
+                fusion_sends=self.fusion[sends],
+                mix_sends=self.mix[sends],
+                fusion_rows=self.fusion_rows[i],
+                mix_rows=self.mix_rows[i],
+                c_index=(self.c_flat[lo:hi], self.c_rows[lo:hi],
+                         self.spans[self.span_at[i]:self.span_at[i + 1]]),
+                c_template=c,
+                _plans=self,
+                _at=i,
+            )
+        return layout
+
+    def tree(self, i: int) -> PrunedTree:
+        """Tree i as a PrunedTree."""
+        order = self.order[i]
+        parent = dict(zip((order[1:] + 1).tolist(), (self.parent[i, order[1:]] + 1).tolist()))
+        children: dict[int, list[int]] = {}
+        for k in sorted(parent):
+            children.setdefault(parent[k], []).append(k)
+        return PrunedTree(root=self.nodes[i], parent=parent,
+                          order=tuple((order + 1).tolist()),
+                          _children={p: tuple(ks) for p, ks in children.items()})
+
+
+def plan_local_layout(tree: PrunedTree, graph: NetworkGraph, n_filters: int) -> LocalLayout:
+    """The local layout at the root of any pruned tree (a seeded one too),
+    by the rules every run plans with (see ``_TreePlans``)."""
+    depth = np.zeros((1, graph.node_count), dtype=int)
+    parent = np.full((1, graph.node_count), -1)
+    for k in tree.order[1:]:
+        parent[0, k - 1] = tree.parent[k] - 1
+        depth[0, k - 1] = depth[0, tree.parent[k] - 1] + 1
+    return _TreePlans(graph, np.array([tree.root - 1]), depth, parent, n_filters).layout(0)
 
 
 def build_transition_matrix(graph: NetworkGraph, layout: LocalLayout,
@@ -437,12 +565,12 @@ def dasf_step(problem: SfoProblem, graph: NetworkGraph, x: np.ndarray,
     """
     q = select_updating_node(iteration, graph.node_count)
     _check_mode(graph, mode)
-    tree, layout = _plan(graph, q, problem.n_filters)
+    layout = _plan(graph, q, problem.n_filters)
     x_next, c, instance, outcome, x_local, tx = _step(
         graph, layout, *_batch_plan(problem, batch), x, iteration, log)
     info = StepInfo(
         node=q,
-        tree=tree,
+        tree=layout._plans.tree(layout._at),
         layout=layout,
         transition=c,
         instance=instance,
@@ -495,21 +623,27 @@ def _step(graph: NetworkGraph, layout: LocalLayout, central: CompressedInstance,
     return np.matmul(c, x_local, out=out), c, instance, outcome, x_local, tx
 
 
-# graph -> {(root, n_filters): (tree, layout)}; weak keys drop a graph's
-# plans with the graph, so a recycled object id never finds stale ones
+# graph -> {n_filters: _TreePlans}; weak keys drop a graph's plans with the
+# graph, so a recycled object id never finds stale ones
 _PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _plan(graph: NetworkGraph, root: int, n_filters: int) -> tuple[PrunedTree, LocalLayout]:
-    """The pruned tree and local layout at one updating node. Both depend
-    only on the graph, the root and the filter width, so each is made once
-    and kept for as long as the graph lives."""
-    plans = _PLANS.setdefault(graph, {})
-    key = (root, n_filters)
-    if key not in plans:
-        tree = prune_to_tree(graph, root)
-        plans[key] = (tree, plan_local_layout(tree, graph, n_filters))
-    return plans[key]
+def _plan_graph(graph: NetworkGraph, n_filters: int) -> _TreePlans:
+    """The graph-level pass: the plans at every root, from the breadth-first
+    trees of all roots at once."""
+    depth, parent = breadth_first_forest(graph)
+    return _TreePlans(graph, np.arange(graph.node_count), depth, parent, n_filters)
+
+
+def _plan(graph: NetworkGraph, root: int, n_filters: int) -> LocalLayout:
+    """The local layout at one updating node. All roots' plans depend only on
+    the graph and the filter width, so they are made in one pass at the
+    first request and kept for as long as the graph lives."""
+    per_graph = _PLANS.setdefault(graph, {})
+    plans = per_graph.get(n_filters)
+    if plans is None:
+        plans = per_graph[n_filters] = _plan_graph(graph, n_filters)
+    return plans.layout(root - 1)
 
 
 class ConvergenceRecord(NamedTuple):
@@ -531,15 +665,11 @@ CSV_HEADER = "run,iter,q,objective,epsilon,max_residual,tx_samples,solver_iters,
 
 
 def write_records_csv(records: Sequence[ConvergenceRecord], path) -> None:
+    """The records as CSV in one join, as the csv module writes them: the
+    floats as repr, the other fields as str, every line ended by CRLF."""
+    lines = [CSV_HEADER] + ["%s,%s,%s,%r,%r,%r,%s,%s,%s" % r for r in records]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER.split(","))
-        for r in records:
-            writer.writerow([
-                r.run, r.iteration, r.node,
-                repr(r.objective), repr(r.epsilon), repr(r.max_residual),
-                r.tx_samples, r.solver_iters, r.local_dim,
-            ])
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def normalized_error(x: np.ndarray, reference: np.ndarray):
@@ -624,7 +754,7 @@ def dasf_run(problem: SfoProblem, graph: NetworkGraph, batch, n_iterations: int,
         batch_i = batch(i) if adaptive else batch
         layout = layouts.get(q)
         if layout is None:
-            layout = layouts[q] = _plan(graph, q, problem.n_filters)[1]
+            layout = layouts[q] = _plan(graph, q, problem.n_filters)
         if adaptive or not i:
             planned = _batch_plan(problem, batch_i)
         x, _, instance, outcome, _, tx = _step(graph, layout, *planned, x, i, log, traj[i + 1])

@@ -722,8 +722,26 @@ def run_tracking(config: ExperimentConfig, write: bool = True) -> StudyResult:
 # output emission
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _printable_ascii(obj) -> bool:
+    """Whether every string in a nest of dicts and lists is printable ASCII."""
+    if isinstance(obj, str):
+        return obj.isascii() and obj.isprintable()
+    if isinstance(obj, dict):
+        return all(_printable_ascii(k) and _printable_ascii(v) for k, v in obj.items())
+    if isinstance(obj, (list, tuple)):
+        return all(map(_printable_ascii, obj))
+    return True
+
+
+def _yaml_text(data) -> str:
+    """``yaml.safe_dump(data, sort_keys=True)``, through libyaml's emitter
+    (CSafeDumper) when PyYAML has it. The two emitters write the same bytes
+    while every string is printable ASCII, but fold long double-quoted
+    scalars (escapes, line breaks, non-ASCII text) differently, so data
+    holding such a string goes through SafeDumper."""
+    fast = yaml.__with_libyaml__ and _printable_ascii(data)
+    return yaml.dump(data, Dumper=yaml.CSafeDumper if fast else yaml.SafeDumper,
+                     sort_keys=True)
 
 
 def write_study_outputs(study: StudyResult, out_dir: Path) -> None:
@@ -745,9 +763,10 @@ def write_study_outputs(study: StudyResult, out_dir: Path) -> None:
     if tracking:
         times, weights = zip(*study.config.drift.schedule)
         columns["lambda"] = np.interp(np.arange(study.epsilon.shape[1]), times, weights)
+    # floats as repr, the whole text in one join
     lines = [",".join(["iter", *columns])]
-    lines += [",".join([str(j), *(_fmt(c[j]) for c in columns.values())])
-              for j in range(study.epsilon.shape[1])]
+    lines += [",".join([str(j), *map(repr, row)]) for j, row in enumerate(
+        zip(*(np.asarray(c, dtype=float).tolist() for c in columns.values())))]
     (out_dir / "aggregate.csv").write_text("\n".join(lines) + "\n")
 
     meta = {
@@ -765,7 +784,7 @@ def write_study_outputs(study: StudyResult, out_dir: Path) -> None:
             "cpu_count": os.cpu_count(),
         },
     }
-    (out_dir / "study.meta").write_text(yaml.safe_dump(meta, sort_keys=True))
+    (out_dir / "study.meta").write_text(_yaml_text(meta))
 
     gp = [
         "set datafile separator ','",

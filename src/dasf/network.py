@@ -290,3 +290,45 @@ def prune_to_tree(graph: NetworkGraph, root: int, rng_seed=None) -> PrunedTree:
         order=tuple(order),
         _children=children_t,
     )
+
+
+def breadth_first_forest(graph: NetworkGraph) -> tuple[np.ndarray, np.ndarray]:
+    """``prune_to_tree``'s trees without ``rng_seed``, at every root at once:
+    (depth, parent) as (K, K) arrays indexed [root, node], 0-based, with
+    each root's parent -1.
+
+    Hop distances come from one boolean frontier product per layer (on 0/1
+    floats, so BLAS runs it): a node's depth counts the layers that have not
+    reached it. A node's parent is its lowest-index neighbour one layer
+    closer to the root: the root itself in the first layer, and below it the
+    first match in an ascending scan of the node's adjacency row, made for
+    all (root, node) pairs together in blocks of columns. Memory stays
+    O(K^2): no (K, K, K) intermediate is formed.
+    """
+    adj = graph.adjacency
+    k = adj.shape[0]
+    hop = adj + np.eye(k, dtype=np.float32)    # one step, or stay
+    seen = np.eye(k, dtype=np.float32)
+    depth = np.zeros((k, k), dtype=np.intp)
+    while True:
+        unseen = seen == 0
+        if not unseen.any():
+            break
+        depth += unseen
+        seen = np.minimum(seen @ hop, 1.0)
+
+    parent = np.where(depth == 1, np.arange(k)[:, None], -1)
+    # deeper nodes scan their adjacency rows in ascending column blocks, so
+    # the first qualifying column is the lowest-index parent; a block holds
+    # at most max(2^16, pairs) mask entries
+    root, node = np.nonzero(depth > 1)
+    want = (depth[root, node] - 1)[:, None]
+    lo = 0
+    while root.size:
+        hi = lo + max(1, 2**16 // root.size)
+        hit = adj[node, lo:hi] & (depth[root, lo:hi] == want)
+        found = hit.any(axis=1)
+        parent[root[found], node[found]] = hit[found].argmax(axis=1) + lo
+        root, node, want = root[~found], node[~found], want[~found]
+        lo = hi
+    return depth, parent

@@ -10,10 +10,13 @@ way the nodes run it, by fusing the samples up the tree with
 ``fuse_and_forward`` here, whitening each compressed branch from numpy's
 SVD of its filter rows and updating every node from its branch's mixing
 block, so that the statistics-domain engine can be held to it. It uses the
-library's tree and layout, but derives its per-node channel counts and raw
-stacks from the tree itself. The drift statistics draw and the conditioning
-screen are kept in their first written form, so that the library's faster
-forms are held to the same random stream and the same decisions. The
+library's ``prune_to_tree`` and the layout planner as first written, with
+per-node loops over one tree (``frozen_plan_local_layout``, which the
+library's graph-level planner is held to as well), and derives its per-node
+channel counts and raw stacks from the tree itself. The drift statistics
+draw and the conditioning screen are kept in their first written form, so
+that the library's faster forms are held to the same random stream and the
+same decisions. The
 statistics-domain step loop is kept the same way (``frozen_dasf_run``): the
 transition matrix built by zero-fill and scatters, and one
 ``dasf_step``-shaped call per iteration with the mmse solve's checks ahead of
@@ -23,6 +26,8 @@ the same trajectory, records and log.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,12 +38,12 @@ from scipy.linalg.lapack import dgesv, dgesvd
 
 from dasf.engine import (
     RANK_RTOL,
-    ConvergenceRecord,
     RunResult,
     TransportLog,
     TransportRecord,
+    BranchSegment,
+    ConvergenceRecord,
     normalized_error,
-    plan_local_layout,
     select_updating_node,
 )
 from dasf.network import prune_to_tree
@@ -230,6 +235,101 @@ def tro_grid_2d(cov_y, cov_v, n_grid: int = 200_001) -> float:
 # sample-domain engine and objectives
 
 
+@dataclass(frozen=True)
+class FrozenLayout:
+    """``dasf.engine.LocalLayout`` as first written: every field built by
+    ``frozen_plan_local_layout``, C's index arrays and template made on
+    first read."""
+
+    node: int
+    n_filters: int
+    own_channels: int
+    own_rows: slice
+    branches: tuple[BranchSegment, ...]
+    local_dim: int
+    fallback: frozenset[int]
+    fusion_sends: tuple = field(repr=False)
+    mix_sends: tuple = field(repr=False)
+    fusion_rows: int
+    mix_rows: int
+
+    @cached_property
+    def c_template(self) -> np.ndarray:
+        own = self.own_channels
+        c = np.zeros((own + sum(seg.rows.size for seg in self.branches), self.local_dim))
+        c[self.own_rows, :own] = np.eye(own)
+        for seg in self.branches:
+            if seg.raw:
+                c[seg.rows, seg.cols] = np.eye(seg.width)
+        c.setflags(write=False)
+        return c
+
+    @cached_property
+    def c_index(self):
+        d, mixed = self.local_dim, [seg for seg in self.branches if not seg.raw]
+        sizes = [seg.rows.size for seg in mixed]
+        rows = np.concatenate([np.zeros(0, dtype=int)] + [seg.rows for seg in mixed])
+        cols = np.repeat(np.array([seg.offset for seg in mixed], dtype=int), sizes)
+        flat = (rows * d + cols)[:, None] + np.arange(self.n_filters)
+        for a in (flat, rows):
+            a.setflags(write=False)
+        stops = np.cumsum(sizes, dtype=int).tolist()
+        return flat, rows, tuple(zip([0] + stops[:-1], stops))
+
+
+def frozen_plan_local_layout(tree, graph, n_filters: int) -> FrozenLayout:
+    """The per-root layout planner as first written, with per-node loops over
+    one pruned tree: a node compresses when its subtree carries at least
+    n_filters channels and forwards raw rows otherwise; branches in ascending
+    branch-root order, members in preorder; the sends leaf-to-root in reverse
+    breadth-first order and root-to-leaf per branch in preorder."""
+    q = tree.root
+    if graph.total_channels < n_filters:
+        raise ValueError("filter width exceeds the network's channel count")
+
+    subtree: dict[int, int] = {}
+    for k in reversed(tree.order):
+        subtree[k] = graph.channel_count(k) + sum(subtree[c] for c in tree.children(k))
+    fallback = frozenset(k for k in tree.order if k != q and subtree[k] < n_filters)
+
+    own = graph.channel_count(q)
+    offset = own
+    branches: list[BranchSegment] = []
+    for n in tree.branch_roots():
+        raw = n in fallback
+        width = subtree[n] if raw else n_filters
+        members = tree.branch(n)
+        rows = np.concatenate([np.arange(graph.block_slice(k).start, graph.block_slice(k).stop)
+                               for k in members])
+        rows.setflags(write=False)
+        branches.append(BranchSegment(root=n, members=members, raw=raw, width=width,
+                                      offset=offset, rows=rows))
+        offset += width
+
+    fusion_sends = tuple(
+        (k, tree.parent[k], "raw", subtree[k]) if k in fallback
+        else (k, tree.parent[k], "compressed", n_filters)
+        for k in reversed(tree.order[1:]))
+    mix_sends = tuple(
+        (tree.parent[k], k, "new_block", subtree[k]) if seg.raw
+        else (tree.parent[k], k, "mix_block", n_filters)
+        for seg in branches for k in seg.members)
+
+    return FrozenLayout(
+        node=q,
+        n_filters=n_filters,
+        own_channels=own,
+        own_rows=graph.block_slice(q),
+        branches=tuple(branches),
+        local_dim=offset,
+        fallback=fallback,
+        fusion_sends=fusion_sends,
+        mix_sends=mix_sends,
+        fusion_rows=sum(send[3] for send in fusion_sends),
+        mix_rows=sum(send[3] for send in mix_sends),
+    )
+
+
 def compress(x_block: np.ndarray, y_block: np.ndarray) -> np.ndarray:
     """Filter a node's signal block through its compressor: X_k^T Y_k,
     n_filters rows regardless of the node's channel count."""
@@ -321,7 +421,7 @@ def sample_domain_step(problem, graph, x, batch, iteration, log):
     """
     q = select_updating_node(iteration, graph.node_count)
     tree = prune_to_tree(graph, q)
-    layout = plan_local_layout(tree, graph, problem.n_filters)
+    layout = frozen_plan_local_layout(tree, graph, problem.n_filters)
     own = layout.own_channels
     maps = [(np.eye(seg.width), x[seg.rows]) if seg.raw else whitening(x[seg.rows])
             for seg in layout.branches]
@@ -517,9 +617,9 @@ def _frozen_solve(instance):
 def frozen_dasf_run(problem, graph, batch, n_iterations, mode="ti", x0=None,
                     rng_seed=None, reference=None, run_index=0):
     """``dasf.dasf_run`` as first planned: every iteration prunes and plans
-    afresh, builds the network-wide instance from its batch, assembles the
-    compressed one with ``frozen_transition_matrix``, logs its sends and
-    solves; the records are evaluated over the stacked trajectory after the
+    afresh with ``frozen_plan_local_layout``, builds the network-wide
+    instance from its batch, assembles the compressed one with
+    ``frozen_transition_matrix``, logs its sends and solves; the records are evaluated over the stacked trajectory after the
     loop, as the library does."""
     check_constraint_bound(problem, graph)
     rng = np.random.default_rng(rng_seed)
@@ -538,7 +638,7 @@ def frozen_dasf_run(problem, graph, batch, n_iterations, mode="ti", x0=None,
         q = select_updating_node(i, graph.node_count)
         if mode == "fc" and not graph.is_complete():
             raise ValueError("mode 'fc' requires a fully connected network")
-        layout = plan_local_layout(prune_to_tree(graph, q), graph, problem.n_filters)
+        layout = frozen_plan_local_layout(prune_to_tree(graph, q), graph, problem.n_filters)
         c, anchor = frozen_transition_matrix(graph, layout, x)
         instance = _frozen_compressed(centralized_instance(problem, batch_i), c, anchor)
         tx = 0

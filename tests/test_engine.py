@@ -106,21 +106,78 @@ def test_plans_are_per_graph_and_die_with_it():
 
 
 def test_plan_made_once_per_updating_node(monkeypatch):
-    calls = {"prune_to_tree": 0, "plan_local_layout": 0}
-    for name in calls:
-        real = getattr(engine, name)
+    # every updating node's plan comes from one graph-level pass per
+    # (graph, filter width), made at the first request and reused by later runs
+    passes = []
+    real = engine._plan_graph
 
-        def counted(*args, _real=real, _name=name, **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
+    def counted(graph, n_filters):
+        passes.append((graph, n_filters))
+        return real(graph, n_filters)
 
-        monkeypatch.setattr(engine, name, counted)
+    monkeypatch.setattr(engine, "_plan_graph", counted)
     rng = np.random.default_rng(23)
     graph = make_random_tree(5, 2, rng_seed=4)
-    prob = MmseProblem(n_filters=2)
     batch = _random_batch(graph, 60, rng, s_rows=2)
-    dasf_run(prob, graph, batch, 3 * 5, rng_seed=0)
-    assert calls == {"prune_to_tree": 5, "plan_local_layout": 5}
+    prob = MmseProblem(n_filters=2)
+    for _ in range(2):
+        dasf_run(prob, graph, batch, 3 * 5, rng_seed=0)
+    dasf_step(prob, graph, prob.random_feasible(graph.total_channels, rng), batch, iteration=3)
+    assert passes == [(graph, 2)]
+    dasf_run(MmseProblem(n_filters=1), graph, _random_batch(graph, 60, rng, s_rows=1), 5,
+             rng_seed=0)
+    assert passes == [(graph, 2), (graph, 1)]
+
+
+_TOPOLOGIES = {
+    "fully_connected": lambda k, ch, seed: make_fully_connected(k, ch),
+    "erdos_renyi": lambda k, ch, seed: make_erdos_renyi(k, ch, 0.3, rng_seed=seed),
+    "random_tree": lambda k, ch, seed: make_random_tree(k, ch, rng_seed=seed),
+    "path": lambda k, ch, seed: make_path(k, ch),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(_TOPOLOGIES)),
+    nodes=st.integers(min_value=1, max_value=40),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+@example(kind="path", nodes=1, seed=0)
+def test_graph_plans_equal_the_frozen_per_root_planner(kind, nodes, seed):
+    # the graph-level pass gives every root the tree prune_to_tree gives and
+    # the layout the per-root planner as first written gives, field by
+    # field, at a filter width drawn from every valid one
+    rng = np.random.default_rng(seed)
+    channels = tuple(int(c) for c in rng.integers(1, 6, nodes))
+    graph = _TOPOLOGIES[kind](nodes, channels, seed)
+    n_filters = int(rng.integers(1, graph.total_channels + 1))
+    for root in graph.nodes:
+        layout = engine._plan(graph, root, n_filters)
+        tree = prune_to_tree(graph, root)
+        ours = layout._plans.tree(layout._at)
+        assert (ours.root, ours.parent, ours.order) == (tree.root, tree.parent, tree.order)
+        assert all(ours.children(k) == tree.children(k) for k in graph.nodes)
+        ref = oracles.frozen_plan_local_layout(tree, graph, n_filters)
+        for name in ("node", "n_filters", "own_channels", "own_rows", "branches", "local_dim",
+                     "fallback", "fusion_sends", "mix_sends", "fusion_rows", "mix_rows"):
+            assert getattr(layout, name) == getattr(ref, name), name
+        for seg, ref_seg in zip(layout.branches, ref.branches):
+            assert np.array_equal(seg.rows, ref_seg.rows) and seg.rows.dtype == ref_seg.rows.dtype
+            assert not seg.rows.flags.writeable
+        for ours_a, ref_a in (*zip(layout.c_index[:2], ref.c_index[:2]),
+                              (layout.c_template, ref.c_template)):
+            assert ours_a.shape == ref_a.shape and ours_a.dtype == ref_a.dtype
+            assert np.array_equal(ours_a, ref_a) and not ours_a.flags.writeable
+        assert layout.c_index[2] == ref.c_index[2]
+        # a tree handed in, seeded ties too, is planned by the same rules
+        seeded = prune_to_tree(graph, root, rng_seed=seed)
+        by_tree = plan_local_layout(seeded, graph, n_filters)
+        ref = oracles.frozen_plan_local_layout(seeded, graph, n_filters)
+        assert (by_tree.branches, by_tree.fusion_sends, by_tree.mix_sends, by_tree.fallback) == (
+            ref.branches, ref.fusion_sends, ref.mix_sends, ref.fallback)
+        assert by_tree.c_index[2] == ref.c_index[2]
+        assert np.array_equal(by_tree.c_template, ref.c_template)
 
 
 # ---------------------------------------------------------------------------

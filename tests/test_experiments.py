@@ -1,4 +1,6 @@
 import copy
+import csv
+import io
 import json
 import os
 import platform
@@ -823,6 +825,65 @@ def test_unexpected_run_error_is_recorded(tmp_path, monkeypatch):
     # one wall time per completed run, none for the failed one
     assert len(meta["run_wall_s"]) == 2 and meta["run_wall_s"] == list(study.run_wall_s)
     assert all(isinstance(w, float) and w >= 0.0 for w in meta["run_wall_s"])
+
+
+_AWKWARD_MESSAGES = (
+    'it\'s "quoted": a colon',
+    "two\nlines: the second\tindented",
+    "non-ASCII: résumé, 日本, \U0001F600",
+    "long and escaped: " + "é: 'x' \"y\" " * 12,
+)
+
+
+@pytest.mark.parametrize("tracking", [False, True])
+def test_study_outputs_equal_the_csv_module_and_safe_dumper_forms(tmp_path, monkeypatch,
+                                                                    tracking):
+    # each output file is held to the form it was first written in: run CSVs
+    # from csv.writer, aggregate.csv from per-value repr joins, study.meta
+    # from yaml.safe_dump, also with failed-run messages that need quoting,
+    # escapes and folding
+    real = experiments._single_run
+
+    def flaky(config, variant, run_index, seed_seq):
+        if run_index >= 2:
+            raise RuntimeError(_AWKWARD_MESSAGES[run_index - 2])
+        return real(config, variant, run_index, seed_seq)
+
+    monkeypatch.setattr(experiments, "_single_run", flaky)
+    raw = _study_raw(tmp_path, monte_carlo_runs=2 + len(_AWKWARD_MESSAGES), iterations=4,
+                     workers=1)
+    if tracking:
+        raw["run"]["mode"] = "adaptive"
+        raw["signals"] = {"drift": {"delta_std": 0.4, "schedule": [[0, 0.0], [3, 1.0]]}}
+    study = run_study(validate_config(raw))
+    out = tmp_path / "out"
+    for idx, result in zip(study.run_indices, study.run_results):
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(dasf.engine.CSV_HEADER.split(","))
+        for r in result.records:
+            writer.writerow([r.run, r.iteration, r.node, repr(r.objective), repr(r.epsilon),
+                             repr(r.max_residual), r.tx_samples, r.solver_iters, r.local_dim])
+        assert (out / f"run_{idx}.csv").read_bytes() == buf.getvalue().encode()
+    columns = [study.epsilon_median, study.epsilon_mean, study.epsilon_sem]
+    header = "iter,epsilon_median,epsilon_mean,epsilon_sem"
+    if tracking:
+        times, weights = zip(*study.config.drift.schedule)
+        columns.append(np.interp(np.arange(study.epsilon.shape[1]), times, weights))
+        header += ",lambda"
+    lines = [header] + [",".join([str(j), *(repr(float(c[j])) for c in columns)])
+                        for j in range(study.epsilon.shape[1])]
+    assert (out / "aggregate.csv").read_text() == "\n".join(lines) + "\n"
+    text = (out / "study.meta").read_text()
+    meta = yaml.safe_load(text)
+    assert [msg for _, msg in meta["failed_runs"]] == [
+        f"RuntimeError: {msg}" for msg in _AWKWARD_MESSAGES]
+    assert text == yaml.safe_dump(meta, sort_keys=True)
+    # a meta of printable ASCII strings goes through libyaml when present,
+    # to the same bytes
+    del meta["failed_runs"]
+    assert experiments._printable_ascii(meta)
+    assert experiments._yaml_text(meta) == yaml.safe_dump(meta, sort_keys=True)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
