@@ -24,8 +24,9 @@ schedules as they are, one entry per stream, and expands them into
 per-send records only when queried.
 
 An iteration is plan-time work plus a step kernel. Plan-time work is done
-once per (graph, filter width), for every q in one graph-level pass at the
-first plan request (``_plan_graph``): the breadth-first trees of all roots
+once per (graph, filter width), for every q of a block of roots in one pass
+at the block's first plan request (``_plan_roots``; a graph of up to a few
+hundred channels is one block): the breadth-first trees of all its roots
 (``network.breadth_first_forest``), then subtree channel counts, preorder
 and row offsets as arrays for all of them (``_TreePlans``). Each q's layout
 is cut from those arrays when first requested: its send schedules, C's
@@ -254,14 +255,14 @@ class BranchSegment:
         return slice(self.offset, self.offset + self.width)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class LocalLayout:
     """Coordinate plan for the compressed problem at one updating node.
 
     A layout is cut from the arrays of the ``_TreePlans`` it belongs to: the
-    fields the step kernel reads are set when it is cut, and ``branches``
-    and ``fallback`` are built from the same arrays when first read. Every
-    iteration at the node shares it, so it is never changed after the cut.
+    fields the step kernel reads are set when it is cut, and ``branches``,
+    ``fallback`` and the tree are built from the same arrays when first
+    read. Every iteration at the node shares it.
     """
 
     node: int                                 # updating node q
@@ -309,6 +310,11 @@ class LocalLayout:
         """The nodes forwarding raw rows."""
         return frozenset((np.flatnonzero(self._plans.raw[self._at]) + 1).tolist())
 
+    @cached_property
+    def _tree(self) -> PrunedTree:
+        """The pruned tree this layout was planned on."""
+        return self._plans.tree(self._at)
+
 
 # send kinds, indexed by whether the sender's subtree (fusion) or branch
 # (mixing) is raw
@@ -316,10 +322,11 @@ _UP_KINDS = ("compressed", "raw")
 _DOWN_KINDS = ("mix_block", "new_block")
 
 
-def _sends(sender, receiver, raw, rows, kinds: tuple[str, str]) -> tuple[_Send, ...]:
-    """Every tree's sends, tree after tree, from arrays indexed [tree, send]."""
-    return tuple(zip(sender.ravel().tolist(), receiver.ravel().tolist(),
-                     map(kinds.__getitem__, raw.ravel().tolist()), rows.ravel().tolist()))
+def _sends(schedule: np.ndarray, kinds: tuple[str, str]) -> tuple[_Send, ...]:
+    """One tree's sends, from its (4, sends) array of senders, receivers,
+    rawness and row counts."""
+    sender, receiver, raw, rows = schedule.tolist()
+    return tuple(zip(sender, receiver, map(kinds.__getitem__, raw), rows))
 
 
 class _TreePlans:
@@ -338,9 +345,10 @@ class _TreePlans:
     n_filters columns if it compresses and one per channel if it is raw.
     The same decisions fix every send of an iteration at the root.
 
-    ``layout(i)`` cuts tree i's layout from these arrays by slicing, and
-    ``tree(i)`` builds its PrunedTree. No reference to the graph is kept,
-    so plans cached per graph let the graph go.
+    ``layout(i)`` cuts tree i's layout from these arrays by slicing, its
+    send tuples included, and ``tree(i)`` builds its PrunedTree. No
+    reference to the graph is kept, so plans cached per graph let the graph
+    go.
     """
 
     def __init__(self, graph: NetworkGraph, roots: np.ndarray, depth: np.ndarray,
@@ -428,8 +436,10 @@ class _TreePlans:
         self.nodes = (roots + 1).tolist()
         self.dim, self.m, self.k = dim.tolist(), m, k
 
-        # every tree's sends, k - 1 per schedule, by flat node: leaf-to-root
-        # in reverse breadth-first order, root-to-leaf in preorder
+        # every tree's sends as (sender, receiver, raw, rows) arrays indexed
+        # [tree, field, send], k - 1 per schedule: leaf-to-root in reverse
+        # breadth-first order, root-to-leaf in preorder; a tree's tuples are
+        # made when its layout is cut
         self.order = depth.argsort(axis=1, kind="stable")
         up_nodes = self.order[:, :0:-1] + tree_node
         down_nodes = self.preorder + tree_node
@@ -437,9 +447,8 @@ class _TreePlans:
         up_rows = np.where(up_raw, sub[up_nodes], n_filters)
         down_rows = np.where(down_raw, sub[down_nodes], n_filters)
         node1, parent1 = node + 1, parent.ravel() + 1
-        self.fusion = _sends(node1[up_nodes], parent1[up_nodes], up_raw, up_rows, _UP_KINDS)
-        self.mix = _sends(parent1[down_nodes], node1[down_nodes], down_raw, down_rows,
-                          _DOWN_KINDS)
+        self.fusion = np.stack([node1[up_nodes], parent1[up_nodes], up_raw, up_rows], axis=1)
+        self.mix = np.stack([parent1[down_nodes], node1[down_nodes], down_raw, down_rows], axis=1)
         self.fusion_rows = up_rows.sum(axis=1).tolist()
         self.mix_rows = down_rows.sum(axis=1).tolist()
         self._layouts: dict[int, LocalLayout] = {}
@@ -453,15 +462,14 @@ class _TreePlans:
             c.reshape(-1)[self.ident[self.ident_at[i]:self.ident_at[i + 1]]] = 1.0
             c.setflags(write=False)
             own, first = self.own[i], self.first_row[i]
-            sends = slice((self.k - 1) * i, (self.k - 1) * (i + 1))
             layout = self._layouts[i] = LocalLayout(
                 node=self.nodes[i],
                 n_filters=self.n_filters,
                 own_channels=own,
                 own_rows=slice(first, first + own),
                 local_dim=self.dim[i],
-                fusion_sends=self.fusion[sends],
-                mix_sends=self.mix[sends],
+                fusion_sends=_sends(self.fusion[i], _UP_KINDS),
+                mix_sends=_sends(self.mix[i], _DOWN_KINDS),
                 fusion_rows=self.fusion_rows[i],
                 mix_rows=self.mix_rows[i],
                 c_index=(self.c_flat[lo:hi], self.c_rows[lo:hi],
@@ -570,7 +578,7 @@ def dasf_step(problem: SfoProblem, graph: NetworkGraph, x: np.ndarray,
         graph, layout, *_batch_plan(problem, batch), x, iteration, log)
     info = StepInfo(
         node=q,
-        tree=layout._plans.tree(layout._at),
+        tree=layout._tree,
         layout=layout,
         transition=c,
         instance=instance,
@@ -623,27 +631,35 @@ def _step(graph: NetworkGraph, layout: LocalLayout, central: CompressedInstance,
     return np.matmul(c, x_local, out=out), c, instance, outcome, x_local, tx
 
 
-# graph -> {n_filters: _TreePlans}; weak keys drop a graph's plans with the
-# graph, so a recycled object id never finds stale ones
+# graph -> {(n_filters, block): _TreePlans}; weak keys drop a graph's plans
+# with the graph, so a recycled object id never finds stale ones
 _PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
+# roots are planned in blocks of consecutive ids whose (roots x channels)
+# arrays hold at most this many entries: one block for every graph up to a
+# few hundred channels, a few roots at a time on the largest graphs
+BLOCK_ENTRIES = 2**17
 
-def _plan_graph(graph: NetworkGraph, n_filters: int) -> _TreePlans:
-    """The graph-level pass: the plans at every root, from the breadth-first
-    trees of all roots at once."""
-    depth, parent = breadth_first_forest(graph)
-    return _TreePlans(graph, np.arange(graph.node_count), depth, parent, n_filters)
+
+def _plan_roots(graph: NetworkGraph, roots: np.ndarray, n_filters: int) -> _TreePlans:
+    """One pass for a block of roots: their breadth-first trees, then every
+    layout rule applied to all of them at once."""
+    depth, parent = breadth_first_forest(graph, roots)
+    return _TreePlans(graph, roots, depth, parent, n_filters)
 
 
 def _plan(graph: NetworkGraph, root: int, n_filters: int) -> LocalLayout:
-    """The local layout at one updating node. All roots' plans depend only on
-    the graph and the filter width, so they are made in one pass at the
-    first request and kept for as long as the graph lives."""
+    """The local layout at one updating node. Plans depend only on the graph
+    and the filter width, so the first request plans the root's whole block
+    in one pass, and the block is kept for as long as the graph lives."""
     per_graph = _PLANS.setdefault(graph, {})
-    plans = per_graph.get(n_filters)
+    size = max(1, BLOCK_ENTRIES // graph.total_channels)
+    block, at = divmod(root - 1, size)
+    plans = per_graph.get((n_filters, block))
     if plans is None:
-        plans = per_graph[n_filters] = _plan_graph(graph, n_filters)
-    return plans.layout(root - 1)
+        roots = np.arange(block * size, min((block + 1) * size, graph.node_count))
+        plans = per_graph[n_filters, block] = _plan_roots(graph, roots, n_filters)
+    return plans.layout(at)
 
 
 class ConvergenceRecord(NamedTuple):

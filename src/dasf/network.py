@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -102,6 +103,15 @@ class NetworkGraph:
         object.__setattr__(self, "_offsets", offsets)
         object.__setattr__(self, "_neighbors", tuple(
             tuple(int(j) + 1 for j in np.flatnonzero(row)) for row in adj))
+
+    @cached_property
+    def _neighbor_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The neighbour lists as flat arrays (first, neighbor): node j's
+        neighbours, 0-based and ascending, are neighbor[first[j]:first[j + 1]]."""
+        node, neighbor = np.nonzero(self.adjacency)
+        first = np.zeros(self.node_count + 1, dtype=np.intp)
+        np.cumsum(np.bincount(node, minlength=self.node_count), out=first[1:])
+        return first, neighbor
 
     @property
     def node_count(self) -> int:
@@ -292,43 +302,60 @@ def prune_to_tree(graph: NetworkGraph, root: int, rng_seed=None) -> PrunedTree:
     )
 
 
-def breadth_first_forest(graph: NetworkGraph) -> tuple[np.ndarray, np.ndarray]:
-    """``prune_to_tree``'s trees without ``rng_seed``, at every root at once:
-    (depth, parent) as (K, K) arrays indexed [root, node], 0-based, with
-    each root's parent -1.
+# graphs of at most this many nodes take their hop distances from dense
+# frontier products, whose K^3 work per layer stays below a millisecond even
+# on a path; larger graphs from one breadth-first search per root, in C
+DENSE_BFS_MAX_NODES = 32
+
+
+def breadth_first_forest(graph: NetworkGraph, roots) -> tuple[np.ndarray, np.ndarray]:
+    """``prune_to_tree``'s trees without ``rng_seed`` at the given 0-based
+    roots: (depth, parent) as (len(roots), K) arrays indexed [tree, node],
+    0-based, with each root's parent -1.
 
     Hop distances come from one boolean frontier product per layer (on 0/1
-    floats, so BLAS runs it): a node's depth counts the layers that have not
-    reached it. A node's parent is its lowest-index neighbour one layer
-    closer to the root: the root itself in the first layer, and below it the
-    first match in an ascending scan of the node's adjacency row, made for
-    all (root, node) pairs together in blocks of columns. Memory stays
-    O(K^2): no (K, K, K) intermediate is formed.
+    floats, so BLAS runs it) up to DENSE_BFS_MAX_NODES nodes, and from
+    scipy's unweighted shortest paths above that, O(K + E) per root. A
+    node's parent is its lowest-index neighbour one layer closer to the
+    root: the root itself in the first layer, and below it the first match
+    in an ascending scan of the node's neighbours, made for all (tree, node)
+    pairs together in blocks of neighbour ranks.
     """
-    adj = graph.adjacency
-    k = adj.shape[0]
-    hop = adj + np.eye(k, dtype=np.float32)    # one step, or stay
-    seen = np.eye(k, dtype=np.float32)
-    depth = np.zeros((k, k), dtype=np.intp)
-    while True:
-        unseen = seen == 0
-        if not unseen.any():
-            break
-        depth += unseen
-        seen = np.minimum(seen @ hop, 1.0)
+    roots = np.asarray(roots)
+    k = graph.node_count
+    first, neighbor = graph._neighbor_arrays
+    if k <= DENSE_BFS_MAX_NODES:
+        hop = graph.adjacency + np.eye(k, dtype=np.float32)    # one step, or stay
+        seen = np.eye(k, dtype=np.float32)[roots]
+        depth = np.zeros(seen.shape, dtype=np.intp)
+        while True:
+            unseen = seen == 0
+            if not unseen.any():
+                break
+            depth += unseen
+            seen = np.minimum(seen @ hop, 1.0)
+    else:
+        from scipy.sparse import csr_array
+        from scipy.sparse.csgraph import shortest_path
 
-    parent = np.where(depth == 1, np.arange(k)[:, None], -1)
-    # deeper nodes scan their adjacency rows in ascending column blocks, so
-    # the first qualifying column is the lowest-index parent; a block holds
-    # at most max(2^16, pairs) mask entries
-    root, node = np.nonzero(depth > 1)
-    want = (depth[root, node] - 1)[:, None]
-    lo = 0
-    while root.size:
-        hi = lo + max(1, 2**16 // root.size)
-        hit = adj[node, lo:hi] & (depth[root, lo:hi] == want)
+        adj = csr_array((np.ones(neighbor.size), neighbor, first), shape=(k, k))
+        depth = shortest_path(adj, method="D", unweighted=True,
+                              indices=roots).astype(np.intp)
+
+    parent = np.where(depth == 1, roots[:, None], -1)
+    tree, node = np.nonzero(depth > 1)
+    want = (depth[tree, node] - 1)[:, None]
+    at, stop = first[node][:, None], first[node + 1][:, None]
+    degree = int((stop - at).max(initial=0))
+    # every such node has a neighbour one layer up, so each scan ends; a
+    # block of ranks holds at most max(2^16, pairs) candidates
+    while tree.size:
+        rank = at + np.arange(min(degree, max(1, 2**16 // tree.size)))
+        cand = neighbor[np.minimum(rank, neighbor.size - 1)]
+        hit = (rank < stop) & (depth[tree[:, None], cand] == want)
         found = hit.any(axis=1)
-        parent[root[found], node[found]] = hit[found].argmax(axis=1) + lo
-        root, node, want = root[~found], node[~found], want[~found]
-        lo = hi
+        parent[tree[found], node[found]] = cand[found, hit[found].argmax(axis=1)]
+        miss = ~found
+        tree, node, want, stop = tree[miss], node[miss], want[miss], stop[miss]
+        at = rank[miss, -1:] + 1
     return depth, parent

@@ -12,7 +12,7 @@ SVD of its filter rows and updating every node from its branch's mixing
 block, so that the statistics-domain engine can be held to it. It uses the
 library's ``prune_to_tree`` and the layout planner as first written, with
 per-node loops over one tree (``frozen_plan_local_layout``, which the
-library's graph-level planner is held to as well), and derives its per-node
+library's block-of-roots planner is held to as well), and derives its per-node
 channel counts and raw stacks from the tree itself. The drift statistics
 draw and the conditioning screen are kept in their first written form, so
 that the library's faster forms are held to the same random stream and the

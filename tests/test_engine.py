@@ -1,5 +1,6 @@
 import csv
 import gc
+import tracemalloc
 import weakref
 import zlib
 
@@ -106,16 +107,17 @@ def test_plans_are_per_graph_and_die_with_it():
 
 
 def test_plan_made_once_per_updating_node(monkeypatch):
-    # every updating node's plan comes from one graph-level pass per
-    # (graph, filter width), made at the first request and reused by later runs
+    # every updating node's plan comes from one pass per (graph, filter
+    # width) over its block of roots, made at the block's first request and
+    # reused by later runs; a small graph is one block
     passes = []
-    real = engine._plan_graph
+    real = engine._plan_roots
 
-    def counted(graph, n_filters):
-        passes.append((graph, n_filters))
-        return real(graph, n_filters)
+    def counted(graph, roots, n_filters):
+        passes.append((graph, tuple(roots.tolist()), n_filters))
+        return real(graph, roots, n_filters)
 
-    monkeypatch.setattr(engine, "_plan_graph", counted)
+    monkeypatch.setattr(engine, "_plan_roots", counted)
     rng = np.random.default_rng(23)
     graph = make_random_tree(5, 2, rng_seed=4)
     batch = _random_batch(graph, 60, rng, s_rows=2)
@@ -123,10 +125,45 @@ def test_plan_made_once_per_updating_node(monkeypatch):
     for _ in range(2):
         dasf_run(prob, graph, batch, 3 * 5, rng_seed=0)
     dasf_step(prob, graph, prob.random_feasible(graph.total_channels, rng), batch, iteration=3)
-    assert passes == [(graph, 2)]
+    every = (0, 1, 2, 3, 4)
+    assert passes == [(graph, every, 2)]
     dasf_run(MmseProblem(n_filters=1), graph, _random_batch(graph, 60, rng, s_rows=1), 5,
              rng_seed=0)
-    assert passes == [(graph, 2), (graph, 1)]
+    assert passes == [(graph, every, 2), (graph, every, 1)]
+
+    # blocks of two roots (4 entries over 2 channels): a root's first
+    # request plans its block only
+    monkeypatch.setattr(engine, "BLOCK_ENTRIES", 2 * graph.total_channels)
+    passes.clear()
+    other = make_random_tree(5, 2, rng_seed=4)
+    dasf_run(prob, other, batch, 3, rng_seed=0)
+    assert passes == [(other, (0, 1), 2), (other, (2, 3), 2)]
+    dasf_run(prob, other, batch, 5, rng_seed=0)
+    assert passes[2:] == [(other, (4,), 2)]
+    for root in other.nodes:
+        by_block, whole = engine._plan(other, root, 2), engine._plan(graph, root, 2)
+        assert by_block._tree.parent == whole._tree.parent
+        for name in ("branches", "fusion_sends", "mix_sends", "fallback", "local_dim"):
+            assert getattr(by_block, name) == getattr(whole, name), name
+        assert np.array_equal(by_block.c_template, whole.c_template)
+
+
+def test_plan_on_a_long_path_stays_small():
+    # a short run on a large graph plans the block of roots it visits, not
+    # every root: on a 3000-node path (43 roots a block) the first plan
+    # request peaks near 40 MB, where planning every root would take K x K
+    # index arrays of 72 MB each, and dense frontier products K^4 time
+    graph = make_path(3000, 1)
+    tracemalloc.start()
+    try:
+        layout = engine._plan(graph, 1500, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert [seg.root for seg in layout.branches] == [1499, 1501]
+    assert layout._tree.parent[1] == 2 and layout._tree.parent[3000] == 2999
+    assert layout.fusion_sends[0] == (3000, 2999, "compressed", 1)
 
 
 _TOPOLOGIES = {
@@ -144,8 +181,10 @@ _TOPOLOGIES = {
     seed=st.integers(min_value=0, max_value=10_000),
 )
 @example(kind="path", nodes=1, seed=0)
+@example(kind="path", nodes=40, seed=0)
+@example(kind="erdos_renyi", nodes=40, seed=1)
 def test_graph_plans_equal_the_frozen_per_root_planner(kind, nodes, seed):
-    # the graph-level pass gives every root the tree prune_to_tree gives and
+    # the planning pass gives every root the tree prune_to_tree gives and
     # the layout the per-root planner as first written gives, field by
     # field, at a filter width drawn from every valid one
     rng = np.random.default_rng(seed)
@@ -155,7 +194,7 @@ def test_graph_plans_equal_the_frozen_per_root_planner(kind, nodes, seed):
     for root in graph.nodes:
         layout = engine._plan(graph, root, n_filters)
         tree = prune_to_tree(graph, root)
-        ours = layout._plans.tree(layout._at)
+        ours = layout._tree
         assert (ours.root, ours.parent, ours.order) == (tree.root, tree.parent, tree.order)
         assert all(ours.children(k) == tree.children(k) for k in graph.nodes)
         ref = oracles.frozen_plan_local_layout(tree, graph, n_filters)
