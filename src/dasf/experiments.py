@@ -722,28 +722,6 @@ def run_tracking(config: ExperimentConfig, write: bool = True) -> StudyResult:
 # output emission
 
 
-def _printable_ascii(obj) -> bool:
-    """Whether every string in a nest of dicts and lists is printable ASCII."""
-    if isinstance(obj, str):
-        return obj.isascii() and obj.isprintable()
-    if isinstance(obj, dict):
-        return all(_printable_ascii(k) and _printable_ascii(v) for k, v in obj.items())
-    if isinstance(obj, (list, tuple)):
-        return all(map(_printable_ascii, obj))
-    return True
-
-
-def _yaml_text(data) -> str:
-    """``yaml.safe_dump(data, sort_keys=True)``, through libyaml's emitter
-    (CSafeDumper) when PyYAML has it. The two emitters write the same bytes
-    while every string is printable ASCII, but fold long double-quoted
-    scalars (escapes, line breaks, non-ASCII text) differently, so data
-    holding such a string goes through SafeDumper."""
-    fast = yaml.__with_libyaml__ and _printable_ascii(data)
-    return yaml.dump(data, Dumper=yaml.CSafeDumper if fast else yaml.SafeDumper,
-                     sort_keys=True)
-
-
 def write_study_outputs(study: StudyResult, out_dir: Path) -> None:
     """Emit run_<idx>.csv per run, aggregate.csv (with a lambda column when
     tracking), study.meta, and the gnuplot script epsilon.gp that plots
@@ -784,7 +762,7 @@ def write_study_outputs(study: StudyResult, out_dir: Path) -> None:
             "cpu_count": os.cpu_count(),
         },
     }
-    (out_dir / "study.meta").write_text(_yaml_text(meta))
+    (out_dir / "study.meta").write_text(yaml.safe_dump(meta, sort_keys=True))
 
     gp = [
         "set datafile separator ','",

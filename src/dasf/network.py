@@ -304,7 +304,7 @@ def prune_to_tree(graph: NetworkGraph, root: int, rng_seed=None) -> PrunedTree:
 
 # graphs of at most this many nodes take their hop distances from dense
 # frontier products, whose K^3 work per layer stays below a millisecond even
-# on a path; larger graphs from one breadth-first search per root, in C
+# on a path; larger graphs from one shortest-path search per root, in C
 DENSE_BFS_MAX_NODES = 32
 
 
@@ -315,11 +315,11 @@ def breadth_first_forest(graph: NetworkGraph, roots) -> tuple[np.ndarray, np.nda
 
     Hop distances come from one boolean frontier product per layer (on 0/1
     floats, so BLAS runs it) up to DENSE_BFS_MAX_NODES nodes, and from
-    scipy's unweighted shortest paths above that, O(K + E) per root. A
-    node's parent is its lowest-index neighbour one layer closer to the
-    root: the root itself in the first layer, and below it the first match
-    in an ascending scan of the node's neighbours, made for all (tree, node)
-    pairs together in blocks of neighbour ranks.
+    scipy's unweighted shortest paths above that, O((K + E) log K) per
+    root. A node's parent is its lowest-index neighbour one layer closer to
+    the root: the root itself in the first layer, and below it the first
+    match in an ascending scan of the node's neighbours, made for all
+    (tree, node) pairs together in blocks of neighbour ranks.
     """
     roots = np.asarray(roots)
     k = graph.node_count
