@@ -26,15 +26,15 @@ per-send records only when queried.
 An iteration is plan-time work plus a step kernel. Plan-time work is done
 once per (graph, filter width), for every q of a block of roots in one pass
 at the block's first plan request (``_plan_roots``; a graph of up to a few
-hundred channels is one block): the breadth-first trees of all its roots
-(``network.breadth_first_forest``), then subtree channel counts, preorder
-and row offsets as arrays for all of them (``_TreePlans``). Each q's layout
-is cut from those arrays when first requested: its send schedules, C's
-index arrays and a read-only template of C with its identity entries; its
-tree, branches and fallback set are built only when read. Once per batch
-come the network-wide instance (``centralized_instance``) the local ones
-are compressed from, and the streams fused toward q. The kernel (``_step``)
-then issues only the numeric calls: the template's copy, one thin SVD per
+hundred channels is one block): one breadth-first flood grows the trees of
+all its roots (``network.breadth_first_forest``), then subtree channel
+counts, preorder and row offsets are found as arrays for all of them
+(``_TreePlans``). Each q's layout is cut from those arrays when first
+requested: its send schedules and C's index arrays; its tree, branches and
+fallback set are built only when read. Once per batch come the network-wide
+instance (``centralized_instance``) the local ones are compressed from, and
+the streams fused toward q. The kernel (``_step``) then issues only the
+numeric calls: C from zeros with its identity entries set, one thin SVD per
 compressed branch (one dgesvd, whose U is the branch's block of C), the
 congruence C^T R C and C^T B, the local solve and the lift C x_local, with
 the plan's sends logged around the solve. ``dasf_run`` resolves each node's
@@ -279,13 +279,12 @@ class LocalLayout:
     mix_sends: tuple[_Send, ...] = field(repr=False)
     fusion_rows: int
     mix_rows: int
-    # C's compressed entries at full width: their flattened indices, their
-    # network rows, and each compressed branch's span of those rows, as
-    # Python ints; read-only
-    c_index: tuple[np.ndarray, np.ndarray, tuple[tuple[int, int], ...]] = field(repr=False)
-    # C at full width with only its identity entries, at q's and each raw
-    # branch's rows; read-only, and copied by every step as the start of its C
-    c_template: np.ndarray = field(repr=False)
+    # C's entries at full width: the compressed ones' flattened indices,
+    # their network rows and each compressed branch's span of those rows (as
+    # Python ints), then the flattened indices of the identity entries, at
+    # q's and each raw branch's rows; read-only
+    c_index: tuple[np.ndarray, np.ndarray, tuple[tuple[int, int], ...], np.ndarray] = field(
+        repr=False)
     _plans: _TreePlans = field(repr=False)
     _at: int = field(repr=False)              # this layout's tree in _plans
 
@@ -313,7 +312,7 @@ class LocalLayout:
     @cached_property
     def _tree(self) -> PrunedTree:
         """The pruned tree this layout was planned on."""
-        return self._plans.tree(self._at)
+        return PrunedTree.from_arrays(self._plans.order[self._at], self._plans.parent[self._at])
 
 
 # send kinds, indexed by whether the sender's subtree (fusion) or branch
@@ -346,9 +345,8 @@ class _TreePlans:
     The same decisions fix every send of an iteration at the root.
 
     ``layout(i)`` cuts tree i's layout from these arrays by slicing, its
-    send tuples included, and ``tree(i)`` builds its PrunedTree. No
-    reference to the graph is kept, so plans cached per graph let the graph
-    go.
+    send tuples included. No reference to the graph is kept, so plans cached
+    per graph let the graph go.
     """
 
     def __init__(self, graph: NetworkGraph, roots: np.ndarray, depth: np.ndarray,
@@ -422,7 +420,7 @@ class _TreePlans:
         self.c_flat = flat[mixed][:, None] + np.arange(n_filters)
         self.c_rows = rows[mixed]
         self.ident = flat[~mixed]
-        for a in (rows, self.c_flat, self.c_rows):
+        for a in (rows, self.c_flat, self.c_rows, self.ident):
             a.setflags(write=False)
         n_mixed = mixed.sum(axis=1)
         self.c_at = [0] + n_mixed.cumsum().tolist()
@@ -434,7 +432,7 @@ class _TreePlans:
         self.span_at = [0] + mixed_top.sum(axis=1).cumsum().tolist()
         self.own, self.first_row = own.tolist(), first_row[roots].tolist()
         self.nodes = (roots + 1).tolist()
-        self.dim, self.m, self.k = dim.tolist(), m, k
+        self.dim = dim.tolist()
 
         # every tree's sends as (sender, receiver, raw, rows) arrays indexed
         # [tree, field, send], k - 1 per schedule: leaf-to-root in reverse
@@ -458,9 +456,6 @@ class _TreePlans:
         layout = self._layouts.get(i)
         if layout is None:
             lo, hi = self.c_at[i], self.c_at[i + 1]
-            c = np.zeros((self.m, self.dim[i]))
-            c.reshape(-1)[self.ident[self.ident_at[i]:self.ident_at[i + 1]]] = 1.0
-            c.setflags(write=False)
             own, first = self.own[i], self.first_row[i]
             layout = self._layouts[i] = LocalLayout(
                 node=self.nodes[i],
@@ -473,23 +468,12 @@ class _TreePlans:
                 fusion_rows=self.fusion_rows[i],
                 mix_rows=self.mix_rows[i],
                 c_index=(self.c_flat[lo:hi], self.c_rows[lo:hi],
-                         self.spans[self.span_at[i]:self.span_at[i + 1]]),
-                c_template=c,
+                         self.spans[self.span_at[i]:self.span_at[i + 1]],
+                         self.ident[self.ident_at[i]:self.ident_at[i + 1]]),
                 _plans=self,
                 _at=i,
             )
         return layout
-
-    def tree(self, i: int) -> PrunedTree:
-        """Tree i as a PrunedTree."""
-        order = self.order[i]
-        parent = dict(zip((order[1:] + 1).tolist(), (self.parent[i, order[1:]] + 1).tolist()))
-        children: dict[int, list[int]] = {}
-        for k in sorted(parent):
-            children.setdefault(parent[k], []).append(k)
-        return PrunedTree(root=self.nodes[i], parent=parent,
-                          order=tuple((order + 1).tolist()),
-                          _children={p: tuple(ks) for p, ks in children.items()})
 
 
 def plan_local_layout(tree: PrunedTree, graph: NetworkGraph, n_filters: int) -> LocalLayout:
@@ -523,8 +507,9 @@ def build_transition_matrix(graph: NetworkGraph, layout: LocalLayout,
     zeroed and removed, which leaves that branch fewer than n_filters
     columns, and C @ anchor then misses x only by the dropped directions.
     """
-    flat, rows, spans = layout.c_index
-    c = layout.c_template.copy()
+    flat, rows, spans, ident = layout.c_index
+    c = np.zeros((graph.total_channels, layout.local_dim))
+    c.reshape(-1)[ident] = 1.0
     if spans:
         xc = x.take(rows, axis=0)
         dropped = False

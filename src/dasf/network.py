@@ -4,7 +4,9 @@ Nodes are labeled 1..K. Node k owns ``channels[k-1]`` sensor channels; the
 network-wide channel dimension is M = sum(channels). Graphs are undirected,
 connected, and immutable once built. Pruning turns the graph into a spanning
 tree rooted at the node that updates in the current iteration, so that data
-can be fused along unique paths.
+can be fused along unique paths. One breadth-first flood
+(``breadth_first_forest``) grows those trees for any set of roots at once;
+it also tells whether a graph is connected.
 """
 
 from __future__ import annotations
@@ -55,19 +57,6 @@ def _as_channels(node_count: int, channels) -> tuple[int, ...]:
     return out
 
 
-def _connected(adjacency: np.ndarray) -> bool:
-    """Breadth-first reachability check on a boolean adjacency matrix."""
-    n = adjacency.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    frontier = np.array([0])
-    while frontier.size:
-        reach = adjacency[frontier].any(axis=0) & ~seen
-        seen |= reach
-        frontier = np.flatnonzero(reach)
-    return bool(seen.all())
-
-
 @dataclass(frozen=True, eq=False)
 class NetworkGraph:
     """Undirected connected sensor network.
@@ -92,11 +81,11 @@ class NetworkGraph:
         if not np.array_equal(adj, adj.T):
             raise ValueError("adjacency must be symmetric")
         chans = _as_channels(adj.shape[0], self.channels)
-        if not _connected(adj):
-            raise ValueError("graph must be connected")
         adj.setflags(write=False)
         object.__setattr__(self, "adjacency", adj)
         object.__setattr__(self, "channels", chans)
+        if (breadth_first_forest(self, [0])[0] < 0).any():
+            raise ValueError("graph must be connected")
         # row offsets of each node's block in the stacked M-channel layout
         offsets = np.concatenate([[0], np.cumsum(chans)])
         offsets.setflags(write=False)
@@ -189,8 +178,10 @@ def make_erdos_renyi(node_count: int, channels, edge_prob: float, rng_seed=None)
         adj = np.zeros((node_count, node_count), dtype=bool)
         adj[iu] = rng.random(iu[0].size) < edge_prob
         adj |= adj.T
-        if _connected(adj):
+        try:
             return NetworkGraph(adj, chans)
+        except ValueError:      # a draw can only fail by being disconnected
+            pass
     raise GraphConnectivityError(
         f"no connected draw in {ER_MAX_RETRIES} tries (K={node_count}, p={edge_prob})"
     )
@@ -257,6 +248,18 @@ class PrunedTree:
     def edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted((min(k, p), max(k, p)) for k, p in self.parent.items()))
 
+    @classmethod
+    def from_arrays(cls, order: np.ndarray, parent: np.ndarray) -> PrunedTree:
+        """The tree whose 0-based nodes come root first in breadth-first
+        ``order`` (ascending within a layer), each below ``parent[node]``."""
+        kids = order[1:]
+        up = dict(zip((kids + 1).tolist(), (parent[kids] + 1).tolist()))
+        children: dict[int, list[int]] = {}
+        for k, p in up.items():     # siblings share a layer, so they ascend
+            children.setdefault(p, []).append(k)
+        return cls(root=int(order[0]) + 1, parent=up, order=tuple((order + 1).tolist()),
+                   _children={p: tuple(ks) for p, ks in children.items()})
+
 
 def prune_to_tree(graph: NetworkGraph, root: int, rng_seed=None) -> PrunedTree:
     """Prune a connected graph to a spanning tree rooted at ``root``.
@@ -269,93 +272,61 @@ def prune_to_tree(graph: NetworkGraph, root: int, rng_seed=None) -> PrunedTree:
     """
     if root not in graph.nodes:
         raise ValueError(f"root {root} not a node of the graph")
-    rng = None if rng_seed is None else np.random.default_rng(rng_seed)
-    parent: dict[int, int] = {}
-    order = [root]
-    reached = {root}
-    frontier = [root]
-    while frontier:
-        candidates: dict[int, list[int]] = {}
-        for f in frontier:
-            for nb in graph.neighbors(f):
-                if nb not in reached:
-                    candidates.setdefault(nb, []).append(f)
-        frontier = []
-        for node in sorted(candidates):
-            cands = sorted(candidates[node])
-            pick = cands[0] if rng is None else int(rng.choice(cands))
-            parent[node] = pick
-            reached.add(node)
-            order.append(node)
-            frontier.append(node)
-
-    children: dict[int, list[int]] = {}
-    for k, p in parent.items():
-        children.setdefault(p, []).append(k)
-    children_t = {p: tuple(sorted(ks)) for p, ks in children.items()}
-
-    return PrunedTree(
-        root=root,
-        parent=parent,
-        order=tuple(order),
-        _children=children_t,
-    )
-
-
-# graphs of at most this many nodes take their hop distances from dense
-# frontier products, whose K^3 work per layer stays below a millisecond even
-# on a path; larger graphs from one shortest-path search per root, in C
-DENSE_BFS_MAX_NODES = 32
+    (depth,), (parent,) = breadth_first_forest(graph, [root - 1])
+    order = depth.argsort(kind="stable")
+    if rng_seed is not None:
+        # each node, layer by layer and ascending, draws among its
+        # neighbours one layer up
+        rng = np.random.default_rng(rng_seed)
+        first, neighbor = graph._neighbor_arrays
+        for k in order[1:].tolist():
+            near = neighbor[first[k]:first[k + 1]]
+            parent[k] = rng.choice(near[depth[near] == depth[k] - 1])
+    return PrunedTree.from_arrays(order, parent)
 
 
 def breadth_first_forest(graph: NetworkGraph, roots) -> tuple[np.ndarray, np.ndarray]:
     """``prune_to_tree``'s trees without ``rng_seed`` at the given 0-based
     roots: (depth, parent) as (len(roots), K) arrays indexed [tree, node],
-    0-based, with each root's parent -1.
+    0-based, with each root's parent -1 (and -1 for both where a node is
+    out of a root's reach).
 
-    Hop distances come from one boolean frontier product per layer (on 0/1
-    floats, so BLAS runs it) up to DENSE_BFS_MAX_NODES nodes, and from
-    scipy's unweighted shortest paths above that, O((K + E) log K) per
-    root. A node's parent is its lowest-index neighbour one layer closer to
-    the root: the root itself in the first layer, and below it the first
-    match in an ascending scan of the node's neighbours, made for all
-    (tree, node) pairs together in blocks of neighbour ranks.
+    One flood grows them all, O(K + E) per root: each layer's (tree, node)
+    pairs send to all their neighbours, and the pairs not reached before
+    form the next layer, each below its lowest-index sender. A layer sends
+    in ascending slices of about 2^16 sends, so a pair an earlier slice
+    reached has no lower-index sender in a later one.
     """
     roots = np.asarray(roots)
     k = graph.node_count
     first, neighbor = graph._neighbor_arrays
-    if k <= DENSE_BFS_MAX_NODES:
-        hop = graph.adjacency + np.eye(k, dtype=np.float32)    # one step, or stay
-        seen = np.eye(k, dtype=np.float32)[roots]
-        depth = np.zeros(seen.shape, dtype=np.intp)
-        while True:
-            unseen = seen == 0
-            if not unseen.any():
-                break
-            depth += unseen
-            seen = np.minimum(seen @ hop, 1.0)
-    else:
-        from scipy.sparse import csr_array
-        from scipy.sparse.csgraph import shortest_path
-
-        adj = csr_array((np.ones(neighbor.size), neighbor, first), shape=(k, k))
-        depth = shortest_path(adj, method="D", unweighted=True,
-                              indices=roots).astype(np.intp)
-
-    parent = np.where(depth == 1, roots[:, None], -1)
-    tree, node = np.nonzero(depth > 1)
-    want = (depth[tree, node] - 1)[:, None]
-    at, stop = first[node][:, None], first[node + 1][:, None]
-    degree = int((stop - at).max(initial=0))
-    # every such node has a neighbour one layer up, so each scan ends; a
-    # block of ranks holds at most max(2^16, pairs) candidates
-    while tree.size:
-        rank = at + np.arange(min(degree, max(1, 2**16 // tree.size)))
-        cand = neighbor[np.minimum(rank, neighbor.size - 1)]
-        hit = (rank < stop) & (depth[tree[:, None], cand] == want)
-        found = hit.any(axis=1)
-        parent[tree[found], node[found]] = cand[found, hit[found].argmax(axis=1)]
-        miss = ~found
-        tree, node, want, stop = tree[miss], node[miss], want[miss], stop[miss]
-        at = rank[miss, -1:] + 1
-    return depth, parent
+    degree = np.diff(first)
+    depth = np.full(roots.size * k, -1)       # indexed tree * k + node
+    parent = np.full(roots.size * k, k)       # k: no sender yet
+    layer = np.arange(0, roots.size * k, k) + roots
+    depth[layer] = 0
+    d = 0
+    while layer.size:
+        d += 1
+        node = layer % k
+        count = degree[node]
+        before = count.cumsum() - count      # the layer's sends ahead of each pair
+        cuts = (np.flatnonzero(np.diff(before >> 16)) + 1).tolist() if before[-1] >> 16 else []
+        reached = []
+        for lo, hi in zip([0, *cuts], [*cuts, layer.size]):
+            sends = count[lo:hi]
+            sender = np.repeat(node[lo:hi], sends)
+            # a send's neighbour: its sender's first one, plus the send's
+            # rank among the sender's sends
+            at = np.arange(sender.size) + np.repeat(first[node[lo:hi]] - before[lo:hi] + before[lo],
+                                                    sends)
+            to = np.repeat(layer[lo:hi] - node[lo:hi], sends) + neighbor[at]
+            new = depth[to] < 0
+            to, sender = to[new], sender[new]
+            np.minimum.at(parent, to, sender)
+            to = to[parent[to] == sender]    # each new pair once
+            depth[to] = d
+            reached.append(to)
+        layer = np.sort(np.concatenate(reached))
+    parent[parent == k] = -1
+    return depth.reshape(-1, k), parent.reshape(-1, k)

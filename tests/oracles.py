@@ -10,9 +10,10 @@ way the nodes run it, by fusing the samples up the tree with
 ``fuse_and_forward`` here, whitening each compressed branch from numpy's
 SVD of its filter rows and updating every node from its branch's mixing
 block, so that the statistics-domain engine can be held to it. It uses the
-library's ``prune_to_tree`` and the layout planner as first written, with
-per-node loops over one tree (``frozen_plan_local_layout``, which the
-library's block-of-roots planner is held to as well), and derives its per-node
+tree pruning and the layout planner as first written, with per-node loops
+over one tree (``frozen_prune_to_tree`` and ``frozen_plan_local_layout``,
+which the library's flood and block-of-roots planner are held to as well),
+and derives its per-node
 channel counts and raw stacks from the tree itself. The drift statistics
 draw and the conditioning screen are kept in their first written form, so
 that the library's faster forms are held to the same random stream and the
@@ -46,7 +47,7 @@ from dasf.engine import (
     normalized_error,
     select_updating_node,
 )
-from dasf.network import prune_to_tree
+from dasf.network import NetworkGraph, PrunedTree
 from dasf.sfo import (
     COND_LIMIT,
     DIAG_LOAD,
@@ -235,6 +236,52 @@ def tro_grid_2d(cov_y, cov_v, n_grid: int = 200_001) -> float:
 # sample-domain engine and objectives
 
 
+# ``dasf.network.prune_to_tree`` as first written, one dict flood per root;
+# the library's flood over every root is held to it, seeded trees included
+def frozen_prune_to_tree(graph: NetworkGraph, root: int, rng_seed=None) -> PrunedTree:
+    """Prune a connected graph to a spanning tree rooted at ``root``.
+
+    Simulates a token flood from the root in breadth-first layers: a node
+    attaches to the neighbor whose token arrives first. Within a layer, ties
+    go to the lowest-index candidate parent, or to a seeded random choice
+    when ``rng_seed`` is given. All edges between the root and its neighbors
+    survive by construction (the whole neighborhood is layer one).
+    """
+    if root not in graph.nodes:
+        raise ValueError(f"root {root} not a node of the graph")
+    rng = None if rng_seed is None else np.random.default_rng(rng_seed)
+    parent: dict[int, int] = {}
+    order = [root]
+    reached = {root}
+    frontier = [root]
+    while frontier:
+        candidates: dict[int, list[int]] = {}
+        for f in frontier:
+            for nb in graph.neighbors(f):
+                if nb not in reached:
+                    candidates.setdefault(nb, []).append(f)
+        frontier = []
+        for node in sorted(candidates):
+            cands = sorted(candidates[node])
+            pick = cands[0] if rng is None else int(rng.choice(cands))
+            parent[node] = pick
+            reached.add(node)
+            order.append(node)
+            frontier.append(node)
+
+    children: dict[int, list[int]] = {}
+    for k, p in parent.items():
+        children.setdefault(p, []).append(k)
+    children_t = {p: tuple(sorted(ks)) for p, ks in children.items()}
+
+    return PrunedTree(
+        root=root,
+        parent=parent,
+        order=tuple(order),
+        _children=children_t,
+    )
+
+
 @dataclass(frozen=True)
 class FrozenLayout:
     """``dasf.engine.LocalLayout`` as first written: every field built by
@@ -420,7 +467,7 @@ def sample_domain_step(problem, graph, x, batch, iteration, log):
     read from the plan's schedule. Returns the next network filter.
     """
     q = select_updating_node(iteration, graph.node_count)
-    tree = prune_to_tree(graph, q)
+    tree = frozen_prune_to_tree(graph, q)
     layout = frozen_plan_local_layout(tree, graph, problem.n_filters)
     own = layout.own_channels
     maps = [(np.eye(seg.width), x[seg.rows]) if seg.raw else whitening(x[seg.rows])
@@ -638,7 +685,8 @@ def frozen_dasf_run(problem, graph, batch, n_iterations, mode="ti", x0=None,
         q = select_updating_node(i, graph.node_count)
         if mode == "fc" and not graph.is_complete():
             raise ValueError("mode 'fc' requires a fully connected network")
-        layout = frozen_plan_local_layout(prune_to_tree(graph, q), graph, problem.n_filters)
+        layout = frozen_plan_local_layout(frozen_prune_to_tree(graph, q), graph,
+                                          problem.n_filters)
         c, anchor = frozen_transition_matrix(graph, layout, x)
         instance = _frozen_compressed(centralized_instance(problem, batch_i), c, anchor)
         tx = 0

@@ -27,6 +27,8 @@ from dasf.engine import (
 )
 from dasf.network import (
     NetworkGraph,
+    PrunedTree,
+    breadth_first_forest,
     make_erdos_renyi,
     make_fully_connected,
     make_path,
@@ -65,6 +67,14 @@ def _qcqp(m, q, rng):
         target_response=d,
         radius=1.5 * np.linalg.norm(d) / np.linalg.norm(c),
     )
+
+
+def _assert_c_is_the_frozen_template_plus_branches(c, ref):
+    # a C the kernel built at a point that drops no direction is the frozen
+    # layout's template of identity entries plus the compressed entries
+    c = c.copy()
+    c.reshape(-1)[ref.c_index[0]] = 0.0
+    assert np.array_equal(c, ref.c_template)
 
 
 def test_select_updating_node_round_robin():
@@ -140,19 +150,23 @@ def test_plan_made_once_per_updating_node(monkeypatch):
     assert passes == [(other, (0, 1), 2), (other, (2, 3), 2)]
     dasf_run(prob, other, batch, 5, rng_seed=0)
     assert passes[2:] == [(other, (4,), 2)]
+    x = rng.standard_normal((other.total_channels, 2))
     for root in other.nodes:
         by_block, whole = engine._plan(other, root, 2), engine._plan(graph, root, 2)
         assert by_block._tree.parent == whole._tree.parent
         for name in ("branches", "fusion_sends", "mix_sends", "fallback", "local_dim"):
             assert getattr(by_block, name) == getattr(whole, name), name
-        assert np.array_equal(by_block.c_template, whole.c_template)
+        ref = oracles.frozen_plan_local_layout(oracles.frozen_prune_to_tree(other, root), other, 2)
+        for layout in (by_block, whole):
+            c, _ = build_transition_matrix(other, layout, x)
+            _assert_c_is_the_frozen_template_plus_branches(c, ref)
 
 
 def test_plan_on_a_long_path_stays_small():
     # a short run on a large graph plans the block of roots it visits, not
     # every root: on a 3000-node path (43 roots a block) the first plan
     # request peaks near 40 MB, where planning every root would take K x K
-    # index arrays of 72 MB each, and dense frontier products K^4 time
+    # index arrays of 72 MB each
     graph = make_path(3000, 1)
     tracemalloc.start()
     try:
@@ -184,19 +198,28 @@ _TOPOLOGIES = {
 @example(kind="path", nodes=40, seed=0)
 @example(kind="erdos_renyi", nodes=40, seed=1)
 def test_graph_plans_equal_the_frozen_per_root_planner(kind, nodes, seed):
-    # the planning pass gives every root the tree prune_to_tree gives and
-    # the layout the per-root planner as first written gives, field by
-    # field, at a filter width drawn from every valid one
+    # the planning pass gives every root the tree the pruning as first
+    # written gives, and the layout the per-root planner as first written
+    # gives, field by field, at a filter width drawn from every valid one;
+    # prune_to_tree, seeded or not, and the flood over a block of roots that
+    # does not start at the first node give the same trees
     rng = np.random.default_rng(seed)
     channels = tuple(int(c) for c in rng.integers(1, 6, nodes))
     graph = _TOPOLOGIES[kind](nodes, channels, seed)
     n_filters = int(rng.integers(1, graph.total_channels + 1))
+    block = np.arange(nodes // 3, nodes)
+    depth, parent = breadth_first_forest(graph, block)
+    x = rng.standard_normal((graph.total_channels, n_filters))
     for root in graph.nodes:
         layout = engine._plan(graph, root, n_filters)
-        tree = prune_to_tree(graph, root)
+        tree = oracles.frozen_prune_to_tree(graph, root)
         ours = layout._tree
         assert (ours.root, ours.parent, ours.order) == (tree.root, tree.parent, tree.order)
         assert all(ours.children(k) == tree.children(k) for k in graph.nodes)
+        assert ours == tree == prune_to_tree(graph, root)
+        if root - 1 in block:
+            at = root - 1 - block[0]
+            assert PrunedTree.from_arrays(depth[at].argsort(kind="stable"), parent[at]) == tree
         ref = oracles.frozen_plan_local_layout(tree, graph, n_filters)
         for name in ("node", "n_filters", "own_channels", "own_rows", "branches", "local_dim",
                      "fallback", "fusion_sends", "mix_sends", "fusion_rows", "mix_rows"):
@@ -204,19 +227,23 @@ def test_graph_plans_equal_the_frozen_per_root_planner(kind, nodes, seed):
         for seg, ref_seg in zip(layout.branches, ref.branches):
             assert np.array_equal(seg.rows, ref_seg.rows) and seg.rows.dtype == ref_seg.rows.dtype
             assert not seg.rows.flags.writeable
-        for ours_a, ref_a in (*zip(layout.c_index[:2], ref.c_index[:2]),
-                              (layout.c_template, ref.c_template)):
+        for ours_a, ref_a in zip(layout.c_index[:2], ref.c_index[:2]):
             assert ours_a.shape == ref_a.shape and ours_a.dtype == ref_a.dtype
             assert np.array_equal(ours_a, ref_a) and not ours_a.flags.writeable
         assert layout.c_index[2] == ref.c_index[2]
+        assert not layout.c_index[3].flags.writeable
+        _assert_c_is_the_frozen_template_plus_branches(
+            build_transition_matrix(graph, layout, x)[0], ref)
         # a tree handed in, seeded ties too, is planned by the same rules
         seeded = prune_to_tree(graph, root, rng_seed=seed)
+        assert seeded == oracles.frozen_prune_to_tree(graph, root, rng_seed=seed)
         by_tree = plan_local_layout(seeded, graph, n_filters)
         ref = oracles.frozen_plan_local_layout(seeded, graph, n_filters)
         assert (by_tree.branches, by_tree.fusion_sends, by_tree.mix_sends, by_tree.fallback) == (
             ref.branches, ref.fusion_sends, ref.mix_sends, ref.fallback)
         assert by_tree.c_index[2] == ref.c_index[2]
-        assert np.array_equal(by_tree.c_template, ref.c_template)
+        _assert_c_is_the_frozen_template_plus_branches(
+            build_transition_matrix(graph, by_tree, x)[0], ref)
 
 
 # ---------------------------------------------------------------------------
@@ -589,14 +616,18 @@ def test_transition_matrix_is_bitwise_the_frozen_one(monkeypatch):
             both = ill.copy()
             both[:, 1 % q] = both[:, 0]
             for node in graph.nodes:
-                layout = plan_local_layout(prune_to_tree(graph, node), graph, q)
+                tree = prune_to_tree(graph, node)
+                layout = plan_local_layout(tree, graph, q)
                 for point in (x, deficient, ill, both):
                     c, anchor = build_transition_matrix(graph, layout, point)
+                    if point is x:
+                        _assert_c_is_the_frozen_template_plus_branches(
+                            c, oracles.frozen_plan_local_layout(tree, graph, q))
                     c_ref, anchor_ref = oracles.frozen_transition_matrix(graph, layout, point)
                     assert np.array_equal(c, c_ref) and np.array_equal(anchor, anchor_ref)
                     compressed += sum(not seg.raw for seg in layout.branches)
                     dropped += c.shape[1] < layout.local_dim
-    assert dropped and len(svds) == compressed and not layout.c_template.flags.writeable
+    assert dropped and len(svds) == compressed and not layout.c_index[3].flags.writeable
 
 
 # ---------------------------------------------------------------------------

@@ -129,3 +129,25 @@ print(json.dumps([counts, "scipy.optimize" in sys.modules]))
 @pytest.mark.parametrize("kind", ["mmse", "qcqp", "tro", "scqp"])
 def test_parallel_study_leaves_scipy_optimize_unloaded(kind):
     assert _probe(_STUDY_PROBE % kind) == [[2, 2], False]
+
+
+# plans of graphs above 32 nodes, a path and an Erdos-Renyi graph, and a
+# short run on each
+_PLAN_PROBE = """
+import json, sys
+import numpy as np
+import dasf
+rng = np.random.default_rng(0)
+dims = []
+for graph in (dasf.make_path(40, 1), dasf.make_erdos_renyi(40, 1, 0.1, rng_seed=0)):
+    batch = dasf.SampleBatch(y=rng.standard_normal((40, 50)), channels=graph.channels,
+                             s=rng.standard_normal((2, 50)))
+    run = dasf.dasf_run(dasf.MmseProblem(n_filters=2), graph, batch, 3, rng_seed=0)
+    dims += [rec.local_dim for rec in run.records]
+print(json.dumps([dims, "scipy.sparse" in sys.modules]))
+"""
+
+
+def test_planning_leaves_scipy_sparse_unloaded():
+    dims, loaded = _probe(_PLAN_PROBE)
+    assert len(dims) == 6 and all(d >= 2 for d in dims) and not loaded

@@ -16,11 +16,11 @@ import numpy as np
 import pytest
 
 import oracles
-from dasf import sfo
+from dasf import engine, sfo
 from dasf.engine import audit_transport, dasf_run
 from dasf.experiments import run_study, validate_config
-from dasf.network import make_random_tree
-from dasf.sfo import TroProblem, evaluate_objective, solve_centralized
+from dasf.network import make_erdos_renyi, make_path, make_random_tree
+from dasf.sfo import MmseProblem, ScqpProblem, TroProblem, evaluate_objective, solve_centralized
 from dasf.signals import SignalModel, sample_stationary
 
 RISE_TOL = 1e-9
@@ -59,6 +59,41 @@ def test_tro_long_tree_case_completes():
     reference = solve_centralized(problem, batch).x
     result = dasf_run(problem, graph, batch, 20, rng_seed=x0_seed, reference=reference)
     _check(result, 3, evaluate_objective(problem, result.x_history[0], batch))
+
+
+_RANK_ONE_GRAPHS = {
+    "random_tree": lambda: make_random_tree(8, 2, rng_seed=5),
+    "erdos_renyi": lambda: make_erdos_renyi(8, 2, 0.4, rng_seed=5),
+    "path": lambda: make_path(8, 2),
+}
+
+
+@pytest.mark.parametrize("topology", sorted(_RANK_ONE_GRAPHS))
+@pytest.mark.parametrize("kind", ["mmse", "tro", "scqp"])
+def test_rank_deficient_branches_descend(kind, topology):
+    # the start point's rows at nodes 3 and up are rank one, so every
+    # branch of those nodes alone keeps one direction of its filter rows and
+    # drops the other; C @ anchor must still be x, and no step may rise
+    rng = np.random.default_rng(44)
+    graph = _RANK_ONE_GRAPHS[topology]()
+    m = graph.total_channels
+    model = SignalModel(channels=graph.channels, source_var=0.5, noise_var=0.3,
+                        mix_y=rng.uniform(-0.5, 0.5, (m, 2)),
+                        mix_v=rng.uniform(-0.5, 0.5, (m, 2)))
+    batch = sample_stationary(model, 0, 500, rng)
+    problem = {"mmse": MmseProblem(n_filters=2), "tro": TroProblem(n_filters=2),
+               "scqp": ScqpProblem(n_filters=2, linear_term=rng.standard_normal((m, 2)))}[kind]
+    x0 = rng.standard_normal((m, 2))
+    low = slice(graph.block_slice(3).start, m)
+    x0[low, 1] = x0[low, 0]
+    if kind == "tro":
+        x0 = np.linalg.qr(x0)[0]       # orthonormal columns, low rows still rank one
+    elif kind == "scqp":
+        x0 /= np.sqrt(np.sum(x0 * x0))  # on the unit sphere
+    result = dasf_run(problem, graph, batch, 2 * graph.node_count, x0=x0)
+    full = {q: engine._plan(graph, q, 2).local_dim for q in graph.nodes}
+    assert any(rec.local_dim < full[rec.node] for rec in result.records)
+    _check(result, 2, evaluate_objective(problem, x0, batch))
 
 
 @pytest.mark.parametrize("kind, seed, run", [
