@@ -173,19 +173,6 @@ class ExperimentConfig:
             dataclasses.replace(self, filter_widths=(q,)) for q in self.filter_widths
         )
 
-    def resolved_dict(self) -> dict:
-        """Plain mapping echo of every resolved field, for study.meta."""
-        out = dataclasses.asdict(self)
-        out["filter_widths"] = list(self.filter_widths)
-        out["channels"] = list(self.channels)
-        out["applied_defaults"] = list(self.applied_defaults)
-        if self.drift is not None:
-            out["drift"] = {
-                "delta_std": self.drift.delta_std,
-                "schedule": [list(p) for p in self.drift.schedule],
-            }
-        return out
-
 
 # --------------------------------------------------------------------------
 # validation
@@ -748,7 +735,7 @@ def write_study_outputs(study: StudyResult, out_dir: Path) -> None:
     (out_dir / "aggregate.csv").write_text("\n".join(lines) + "\n")
 
     meta = {
-        "resolved_config": study.config.resolved_dict(),
+        "resolved_config": dataclasses.asdict(study.config),
         "n_filters": study.n_filters,
         "engine_variant": study.engine_variant,
         "completed_runs": study.run_count,

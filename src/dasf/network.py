@@ -2,18 +2,18 @@
 
 Nodes are labeled 1..K. Node k owns ``channels[k-1]`` sensor channels; the
 network-wide channel dimension is M = sum(channels). Graphs are undirected,
-connected, and immutable once built. Pruning turns the graph into a spanning
-tree rooted at the node that updates in the current iteration, so that data
-can be fused along unique paths. One breadth-first flood
-(``breadth_first_forest``) grows those trees for any set of roots at once;
-it also tells whether a graph is connected.
+connected, and immutable once built, with one adjacency list: neighbour
+arrays in compressed-row form, built once and read by every query. Pruning
+turns the graph into a spanning tree rooted at the node that updates in the
+current iteration, so that data can be fused along unique paths. One
+breadth-first flood (``breadth_first_forest``) over those arrays grows the
+trees for any set of roots at once; it also tells whether a graph is connected.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -46,6 +46,8 @@ TREE_CHILD_PROBS = (0.2, 0.3, 0.2, 0.2, 0.1)
 
 def _as_channels(node_count: int, channels) -> tuple[int, ...]:
     """Normalize a per-node channel spec (int or sequence) to a tuple."""
+    if node_count < 1:
+        raise ValueError("a graph needs at least one node")
     if np.isscalar(channels):
         out = (int(channels),) * node_count
     else:
@@ -66,7 +68,9 @@ class NetworkGraph:
 
     A graph is immutable (its adjacency is a read-only array). It compares
     and hashes by identity, because field-wise equality would compare
-    ndarrays, and so it can key per-graph caches.
+    ndarrays, and so it can key per-graph caches. Its one adjacency list is
+    ``_neighbor_arrays = (first, neighbor)``: node j's neighbours, 0-based
+    and ascending, are ``neighbor[first[j]:first[j + 1]]``.
     """
 
     adjacency: np.ndarray
@@ -78,29 +82,24 @@ class NetworkGraph:
             raise ValueError("adjacency must be square")
         if adj.diagonal().any():
             raise ValueError("self-loops are not allowed")
-        if not np.array_equal(adj, adj.T):
+        node, neighbor = np.nonzero(adj)
+        if not adj[neighbor, node].all():
             raise ValueError("adjacency must be symmetric")
         chans = _as_channels(adj.shape[0], self.channels)
-        adj.setflags(write=False)
+        first = np.zeros(adj.shape[0] + 1, dtype=np.intp)
+        np.cumsum(np.bincount(node, minlength=adj.shape[0]), out=first[1:])
+        neighbor = neighbor.copy()      # np.nonzero's index arrays share one buffer
+        for arr in (adj, first, neighbor):
+            arr.setflags(write=False)
         object.__setattr__(self, "adjacency", adj)
         object.__setattr__(self, "channels", chans)
+        object.__setattr__(self, "_neighbor_arrays", (first, neighbor))
         if (breadth_first_forest(self, [0])[0] < 0).any():
             raise ValueError("graph must be connected")
         # row offsets of each node's block in the stacked M-channel layout
         offsets = np.concatenate([[0], np.cumsum(chans)])
         offsets.setflags(write=False)
         object.__setattr__(self, "_offsets", offsets)
-        object.__setattr__(self, "_neighbors", tuple(
-            tuple(int(j) + 1 for j in np.flatnonzero(row)) for row in adj))
-
-    @cached_property
-    def _neighbor_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The neighbour lists as flat arrays (first, neighbor): node j's
-        neighbours, 0-based and ascending, are neighbor[first[j]:first[j + 1]]."""
-        node, neighbor = np.nonzero(self.adjacency)
-        first = np.zeros(self.node_count + 1, dtype=np.intp)
-        np.cumsum(np.bincount(node, minlength=self.node_count), out=first[1:])
-        return first, neighbor
 
     @property
     def node_count(self) -> int:
@@ -122,19 +121,22 @@ class NetworkGraph:
         return slice(int(self._offsets[node - 1]), int(self._offsets[node]))
 
     def neighbors(self, node: int) -> tuple[int, ...]:
-        return self._neighbors[node - 1]
+        first, neighbor = self._neighbor_arrays
+        return tuple((neighbor[first[node - 1]:first[node]] + 1).tolist())
 
     def degree(self, node: int) -> int:
-        return len(self._neighbors[node - 1])
+        first, _ = self._neighbor_arrays
+        return int(first[node] - first[node - 1])
 
     def edges(self) -> tuple[tuple[int, int], ...]:
-        iu = np.triu_indices(self.node_count, 1)
-        mask = self.adjacency[iu]
-        return tuple((int(u) + 1, int(v) + 1) for u, v in zip(iu[0][mask], iu[1][mask]))
+        first, neighbor = self._neighbor_arrays
+        node = np.repeat(np.arange(self.node_count), np.diff(first))
+        up = node < neighbor
+        return tuple(zip((node[up] + 1).tolist(), (neighbor[up] + 1).tolist()))
 
     def is_complete(self) -> bool:
         K = self.node_count
-        return int(self.adjacency.sum()) == K * (K - 1)
+        return self._neighbor_arrays[1].size == K * (K - 1)
 
     def save_edge_list(self, path) -> None:
         """Write the topology as a plain-text edge list, one 'u v' per line.
@@ -148,19 +150,15 @@ class NetworkGraph:
 
 def make_fully_connected(node_count: int, channels) -> NetworkGraph:
     """Complete graph on ``node_count`` nodes."""
-    adj = ~np.eye(node_count, dtype=bool)
-    if node_count == 1:
-        adj = np.zeros((1, 1), dtype=bool)
-    return NetworkGraph(adj, _as_channels(node_count, channels))
+    return NetworkGraph(~np.eye(node_count, dtype=bool), channels)
 
 
 def make_path(node_count: int, channels) -> NetworkGraph:
     """Path graph 1 - 2 - ... - K."""
     adj = np.zeros((node_count, node_count), dtype=bool)
     idx = np.arange(node_count - 1)
-    adj[idx, idx + 1] = True
-    adj |= adj.T
-    return NetworkGraph(adj, _as_channels(node_count, channels))
+    adj[idx, idx + 1] = adj[idx + 1, idx] = True
+    return NetworkGraph(adj, channels)
 
 
 def make_erdos_renyi(node_count: int, channels, edge_prob: float, rng_seed=None) -> NetworkGraph:
@@ -173,10 +171,11 @@ def make_erdos_renyi(node_count: int, channels, edge_prob: float, rng_seed=None)
         raise ValueError("edge probability must be in (0, 1]")
     chans = _as_channels(node_count, channels)
     rng = np.random.default_rng(rng_seed)
-    iu = np.triu_indices(node_count, 1)
+    # the upper triangle's pairs in row-major order, one uniform each
+    upper = np.triu(np.ones((node_count, node_count), dtype=bool), 1)
     for _ in range(ER_MAX_RETRIES):
-        adj = np.zeros((node_count, node_count), dtype=bool)
-        adj[iu] = rng.random(iu[0].size) < edge_prob
+        adj = np.zeros_like(upper)
+        adj[upper] = rng.random(node_count * (node_count - 1) // 2) < edge_prob
         adj |= adj.T
         try:
             return NetworkGraph(adj, chans)
@@ -212,7 +211,7 @@ def make_random_tree(node_count: int, channels, rng_seed=None) -> NetworkGraph:
             frontier.append(next_id)
             next_id += 1
         last = node
-    return NetworkGraph(adj, _as_channels(node_count, channels))
+    return NetworkGraph(adj, channels)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,8 @@ and derives its per-node
 channel counts and raw stacks from the tree itself. The drift statistics
 draw and the conditioning screen are kept in their first written form, so
 that the library's faster forms are held to the same random stream and the
-same decisions. The
+same decisions, and so are the Erdos-Renyi draw (``frozen_make_erdos_renyi``)
+and the ``study.meta`` config echo (``frozen_resolved_dict``). The
 statistics-domain step loop is kept the same way (``frozen_dasf_run``): the
 transition matrix built by zero-fill and scatters, and one
 ``dasf_step``-shaped call per iteration with the mmse solve's checks ahead of
@@ -27,6 +28,7 @@ the same trajectory, records and log.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import SimpleNamespace
@@ -47,7 +49,13 @@ from dasf.engine import (
     normalized_error,
     select_updating_node,
 )
-from dasf.network import NetworkGraph, PrunedTree
+from dasf.network import (
+    ER_MAX_RETRIES,
+    GraphConnectivityError,
+    NetworkGraph,
+    PrunedTree,
+    _as_channels,
+)
 from dasf.sfo import (
     COND_LIMIT,
     DIAG_LOAD,
@@ -280,6 +288,49 @@ def frozen_prune_to_tree(graph: NetworkGraph, root: int, rng_seed=None) -> Prune
         order=tuple(order),
         _children=children_t,
     )
+
+
+# ``dasf.network.make_erdos_renyi`` as first written, the upper triangle drawn
+# through ``np.triu_indices``; the library's mask draw is held to it
+def frozen_make_erdos_renyi(node_count: int, channels, edge_prob: float,
+                            rng_seed=None) -> NetworkGraph:
+    """Erdos-Renyi G(K, p), resampled until connected.
+
+    Raises GraphConnectivityError when ER_MAX_RETRIES consecutive draws come
+    out disconnected.
+    """
+    if not 0.0 < edge_prob <= 1.0:
+        raise ValueError("edge probability must be in (0, 1]")
+    chans = _as_channels(node_count, channels)
+    rng = np.random.default_rng(rng_seed)
+    iu = np.triu_indices(node_count, 1)
+    for _ in range(ER_MAX_RETRIES):
+        adj = np.zeros((node_count, node_count), dtype=bool)
+        adj[iu] = rng.random(iu[0].size) < edge_prob
+        adj |= adj.T
+        try:
+            return NetworkGraph(adj, chans)
+        except ValueError:      # a draw can only fail by being disconnected
+            pass
+    raise GraphConnectivityError(
+        f"no connected draw in {ER_MAX_RETRIES} tries (K={node_count}, p={edge_prob})"
+    )
+
+
+# ``ExperimentConfig.resolved_dict`` as first written; ``study.meta`` now
+# dumps ``dataclasses.asdict`` of the config and must read back as this
+def frozen_resolved_dict(config) -> dict:
+    """Plain mapping echo of every resolved field, for study.meta."""
+    out = dataclasses.asdict(config)
+    out["filter_widths"] = list(config.filter_widths)
+    out["channels"] = list(config.channels)
+    out["applied_defaults"] = list(config.applied_defaults)
+    if config.drift is not None:
+        out["drift"] = {
+            "delta_std": config.drift.delta_std,
+            "schedule": [list(p) for p in config.drift.schedule],
+        }
+    return out
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import dasf
 import dasf.cli
 import dasf.experiments as experiments
+import oracles
 from dasf.experiments import (
     MAX_NODES,
     ConfigError,
@@ -841,7 +842,7 @@ def test_study_outputs_equal_the_csv_module_and_safe_dumper_forms(tmp_path, monk
     # each output file is held to the form it was first written in: run CSVs
     # from csv.writer, aggregate.csv from per-value repr joins, study.meta
     # from yaml.safe_dump, also with failed-run messages that need quoting,
-    # escapes and folding
+    # escapes and folding, and its config echo to the mapping first written
     real = experiments._single_run
 
     def flaky(config, variant, run_index, seed_seq):
@@ -878,6 +879,7 @@ def test_study_outputs_equal_the_csv_module_and_safe_dumper_forms(tmp_path, monk
     meta = yaml.safe_load(text)
     assert [msg for _, msg in meta["failed_runs"]] == [
         f"RuntimeError: {msg}" for msg in _AWKWARD_MESSAGES]
+    assert meta["resolved_config"] == oracles.frozen_resolved_dict(study.config)
     assert text == yaml.safe_dump(meta, sort_keys=True)
 
 

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from dasf.network import (
     GraphConnectivityError,
     NetworkGraph,
@@ -68,6 +71,111 @@ def test_graph_validation_rejects_disconnected():
     adj[2, 3] = adj[3, 2] = True
     with pytest.raises(ValueError):
         NetworkGraph(adj, (1, 1, 1, 1))
+
+
+def test_graph_needs_at_least_one_node():
+    for build in (lambda: NetworkGraph(np.zeros((0, 0), dtype=bool), ()),
+                  lambda: make_path(0, 1),
+                  lambda: make_fully_connected(0, 1),
+                  lambda: make_random_tree(0, 1, rng_seed=0),
+                  lambda: make_erdos_renyi(0, 1, 0.5, rng_seed=0)):
+        with pytest.raises(ValueError, match="^a graph needs at least one node$"):
+            build()
+
+
+def _assert_lists_equal_the_dense_definitions(g):
+    adj = g.adjacency
+    K = g.node_count
+    for k in g.nodes:
+        row = tuple((np.flatnonzero(adj[k - 1]) + 1).tolist())
+        assert g.neighbors(k) == row and g.degree(k) == len(row)
+    iu, ju = np.triu_indices(K, 1)
+    up = adj[iu, ju]
+    edges = g.edges()
+    assert edges == tuple(zip((iu[up] + 1).tolist(), (ju[up] + 1).tolist()))
+    assert all(type(u) is int and type(v) is int for u, v in edges)
+    assert g.is_complete() == (int(adj.sum()) == K * (K - 1))
+
+
+def _assert_bad_entries_rejected(adj):
+    K = adj.shape[0]
+    loop = adj.copy()
+    loop[K - 1, K - 1] = True
+    with pytest.raises(ValueError, match="^self-loops are not allowed$"):
+        NetworkGraph(loop, 1)
+    if K > 1:
+        lopsided = adj.copy()
+        lopsided[0, K - 1] = not lopsided[0, K - 1]
+        with pytest.raises(ValueError, match="^adjacency must be symmetric$"):
+            NetworkGraph(lopsided, 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["complete", "path", "tree", "erdos_renyi"]),
+    n=st.integers(min_value=1, max_value=40),
+    p=st.floats(min_value=0.05, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+@example(kind="erdos_renyi", n=8, p=0.3, seed=3)     # connected at the sixth draw
+@example(kind="erdos_renyi", n=40, p=0.01, seed=7)   # never connected
+@example(kind="complete", n=1, p=1.0, seed=0)
+def test_factory_graphs_read_their_lists_from_one_adjacency(kind, n, p, seed):
+    # every neighbour query equals its dense definition, and the Erdos-Renyi
+    # draw is the triu_indices draw as first written, retries included
+    if kind == "erdos_renyi":
+        try:
+            g = make_erdos_renyi(n, 2, p, rng_seed=seed)
+        except GraphConnectivityError:
+            with pytest.raises(GraphConnectivityError):
+                oracles.frozen_make_erdos_renyi(n, 2, p, rng_seed=seed)
+            return
+        ref = oracles.frozen_make_erdos_renyi(n, 2, p, rng_seed=seed)
+        assert np.array_equal(g.adjacency, ref.adjacency)
+    elif kind == "tree":
+        g = make_random_tree(n, 2, rng_seed=seed)
+    else:
+        g = (make_path if kind == "path" else make_fully_connected)(n, 2)
+    _assert_lists_equal_the_dense_definitions(g)
+    _assert_bad_entries_rejected(np.array(g.adjacency))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(min_value=1, max_value=12))
+def test_symmetric_adjacencies_read_their_lists_from_one_adjacency(data, n):
+    upper = data.draw(st.lists(st.booleans(), min_size=n * (n - 1) // 2,
+                               max_size=n * (n - 1) // 2))
+    adj = np.zeros((n, n), dtype=bool)
+    adj[np.triu_indices(n, 1)] = upper
+    if data.draw(st.booleans()):      # thread a path through, so it is connected
+        order = data.draw(st.permutations(range(n)))
+        adj[order[:-1], order[1:]] = True
+    adj |= adj.T
+    reach = np.eye(n, dtype=bool)
+    for _ in range(n):
+        reach |= (reach.astype(int) @ adj.astype(int)) > 0
+    if not reach[0].all():
+        with pytest.raises(ValueError, match="^graph must be connected$"):
+            NetworkGraph(adj, 1)
+        return
+    _assert_lists_equal_the_dense_definitions(NetworkGraph(adj, 1))
+    _assert_bad_entries_rejected(adj)
+
+
+def test_graph_lists_stay_small():
+    # the edge list and a dense build are O(E), with no K x K index arrays
+    g = make_path(3000, 1)
+    tracemalloc.start()
+    try:
+        assert len(g.edges()) == 2999
+        edges_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert make_fully_connected(2000, 1).is_complete()
+        complete_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert edges_peak < 8 * 2**20
+    assert complete_peak < 128 * 2**20
 
 
 def test_erdos_renyi_deterministic_under_seed():
