@@ -57,8 +57,8 @@ from types import SimpleNamespace
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dgesvd
 
+from ._lapack import dgesvd
 from .network import NetworkGraph, PrunedTree, breadth_first_forest
 from .sfo import (
     CompressedInstance,

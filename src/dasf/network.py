@@ -77,7 +77,7 @@ class NetworkGraph:
     channels: tuple[int, ...]
 
     def __post_init__(self):
-        adj = np.asarray(self.adjacency, dtype=bool)
+        adj = np.array(self.adjacency, dtype=bool)     # a copy: the graph freezes it
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValueError("adjacency must be square")
         if adj.diagonal().any():

@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 from typing import Callable, ClassVar
 
 import numpy as np
-from scipy.linalg.lapack import dgesv
 
+from ._lapack import dgesv
 from .signals import COND_LIMIT, SampleBatch
 
 __all__ = [

@@ -34,7 +34,8 @@ from functools import cached_property
 import math
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dsyevd
+
+from ._lapack import dpotrf, dsyevd
 
 COND_LIMIT = 1e12           # conditioning threshold for MMSE diagonal loading
 DRIFT_RANK_RTOL = 1e-12     # A A^T directions this far below the largest are rounding

@@ -6,7 +6,8 @@ directions were dropped by the eigenvalues of their Grams. Each case is pinned
 by its seeds and checked the way the benchmark checks a run: it completes,
 stays finite, passes the transport audit, and its objective rises by at
 most 1e-9 in one iteration. Where no run can complete, the check is that
-each fails with an error that names the cause."""
+each fails with an error that names the cause. One graph froze the
+adjacency array its caller had passed in."""
 
 import logging
 import re
@@ -19,7 +20,7 @@ import oracles
 from dasf import engine, sfo
 from dasf.engine import audit_transport, dasf_run
 from dasf.experiments import run_study, validate_config
-from dasf.network import make_erdos_renyi, make_path, make_random_tree
+from dasf.network import NetworkGraph, make_erdos_renyi, make_path, make_random_tree
 from dasf.sfo import MmseProblem, ScqpProblem, TroProblem, evaluate_objective, solve_centralized
 from dasf.signals import SignalModel, sample_stationary
 
@@ -280,3 +281,15 @@ def test_tro_tiny_noise_solves_meet_oracle_or_name_rho(tmp_path, monkeypatch, ca
                              r"iterations \(rho ~ (\S+), last step \S+\)", error)
         assert named, error
         assert float(named.group(1)) > 1e8
+
+
+def test_graph_leaves_the_callers_adjacency_writable():
+    # the graph freezes its own copy of a boolean adjacency, so the caller
+    # can still edit the array it passed in, and the edit leaves the graph
+    adj = np.zeros((3, 3), dtype=bool)
+    adj[[0, 1], [1, 2]] = adj[[1, 2], [0, 1]] = True
+    graph = NetworkGraph(adj, (1, 1, 1))
+    adj[0, 2] = adj[2, 0] = True
+    assert adj.flags.writeable and not graph.adjacency.flags.writeable
+    assert not graph.adjacency[0, 2]
+    assert graph.edges() == ((1, 2), (2, 3))
