@@ -21,7 +21,8 @@ One iteration of the scheme, at updating node q:
 The plan also fixes every send of an iteration (``LocalLayout.fusion_sends``
 and ``mix_sends``, with their row totals). The transport log stores those
 schedules as they are, one entry per stream, and expands them into
-per-send records only when queried.
+per-send records only when queried; the audit reads each distinct schedule
+once, without expanding it.
 
 An iteration is plan-time work plus a step kernel. Plan-time work is done
 once per (graph, filter width), for every q of a block of roots in one pass
@@ -51,6 +52,7 @@ sample-domain oracle that fuses the samples themselves up the tree.
 from __future__ import annotations
 
 import weakref
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import SimpleNamespace
@@ -133,8 +135,9 @@ class TransportLog:
 
     The log keeps whole send schedules, one entry per (iteration, stream,
     cols, sends) with sends a plan's tuple of (sender, receiver, kind, rows),
-    plus running totals of records and scalars. Queries expand the entries
-    into TransportRecords, in the order they were logged.
+    plus running totals of records and scalars. Queries (``records``,
+    ``sent``) expand the entries into TransportRecords, in the order they
+    were logged; ``audit_transport`` reads the entries as they are.
     """
 
     def __init__(self):
@@ -188,38 +191,73 @@ class TransportAudit:
     det_records: int = 0
 
 
+class _ScheduleSummary(NamedTuple):
+    """What the audit reads of one signal schedule, at one cap."""
+
+    rows: dict[int, int]                 # rows sent per sender
+    over: list[tuple[int, int]]          # (sender, rows) for the senders over the cap
+    raw_over: list[tuple[int, int]]      # (sender, rows) per raw send at or over it, in order
+    raw: int                             # raw sends
+
+
+def _summarise(sends: tuple[_Send, ...], cap: int) -> _ScheduleSummary:
+    rows: dict[int, int] = {}
+    raw_over = []
+    raw = 0
+    for sender, _, kind, n in sends:
+        rows[sender] = rows.get(sender, 0) + n
+        if kind == "raw":
+            raw += 1
+            if n >= cap:
+                raw_over.append((sender, n))
+    return _ScheduleSummary(rows, [(s, n) for s, n in rows.items() if n > cap], raw_over, raw)
+
+
 def audit_transport(log: TransportLog, n_filters: int) -> TransportAudit:
     """Check that no node ever shipped more than the compression allows.
 
     Per iteration, per sender, per signal stream, the transmitted channel
     count must not exceed the filter width; raw (uncompressed) sends are
-    only legal below it.
+    only legal below it. The issues list the illegal raw sends in log
+    order, then the senders over the cap by (iteration, sender, stream).
+
+    The log's entries are read without expanding them into records: each
+    distinct signal schedule (a plan's shared send tuple, or the one-send
+    tuple of ``TransportLog.add``) is summarised once, and each (iteration,
+    stream) is checked from its entries' summaries, merged only when it
+    holds several.
     """
     issues: list[str] = []
-    per_sender: dict[tuple[int, int, str], int] = {}
+    summaries: dict[int, _ScheduleSummary] = {}   # by id of the logged tuple
+    groups: dict[tuple[int, str], list[_ScheduleSummary]] = {}
     n_signal = n_raw = n_mix = n_det = 0
-    for rec in log.records:
-        if rec.stream in ("y", "v"):
-            n_signal += 1
-            key = (rec.iteration, rec.sender, rec.stream)
-            per_sender[key] = per_sender.get(key, 0) + rec.rows
-            if rec.kind == "raw":
-                n_raw += 1
-                if rec.rows >= n_filters:
-                    issues.append(
-                        f"iteration {rec.iteration}: node {rec.sender} sent "
-                        f"{rec.rows} raw channels, expected fewer than {n_filters}"
-                    )
-        elif rec.stream.startswith("det:"):
-            n_det += 1
+    for iteration, stream, _, sends in log._entries:
+        if stream in ("y", "v"):
+            summary = summaries.get(id(sends))
+            if summary is None:
+                summary = summaries[id(sends)] = _summarise(sends, n_filters)
+            n_signal += len(sends)
+            n_raw += summary.raw
+            issues += [f"iteration {iteration}: node {sender} sent {rows} raw channels, "
+                       f"expected fewer than {n_filters}" for sender, rows in summary.raw_over]
+            groups.setdefault((iteration, stream), []).append(summary)
+        elif stream.startswith("det:"):
+            n_det += len(sends)
         else:
-            n_mix += 1
-    for (iteration, sender, stream), rows in sorted(per_sender.items()):
-        if rows > n_filters:
-            issues.append(
-                f"iteration {iteration}: node {sender} sent {rows} channels "
-                f"of stream '{stream}', cap is {n_filters}"
-            )
+            n_mix += len(sends)
+    capped = []
+    for (iteration, stream), held in groups.items():
+        if len(held) == 1:
+            over = held[0].over
+        else:
+            rows_of = Counter()
+            for summary in held:
+                rows_of.update(summary.rows)
+            over = [(sender, rows) for sender, rows in rows_of.items() if rows > n_filters]
+        capped += [(iteration, sender, stream, rows) for sender, rows in over]
+    issues += [f"iteration {iteration}: node {sender} sent {rows} channels "
+               f"of stream '{stream}', cap is {n_filters}"
+               for iteration, sender, stream, rows in sorted(capped)]
     return TransportAudit(
         ok=not issues,
         issues=tuple(issues),
@@ -261,8 +299,8 @@ class LocalLayout:
 
     A layout is cut from the arrays of the ``_TreePlans`` it belongs to: the
     fields the step kernel reads are set when it is cut, and ``branches``,
-    ``fallback`` and the tree are built from the same arrays when first
-    read. Every iteration at the node shares it.
+    ``fallback`` and the tree are built from its tree's rows of the same
+    arrays when first read. Every iteration at the node shares it.
     """
 
     node: int                                 # updating node q
@@ -285,34 +323,40 @@ class LocalLayout:
     # q's and each raw branch's rows; read-only
     c_index: tuple[np.ndarray, np.ndarray, tuple[tuple[int, int], ...], np.ndarray] = field(
         repr=False)
-    _plans: _TreePlans = field(repr=False)
-    _at: int = field(repr=False)              # this layout's tree in _plans
+    _rows: _TreeRows = field(repr=False)
 
     @cached_property
     def branches(self) -> tuple[BranchSegment, ...]:
         """One segment per branch, in ascending branch-root order."""
-        p, i = self._plans, self._at
-        pre = p.preorder[i]
+        t = self._rows
+        pre = t.preorder
         return tuple(
             BranchSegment(
                 root=n + 1,
-                members=tuple((pre[p.branch[i, pre] == n] + 1).tolist()),
-                raw=bool(p.raw[i, n]),
-                width=int(p.width[i, n]),
-                offset=int(p.offset[i, n]),
-                rows=p.rows[i, p.start[i, n]:p.start[i, n] + p.sub[i, n]],
+                members=tuple((pre[t.branch[pre] == n] + 1).tolist()),
+                raw=bool(t.raw[n]),
+                width=int(t.width[n]),
+                offset=int(t.offset[n]),
+                rows=t.rows[t.start[n]:t.start[n] + t.sub[n]],
             )
-            for n in np.flatnonzero(p.depth[i] == 1).tolist())
+            for n in np.flatnonzero(t.depth == 1).tolist())
 
     @cached_property
     def fallback(self) -> frozenset[int]:
         """The nodes forwarding raw rows."""
-        return frozenset((np.flatnonzero(self._plans.raw[self._at]) + 1).tolist())
+        return frozenset((np.flatnonzero(self._rows.raw) + 1).tolist())
 
     @cached_property
     def _tree(self) -> PrunedTree:
         """The pruned tree this layout was planned on."""
-        return PrunedTree.from_arrays(self._plans.order[self._at], self._plans.parent[self._at])
+        return PrunedTree.from_arrays(self._rows.order, self._rows.parent)
+
+
+# one tree's rows of its _TreePlans arrays, as views: a layout holds these,
+# not the plans that hold the layout, so no reference cycle keeps a graph's
+# plans and layouts alive once the graph is gone
+_TreeRows = namedtuple("_TreeRows", "order parent depth preorder branch raw width offset rows "
+                                    "start sub")
 
 
 # send kinds, indexed by whether the sender's subtree (fusion) or branch
@@ -470,8 +514,7 @@ class _TreePlans:
                 c_index=(self.c_flat[lo:hi], self.c_rows[lo:hi],
                          self.spans[self.span_at[i]:self.span_at[i + 1]],
                          self.ident[self.ident_at[i]:self.ident_at[i + 1]]),
-                _plans=self,
-                _at=i,
+                _rows=_TreeRows._make(getattr(self, name)[i] for name in _TreeRows._fields),
             )
         return layout
 

@@ -742,6 +742,8 @@ def write_study_outputs(study: StudyResult, out_dir: Path) -> None:
         "failed_runs": [[idx, msg] for idx, msg in study.failed],
         "failure_counts": _failure_counts(study.failed),
         "run_wall_s": list(study.run_wall_s),
+        "tx_scalars": [result.transport.scalars() for result in study.run_results],
+        "tx_records": [len(result.transport) for result in study.run_results],
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,

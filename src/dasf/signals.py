@@ -32,6 +32,7 @@ import bisect
 from dataclasses import dataclass
 from functools import cached_property
 import math
+import sys
 
 import numpy as np
 
@@ -55,6 +56,13 @@ __all__ = [
 ]
 
 
+def _check_finite(name: str, a: np.ndarray) -> None:
+    """A ValueError naming the field when an entry is NaN or infinite, as
+    validate_config rejects such config numbers."""
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must hold only finite numbers, got {a[~np.isfinite(a)][0]}")
+
+
 @dataclass(frozen=True)
 class LambdaSchedule:
     """Piecewise-linear mixing weight t -> [0, 1], held constant past the ends."""
@@ -67,6 +75,8 @@ class LambdaSchedule:
         v = np.asarray(self.values, dtype=float)
         if t.ndim != 1 or t.shape != v.shape or t.size == 0:
             raise ValueError("schedule needs matching 1-d times and values")
+        _check_finite("schedule times", t)
+        _check_finite("schedule values", v)
         if np.any(np.diff(t) < 0):
             raise ValueError("schedule times must be non-decreasing")
         if np.any((v < 0) | (v > 1)):
@@ -127,6 +137,8 @@ class DriftSpec:
         delta = np.asarray(self.delta, dtype=float).ravel()
         if p0.shape != delta.shape:
             raise ValueError("p0 and delta must have the same length")
+        _check_finite("p0", p0)
+        _check_finite("delta", delta)
         object.__setattr__(self, "p0", p0)
         object.__setattr__(self, "delta", delta)
 
@@ -160,12 +172,17 @@ class SignalModel:
         m_total = sum(chans)
         if (self.mix_y is None) == (self.drift is None):
             raise ValueError("exactly one of mix_y and drift must be set")
+        for name in ("source_var", "noise_var"):
+            value = getattr(self, name)
+            if not abs(value) <= sys.float_info.max:   # validate_config's rule
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.source_var < 0 or self.noise_var < 0:
             raise ValueError("variances must be non-negative")
         if self.mix_y is not None:
             mix = np.atleast_2d(np.asarray(self.mix_y, dtype=float))
             if mix.shape[0] != m_total:
                 raise ValueError(f"mix_y must have {m_total} rows")
+            _check_finite("mix_y", mix)
             object.__setattr__(self, "mix_y", mix)
         if self.drift is not None and self.drift.p0.size != m_total:
             raise ValueError(f"drift vectors must have length {m_total}")
@@ -175,6 +192,7 @@ class SignalModel:
             mv = np.atleast_2d(np.asarray(self.mix_v, dtype=float))
             if mv.shape[0] != m_total:
                 raise ValueError(f"mix_v must have {m_total} rows")
+            _check_finite("mix_v", mv)
             object.__setattr__(self, "mix_v", mv)
 
     @property

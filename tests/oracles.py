@@ -23,7 +23,10 @@ statistics-domain step loop is kept the same way (``frozen_dasf_run``): the
 transition matrix built by zero-fill and scatters, and one
 ``dasf_step``-shaped call per iteration with the mmse solve's checks ahead of
 its LAPACK call, so that the engine's planned step kernel is held bitwise to
-the same trajectory, records and log.
+the same trajectory, records and log. The transport audit is kept as first
+written too (``frozen_audit_transport``), walking one record per send, so
+that the library's schedule-summarising audit is held to the same issues
+and counts.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from scipy.linalg.lapack import dgesv, dgesvd
 from dasf.engine import (
     RANK_RTOL,
     RunResult,
+    TransportAudit,
     TransportLog,
     TransportRecord,
     BranchSegment,
@@ -783,3 +787,45 @@ def frozen_dasf_run(problem, graph, batch, n_iterations, mode="ti", x0=None,
     ]
     return RunResult(records=records, x_history=tuple(traj), transport=log,
                      reference=ref_fixed)
+
+
+def frozen_audit_transport(log: TransportLog, n_filters: int) -> TransportAudit:
+    """Check that no node ever shipped more than the compression allows.
+
+    Per iteration, per sender, per signal stream, the transmitted channel
+    count must not exceed the filter width; raw (uncompressed) sends are
+    only legal below it.
+    """
+    issues: list[str] = []
+    per_sender: dict[tuple[int, int, str], int] = {}
+    n_signal = n_raw = n_mix = n_det = 0
+    for rec in log.records:
+        if rec.stream in ("y", "v"):
+            n_signal += 1
+            key = (rec.iteration, rec.sender, rec.stream)
+            per_sender[key] = per_sender.get(key, 0) + rec.rows
+            if rec.kind == "raw":
+                n_raw += 1
+                if rec.rows >= n_filters:
+                    issues.append(
+                        f"iteration {rec.iteration}: node {rec.sender} sent "
+                        f"{rec.rows} raw channels, expected fewer than {n_filters}"
+                    )
+        elif rec.stream.startswith("det:"):
+            n_det += 1
+        else:
+            n_mix += 1
+    for (iteration, sender, stream), rows in sorted(per_sender.items()):
+        if rows > n_filters:
+            issues.append(
+                f"iteration {iteration}: node {sender} sent {rows} channels "
+                f"of stream '{stream}', cap is {n_filters}"
+            )
+    return TransportAudit(
+        ok=not issues,
+        issues=tuple(issues),
+        signal_records=n_signal,
+        raw_records=n_raw,
+        mix_records=n_mix,
+        det_records=n_det,
+    )

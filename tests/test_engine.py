@@ -96,24 +96,30 @@ def test_star_tree_shape():
 
 def test_plans_are_per_graph_and_die_with_it():
     # the same root prunes a path to a chain and a complete graph to a star;
-    # a graph's plans go when the graph does
+    # a graph's plans and layouts go when the graph does, by reference
+    # count alone: plans and layouts hold no cycle the collector must find
     gc.collect()
-    rng = np.random.default_rng(22)
-    prob = MmseProblem(n_filters=1)
-    path = make_path(4, 1)
-    full = make_fully_connected(4, 1)
-    for graph, parent in ((path, {2: 1, 3: 2, 4: 3}), (full, {2: 1, 3: 1, 4: 1})):
-        batch = _random_batch(graph, 20, rng, s_rows=1)
-        _, info = dasf_step(prob, graph, prob.random_feasible(4, rng), batch, iteration=0)
-        assert info.tree.parent == parent
-    assert path in engine._PLANS and full in engine._PLANS
+    gc.disable()
+    try:
+        rng = np.random.default_rng(22)
+        prob = MmseProblem(n_filters=1)
+        path = make_path(4, 1)
+        full = make_fully_connected(4, 1)
+        for graph, parent in ((path, {2: 1, 3: 2, 4: 3}), (full, {2: 1, 3: 1, 4: 1})):
+            batch = _random_batch(graph, 20, rng, s_rows=1)
+            _, info = dasf_step(prob, graph, prob.random_feasible(4, rng), batch, iteration=0)
+            assert info.tree.parent == parent
+            if graph is path:
+                layout = weakref.ref(info.layout)
+        assert path in engine._PLANS and full in engine._PLANS
 
-    planned = len(engine._PLANS)
-    gone = weakref.ref(path)
-    del path, graph
-    gc.collect()
-    assert gone() is None
-    assert len(engine._PLANS) == planned - 1 and full in engine._PLANS
+        planned = len(engine._PLANS)
+        gone = [weakref.ref(path), layout] + [weakref.ref(p) for p in engine._PLANS[path].values()]
+        del path, graph
+        assert [ref() for ref in gone] == [None] * len(gone)
+        assert len(engine._PLANS) == planned - 1 and full in engine._PLANS
+    finally:
+        gc.enable()
 
 
 def test_plan_made_once_per_updating_node(monkeypatch):
@@ -809,6 +815,81 @@ def test_log_totals_equal_expanded_records_property(nodes, seed, kind):
     for rec in result.records:
         assert rec.tx_samples == sum(r.scalars for r in records if r.iteration == rec.iteration)
         assert rec.tx_samples == sum(r.scalars for r in log.sent(iteration=rec.iteration))
+
+
+def test_audit_sums_added_records_into_a_schedule_group():
+    # a plan's schedule within the cap, plus one added record of the same
+    # iteration, sender and stream: only their sum breaks it
+    log = TransportLog()
+    schedule = ((2, 1, "compressed", 2), (3, 2, "raw", 1))
+    log.add_sends(4, "y", 10, schedule, 3)
+    log.add_sends(5, "y", 10, schedule, 3)
+    log.add(TransportRecord(iteration=4, sender=2, receiver=1, stream="y",
+                            kind="raw", rows=1, cols=10))
+    audit = audit_transport(log, 2)
+    assert audit.issues == ("iteration 4: node 2 sent 3 channels of stream 'y', cap is 2",)
+    assert (audit.signal_records, audit.raw_records) == (5, 3)
+    assert audit == oracles.frozen_audit_transport(log, 2)
+
+
+_SENDS = st.tuples(st.integers(1, 5), st.integers(1, 5),
+                   st.sampled_from(["compressed", "raw", "mix_block", "new_block"]),
+                   st.integers(0, 6))
+_ITERATIONS = st.integers(0, 3)
+_STREAMS = st.sampled_from(["y", "v", "mix", "det:linear", "det:gain"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_filters=st.integers(1, 4),
+    schedules=st.lists(st.lists(_SENDS, max_size=6).map(tuple), min_size=1, max_size=4),
+    entries=st.lists(st.one_of(
+        # a shared schedule, or an equal-valued copy of it
+        st.tuples(st.just("schedule"), _ITERATIONS, _STREAMS, st.integers(1, 5),
+                  st.integers(0, 3), st.booleans()),
+        # one record from add(), into any (iteration, stream) group
+        st.tuples(st.just("add"), _ITERATIONS, _STREAMS, st.integers(1, 5), _SENDS),
+    ), max_size=25),
+)
+def test_audit_equals_the_frozen_audit_property(n_filters, schedules, entries):
+    log = TransportLog()
+    for entry in entries:
+        if entry[0] == "schedule":
+            _, iteration, stream, cols, at, copy = entry
+            sends = schedules[at % len(schedules)]
+            if copy:
+                sends = tuple(list(sends))
+            log.add_sends(iteration, stream, cols, sends, sum(s[3] for s in sends))
+        else:
+            _, iteration, stream, cols, (sender, receiver, kind, rows) = entry
+            log.add(TransportRecord(iteration, sender, receiver, stream, kind, rows, cols))
+    assert audit_transport(log, n_filters) == oracles.frozen_audit_transport(log, n_filters)
+
+
+def test_long_run_audit_reads_each_schedule_once(monkeypatch):
+    # the long_tree_smallN shape: 2000 iterations, 60,000 sends; the audit
+    # expands no record and peaks far below one record per send
+    rng = np.random.default_rng(23)
+    graph = make_random_tree(16, [1 + k % 2 for k in range(16)], rng)
+    prob = MmseProblem(n_filters=3)
+    result = dasf_run(prob, graph, _random_batch(graph, 200, rng, s_rows=3), 2000, rng_seed=6)
+    log = result.transport
+    assert len(log) == 60_000
+    expected = oracles.frozen_audit_transport(log, 3)
+    tracemalloc.start()
+    try:
+        audit = audit_transport(log, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert audit == expected and audit.ok
+    assert peak < 1_000_000, peak
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the audit expanded the log")
+
+    monkeypatch.setattr(TransportLog, "sent", refuse)
+    assert audit_transport(log, 3) == expected
 
 
 def test_audit_flags_violations():

@@ -892,6 +892,39 @@ def test_meta_lists_one_wall_time_per_completed_run(tmp_path, workers):
     assert all(isinstance(w, float) and w >= 0.0 for w in walls)
 
 
+def test_meta_lists_each_completed_runs_transport_totals(tmp_path, monkeypatch):
+    # the log's running totals, one per completed run in run_indices order;
+    # no record is expanded to write them
+    real = experiments._single_run
+
+    def flaky(config, variant, run_index, seed_seq):
+        if run_index == 1:
+            raise KeyError("lost")
+        return real(config, variant, run_index, seed_seq)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the log was expanded")
+
+    monkeypatch.setattr(experiments, "_single_run", flaky)
+    raw = _study_raw(tmp_path, monte_carlo_runs=3, workers=1)
+    raw["network"] = {"kind": "path", "nodes": 4, "channels": [3, 1, 1, 2]}
+    raw["problem"]["n_filters"] = 2
+    raw["signals"] = {"sources": 2}
+    study = run_study(validate_config(raw), write=False)
+    monkeypatch.setattr(dasf.engine.TransportLog, "sent", refuse)
+    experiments.write_study_outputs(study, tmp_path / "out")
+    meta = yaml.safe_load((tmp_path / "out" / "study.meta").read_text())
+    assert study.run_indices == (0, 2)
+    logs = [result.transport for result in study.run_results]
+    assert meta["tx_scalars"] == [sum(r.tx_samples for r in result.records)
+                                  for result in study.run_results]
+    assert meta["tx_scalars"] == [log.scalars() for log in logs]
+    assert meta["tx_records"] == [len(log) for log in logs]
+    monkeypatch.undo()
+    assert meta["tx_records"] == [len(log.records) for log in logs]
+    assert all(n > 0 for n in meta["tx_scalars"] + meta["tx_records"])
+
+
 def test_study_whose_runs_all_fail_raises_typed_error(tmp_path, monkeypatch):
     def failing(config, variant, run_index, seed_seq):
         if run_index == 1:

@@ -7,10 +7,12 @@ by its seeds and checked the way the benchmark checks a run: it completes,
 stays finite, passes the transport audit, and its objective rises by at
 most 1e-9 in one iteration. Where no run can complete, the check is that
 each fails with an error that names the cause. One graph froze the
-adjacency array its caller had passed in."""
+adjacency array its caller had passed in. NaN or infinite model parameters
+were accepted, and their runs failed late under a covariance message."""
 
 import logging
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -22,7 +24,7 @@ from dasf.engine import audit_transport, dasf_run
 from dasf.experiments import run_study, validate_config
 from dasf.network import NetworkGraph, make_erdos_renyi, make_path, make_random_tree
 from dasf.sfo import MmseProblem, ScqpProblem, TroProblem, evaluate_objective, solve_centralized
-from dasf.signals import SignalModel, sample_stationary
+from dasf.signals import DriftSpec, LambdaSchedule, SignalModel, sample_stationary
 
 RISE_TOL = 1e-9
 TRO_RISE_RTOL = 1e-7    # rise per iteration, relative to rho, where rho rounds R_v away
@@ -293,3 +295,45 @@ def test_graph_leaves_the_callers_adjacency_writable():
     assert adj.flags.writeable and not graph.adjacency.flags.writeable
     assert not graph.adjacency[0, 2]
     assert graph.edges() == ((1, 2), (2, 3))
+
+
+NAN, INF = float("nan"), float("inf")
+_SCHEDULE = LambdaSchedule((0.0,), (0.5,))
+
+
+def _model(**given):
+    fields = dict(channels=(1, 2), source_var=0.5, noise_var=0.1, mix_y=np.ones((3, 1)))
+    return SignalModel(**{**fields, **given})
+
+
+@pytest.mark.parametrize("name, build", [
+    ("noise_var", lambda: _model(noise_var=NAN)),
+    ("source_var", lambda: _model(source_var=NAN)),
+    ("source_var", lambda: _model(source_var=INF)),
+    ("noise_var", lambda: _model(noise_var=-INF)),
+    ("source_var", lambda: _model(source_var=10**400)),
+    ("mix_y", lambda: _model(mix_y=[[1.0], [NAN], [0.0]])),
+    ("mix_v", lambda: _model(mix_v=[[1.0], [0.0], [INF]])),
+    ("p0", lambda: DriftSpec([1.0, NAN, 0.0], np.ones(3), _SCHEDULE)),
+    ("delta", lambda: DriftSpec(np.ones(3), [0.0, 0.0, -INF], _SCHEDULE)),
+    ("schedule values", lambda: LambdaSchedule((0.0,), (NAN,))),
+    ("schedule times", lambda: LambdaSchedule((0.0, NAN), (0.5, 0.5))),
+    ("schedule times", lambda: LambdaSchedule((0.0, INF), (0.5, 0.5))),
+])
+def test_non_finite_model_parameters_fail_at_construction(name, build):
+    # they were accepted, and each run failed much later with "mmse:
+    # covariance has non-finite entries" (a NaN schedule gave lambda = NaN)
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        build()
+
+
+def test_model_accepts_every_number_the_validator_accepts():
+    # one rule for both: finite means at most the largest float in size
+    big = sys.float_info.max
+    raw = {"schema_version": 1, "problem": {"kind": "mmse", "n_filters": 1},
+           "network": {"kind": "path", "nodes": 2, "channels": 1},
+           "signals": {"source_var": big, "noise_var": big},
+           "run": {"iterations": 1}}
+    config = validate_config(raw)
+    model = _model(source_var=config.source_var, noise_var=config.noise_var)
+    assert model.source_var == model.noise_var == big
