@@ -734,6 +734,10 @@ def write_study_outputs(study: StudyResult, out_dir: Path) -> None:
         zip(*(np.asarray(c, dtype=float).tolist() for c in columns.values())))]
     (out_dir / "aggregate.csv").write_text("\n".join(lines) + "\n")
 
+    try:        # NumPy reports its build dependencies from 1.26 on
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        blas = None
     meta = {
         "resolved_config": dataclasses.asdict(study.config),
         "n_filters": study.n_filters,
@@ -749,6 +753,9 @@ def write_study_outputs(study: StudyResult, out_dir: Path) -> None:
             "numpy": np.__version__,
             "scipy": scipy.__version__,
             "cpu_count": os.cpu_count(),
+            "blas": {key: blas.get(key) for key in ("name", "version")} if blas else None,
+            "thread_env": {var: os.environ.get(var) for var in
+                           ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
         },
     }
     (out_dir / "study.meta").write_text(yaml.safe_dump(meta, sort_keys=True))

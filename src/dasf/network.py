@@ -2,8 +2,8 @@
 
 Nodes are labeled 1..K. Node k owns ``channels[k-1]`` sensor channels; the
 network-wide channel dimension is M = sum(channels). Graphs are undirected,
-connected, and immutable once built, with one adjacency list: neighbour
-arrays in compressed-row form, built once and read by every query. Pruning
+connected, and immutable once built. A graph is its one adjacency list:
+neighbour arrays in compressed-row form, with no K x K array kept. Pruning
 turns the graph into a spanning tree rooted at the node that updates in the
 current iteration, so that data can be fused along unique paths. One
 breadth-first flood (``breadth_first_forest``) over those arrays grows the
@@ -12,7 +12,6 @@ trees for any set of roots at once; it also tells whether a graph is connected.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,36 +47,37 @@ def _as_channels(node_count: int, channels) -> tuple[int, ...]:
     """Normalize a per-node channel spec (int or sequence) to a tuple."""
     if node_count < 1:
         raise ValueError("a graph needs at least one node")
-    if np.isscalar(channels):
-        out = (int(channels),) * node_count
-    else:
-        out = tuple(int(m) for m in channels)
+    out = (channels,) * node_count if np.isscalar(channels) else tuple(channels)
     if len(out) != node_count:
         raise ValueError(f"expected {node_count} channel counts, got {len(out)}")
+    for m in out:
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+            raise ValueError(f"a channel count must be an integer, got {m!r}")
     if any(m < 1 for m in out):
         raise ValueError("every node needs at least one sensor channel")
-    return out
+    return tuple(map(int, out))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class NetworkGraph:
     """Undirected connected sensor network.
 
-    adjacency : (K, K) boolean array, symmetric with zero diagonal.
+    adjacency : (K, K) array, symmetric with zero diagonal (nonzero = edge).
     channels  : per-node sensor channel counts (M_1, ..., M_K).
 
-    A graph is immutable (its adjacency is a read-only array). It compares
-    and hashes by identity, because field-wise equality would compare
-    ndarrays, and so it can key per-graph caches. Its one adjacency list is
+    A graph is immutable and keeps no K x K array: ``adjacency`` builds a
+    fresh read-only boolean array on each read. It compares and hashes by
+    identity, so it can key per-graph caches. Its one adjacency list is
     ``_neighbor_arrays = (first, neighbor)``: node j's neighbours, 0-based
     and ascending, are ``neighbor[first[j]:first[j + 1]]``.
     """
 
-    adjacency: np.ndarray
     channels: tuple[int, ...]
+    _neighbor_arrays: tuple[np.ndarray, np.ndarray] = field(repr=False)
+    _offsets: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        adj = np.array(self.adjacency, dtype=bool)     # a copy: the graph freezes it
+    def __init__(self, adjacency, channels):
+        adj = np.asarray(adjacency, dtype=bool)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValueError("adjacency must be square")
         if adj.diagonal().any():
@@ -85,25 +85,39 @@ class NetworkGraph:
         node, neighbor = np.nonzero(adj)
         if not adj[neighbor, node].all():
             raise ValueError("adjacency must be symmetric")
-        chans = _as_channels(adj.shape[0], self.channels)
-        first = np.zeros(adj.shape[0] + 1, dtype=np.intp)
-        np.cumsum(np.bincount(node, minlength=adj.shape[0]), out=first[1:])
-        neighbor = neighbor.copy()      # np.nonzero's index arrays share one buffer
-        for arr in (adj, first, neighbor):
-            arr.setflags(write=False)
-        object.__setattr__(self, "adjacency", adj)
-        object.__setattr__(self, "channels", chans)
-        object.__setattr__(self, "_neighbor_arrays", (first, neighbor))
-        if (breadth_first_forest(self, [0])[0] < 0).any():
-            raise ValueError("graph must be connected")
+        self._link(adj.shape[0], node, neighbor.copy(), channels)    # E entries, not nonzero's 2E
+
+    @classmethod
+    def _from_edges(cls, node_count: int, u: np.ndarray, v: np.ndarray, channels) -> NetworkGraph:
+        """The graph on ``node_count`` nodes with 0-based edges (u, v), each once."""
+        key = np.sort(np.concatenate([u * node_count + v, v * node_count + u]))
+        graph = object.__new__(cls)
+        graph._link(node_count, *np.divmod(key, node_count), channels)
+        return graph
+
+    def _link(self, node_count: int, node: np.ndarray, neighbor: np.ndarray, channels) -> None:
+        """Keep the neighbour arrays of the (node, neighbor) pairs, sorted by both."""
+        chans = _as_channels(node_count, channels)
+        first = node.searchsorted(np.arange(node_count + 1))
         # row offsets of each node's block in the stacked M-channel layout
         offsets = np.concatenate([[0], np.cumsum(chans)])
-        offsets.setflags(write=False)
-        object.__setattr__(self, "_offsets", offsets)
+        for arr in (first, neighbor, offsets):
+            arr.setflags(write=False)
+        vars(self).update(channels=chans, _neighbor_arrays=(first, neighbor), _offsets=offsets)
+        if (breadth_first_forest(self, [0])[0] < 0).any():
+            raise ValueError("graph must be connected")
+
+    @property
+    def adjacency(self) -> np.ndarray:
+        first, neighbor = self._neighbor_arrays
+        adj = np.zeros((self.node_count, self.node_count), dtype=bool)
+        adj[np.repeat(np.arange(self.node_count), np.diff(first)), neighbor] = True
+        adj.setflags(write=False)
+        return adj
 
     @property
     def node_count(self) -> int:
-        return self.adjacency.shape[0]
+        return self._neighbor_arrays[0].size - 1
 
     @property
     def nodes(self) -> range:
@@ -155,10 +169,8 @@ def make_fully_connected(node_count: int, channels) -> NetworkGraph:
 
 def make_path(node_count: int, channels) -> NetworkGraph:
     """Path graph 1 - 2 - ... - K."""
-    adj = np.zeros((node_count, node_count), dtype=bool)
     idx = np.arange(node_count - 1)
-    adj[idx, idx + 1] = adj[idx + 1, idx] = True
-    return NetworkGraph(adj, channels)
+    return NetworkGraph._from_edges(node_count, idx, idx + 1, channels)
 
 
 def make_erdos_renyi(node_count: int, channels, edge_prob: float, rng_seed=None) -> NetworkGraph:
@@ -171,14 +183,15 @@ def make_erdos_renyi(node_count: int, channels, edge_prob: float, rng_seed=None)
         raise ValueError("edge probability must be in (0, 1]")
     chans = _as_channels(node_count, channels)
     rng = np.random.default_rng(rng_seed)
-    # the upper triangle's pairs in row-major order, one uniform each
-    upper = np.triu(np.ones((node_count, node_count), dtype=bool), 1)
+    # a uniform per upper-triangle pair, row-major, 2^16 at a time; row u starts at row_start[u]
+    row_start = np.arange(node_count, 0, -1).cumsum() - node_count
+    pairs = node_count * (node_count - 1) // 2
     for _ in range(ER_MAX_RETRIES):
-        adj = np.zeros_like(upper)
-        adj[upper] = rng.random(node_count * (node_count - 1) // 2) < edge_prob
-        adj |= adj.T
+        hit = np.concatenate([np.flatnonzero(rng.random(min(pairs - lo, 1 << 16)) < edge_prob) + lo
+                              for lo in range(0, pairs or 1, 1 << 16)])    # K = 1: one empty draw
+        u = row_start.searchsorted(hit, side="right") - 1
         try:
-            return NetworkGraph(adj, chans)
+            return NetworkGraph._from_edges(node_count, u, hit - row_start[u] + u + 1, chans)
         except ValueError:      # a draw can only fail by being disconnected
             pass
     raise GraphConnectivityError(
@@ -195,23 +208,17 @@ def make_random_tree(node_count: int, channels, rng_seed=None) -> NetworkGraph:
     child is forced on the last processed node so growth can continue.
     """
     rng = np.random.default_rng(rng_seed)
-    adj = np.zeros((node_count, node_count), dtype=bool)
-    frontier: deque[int] = deque([1])
-    next_id = 2
-    last = 1
-    while next_id <= node_count:
-        if frontier:
-            node = frontier.popleft()
+    parent = []     # of nodes 2, 3, ..., 0-based; numbered as placed, nodes leave the
+    node = 0        # frontier in order, so it holds node + 1 up to the last one placed
+    while len(parent) < node_count - 1:
+        if node <= len(parent):     # the frontier is not empty
+            node += 1
             want = int(rng.choice(TREE_CHILD_COUNTS, p=TREE_CHILD_PROBS))
         else:
-            node, want = last, 1
-        want = min(want, node_count - next_id + 1)
-        for _ in range(want):
-            adj[node - 1, next_id - 1] = adj[next_id - 1, node - 1] = True
-            frontier.append(next_id)
-            next_id += 1
-        last = node
-    return NetworkGraph(adj, channels)
+            want = 1
+        parent += [node - 1] * min(want, node_count - 1 - len(parent))
+    return NetworkGraph._from_edges(node_count, np.array(parent, dtype=int),
+                                    np.arange(1, node_count), channels)
 
 
 @dataclass(frozen=True)

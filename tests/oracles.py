@@ -17,8 +17,10 @@ and derives its per-node
 channel counts and raw stacks from the tree itself. The drift statistics
 draw and the conditioning screen are kept in their first written form, so
 that the library's faster forms are held to the same random stream and the
-same decisions, and so are the Erdos-Renyi draw (``frozen_make_erdos_renyi``)
-and the ``study.meta`` config echo (``frozen_resolved_dict``). The
+same decisions, and so are the Erdos-Renyi draw (``frozen_make_erdos_renyi``),
+the path and random tree built through a dense K x K adjacency
+(``frozen_make_path`` and ``frozen_make_random_tree``) and the
+``study.meta`` config echo (``frozen_resolved_dict``). The
 statistics-domain step loop is kept the same way (``frozen_dasf_run``): the
 transition matrix built by zero-fill and scatters, and one
 ``dasf_step``-shaped call per iteration with the mmse solve's checks ahead of
@@ -32,6 +34,7 @@ and counts.
 from __future__ import annotations
 
 import dataclasses
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import SimpleNamespace
@@ -55,6 +58,8 @@ from dasf.engine import (
 )
 from dasf.network import (
     ER_MAX_RETRIES,
+    TREE_CHILD_COUNTS,
+    TREE_CHILD_PROBS,
     GraphConnectivityError,
     NetworkGraph,
     PrunedTree,
@@ -319,6 +324,46 @@ def frozen_make_erdos_renyi(node_count: int, channels, edge_prob: float,
     raise GraphConnectivityError(
         f"no connected draw in {ER_MAX_RETRIES} tries (K={node_count}, p={edge_prob})"
     )
+
+
+# ``dasf.network.make_path`` as first written, through a dense K x K
+# adjacency; the library's edge-list build is held to it
+def frozen_make_path(node_count: int, channels) -> NetworkGraph:
+    """Path graph 1 - 2 - ... - K."""
+    adj = np.zeros((node_count, node_count), dtype=bool)
+    idx = np.arange(node_count - 1)
+    adj[idx, idx + 1] = adj[idx + 1, idx] = True
+    return NetworkGraph(adj, channels)
+
+
+# ``dasf.network.make_random_tree`` as first written, through a dense K x K
+# adjacency; the library's parent-per-child build is held to it
+def frozen_make_random_tree(node_count: int, channels, rng_seed=None) -> NetworkGraph:
+    """Random tree grown breadth-first from node 1.
+
+    Each dequeued node draws its child count from TREE_CHILD_COUNTS with
+    probabilities TREE_CHILD_PROBS (truncated once K nodes exist). If every
+    frontier node drew zero children before K nodes were placed, one extra
+    child is forced on the last processed node so growth can continue.
+    """
+    rng = np.random.default_rng(rng_seed)
+    adj = np.zeros((node_count, node_count), dtype=bool)
+    frontier: deque[int] = deque([1])
+    next_id = 2
+    last = 1
+    while next_id <= node_count:
+        if frontier:
+            node = frontier.popleft()
+            want = int(rng.choice(TREE_CHILD_COUNTS, p=TREE_CHILD_PROBS))
+        else:
+            node, want = last, 1
+        want = min(want, node_count - next_id + 1)
+        for _ in range(want):
+            adj[node - 1, next_id - 1] = adj[next_id - 1, node - 1] = True
+            frontier.append(next_id)
+            next_id += 1
+        last = node
+    return NetworkGraph(adj, channels)
 
 
 # ``ExperimentConfig.resolved_dict`` as first written; ``study.meta`` now

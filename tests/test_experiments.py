@@ -819,13 +819,48 @@ def test_unexpected_run_error_is_recorded(tmp_path, monkeypatch):
     meta = yaml.safe_load((tmp_path / "out" / "study.meta").read_text())
     assert meta["failed_runs"] == [[1, "KeyError: 'lost'"]]
     assert meta["failure_counts"] == {"KeyError": 1}
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert meta["environment"] == {
         "python": platform.python_version(), "numpy": np.__version__,
-        "scipy": scipy.__version__, "cpu_count": os.cpu_count()}
+        "scipy": scipy.__version__, "cpu_count": os.cpu_count(),
+        "blas": {"name": blas["name"], "version": blas["version"]},
+        "thread_env": {var: os.environ.get(var) for var in _THREAD_VARS}}
     assert meta["completed_runs"] == 2
     # one wall time per completed run, none for the failed one
     assert len(meta["run_wall_s"]) == 2 and meta["run_wall_s"] == list(study.run_wall_s)
     assert all(isinstance(w, float) and w >= 0.0 for w in meta["run_wall_s"])
+
+
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_meta_records_the_blas_and_its_thread_variables_as_found(tmp_path, monkeypatch):
+    # the thread variables are read as found, unset ones as null, and never set
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    run_study(validate_config(_study_raw(tmp_path / "a", monte_carlo_runs=1)))
+    assert dict(os.environ) == before
+    env = yaml.safe_load((tmp_path / "a" / "out" / "study.meta").read_text())["environment"]
+    assert env["thread_env"] == {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": "3",
+                                 "MKL_NUM_THREADS": None}
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert env["blas"] == {"name": blas["name"], "version": blas["version"]}
+    assert isinstance(env["blas"]["name"], str) and env["blas"]["name"]
+
+    # a NumPy that reports no BLAS (or no build configuration) records null
+    def no_blas(mode):
+        return {"Build Dependencies": {}}
+
+    def no_modes():     # NumPy before 1.26 takes no ``mode``
+        return None
+
+    for fake, out in ((no_blas, "b"), (no_modes, "c")):
+        monkeypatch.setattr(np, "show_config", fake)
+        run_study(validate_config(_study_raw(tmp_path / out, monte_carlo_runs=1)))
+        meta = yaml.safe_load((tmp_path / out / "out" / "study.meta").read_text())
+        assert meta["environment"]["blas"] is None
 
 
 _AWKWARD_MESSAGES = (

@@ -120,9 +120,13 @@ def _assert_bad_entries_rejected(adj):
 @example(kind="erdos_renyi", n=8, p=0.3, seed=3)     # connected at the sixth draw
 @example(kind="erdos_renyi", n=40, p=0.01, seed=7)   # never connected
 @example(kind="complete", n=1, p=1.0, seed=0)
+@example(kind="erdos_renyi", n=363, p=0.05, seed=2)    # 65,703 pairs: two blocks
+@example(kind="erdos_renyi", n=400, p=0.02, seed=1)
+@example(kind="erdos_renyi", n=800, p=0.008, seed=4)   # five blocks, connected at the fifth draw
+@example(kind="tree", n=1, p=1.0, seed=0)
 def test_factory_graphs_read_their_lists_from_one_adjacency(kind, n, p, seed):
-    # every neighbour query equals its dense definition, and the Erdos-Renyi
-    # draw is the triu_indices draw as first written, retries included
+    # every neighbour query equals its dense definition, and every factory
+    # builds the graph its dense form as first written builds, retries included
     if kind == "erdos_renyi":
         try:
             g = make_erdos_renyi(n, 2, p, rng_seed=seed)
@@ -131,11 +135,17 @@ def test_factory_graphs_read_their_lists_from_one_adjacency(kind, n, p, seed):
                 oracles.frozen_make_erdos_renyi(n, 2, p, rng_seed=seed)
             return
         ref = oracles.frozen_make_erdos_renyi(n, 2, p, rng_seed=seed)
-        assert np.array_equal(g.adjacency, ref.adjacency)
     elif kind == "tree":
         g = make_random_tree(n, 2, rng_seed=seed)
+        ref = oracles.frozen_make_random_tree(n, 2, rng_seed=seed)
+    elif kind == "path":
+        g, ref = make_path(n, 2), oracles.frozen_make_path(n, 2)
     else:
-        g = (make_path if kind == "path" else make_fully_connected)(n, 2)
+        g = ref = make_fully_connected(n, 2)
+    assert np.array_equal(g.adjacency, ref.adjacency)
+    for mine, theirs in zip(g._neighbor_arrays, ref._neighbor_arrays):
+        assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+    assert g.channels == ref.channels
     _assert_lists_equal_the_dense_definitions(g)
     _assert_bad_entries_rejected(np.array(g.adjacency))
 
@@ -176,6 +186,33 @@ def test_graph_lists_stay_small():
         tracemalloc.stop()
     assert edges_peak < 8 * 2**20
     assert complete_peak < 128 * 2**20
+
+
+def test_path_and_tree_builds_hold_no_dense_adjacency():
+    # a 10,000-node path or tree keeps its neighbour arrays (about 0.4 MB)
+    # and never allocates a K x K array (100 MB of booleans)
+    for build in (lambda: make_path(10_000, 1), lambda: make_random_tree(10_000, 1, rng_seed=0)):
+        tracemalloc.start()
+        try:
+            graph = build()
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert graph.node_count == 10_000 and len(graph.edges()) == 9_999
+        assert kept < 2**20
+        assert peak < 8 * 2**20
+
+
+def test_adjacency_is_a_fresh_read_only_array_on_each_read():
+    g = make_erdos_renyi(12, 1, 0.4, rng_seed=3)
+    a, b = g.adjacency, g.adjacency
+    assert a is not b and not np.shares_memory(a, b)
+    assert a.dtype == bool and not a.flags.writeable and np.array_equal(a, b)
+    with pytest.raises(ValueError):
+        a[0, 1] = False
+    # the graph keeps its channels, neighbour arrays and offsets, none K x K
+    assert set(vars(g)) == {"channels", "_neighbor_arrays", "_offsets"}
+    assert all(arr.ndim == 1 for arr in (*g._neighbor_arrays, g._offsets))
 
 
 def test_erdos_renyi_deterministic_under_seed():

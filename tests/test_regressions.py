@@ -8,7 +8,8 @@ stays finite, passes the transport audit, and its objective rises by at
 most 1e-9 in one iteration. Where no run can complete, the check is that
 each fails with an error that names the cause. One graph froze the
 adjacency array its caller had passed in. NaN or infinite model parameters
-were accepted, and their runs failed late under a covariance message."""
+were accepted, and their runs failed late under a covariance message.
+Channel counts that were not integers were truncated without a word."""
 
 import logging
 import re
@@ -295,6 +296,29 @@ def test_graph_leaves_the_callers_adjacency_writable():
     assert adj.flags.writeable and not graph.adjacency.flags.writeable
     assert not graph.adjacency[0, 2]
     assert graph.edges() == ((1, 2), (2, 3))
+
+
+@pytest.mark.parametrize("channels", [2.5, 2.0, True, np.True_, np.float64(3.0), "2",
+                                      (1, 2.5, 1), (1, True, 1), (1, None, 1)])
+@pytest.mark.parametrize("build", [
+    lambda ch: make_path(3, ch),
+    lambda ch: make_random_tree(3, ch, rng_seed=0),
+    lambda ch: make_erdos_renyi(3, ch, 1.0, rng_seed=0),
+    lambda ch: NetworkGraph(~np.eye(3, dtype=bool), ch),
+])
+def test_channel_counts_must_be_integers(build, channels):
+    # make_path(3, 2.5) had 2 channels per node, and make_path(2, True) 1
+    bad = channels if np.isscalar(channels) else channels[1]
+    message = f"a channel count must be an integer, got {bad!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(channels)
+
+
+def test_numpy_integer_channel_counts_stay_accepted():
+    for channels in (np.int64(2), np.uint8(2), (np.int32(2), 2, np.int16(2)), np.array([2, 2, 2])):
+        graph = make_path(3, channels)
+        assert graph.channels == (2, 2, 2)
+        assert all(type(m) is int for m in graph.channels)
 
 
 NAN, INF = float("nan"), float("inf")
