@@ -30,16 +30,18 @@ at the block's first plan request (``_plan_roots``; a graph of up to a few
 hundred channels is one block): one breadth-first flood grows the trees of
 all its roots (``network.breadth_first_forest``), then subtree channel
 counts, preorder and row offsets are found as arrays for all of them
-(``_TreePlans``). Each q's layout is cut from those arrays when first
-requested: its send schedules and C's index arrays; its tree, branches and
-fallback set are built only when read. Once per batch come the network-wide
-instance (``centralized_instance``) the local ones are compressed from, and
-the streams fused toward q. The kernel (``_step``) then issues only the
+(``_TreePlans``). The plans hold arrays only: each request cuts a fresh
+layout of q from them, its send schedules and C's index arrays, while its
+tree, branches and fallback set are built only when read; a run cuts one
+layout for each node it visits. Once per batch comes the network-wide
+instance (``centralized_instance``) the local ones are compressed from; it
+is the one statement of the statistics a family reads, and so of the
+streams fused toward q. The kernel (``_step``) then issues only the
 numeric calls: C from zeros with its identity entries set, one thin SVD per
 compressed branch (one dgesvd, whose U is the branch's block of C), the
 congruence C^T R C and C^T B, the local solve and the lift C x_local, with
-the plan's sends logged around the solve. ``dasf_run`` resolves each node's
-plan the first time it visits the node and calls the kernel directly;
+the plan's sends logged around the solve. ``dasf_run`` cuts each node's layout
+the first time it visits the node and calls the kernel directly;
 ``dasf_step`` is validation, the same kernel and a StepInfo.
 
 The local-to-network change of coordinates is a tall sparse matrix C with
@@ -52,7 +54,7 @@ sample-domain oracle that fuses the samples themselves up the tree.
 from __future__ import annotations
 
 import weakref
-from collections import Counter, namedtuple
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import SimpleNamespace
@@ -297,10 +299,12 @@ class BranchSegment:
 class LocalLayout:
     """Coordinate plan for the compressed problem at one updating node.
 
-    A layout is cut from the arrays of the ``_TreePlans`` it belongs to: the
-    fields the step kernel reads are set when it is cut, and ``branches``,
-    ``fallback`` and the tree are built from its tree's rows of the same
-    arrays when first read. Every iteration at the node shares it.
+    A layout is cut from the arrays of the ``_TreePlans`` it belongs to and
+    holds those plans and its tree's index in them: the fields the step
+    kernel reads are set when it is cut, and ``branches``, ``fallback`` and
+    the tree are built from the plans' arrays when first read. The plans keep
+    no layouts, so a layout lives as long as its holder: a run cuts one for
+    each node it visits and shares it across that node's iterations.
     """
 
     node: int                                 # updating node q
@@ -323,40 +327,34 @@ class LocalLayout:
     # q's and each raw branch's rows; read-only
     c_index: tuple[np.ndarray, np.ndarray, tuple[tuple[int, int], ...], np.ndarray] = field(
         repr=False)
-    _rows: _TreeRows = field(repr=False)
+    _plans: _TreePlans = field(repr=False)
+    _at: int = field(repr=False)             # this tree's index in the plans' arrays
 
     @cached_property
     def branches(self) -> tuple[BranchSegment, ...]:
         """One segment per branch, in ascending branch-root order."""
-        t = self._rows
-        pre = t.preorder
+        p, i = self._plans, self._at
+        pre, branch, start, sub = p.preorder[i], p.branch[i], p.start[i], p.sub[i]
         return tuple(
             BranchSegment(
                 root=n + 1,
-                members=tuple((pre[t.branch[pre] == n] + 1).tolist()),
-                raw=bool(t.raw[n]),
-                width=int(t.width[n]),
-                offset=int(t.offset[n]),
-                rows=t.rows[t.start[n]:t.start[n] + t.sub[n]],
+                members=tuple((pre[branch[pre] == n] + 1).tolist()),
+                raw=bool(p.raw[i, n]),
+                width=int(p.width[i, n]),
+                offset=int(p.offset[i, n]),
+                rows=p.rows[i, start[n]:start[n] + sub[n]],
             )
-            for n in np.flatnonzero(t.depth == 1).tolist())
+            for n in np.flatnonzero(p.depth[i] == 1).tolist())
 
     @cached_property
     def fallback(self) -> frozenset[int]:
         """The nodes forwarding raw rows."""
-        return frozenset((np.flatnonzero(self._rows.raw) + 1).tolist())
+        return frozenset((np.flatnonzero(self._plans.raw[self._at]) + 1).tolist())
 
     @cached_property
     def _tree(self) -> PrunedTree:
         """The pruned tree this layout was planned on."""
-        return PrunedTree.from_arrays(self._rows.order, self._rows.parent)
-
-
-# one tree's rows of its _TreePlans arrays, as views: a layout holds these,
-# not the plans that hold the layout, so no reference cycle keeps a graph's
-# plans and layouts alive once the graph is gone
-_TreeRows = namedtuple("_TreeRows", "order parent depth preorder branch raw width offset rows "
-                                    "start sub")
+        return PrunedTree.from_arrays(self._plans.order[self._at], self._plans.parent[self._at])
 
 
 # send kinds, indexed by whether the sender's subtree (fusion) or branch
@@ -388,9 +386,9 @@ class _TreePlans:
     n_filters columns if it compresses and one per channel if it is raw.
     The same decisions fix every send of an iteration at the root.
 
-    ``layout(i)`` cuts tree i's layout from these arrays by slicing, its
-    send tuples included. No reference to the graph is kept, so plans cached
-    per graph let the graph go.
+    The plans hold arrays only. ``layout(i)`` cuts a fresh layout of tree i
+    from them by slicing, its send tuples included, and keeps no reference
+    to it; nor is the graph kept, so plans cached per graph let the graph go.
     """
 
     def __init__(self, graph: NetworkGraph, roots: np.ndarray, depth: np.ndarray,
@@ -493,30 +491,27 @@ class _TreePlans:
         self.mix = np.stack([parent1[down_nodes], node1[down_nodes], down_raw, down_rows], axis=1)
         self.fusion_rows = up_rows.sum(axis=1).tolist()
         self.mix_rows = down_rows.sum(axis=1).tolist()
-        self._layouts: dict[int, LocalLayout] = {}
 
     def layout(self, i: int) -> LocalLayout:
-        """Tree i's layout, cut once."""
-        layout = self._layouts.get(i)
-        if layout is None:
-            lo, hi = self.c_at[i], self.c_at[i + 1]
-            own, first = self.own[i], self.first_row[i]
-            layout = self._layouts[i] = LocalLayout(
-                node=self.nodes[i],
-                n_filters=self.n_filters,
-                own_channels=own,
-                own_rows=slice(first, first + own),
-                local_dim=self.dim[i],
-                fusion_sends=_sends(self.fusion[i], _UP_KINDS),
-                mix_sends=_sends(self.mix[i], _DOWN_KINDS),
-                fusion_rows=self.fusion_rows[i],
-                mix_rows=self.mix_rows[i],
-                c_index=(self.c_flat[lo:hi], self.c_rows[lo:hi],
-                         self.spans[self.span_at[i]:self.span_at[i + 1]],
-                         self.ident[self.ident_at[i]:self.ident_at[i + 1]]),
-                _rows=_TreeRows._make(getattr(self, name)[i] for name in _TreeRows._fields),
-            )
-        return layout
+        """Tree i's layout, cut afresh."""
+        lo, hi = self.c_at[i], self.c_at[i + 1]
+        own, first = self.own[i], self.first_row[i]
+        return LocalLayout(
+            node=self.nodes[i],
+            n_filters=self.n_filters,
+            own_channels=own,
+            own_rows=slice(first, first + own),
+            local_dim=self.dim[i],
+            fusion_sends=_sends(self.fusion[i], _UP_KINDS),
+            mix_sends=_sends(self.mix[i], _DOWN_KINDS),
+            fusion_rows=self.fusion_rows[i],
+            mix_rows=self.mix_rows[i],
+            c_index=(self.c_flat[lo:hi], self.c_rows[lo:hi],
+                     self.spans[self.span_at[i]:self.span_at[i + 1]],
+                     self.ident[self.ident_at[i]:self.ident_at[i + 1]]),
+            _plans=self,
+            _at=i,
+        )
 
 
 def plan_local_layout(tree: PrunedTree, graph: NetworkGraph, n_filters: int) -> LocalLayout:
@@ -632,7 +627,7 @@ def _batch_plan(problem: SfoProblem, batch: SampleBatch
     q: the signal streams, then each term under stream "det:<name>" (exempt
     from the signal channel cap but counted)."""
     central = centralized_instance(problem, batch)
-    streams = ("y", "v") if problem.uses_second_stream else ("y",)
+    streams = ("y", "v") if central.cov_v is not None else ("y",)
     fused = tuple((stream, batch.n_samples) for stream in streams) + tuple(
         (f"det:{name}", b.shape[1]) for name, b in central.b_terms.items())
     return central, fused
@@ -677,9 +672,10 @@ def _plan_roots(graph: NetworkGraph, roots: np.ndarray, n_filters: int) -> _Tree
 
 
 def _plan(graph: NetworkGraph, root: int, n_filters: int) -> LocalLayout:
-    """The local layout at one updating node. Plans depend only on the graph
-    and the filter width, so the first request plans the root's whole block
-    in one pass, and the block is kept for as long as the graph lives."""
+    """The local layout at one updating node, cut afresh. Plans depend only
+    on the graph and the filter width, so the first request plans the root's
+    whole block in one pass, and the block is kept for as long as the graph
+    lives."""
     per_graph = _PLANS.setdefault(graph, {})
     size = max(1, BLOCK_ENTRIES // graph.total_channels)
     block, at = divmod(root - 1, size)
@@ -786,11 +782,11 @@ def dasf_run(problem: SfoProblem, graph: NetworkGraph, batch, n_iterations: int,
     traj = np.empty((n_iterations + 1,) + x.shape)
     traj[0] = x
     adaptive = callable(batch)
-    # plans resolve once per node the run visits, and a fixed batch's
-    # network-wide instance once per run
+    # one layout is cut per node the run visits, and a fixed batch's
+    # network-wide instance is made once per run
     layouts: dict[int, LocalLayout] = {}
-    # an adaptive run keeps each batch's statistics the objective reads, not
-    # the batch, so its samples go when the next batch is drawn
+    # an adaptive run keeps the statistics of each batch's network-wide
+    # instance, not the batch, so its samples go when the next batch is drawn
     stats = None
     steps: list[tuple[int, int, int, int]] = []
     for i in range(n_iterations):
@@ -803,11 +799,13 @@ def dasf_run(problem: SfoProblem, graph: NetworkGraph, batch, n_iterations: int,
             planned = _batch_plan(problem, batch_i)
         x, _, instance, outcome, _, tx = _step(graph, layout, *planned, x, i, log, traj[i + 1])
         if adaptive:
+            central = planned[0]
             if stats is None:
-                stats = {name: np.empty((n_iterations,) + np.shape(getattr(batch_i, name)))
-                         for name in _objective_statistics(problem)}
+                stats = {name: np.empty((n_iterations,) + np.shape(getattr(central, name)))
+                         for name in ("cov_y", "cov_v", "cross", "target_power")
+                         if getattr(central, name) is not None}
             for name, stack in stats.items():
-                stack[i] = getattr(batch_i, name)
+                stack[i] = getattr(central, name)
         steps.append((q, tx, outcome.iterations, instance.dim))
 
     # every record's figures in one evaluation over the stacked trajectory
@@ -845,9 +843,3 @@ def dasf_run(problem: SfoProblem, graph: NetworkGraph, batch, n_iterations: int,
         transport=log,
         reference=ref_fixed,
     )
-
-
-def _objective_statistics(problem: SfoProblem) -> tuple[str, ...]:
-    """The batch statistics a family's objective reads."""
-    return (("cov_y",) + (("cov_v",) if problem.uses_second_stream else ())
-            + (("cross", "target_power") if problem.uses_target else ()))

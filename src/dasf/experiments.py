@@ -514,7 +514,7 @@ def _build_problem(config: ExperimentConfig) -> SfoProblem:
     )
 
 
-def _build_model(config: ExperimentConfig, rng) -> SignalModel:
+def _build_model(config: ExperimentConfig, problem: SfoProblem, rng) -> SignalModel:
     m = config.total_channels
     if config.drift is not None:
         times = tuple(t * config.samples for t, _ in config.drift.schedule)
@@ -529,7 +529,7 @@ def _build_model(config: ExperimentConfig, rng) -> SignalModel:
     sources = config.sources if config.sources is not None else config.n_filters
     mix_y = rng.uniform(-config.mix_scale, config.mix_scale, (m, sources))
     mix_v = None
-    if config.problem_kind == "tro":
+    if problem.uses_second_stream:
         interferers = config.interferers if config.interferers is not None else sources
         mix_v = rng.uniform(-config.mix_scale, config.mix_scale, (m, interferers))
     return SignalModel(channels=config.channels, source_var=config.source_var,
@@ -567,7 +567,7 @@ def _single_run(config: ExperimentConfig, variant: str, run_index: int,
     rng = np.random.default_rng(seed_seq)
     graph = _build_graph(config, rng)
     problem = _build_problem(config)
-    model = _build_model(config, rng)
+    model = _build_model(config, problem, rng)
     n = config.samples
 
     if config.drift is not None:

@@ -85,20 +85,27 @@ class NetworkGraph:
         node, neighbor = np.nonzero(adj)
         if not adj[neighbor, node].all():
             raise ValueError("adjacency must be symmetric")
-        self._link(adj.shape[0], node, neighbor.copy(), channels)    # E entries, not nonzero's 2E
+        # the copy holds E entries, not the 2E of nonzero's shared buffer
+        self._link(node.searchsorted(np.arange(adj.shape[0] + 1)), neighbor.copy(), channels)
+
+    @classmethod
+    def _from_lists(cls, first: np.ndarray, neighbor: np.ndarray, channels) -> NetworkGraph:
+        """The graph of the neighbour arrays (first, neighbor)."""
+        graph = object.__new__(cls)
+        graph._link(first, neighbor, channels)
+        return graph
 
     @classmethod
     def _from_edges(cls, node_count: int, u: np.ndarray, v: np.ndarray, channels) -> NetworkGraph:
         """The graph on ``node_count`` nodes with 0-based edges (u, v), each once."""
         key = np.sort(np.concatenate([u * node_count + v, v * node_count + u]))
-        graph = object.__new__(cls)
-        graph._link(node_count, *np.divmod(key, node_count), channels)
-        return graph
+        node, neighbor = np.divmod(key, node_count)
+        return cls._from_lists(node.searchsorted(np.arange(node_count + 1)), neighbor, channels)
 
-    def _link(self, node_count: int, node: np.ndarray, neighbor: np.ndarray, channels) -> None:
-        """Keep the neighbour arrays of the (node, neighbor) pairs, sorted by both."""
-        chans = _as_channels(node_count, channels)
-        first = node.searchsorted(np.arange(node_count + 1))
+    def _link(self, first: np.ndarray, neighbor: np.ndarray, channels) -> None:
+        """Keep the neighbour arrays: node j's neighbours, ascending, are
+        ``neighbor[first[j]:first[j + 1]]``."""
+        chans = _as_channels(first.size - 1, channels)
         # row offsets of each node's block in the stacked M-channel layout
         offsets = np.concatenate([[0], np.cumsum(chans)])
         for arr in (first, neighbor, offsets):
@@ -163,8 +170,13 @@ class NetworkGraph:
 
 
 def make_fully_connected(node_count: int, channels) -> NetworkGraph:
-    """Complete graph on ``node_count`` nodes."""
-    return NetworkGraph(~np.eye(node_count, dtype=bool), channels)
+    """Complete graph on ``node_count`` nodes, its neighbour arrays built as
+    they are (row j lists every node but j), with no K x K array of pairs."""
+    k, chans = node_count, _as_channels(node_count, channels)
+    neighbor = np.tile(np.arange(1, k, dtype=np.intp), (k, 1))    # row j: 1..K-1
+    neighbor -= np.tri(k, k - 1, -1, dtype=bool)                  # less 1 left of column j
+    return NetworkGraph._from_lists(np.arange(k + 1, dtype=np.intp) * (k - 1), neighbor.ravel(),
+                                    chans)
 
 
 def make_path(node_count: int, channels) -> NetworkGraph:

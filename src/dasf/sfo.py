@@ -498,7 +498,10 @@ def solve_qcqp(instance: CompressedInstance) -> SolveOutcome:
     + ||U(mu)||^2; the optimal mu is the root of that secular equation, and
     the iteration count its Newton steps. mu = 0 is returned immediately
     when the equality-only minimizer already sits inside the ball, and X_p
-    (the mu -> inf limit) when the ball only touches the plane. The problem
+    (the mu -> inf limit) when the ball only touches the plane, unless the
+    instance's anchor passes the residual check and has a lower objective:
+    then the anchor is returned. A DASF anchor is feasible, and a local
+    solve that does no worse than it keeps the run descending. The problem
     is convex, so the KKT point found is the global minimum and no
     tie-break is needed.
     """
@@ -518,8 +521,15 @@ def solve_qcqp(instance: CompressedInstance) -> SolveOutcome:
         raise InfeasibleProblemError(
             f"radius^2 {r2:.6g} below plane minimum {min_ball:.6g}"
         )
-    if r2 <= min_ball * (1.0 + BALL_TIGHT_RTOL) or c.size == 1:
-        # the ball only touches the plane, or the plane pins X (dim == 1)
+    if c.size == 1:     # the plane pins X (dim == 1)
+        return _finalize(instance, x_p, iterations=0)
+    if r2 <= min_ball * (1.0 + BALL_TIGHT_RTOL):
+        # the ball only touches the plane: X_p, or the anchor where it is
+        # feasible and lower
+        anchor = instance.anchor
+        if (anchor is not None and float(instance.residuals(anchor).max()) <= FEASIBILITY_RTOL
+                and instance.objective(anchor) < instance.objective(x_p)):
+            x_p = anchor
         return _finalize(instance, x_p, iterations=0)
 
     # H = I - 2 v v^T / v^T v maps c to -sign(c_0) ||c|| e_0; its other

@@ -122,6 +122,26 @@ def test_plans_are_per_graph_and_die_with_it():
         gc.enable()
 
 
+def test_a_layout_dies_with_its_holder_while_its_plans_live():
+    # plans hold arrays only: a layout dasf_step returns is freed once the
+    # caller drops it, though its graph and plans are still alive
+    gc.collect()
+    gc.disable()
+    try:
+        rng = np.random.default_rng(24)
+        prob = MmseProblem(n_filters=1)
+        graph = make_path(4, 1)
+        batch = _random_batch(graph, 20, rng, s_rows=1)
+        _, info = dasf_step(prob, graph, prob.random_feasible(4, rng), batch, iteration=1)
+        layout = weakref.ref(info.layout)
+        plans = [weakref.ref(p) for p in engine._PLANS[graph].values()]
+        del info
+        assert layout() is None
+        assert all(ref() is not None for ref in plans) and graph in engine._PLANS
+    finally:
+        gc.enable()
+
+
 def test_plan_made_once_per_updating_node(monkeypatch):
     # every updating node's plan comes from one pass per (graph, filter
     # width) over its block of roots, made at the block's first request and

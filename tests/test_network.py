@@ -188,6 +188,26 @@ def test_graph_lists_stay_small():
     assert complete_peak < 128 * 2**20
 
 
+def test_complete_graph_builds_its_lists_directly():
+    # each row is every node but its own, built as it is: the dense
+    # entrance's K x K pairs (64 MB of int64 at K = 2000) are never formed
+    for k in range(1, 41):
+        channels = tuple(1 + j % 3 for j in range(k))
+        ours = make_fully_connected(k, channels)
+        dense = NetworkGraph(~np.eye(k, dtype=bool), channels)
+        for a, b in zip(ours._neighbor_arrays, dense._neighbor_arrays):
+            assert a.dtype == b.dtype and np.array_equal(a, b) and not a.flags.writeable
+        assert ours.channels == dense.channels
+    tracemalloc.start()
+    try:
+        graph = make_fully_connected(2000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert graph.is_complete() and graph.degree(1000) == 1999
+    assert peak < 48 * 2**20
+
+
 def test_path_and_tree_builds_hold_no_dense_adjacency():
     # a 10,000-node path or tree keeps its neighbour arrays (about 0.4 MB)
     # and never allocates a K x K array (100 MB of booleans)

@@ -9,7 +9,9 @@ most 1e-9 in one iteration. Where no run can complete, the check is that
 each fails with an error that names the cause. One graph froze the
 adjacency array its caller had passed in. NaN or infinite model parameters
 were accepted, and their runs failed late under a covariance message.
-Channel counts that were not integers were truncated without a word."""
+Channel counts that were not integers were truncated without a word. Where
+a QCQP ball only touched the plane, the local solve returned the plane's
+minimum-norm point above a feasible, lower anchor."""
 
 import logging
 import re
@@ -198,18 +200,12 @@ def test_qcqp_nearly_rank_one_branches_descend(tmp_path):
         _check(result, 2)
 
 
-_BALL_SHORTCUT = ("open defect (ROADMAP item 7): near a tight ball the objective rises above "
-                  "1e-9 in one iteration; see the CHANGES.md FOUND line on solve_qcqp's "
-                  "'ball touches the plane' shortcut at radius_scale 1.0 and 1 + 1e-12")
-
-
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=_BALL_SHORTCUT)
-@pytest.mark.parametrize("radius_scale, seed", [(1.0, 2), (1 + 1e-12, 1)],
-                         ids=["1.0-seed2", "1e-12-seed1"])
+@pytest.mark.parametrize("seed", range(4), ids=lambda seed: f"seed{seed}")
+@pytest.mark.parametrize("radius_scale", [1.0, 1 + 1e-12], ids=["1.0", "1e-12"])
 def test_qcqp_ball_touching_the_plane_descends(tmp_path, radius_scale, seed):
-    # the largest one-step rises are 5.4e-9 and 1.1e-6; a mend that brings
-    # both under RISE_TOL turns these strict xfails into failures, to be
-    # unmarked then
+    # where the ball only touches the plane, the local solve returned X_p
+    # even where the feasible anchor lies lower: one-step rises of 2.5e-9 to
+    # 5.4e-9 at radius_scale 1.0 and of 1.1e-6 at 1 + 1e-12 (seed 1)
     study = _study(
         tmp_path,
         problem={"kind": "qcqp", "n_filters": 2, "radius_scale": radius_scale,
