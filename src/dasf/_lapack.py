@@ -1,4 +1,4 @@
-"""The four LAPACK routines dasf calls, taken from SciPy's compiled
+"""The three LAPACK routines dasf calls, taken from SciPy's compiled
 ``scipy/linalg/_flapack`` extension without importing the ``scipy.linalg``
 package, whose array-API set-up imports ``numpy.f2py`` and ``numpy.testing``.
 CPython initialises that extension once per process, so these are the very
@@ -22,4 +22,4 @@ _flapack = module_from_spec(_spec)
 _spec.loader.exec_module(_flapack)
 if not _loaded:
     sys.modules.pop(_NAME, None)
-dgesvd, dgesv, dpotrf, dsyevd = _flapack.dgesvd, _flapack.dgesv, _flapack.dpotrf, _flapack.dsyevd
+dgesvd, dgesv, dpotrf = _flapack.dgesvd, _flapack.dgesv, _flapack.dpotrf

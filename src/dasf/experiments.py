@@ -14,14 +14,20 @@ error curves. A study whose every run fails raises StudyFailedError.
 Tracking studies (a drift schedule, adaptive mode) draw each iteration's
 batch as its second-order statistics (``sample_drift_statistics``), exactly
 in distribution with the samples ``sample_adaptive`` returns but without
-the M x N noise draw. Per-seed values therefore differ from earlier
-versions, which drew the samples, while their distribution does not.
-``sample_adaptive`` still returns samples, and the other modes still draw
-them.
+the M x N noise draw. A run draws its windows in blocks of consecutive
+iterations, one call per block, when the block's first window is
+requested; a block's stacked statistics and ramp normals hold at most
+DRAW_BLOCK_ENTRIES entries (one window when a single one holds more), so
+the block size, and with it the run's per-seed values, follows from M, N
+and that constant. Per-seed values differ from earlier versions, which drew
+each window on its own or drew the samples, while their distribution does
+not. ``sample_adaptive`` still returns samples, and the other modes still
+draw them.
 """
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import logging
 import math
@@ -81,6 +87,12 @@ SAMPLE_MODES = ("batch", "adaptive")
 DEFAULT_SAMPLES = 10_000
 DEFAULT_RUNS = 100
 MAX_NODES = 10_000   # M x M statistics of that many one-channel nodes take 800 MB
+# an adaptive run stacks T network-wide M x M statistics per stream; a config
+# whose stack needs more bytes than this is rejected
+STACK_BUDGET_BYTES = 2 * 10**9
+# entries of a tracking run's block of drift draws: its stacked statistics
+# and the normals of its ramp windows
+DRAW_BLOCK_ENTRIES = 2**16
 
 
 class ConfigError(Exception):
@@ -433,6 +445,14 @@ def _check_semantics(config: ExperimentConfig) -> None:
     if widest > config.total_channels:
         errors.append(f"problem.n_filters: width {widest} exceeds the network's "
                       f"{config.total_channels} channels")
+    if config.sample_mode == "adaptive":
+        streams = 2 if config.problem_kind == "tro" else 1
+        stack = 8 * config.iterations * streams * config.total_channels ** 2
+        if stack > STACK_BUDGET_BYTES:
+            errors.append(
+                f"run.iterations: an adaptive run stacks each iteration's statistics, "
+                f"{config.iterations} x {config.total_channels}^2 x 8 B per stream x {streams} "
+                f"= {stack / 1e9:.1f} GB per run, above the {STACK_BUDGET_BYTES / 1e9:g} GB budget")
     if errors:
         raise ConfigError(errors)
     local_dim_bound = max(config.channels) + widest * (config.nodes - 1)
@@ -578,8 +598,19 @@ def _single_run(config: ExperimentConfig, variant: str, run_index: int,
         def reference(i):
             return targets[i]
 
+        m = config.total_channels
+        size = max(1, DRAW_BLOCK_ENTRIES // (m * m + m + 1 + n))
+        held = (-1, ())   # the block being fused: its index and batches
+
         def batch(i):
-            return sample_drift_statistics(model, i * n, n, rng)
+            nonlocal held
+            block, at = divmod(i, size)
+            if held[0] != block:
+                held = (-1, ())   # the old block goes before the next is drawn
+                first = block * size
+                windows = np.arange(first, min(first + size, config.iterations))
+                held = block, sample_drift_statistics(model, n * windows, n, rng)
+            return held[1][at]
     else:
         # the reference is solved on the first batch, which batch mode
         # reuses; adaptive mode draws a fresh batch every iteration, so its
@@ -709,6 +740,35 @@ def run_tracking(config: ExperimentConfig, write: bool = True) -> StudyResult:
 # output emission
 
 
+_PROC_MAPS = Path("/proc/self/maps")
+_THREAD_GETTERS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                   "openblas_get_num_threads64_", "openblas_get_num_threads")
+
+
+def _blas_threads() -> dict[str, int | None] | None:
+    """The thread count each OpenBLAS mapped into this process reports now,
+    by library file name, read through its own getter (nothing is set);
+    None when no OpenBLAS is found or the process map cannot be read."""
+    try:
+        lines = _PROC_MAPS.read_text().splitlines()
+    except OSError:
+        return None
+    counts = {}
+    for path in sorted({line.split(maxsplit=5)[-1] for line in lines if "openblas" in line}):
+        name = Path(path).name
+        if "openblas" not in name or ".so" not in name:
+            continue
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        getter = next((getattr(lib, g) for g in _THREAD_GETTERS if hasattr(lib, g)), None)
+        if getter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_int
+        counts[name] = None if getter is None else getter()
+    return counts or None
+
+
 def write_study_outputs(study: StudyResult, out_dir: Path) -> None:
     """Emit run_<idx>.csv per run, aggregate.csv (with a lambda column when
     tracking), study.meta, and the gnuplot script epsilon.gp that plots
@@ -756,6 +816,7 @@ def write_study_outputs(study: StudyResult, out_dir: Path) -> None:
             "blas": {key: blas.get(key) for key in ("name", "version")} if blas else None,
             "thread_env": {var: os.environ.get(var) for var in
                            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+            "blas_threads": _blas_threads(),
         },
     }
     (out_dir / "study.meta").write_text(yaml.safe_dump(meta, sort_keys=True))

@@ -17,13 +17,16 @@ Every problem family depends on a batch only through its second-order
 statistics, which a batch computes once, on first use, and keeps. Tracking
 studies therefore never draw a drift batch's M x N samples:
 ``sample_drift_statistics`` draws its statistics directly, exactly in
-distribution with the batch ``sample_adaptive`` returns, from about M^2
-noise normals instead of M N. Per-seed batches differ from the sample draw,
-their distribution does not. ``sample_adaptive`` still returns samples.
-The draw's generator contract, which fixes every per-seed value: it takes
-the N normals of s, then the M r normals of G (r <= 2, the rank of A A^T),
-then M x M normals and M chi-squares for Bartlett's factor, in that order;
-when N - r < M the last two are replaced by M x (N - r) normals.
+distribution with the batch ``sample_adaptive`` returns, for a stack of
+windows in one call. Per-seed batches differ from the sample draw, their
+distribution does not. ``sample_adaptive`` still returns samples.
+The draw's generator contract, which fixes every per-seed value: per call,
+for windows in the order given, it takes the N normals of s of each ramp
+window; then, window by window and row by row, the r normals of G (r = 1
+for a window of constant lambda, 2 for a ramp) followed by that row's
+normals below the diagonal of Bartlett's factor; then one chi-square on N
+degrees of freedom per constant window, followed by each window's diagonal
+chi-squares of Bartlett's factor.
 """
 
 from __future__ import annotations
@@ -36,10 +39,9 @@ import sys
 
 import numpy as np
 
-from ._lapack import dpotrf, dsyevd
+from ._lapack import dpotrf
 
 COND_LIMIT = 1e12           # conditioning threshold for MMSE diagonal loading
-DRIFT_RANK_RTOL = 1e-12     # A A^T directions this far below the largest are rounding
 
 __all__ = [
     "LambdaSchedule",
@@ -209,8 +211,8 @@ class SampleBatch:
     ``cross``, ``target_power``) are computed on first use and kept,
     read-only, so every solve and evaluation on the batch shares one product
     per stream. The streams must not be modified once a statistic has been
-    read. A batch made by ``from_statistics`` holds no samples (``y`` is
-    None): only its statistics and its target rows.
+    read. A batch made by ``from_statistics`` holds no samples (``y``,
+    ``v`` and ``s`` are None), only its statistics and sample count.
     """
 
     y: np.ndarray | None          # (M, N) primary stream; None for a statistics batch
@@ -221,9 +223,9 @@ class SampleBatch:
 
     def __post_init__(self):
         if self.y is None:
-            if self.s is None or self.s.ndim != 2 or self.v is not None:
-                raise ValueError("a batch without samples y needs 2-d target rows s "
-                                 "and no second stream")
+            if self.s is not None or self.v is not None:
+                raise ValueError("a batch without samples y holds statistics only, "
+                                 "no target rows s or second stream")
             return
         if self.y.shape[0] != sum(self.channels):
             raise ValueError("row count does not match the channel split")
@@ -234,25 +236,28 @@ class SampleBatch:
                              f"to match y of shape {self.y.shape}")
 
     @classmethod
-    def from_statistics(cls, channels, s: np.ndarray, cov_y: np.ndarray,
-                        cross: np.ndarray, t: int = 0) -> SampleBatch:
-        """A batch of ``s.shape[1]`` samples given by its statistics R_yy
-        (M, M) and R_ys (M, S) and its target rows s (S, N); it allocates no
-        (M, N) array, and ``to_csv`` refuses its ``y``."""
+    def from_statistics(cls, channels, cov_y: np.ndarray, cross: np.ndarray,
+                        target_power: float, n_samples: int, t: int = 0) -> SampleBatch:
+        """A batch of ``n_samples`` samples given by its statistics R_yy
+        (M, M), R_ys (M, S) and tr(R_ss); it allocates no sample array, and
+        ``to_csv`` refuses every stream."""
         m = sum(channels)
-        batch = cls(y=None, channels=tuple(channels), t=int(t), s=s)
+        batch = cls(y=None, channels=tuple(channels), t=int(t))
         if cov_y.shape != (m, m):
             raise ValueError(f"cov_y has shape {cov_y.shape}, expected ({m}, {m}) "
                              f"for channels {batch.channels}")
-        if cross.shape != (m, s.shape[0]):
-            raise ValueError(f"cross has shape {cross.shape}, expected ({m}, {s.shape[0]}) "
-                             f"for s of shape {s.shape}")
-        batch.__dict__.update(cov_y=_frozen(cov_y), cross=_frozen(cross))
+        if cross.ndim != 2 or cross.shape[0] != m:
+            raise ValueError(f"cross has shape {cross.shape}, expected ({m}, rows) "
+                             f"for channels {batch.channels}")
+        if isinstance(n_samples, bool) or int(n_samples) != n_samples or n_samples < 1:
+            raise ValueError(f"n_samples must be a positive integer, got {n_samples!r}")
+        batch.__dict__.update(cov_y=_frozen(cov_y), cross=_frozen(cross),
+                              target_power=float(target_power), n_samples=int(n_samples))
         return batch
 
-    @property
+    @cached_property
     def n_samples(self) -> int:
-        return (self.s if self.y is None else self.y).shape[1]
+        return self.y.shape[1]
 
     @cached_property
     def cov_y(self) -> np.ndarray:
@@ -299,7 +304,7 @@ class SampleBatch:
 
     def to_csv(self, path, stream: str = "y") -> None:
         """Dump one stream as CSV, rows = channels, columns = samples."""
-        if self.y is None and stream != "s":
+        if self.y is None:
             raise ValueError(f"batch holds statistics only, it has no '{stream}' samples")
         data = {"y": self.y, "v": self.v, "s": self.s}[stream]
         if data is None:
@@ -348,67 +353,80 @@ def sample_adaptive(model: SignalModel, t: int, n_samples: int, rng_seed=None) -
     return SampleBatch(y=y, channels=model.channels, t=int(t), s=s)
 
 
-def sample_drift_statistics(model: SignalModel, t: int, n_samples: int,
-                            rng_seed=None) -> SampleBatch:
-    """Draw the statistics of one drift batch starting at sample index ``t``,
-    exactly in distribution with the batch ``sample_adaptive`` draws, without
-    its M x N samples.
+def sample_drift_statistics(model: SignalModel, t, n_samples: int, rng_seed=None):
+    """Draw the statistics of drift batches of ``n_samples`` samples, one
+    per start in ``t`` (one sample index, or a 1-d array of them), exactly
+    in distribution, jointly for R_yy, R_ys and tr(R_ss), with the batches
+    ``sample_adaptive`` draws, without their M x N samples. Returns one
+    SampleBatch for one start, else a tuple of batches whose statistics are
+    views into one read-only stack.
 
-    With P = [p0, delta] and A = [s; lambda s], the batch is
-    y = P A + sqrt(noise_var) W for white W, so its statistics need only
-    A A^T, H = W A^T and W W^T. Over the r directions of
-    A A^T = V diag(sigma^2) V^T with sigma^2 > 0, H = G diag(sigma) V^T and
-    W W^T = G G^T + Wishart_M(N - r, I), with G an (M, r) normal draw: the
-    rows of W are rotation invariant, so the part of W orthogonal to A is
-    white and independent of G. The generator gives, in this order, the N
-    normals of s (as ``sample_adaptive``), the M r of G, and the Wishart
-    factor's M^2 normals then its M chi-squares (M (N - r) normals alone
-    when N - r < M).
+    With P = [p0, delta] and A = [s; lambda s], a batch is
+    y = P A + sqrt(noise_var) W for white W. Let L be the lower Cholesky
+    factor of A A^T, so A = L U^T with U^T U = I over the r directions A
+    spans. The rows of W are rotation invariant, so G = W U is an (M, r)
+    normal draw and the part of W orthogonal to A is white and independent
+    of it: y y^T = B B^T with B = [P L + sqrt(noise_var) G, sqrt(noise_var) K]
+    and K K^T ~ Wishart_M(N - r, I), drawn as Bartlett's factor (an
+    M x (N - r) trapezoid when N - r < M), while y s^T = l00 B e1 and
+    s s^T = l00^2. In closed form, l00 = ||s||, l10 = mu ||s|| and
+    l11 = ||(lambda - mu) s||, with mu the s^2-weighted mean of lambda. A
+    window of one lambda (one time, or one constant piece of the schedule)
+    has r = 1 and l11 = 0, and it draws ||s||^2 = source_var chi2_N instead
+    of s. The module docstring states the order of the draws.
     """
     drift = model.drift
     if drift is None:
         raise ValueError("model has no drift spec, use sample_adaptive")
+    starts = np.asarray(t)
+    if starts.ndim > 1:
+        raise ValueError(f"t must be one start or a 1-d array of starts, got shape {starts.shape}")
+    first = starts.reshape(-1)
     rng = np.random.default_rng(rng_seed)
-    m, n = model.total_channels, n_samples
-    a = np.empty((2, n))   # A = [s; lambda s], and the batch keeps s = A[:1]
-    s = a[:1]
-    rng.standard_normal(out=s)
+    m, n, schedule = model.total_channels, n_samples, drift.schedule
+    ramp = np.array([n > 1 and schedule.constant_value(t0, t0 + n - 1) is None
+                     for t0 in first.tolist()], dtype=bool)
+    rank = 1 + ramp
+    dof = n - rank
+    s = rng.standard_normal((np.count_nonzero(ramp), n))
     s *= math.sqrt(model.source_var)
-    # lambda at the window's times, or its value when the window sits in one
-    # constant piece of the schedule (the same products either way)
-    lam = drift.schedule.constant_value(t, t + n - 1)
-    np.multiply(drift.schedule(np.arange(t, t + n)) if lam is None else lam, s[0], out=a[1])
-    aat = a @ a.T
-    sig2, v, info = dsyevd(aat, lower=1)
-    if info:
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    r = int(np.count_nonzero(sig2 > DRIFT_RANK_RTOL * sig2[-1]))   # ascending: the last r
-    g = rng.standard_normal((m, r))
-    h = (g * np.sqrt(sig2[2 - r:])) @ v[:, 2 - r:].T
-    k = np.hstack([g, _wishart_factor(rng, m, n - r)])
-    cov, cross = _drift_statistics(drift.basis, aat, h, k @ k.T, model.noise_var, n)
-    return SampleBatch.from_statistics(model.channels, s, cov, cross, t)
-
-
-def _wishart_factor(rng, m: int, n: int) -> np.ndarray:
-    """K with K K^T ~ Wishart_m(n, I): Bartlett's lower-triangular factor
-    (diagonal sqrt(chi2(n - i)), normals below) when n >= m, else an (m, n)
-    normal draw."""
-    if n < m:
-        return rng.standard_normal((m, n))
-    low = rng.standard_normal((m, m))
-    rows = np.arange(m)
-    low[rows[:, None] < rows] = 0.0   # in place, where np.tril would copy
-    np.fill_diagonal(low, np.sqrt(rng.chisquare(n - rows)))
-    return low
-
-
-def _drift_statistics(p, aat, h, wwt, noise_var: float, n: int):
-    """R_yy and R_ys of y = P A + sqrt(noise_var) W from A A^T, H = W A^T and
-    W W^T, with s the first row of A; R_yy is exactly symmetric."""
-    sd = math.sqrt(noise_var)
-    half = 0.5 * noise_var * wwt + sd * (h @ p.T) + 0.5 * (p @ aat) @ p.T
-    return (half + half.T) / n, (sd * h[:, :1] + p @ aat[:, :1]) / n
+    # B's r columns of G, then Bartlett's factor: normals below its diagonal,
+    # which holds min(M, N - r) chi entries; the unused entries stay zero
+    row, cols = np.arange(m), np.arange(m + 2)
+    below = np.where(cols < 2, cols < rank[:, None, None],
+                     cols - 2 < np.minimum(row[:, None], dof[:, None, None]))
+    b = np.zeros(below.shape)
+    b[below] = rng.standard_normal(np.count_nonzero(below))
+    on_diagonal = row < dof[:, None]
+    fixed = first.size - s.shape[0]
+    chi = rng.chisquare(np.concatenate([np.full(fixed, float(n)),
+                                        (dof[:, None] - row)[on_diagonal]]))
+    sd = math.sqrt(model.noise_var)
+    b *= sd
+    diagonal = np.zeros(on_diagonal.shape)
+    diagonal[on_diagonal] = sd * np.sqrt(chi[fixed:])
+    b[:, row, row + 2] = diagonal
+    # L: ||s||^2, mu and l11 per window (mu is any value when s = 0)
+    power, mu, l11 = np.empty(first.size), np.empty(first.size), np.zeros(first.size)
+    power[~ramp] = model.source_var * chi[:fixed]
+    mu[~ramp] = schedule(first[~ramp])
+    lam = schedule(np.add.outer(first[ramp], np.arange(n, dtype=float)))
+    sq = s * s
+    power[ramp] = sq.sum(axis=1)
+    mu[ramp] = np.divide((lam * sq).sum(axis=1), power[ramp], out=np.zeros(s.shape[0]),
+                         where=power[ramp] > 0)
+    lam -= mu[ramp, None]
+    lam *= s
+    l11[ramp] = np.sqrt((lam * lam).sum(axis=1))
+    l00 = np.sqrt(power)
+    b[:, :, 0] += l00[:, None] * drift.p0 + (mu * l00)[:, None] * drift.delta
+    b[:, :, 1] += l11[:, None] * drift.delta
+    cov = b @ b.mT
+    cov /= n
+    cross = _frozen((l00 / n)[:, None, None] * b[:, :, :1])
+    batches = tuple(SampleBatch.from_statistics(model.channels, c, x, p, n, t0) for c, x, p, t0
+                    in zip(_frozen(cov), cross, (power / n).tolist(), first.tolist()))
+    return batches[0] if starts.ndim == 0 else batches
 
 
 def estimate_covariance(y: np.ndarray) -> np.ndarray:

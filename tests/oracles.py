@@ -15,9 +15,11 @@ over one tree (``frozen_prune_to_tree`` and ``frozen_plan_local_layout``,
 which the library's flood and block-of-roots planner are held to as well),
 and derives its per-node
 channel counts and raw stacks from the tree itself. The drift statistics
-draw and the conditioning screen are kept in their first written form, so
-that the library's faster forms are held to the same random stream and the
-same decisions, and so are the Erdos-Renyi draw (``frozen_make_erdos_renyi``),
+draw is written window by window from the README's statement of its
+generator contract (``drift_statistics_draw``), so that the library's
+stacked draw is held to the same random stream. The conditioning screen is
+kept in its first written form, so that the library's faster form is held
+to the same decisions, and so are the Erdos-Renyi draw (``frozen_make_erdos_renyi``),
 the path and random tree built through a dense K x K adjacency
 (``frozen_make_path`` and ``frozen_make_random_tree``) and the
 ``study.meta`` config echo (``frozen_resolved_dict``). The
@@ -79,7 +81,6 @@ from dasf.sfo import (
     solve_instance,
 )
 from dasf.signals import (
-    DRIFT_RANK_RTOL,
     SampleBatch,
     estimate_covariance,
     estimate_cross,
@@ -635,34 +636,59 @@ def branch_maps(layout, x, c):
     return out
 
 
-def drift_statistics_draw(model, t: int, n_samples: int, rng_seed=None) -> SampleBatch:
-    """The drift statistics draw as first written, the reference for the
-    library's random stream: ``np.linalg.eigh`` for A A^T, boolean masks for
-    its kept directions, and ``np.tril`` for Bartlett's factor. Draw order is
-    s, G, then the Wishart factor (M x M normals, then M chi-squares; or
-    M x (N - r) normals when N - r < M)."""
-    drift = model.drift
+def drift_statistics_draw(model, starts, n_samples: int, rng_seed=None) -> list:
+    """The drift statistics draw written window by window from the README's
+    statement of its contract, for the windows of ``n_samples`` samples at
+    ``starts`` (an int or a sequence): ``(cov_y, cross, target_power)`` per
+    window. It takes, in this order, the N normals of s of each ramp window
+    in one call; in one call, window by window and row by row, the row's r
+    entries of G and then its entries below the diagonal of Bartlett's
+    factor; in one call, a chi-square on N degrees of freedom per constant
+    window, then each window's Bartlett diagonal, N - r - i degrees of
+    freedom on row i. Then y y^T = B B^T with
+    B = [P L + sqrt(noise_var) G, sqrt(noise_var) K], y s^T = l00 B e1 and
+    s s^T = ||s||^2, from l00 = ||s||, l10 = mu l00 and
+    l11 = ||(lambda - mu) s||."""
+    drift, m, n = model.drift, model.total_channels, n_samples
     rng = np.random.default_rng(rng_seed)
-    m, n = model.total_channels, n_samples
-    lam = drift.schedule(np.arange(t, t + n))
-    s = np.sqrt(model.source_var) * rng.standard_normal((1, n))
-    a = np.vstack([s, lam * s])
-    aat = a @ a.T
-    sig2, v = np.linalg.eigh(aat)
-    keep = sig2 > DRIFT_RANK_RTOL * sig2[-1]
-    g = rng.standard_normal((m, int(keep.sum())))
-    h = (g * np.sqrt(sig2[keep])) @ v[:, keep].T
-    n_rest = n - g.shape[1]
-    if n_rest < m:
-        bartlett = rng.standard_normal((m, n_rest))
-    else:
-        bartlett = np.tril(rng.standard_normal((m, m)), -1)
-        np.fill_diagonal(bartlett, np.sqrt(rng.chisquare(n_rest - np.arange(m))))
-    k = np.hstack([g, bartlett])
-    p, sd = np.column_stack([drift.p0, drift.delta]), np.sqrt(model.noise_var)
-    half = 0.5 * model.noise_var * (k @ k.T) + sd * (h @ p.T) + 0.5 * (p @ aat) @ p.T
-    cov, cross = (half + half.T) / n, (sd * h[:, :1] + p @ aat[:, :1]) / n
-    return SampleBatch.from_statistics(model.channels, s, cov, cross, t)
+    starts = [int(t0) for t0 in np.atleast_1d(starts)]
+    ramp = [n > 1 and drift.schedule.constant_value(t0, t0 + n - 1) is None for t0 in starts]
+    rank = [2 if r else 1 for r in ramp]
+    dof = [n - r for r in rank]
+    s_rows = iter(np.sqrt(model.source_var) * rng.standard_normal((sum(ramp), n)))
+    count = sum(m * r + sum(min(i, d) for i in range(m)) for r, d in zip(rank, dof))
+    normals = iter(rng.standard_normal(count).tolist())
+    g = [np.zeros((m, 2)) for _ in starts]
+    k = [np.zeros((m, m)) for _ in starts]
+    for w in range(len(starts)):
+        for i in range(m):
+            for c in range(rank[w]):
+                g[w][i, c] = next(normals)
+            for j in range(min(i, dof[w])):
+                k[w][i, j] = next(normals)
+    dfs = [float(n)] * (len(starts) - sum(ramp))
+    dfs += [float(d - i) for d in dof for i in range(min(m, d))]
+    chis = rng.chisquare(np.array(dfs)).tolist()
+    source_chis, diag_chis = iter(chis[:len(starts) - sum(ramp)]), iter(chis[len(starts) - sum(ramp):])
+    out = []
+    sd = np.sqrt(model.noise_var)
+    for w, t0 in enumerate(starts):
+        for i in range(min(m, dof[w])):
+            k[w][i, i] = np.sqrt(next(diag_chis))
+        if ramp[w]:
+            s = next(s_rows)
+            lam = drift.schedule(np.arange(t0, t0 + n))
+            power = float((s * s).sum())
+            mu = float((lam * (s * s)).sum()) / power
+            l11 = float(np.sqrt((((lam - mu) * s) ** 2).sum()))
+        else:
+            power = model.source_var * next(source_chis)
+            mu, l11 = float(drift.schedule(t0)), 0.0
+        l00 = np.sqrt(power)
+        pl = np.column_stack([l00 * drift.p0 + (mu * l00) * drift.delta, l11 * drift.delta])
+        b = np.hstack([sd * g[w] + pl, sd * k[w]])
+        out.append(((b @ b.T) / n, (l00 / n) * b[:, :1], power / n))
+    return out
 
 
 def cholesky_screen(r: np.ndarray) -> bool:

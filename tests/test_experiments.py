@@ -1,11 +1,13 @@
 import copy
 import csv
+import importlib.util
 import io
 import json
 import os
 import platform
 import re
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -242,6 +244,38 @@ def test_node_count_is_bounded():
     raw["network"]["nodes"] = MAX_NODES
     with pytest.warns(RuntimeWarning, match="rank deficient"):
         assert validate_config(raw).total_channels == 2 * MAX_NODES
+
+
+def _adaptive_raw(kind, nodes, channels, iterations):
+    raw = _base_raw()
+    raw["problem"]["kind"] = kind
+    raw["network"] = {"kind": "path", "nodes": nodes, "channels": channels}
+    raw["run"].update({"iterations": iterations, "mode": "adaptive", "samples": 10_000})
+    return raw
+
+
+def test_adaptive_statistics_stack_is_budgeted():
+    # an adaptive run stacks iterations x M^2 x 8 B per M x M stream: 2000
+    # four-channel nodes over 1000 iterations would need 512 GB
+    (error,) = _errors_of(_adaptive_raw("mmse", 2000, 4, 1000))
+    assert error == ("run.iterations: an adaptive run stacks each iteration's statistics, "
+                     "1000 x 8000^2 x 8 B per stream x 1 = 512.0 GB per run, "
+                     "above the 2 GB budget")
+    # M = 500 fills the budget at 1000 iterations with one stream, 500 with two
+    assert experiments.STACK_BUDGET_BYTES == 8 * 1000 * 500 ** 2
+    for kind, limit in (("mmse", 1000), ("scqp", 1000), ("tro", 500)):
+        assert validate_config(_adaptive_raw(kind, 250, 2, limit)).iterations == limit
+        (error,) = _errors_of(_adaptive_raw(kind, 250, 2, limit + 1))
+        assert error.startswith("run.iterations: an adaptive run stacks") and "above" in error
+        # batch mode stacks nothing, and an override is held to the same rule
+        raw = _adaptive_raw(kind, 250, 2, limit + 1)
+        raw["run"]["mode"] = "batch"
+        config = validate_config(raw)
+        with pytest.raises(ConfigError, match="above the 2 GB budget"):
+            config.with_overrides(sample_mode="adaptive")
+        with pytest.raises(ConfigError, match="above the 2 GB budget"):
+            validate_config(_adaptive_raw(kind, 250, 2, limit)).with_overrides(
+                iterations=limit + 1)
 
 
 def test_huge_yaml_integer_is_a_config_error(tmp_path, capsys):
@@ -770,6 +804,43 @@ def test_tracking_study_and_outputs(tmp_path):
     assert "lambda" in (out / "epsilon.gp").read_text()
 
 
+@pytest.mark.parametrize("entries, size", [(2 * (36 + 6 + 1 + 300), 2), (10**6, 10), (1, 1)])
+def test_tracking_run_draws_its_windows_in_blocks(tmp_path, monkeypatch, entries, size):
+    # blocks of max(1, DRAW_BLOCK_ENTRIES // (M^2 + M + 1 + N)) consecutive
+    # windows (M = 6, N = 300), each drawn in one call when its first window
+    # is requested; a block is dropped once the next block's windows are in use
+    monkeypatch.setattr(experiments, "DRAW_BLOCK_ENTRIES", entries)
+    events, blocks = [], []
+    real_draw, real_run = experiments.sample_drift_statistics, experiments.dasf_run
+
+    def draw(model, starts, n, rng):
+        # every block before the previous one is gone
+        assert all(ref() is None for ref in blocks[:-1])
+        events.append(("draw", (np.asarray(starts) // n).tolist()))
+        batches = real_draw(model, starts, n, rng)
+        blocks.append(weakref.ref(batches[0].cov_y.base))
+        return batches
+
+    def run(problem, graph, batch, *args, **kwargs):
+        def logged(i):
+            got = batch(i)
+            events.append(("get", i))
+            return got
+        return real_run(problem, graph, logged, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "sample_drift_statistics", draw)
+    monkeypatch.setattr(experiments, "dasf_run", run)
+    raw = _study_raw(tmp_path, monte_carlo_runs=1, iterations=10, mode="adaptive")
+    raw["signals"] = {"drift": {"schedule": [[0, 0.0], [4, 0.0], [8, 1.0]]}}
+    study = run_study(validate_config(raw), write=False)
+    assert study.run_count == 1 and np.isfinite(study.epsilon).all()
+    expected = []
+    for first in range(0, 10, size):
+        windows = list(range(first, min(first + size, 10)))
+        expected += [("draw", windows)] + [("get", i) for i in windows]
+    assert events == expected
+
+
 def test_tracking_plot_columns_match_the_aggregate_header(tmp_path):
     # every curve of epsilon.gp reads a column aggregate.csv has, under the
     # name its title promises; lambda (column 5) goes on the second y axis
@@ -824,7 +895,8 @@ def test_unexpected_run_error_is_recorded(tmp_path, monkeypatch):
         "python": platform.python_version(), "numpy": np.__version__,
         "scipy": scipy.__version__, "cpu_count": os.cpu_count(),
         "blas": {"name": blas["name"], "version": blas["version"]},
-        "thread_env": {var: os.environ.get(var) for var in _THREAD_VARS}}
+        "thread_env": {var: os.environ.get(var) for var in _THREAD_VARS},
+        "blas_threads": _loaded_openblas_threads()}
     assert meta["completed_runs"] == 2
     # one wall time per completed run, none for the failed one
     assert len(meta["run_wall_s"]) == 2 and meta["run_wall_s"] == list(study.run_wall_s)
@@ -832,6 +904,37 @@ def test_unexpected_run_error_is_recorded(tmp_path, monkeypatch):
 
 
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _loaded_openblas_threads():
+    """What the benchmark's machine facts read of each loaded OpenBLAS, as
+    ``study.meta`` records it: threads by library file name, or None."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_machine", Path(__file__).resolve().parents[1] / "perfbench" / "machine.py")
+    machine = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(machine)
+    return {entry["library"]: entry["threads"] for entry in machine.blas_runtime()} or None
+
+
+def test_meta_records_each_loaded_blas_thread_count(tmp_path, monkeypatch):
+    # read through each OpenBLAS's own getter, as the benchmark reads it, and
+    # never set: the environment and the libraries' counts stay as found
+    before, threads = dict(os.environ), _loaded_openblas_threads()
+    run_study(validate_config(_study_raw(tmp_path / "a", monte_carlo_runs=1)))
+    env = yaml.safe_load((tmp_path / "a" / "out" / "study.meta").read_text())["environment"]
+    assert env["blas_threads"] == threads == _loaded_openblas_threads()
+    assert dict(os.environ) == before
+    if threads is not None:
+        assert all("openblas" in name and isinstance(n, int) and n >= 1
+                   for name, n in threads.items())
+    # no OpenBLAS in the process map, or no process map: null
+    (tmp_path / "maps").write_text("7f00-7f01 r-xp 00000000 08:01 1 /usr/lib/libm.so.6\n"
+                                   "7f02-7f03 rw-p 00000000 00:00 0\n")
+    for maps, out in ((tmp_path / "maps", "b"), (tmp_path / "missing", "c")):
+        monkeypatch.setattr(experiments, "_PROC_MAPS", maps)
+        run_study(validate_config(_study_raw(tmp_path / out, monte_carlo_runs=1)))
+        meta = yaml.safe_load((tmp_path / out / "out" / "study.meta").read_text())
+        assert meta["environment"]["blas_threads"] is None
 
 
 def test_meta_records_the_blas_and_its_thread_variables_as_found(tmp_path, monkeypatch):

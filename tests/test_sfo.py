@@ -122,7 +122,7 @@ def test_mmse_loading_decision_property(m, log_cond, log_scale, seed):
     v, _ = np.linalg.qr(rng.standard_normal((m, m)))
     cov = 10.0 ** log_scale * (v * w) @ v.T
     cov = (cov + cov.T) / 2
-    batch = SampleBatch.from_statistics((m,), np.ones((1, 3)), cov, np.zeros((m, 1)))
+    batch = SampleBatch.from_statistics((m,), cov, np.zeros((m, 1)), 1.0, 3)
     decided = batch.cov_y_ill_conditioned
     mag = np.abs(np.linalg.eigvalsh(cov))
     assert decided == (not mag.min() > 0 or mag.max() / mag.min() > COND_LIMIT)

@@ -146,65 +146,96 @@ STEPS = LambdaSchedule((50.0, 100.0, 150.0), (0.3, 0.3, 0.8))
 
 @pytest.mark.parametrize("t, n", [(0, 30), (40, 200), (149, 1)])
 def test_drift_statistics_noise_free_equal_samples(t, n):
-    # s is drawn first on both paths, so without noise the batches coincide
+    # a ramp window draws s first, as sample_adaptive does, so without noise
+    # the batches coincide; a window of one lambda draws only ||s||^2, and its
+    # statistics are the rank-one forms of p = p0 + lambda delta
     model = _drift_model(5, 0.0, RAMP, seed=1)
-    ref = sample_adaptive(model, t, n, rng_seed=7)
     got = sample_drift_statistics(model, t, n, rng_seed=7)
-    assert got.y is None and got.n_samples == n and got.t == t
-    assert np.array_equal(got.s, ref.s)
-    assert np.allclose(got.cov_y, ref.cov_y, rtol=0, atol=1e-12)
-    assert np.allclose(got.cross, ref.cross, rtol=0, atol=1e-12)
-    assert abs(got.target_power - ref.target_power) <= 1e-12
+    assert got.y is None and got.s is None and got.n_samples == n and got.t == t
     assert not (got.cov_y.flags.writeable or got.cross.flags.writeable)
+    lam = RAMP.constant_value(t, t + n - 1) if n > 1 else float(RAMP(t))
+    if lam is None:
+        ref = sample_adaptive(model, t, n, rng_seed=7)
+        assert np.allclose(got.cov_y, ref.cov_y, rtol=0, atol=1e-12)
+        assert np.allclose(got.cross, ref.cross, rtol=0, atol=1e-12)
+        assert abs(got.target_power - ref.target_power) <= 1e-12
+    else:
+        p = model.drift.p0 + lam * model.drift.delta
+        scale = got.target_power
+        assert scale > 0
+        assert np.allclose(got.cov_y, scale * np.outer(p, p), rtol=1e-13, atol=0)
+        assert np.allclose(got.cross[:, 0], scale * p, rtol=1e-13, atol=0)
 
 
 def test_drift_statistics_assembly_equals_sample_estimates():
+    # the split the draw rests on, for one fixed W: with L the closed-form
+    # Cholesky factor of A A^T, A = L U^T, G = W U and K K^T the part of
+    # W W^T orthogonal to A, the statistics of y = P A + sd W are B B^T / N
+    # and l00 B e1 / N, B = [P L + sd G, sd K]
     rng = np.random.default_rng(2)
     m, n, nv = 6, 40, 0.3
     p = rng.standard_normal((m, 2))
     s = rng.standard_normal(n)
-    a = np.vstack([s, np.linspace(0.1, 0.8, n) * s])
+    lam = np.linspace(0.1, 0.8, n)
+    a = np.vstack([s, lam * s])
     w = rng.standard_normal((m, n))
-    cov, cross = signals._drift_statistics(p, a @ a.T, w @ a.T, w @ w.T, nv, n)
+    mu = (lam * s * s).sum() / (s * s).sum()
+    l00, l11 = np.linalg.norm(s), np.linalg.norm((lam - mu) * s)
+    chol = np.array([[l00, 0.0], [mu * l00, l11]])
+    assert np.allclose(chol, np.linalg.cholesky(a @ a.T), rtol=1e-13, atol=0)
+    u = np.linalg.solve(chol, a).T
+    assert np.allclose(u.T @ u, np.eye(2), rtol=0, atol=1e-13)
+    k = np.linalg.cholesky(w @ (np.eye(n) - u @ u.T) @ w.T)
+    b = np.hstack([p @ chol + np.sqrt(nv) * (w @ u), np.sqrt(nv) * k])
     y = p @ a + np.sqrt(nv) * w
-    assert np.allclose(cov, estimate_covariance(y), rtol=0, atol=1e-12)
-    assert np.allclose(cross, estimate_cross(y, s), rtol=0, atol=1e-12)
-    assert np.array_equal(cov, cov.T)
+    assert np.allclose(b @ b.T / n, estimate_covariance(y), rtol=0, atol=1e-12)
+    assert np.allclose(l00 * b[:, :1] / n, estimate_cross(y, s), rtol=0, atol=1e-12)
+    assert np.isclose(l00 ** 2 / n, mean_squared_norm(s[None]), rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("m, n", [(4, 9), (5, 3)])
 def test_wishart_factor_moments(m, n):
-    # K K^T ~ Wishart_m(n, I): entry means n I, variances n off the diagonal
-    # and 2n on it; n >= m takes Bartlett's factor, n < m a Gram
-    rng = np.random.default_rng(8)
-    draws = np.array([(lambda k: k @ k.T)(signals._wishart_factor(rng, m, n))
-                      for _ in range(20_000)])
-    d = len(draws)
-    dev = draws - draws.mean(axis=0)
-    mean_se = draws.std(axis=0) / np.sqrt(d)
-    assert np.all(np.abs(draws.mean(axis=0) - n * np.eye(m)) <= 5 * mean_se)
-    var = (dev ** 2).mean(axis=0)
-    var_se = (dev ** 2).std(axis=0) / np.sqrt(d)
-    assert np.all(np.abs(var - n * (1 + np.eye(m))) <= 5 * var_se)
+    # with p0 = delta = 0 a batch is white noise, so N R_yy / noise_var =
+    # G G^T + K K^T ~ Wishart_m(n, I): entry means n I, variances n off the
+    # diagonal and 2n on it. Each call mixes windows of one lambda (r = 1)
+    # and ramp windows (r = 2); n = 9 takes Bartlett's triangle, n = 3 its
+    # trapezoid (N - r < M)
+    spec = DriftSpec(np.zeros(m), np.zeros(m), RAMP)
+    model = SignalModel(channels=(m,), source_var=0.5, noise_var=0.3, drift=spec)
+    starts = np.tile([0, 60], 10_000)
+    draws = np.array([b.cov_y * (n / 0.3) for b in
+                      sample_drift_statistics(model, starts, n, np.random.default_rng(8))])
+    for part in (draws[0::2], draws[1::2]):
+        d = len(part)
+        dev = part - part.mean(axis=0)
+        mean_se = part.std(axis=0) / np.sqrt(d)
+        assert np.all(np.abs(part.mean(axis=0) - n * np.eye(m)) <= 5 * mean_se)
+        var = (dev ** 2).mean(axis=0)
+        var_se = (dev ** 2).std(axis=0) / np.sqrt(d)
+        assert np.all(np.abs(var - n * (1 + np.eye(m))) <= 5 * var_se)
 
 
 @pytest.mark.parametrize("schedule, t, n", [
     (RAMP, 49, 3),        # N < M, lambda ramps
     (RAMP, 0, 10),        # constant lambda over the window: A A^T has rank 1
     (RAMP, 60, 200),      # lambda ramps, N > M
+    (RAMP, 130, 40),      # the window straddles the knot at 150
+    # lambda runs from 0 to 1 across the window, so W's second direction
+    # along A carries a visible share of the cross terms
+    (LambdaSchedule((0.0, 40.0), (0.0, 1.0)), 0, 40),
 ])
 def test_drift_statistics_match_sample_adaptive_moments(schedule, t, n):
     model = _drift_model(4, 0.3, schedule, seed=3)
 
-    def stats(sampler, seed):
-        rng = np.random.default_rng(seed)
-        out = []
-        for _ in range(5000):
-            b = sampler(model, t, n, rng)
-            out.append(np.concatenate([b.cov_y[np.triu_indices(4)], b.cross[:, 0]]))
-        return np.array(out)
+    def row(b):
+        return np.concatenate([b.cov_y[np.triu_indices(4)], b.cross[:, 0], [b.target_power]])
 
-    ref, got = stats(sample_adaptive, 21), stats(sample_drift_statistics, 22)
+    rng = np.random.default_rng(21)
+    ref = np.array([row(sample_adaptive(model, t, n, rng)) for _ in range(5000)])
+    # the draw in stacks of 50 windows at the same start
+    rng = np.random.default_rng(22)
+    got = np.array([row(b) for _ in range(100)
+                    for b in sample_drift_statistics(model, np.full(50, t), n, rng)])
     # first moments, then second moments, which see the zero-mean W A^T term
     for a, b in ((ref, got), (ref ** 2, got ** 2)):
         se = np.sqrt(a.var(axis=0) / len(a) + b.var(axis=0) / len(b))
@@ -216,31 +247,59 @@ def test_drift_statistics_match_sample_adaptive_moments(schedule, t, n):
     (LambdaSchedule((0.0,), (1.0,)), 300, 2000),   # lambda = 1: the rows of A are equal
     (RAMP, 60, 80),                                # a ramp
     (RAMP, 120, 60),                               # the window straddles the knot at 150
-    (RAMP, 40, 20),                                # N - r < M: no Bartlett factor
-    # windows in one constant piece fill lambda from the knot value
+    (RAMP, 40, 20),                                # N - r < M: Bartlett's trapezoid
+    # windows in one constant piece draw no s
     (STEPS, 0, 40),                                # before the first knot
     (STEPS, 55, 40),                               # between two equal knots
     (STEPS, 200, 60),                              # past the last knot
     (RAMP, 30, 21),                                # ending exactly at a knot
     (RAMP, 150, 40),                               # starting exactly at a knot
+    # one call: constant and ramp windows, with N - r = 29 < M for
+    # the ramps while N - r = 30 = M for the constant windows
+    (RAMP, [0, 30, 150, 120, 10, 100, 60], 31),
 ])
 def test_drift_statistics_draw_keeps_the_random_stream(schedule, t, n):
-    # same generator calls in the same order, same arithmetic: every value,
-    # the screen's decision and the generator state after each draw are
-    # bitwise those of the draw as first written
+    # the same generator calls in the same order, the same arithmetic: every
+    # value, the screen's decision and the generator state after each call
+    # are bitwise those of the oracle written from the README's contract
     model = _drift_model(30, 0.3, schedule, seed=5)
     ours, ref = np.random.default_rng(9), np.random.default_rng(9)
     for _ in range(3):
         got = sample_drift_statistics(model, t, n, ours)
         want = oracles.drift_statistics_draw(model, t, n, ref)
-        assert np.array_equal(got.s, want.s)
-        assert np.array_equal(got.cov_y, want.cov_y)
-        assert np.array_equal(got.cross, want.cross)
-        assert got.target_power == want.target_power
-        assert got.cov_y_ill_conditioned == oracles.cholesky_screen(want.cov_y)
+        got = (got,) if isinstance(t, int) else got
+        assert len(got) == len(want) == len(np.atleast_1d(t))
+        for batch, (cov, cross, power), t0 in zip(got, want, np.atleast_1d(t)):
+            assert batch.t == t0 and batch.n_samples == n
+            assert np.array_equal(batch.cov_y, cov)
+            assert np.array_equal(batch.cross, cross)
+            assert batch.target_power == power
+            assert batch.cov_y_ill_conditioned == oracles.cholesky_screen(cov)
         assert ours.bit_generator.state == ref.bit_generator.state
     # N < M leaves W W^T rank deficient, so that case exercises the eigenvalue path
-    assert got.cov_y_ill_conditioned == (n < 30)
+    assert got[0].cov_y_ill_conditioned == (n < 30)
+
+
+def test_drift_statistics_stack_is_one_read_only_array():
+    model = _drift_model(6, 0.3, RAMP, seed=2)
+    batches = sample_drift_statistics(model, np.array([0, 60, 140]), 25, rng_seed=1)
+    assert isinstance(batches, tuple) and [b.t for b in batches] == [0, 60, 140]
+    base = batches[0].cov_y.base
+    assert base is not None and base.shape == (3, 6, 6) and not base.flags.writeable
+    assert all(b.cov_y.base is base for b in batches)
+    assert isinstance(sample_drift_statistics(model, 60, 25, rng_seed=1), SampleBatch)
+    assert sample_drift_statistics(model, np.zeros(0, dtype=int), 25, rng_seed=1) == ()
+    with pytest.raises(ValueError, match=r"1-d array of starts, got shape \(1, 2\)"):
+        sample_drift_statistics(model, np.array([[0, 1]]), 25, rng_seed=1)
+
+
+def test_drift_statistics_without_source_power():
+    # source_var = 0: no signal, the batch is white noise of the right size
+    model = _drift_model(5, 0.3, RAMP, seed=4, source_var=0.0)
+    for batch in sample_drift_statistics(model, np.array([0, 60, 60]), 40, rng_seed=3):
+        assert batch.target_power == 0.0 and not batch.cross.any()
+        assert np.isfinite(batch.cov_y).all()
+        assert np.linalg.eigvalsh(batch.cov_y).min() > 0
 
 
 @pytest.mark.parametrize("schedule", [
@@ -309,7 +368,7 @@ _ROWS = np.random.default_rng(4).standard_normal((6, 9))
 ])
 def test_conditioning_screen_edge_cases(cov, decided):
     m = cov.shape[0]
-    batch = SampleBatch.from_statistics((m,), np.ones((1, 3)), cov.copy(), np.zeros((m, 1)))
+    batch = SampleBatch.from_statistics((m,), cov.copy(), np.zeros((m, 1)), 1.0, 3)
     assert batch.cov_y_ill_conditioned == decided == oracles.cholesky_screen(cov)
     # only a shifted copy is factorized: the frozen statistic is untouched
     assert not batch.cov_y.flags.writeable
@@ -317,20 +376,27 @@ def test_conditioning_screen_edge_cases(cov, decided):
 
 
 def test_statistics_batch_rejects_bad_shapes():
-    s = np.ones((1, 10))
     with pytest.raises(ValueError, match=r"cov_y has shape \(4, 4\), expected \(5, 5\)"):
-        SampleBatch.from_statistics((2, 3), s, np.eye(4), np.zeros((5, 1)))
-    with pytest.raises(ValueError, match=r"cross has shape \(5, 2\), expected \(5, 1\)"):
-        SampleBatch.from_statistics((2, 3), s, np.eye(5), np.zeros((5, 2)))
-    batch = SampleBatch.from_statistics((2, 3), s, np.eye(5), np.zeros((5, 1)))
-    assert batch.n_samples == 10
+        SampleBatch.from_statistics((2, 3), np.eye(4), np.zeros((5, 1)), 1.0, 10)
+    with pytest.raises(ValueError, match=r"cross has shape \(4, 1\), expected \(5, rows\)"):
+        SampleBatch.from_statistics((2, 3), np.eye(5), np.zeros((4, 1)), 1.0, 10)
+    with pytest.raises(ValueError, match=r"cross has shape \(5,\), expected \(5, rows\)"):
+        SampleBatch.from_statistics((2, 3), np.eye(5), np.zeros(5), 1.0, 10)
+    for bad in (0, -3, 2.5, True):
+        with pytest.raises(ValueError, match="n_samples must be a positive integer"):
+            SampleBatch.from_statistics((2, 3), np.eye(5), np.zeros((5, 1)), 1.0, bad)
+    with pytest.raises(ValueError, match="statistics only"):
+        SampleBatch(y=None, channels=(2,), s=np.ones((1, 3)))
+    batch = SampleBatch.from_statistics((2, 3), np.eye(5), np.zeros((5, 2)), 1.5, 10)
+    assert batch.n_samples == 10 and batch.target_power == 1.5 and batch.cross.shape == (5, 2)
 
 
 def test_statistics_batch_refuses_sample_dump(tmp_path):
-    batch = SampleBatch.from_statistics((2,), np.ones((1, 3)), np.eye(2), np.zeros((2, 1)))
-    with pytest.raises(ValueError, match="statistics only"):
-        batch.to_csv(tmp_path / "y.csv")
-    assert not (tmp_path / "y.csv").exists()
+    batch = SampleBatch.from_statistics((2,), np.eye(2), np.zeros((2, 1)), 1.0, 3)
+    for stream in ("y", "v", "s"):
+        with pytest.raises(ValueError, match="statistics only"):
+            batch.to_csv(tmp_path / f"{stream}.csv", stream)
+        assert not (tmp_path / f"{stream}.csv").exists()
 
 
 def test_drift_model_rejects_stationary_sampler():
