@@ -19,7 +19,9 @@ iterations, one call per block, when the block's first window is
 requested; a block's stacked statistics and ramp normals hold at most
 DRAW_BLOCK_ENTRIES entries (one window when a single one holds more), so
 the block size, and with it the run's per-seed values, follows from M, N
-and that constant. Per-seed values differ from earlier versions, which drew
+and that constant. A block's batches come with their MMSE conditioning
+decisions, from one stacked screen of the block, so no solve factorizes a
+covariance to decide its ridge. Per-seed values differ from earlier versions, which drew
 each window on its own or drew the samples, while their distribution does
 not. ``sample_adaptive`` still returns samples, and the other modes still
 draw them.

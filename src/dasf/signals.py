@@ -26,14 +26,17 @@ window; then, window by window and row by row, the r normals of G (r = 1
 for a window of constant lambda, 2 for a ramp) followed by that row's
 normals below the diagonal of Bartlett's factor; then one chi-square on N
 degrees of freedom per constant window, followed by each window's diagonal
-chi-squares of Bartlett's factor.
+chi-squares of Bartlett's factor. Each call finishes its stack with
+whole-stack array work: a ramp window's moments of lambda come from one
+product of s^2 with [1, u, u^2] per linear piece of the schedule, never
+from lambda at every sample, and one stacked factorization screens every
+batch's conditioning (``ill_conditioned``), which each batch keeps.
 """
 
 from __future__ import annotations
 
-import bisect
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, fields
+from functools import cached_property, lru_cache
 import math
 import sys
 
@@ -89,38 +92,60 @@ class LambdaSchedule:
     def __call__(self, t):
         return np.interp(t, self.times, self.values)
 
-    def constant_value(self, first: float, last: float) -> float | None:
-        """The value lambda takes at every t in [first, last] when that span
-        lies in one constant piece (before the first knot, past the last, or
-        between knots of one value), else None. A -0.0 knot never counts as
-        constant: interpolation may turn it into 0.0 between knots, and the
-        value returned equals ``self(t)`` bit for bit."""
+    @cached_property
+    def _run_ends(self) -> np.ndarray:
+        """Per knot i, the last knot j >= i such that knots i..j share one
+        value and none of them is -0.0 (i - 1 at a -0.0 knot)."""
+        v = np.asarray(self.values)
+        good, index = ~np.signbit(v), np.arange(v.size)
+        joined = np.append(good[:-1] & good[1:] & (v[:-1] == v[1:]), False)
+        ends = np.minimum.accumulate(np.where(joined, v.size, index)[::-1])[::-1]
+        return _frozen(np.where(good, ends, index - 1))
+
+    def constant_knots(self, first, last) -> np.ndarray:
+        """Per span [first, last] (arrays broadcast), the knot whose value
+        lambda takes at every t of the span when the span lies in one
+        constant piece (before the first knot, past the last, or between
+        knots of one value), else -1. A -0.0 knot never counts as constant:
+        interpolation may turn it into 0.0 between knots, and the knot's
+        value equals ``self(t)`` bit for bit."""
         # knots lo..hi decide lambda on the span: the last one at or before
         # first, up to the first one past last, or the last one at last when
         # last sits on a knot or past the final one
-        times = self.times
-        lo = max(bisect.bisect_right(times, first) - 1, 0)
-        hi = bisect.bisect_right(times, last)
-        if hi == len(times) or (hi and times[hi - 1] == last):
-            hi -= 1
-        v = self.values[lo]
-        if all(w == v and math.copysign(1.0, w) > 0 for w in self.values[lo:hi + 1]):
-            return v
-        return None
+        times = np.asarray(self.times)
+        lo = np.maximum(np.searchsorted(times, first, side="right") - 1, 0)
+        hi = np.searchsorted(times, last, side="right")
+        hi -= (hi == times.size) | ((hi > 0) & (times[hi - 1] == last))
+        return np.where(self._run_ends[lo] >= hi, lo, -1)
+
+    def constant_value(self, first: float, last: float) -> float | None:
+        """The value lambda takes at every t in [first, last] when
+        ``constant_knots`` finds that span in one constant piece, else None."""
+        knot = int(self.constant_knots(first, last))
+        return self.values[knot] if knot >= 0 else None
+
+    def _pieces(self, t0, n):
+        """The linear pieces of lambda over the n integer times t0 .. t0+n-1,
+        for one window or for arrays of window starts and lengths
+        (broadcast): per window and piece, its first time, its length (0 for
+        an empty piece), and lambda at its first and last times. The times
+        before the first knot, between two knots and past the last knot
+        each form one piece, cut at ceil(knot)."""
+        start = np.asarray(t0, dtype=float)[..., None]
+        end = start + np.asarray(n)[..., None]
+        cuts = np.ceil(self.times)   # the first time at or past each knot
+        # [lo, hi) per piece, each clipped to [start, end]
+        lo = np.minimum(np.maximum(np.concatenate([[-np.inf], cuts]), start), end)
+        hi = np.minimum(np.maximum(np.concatenate([cuts, [np.inf]]), start), end)
+        return lo, hi - lo, self(lo), self(hi - 1)
 
     def window_means(self, t0, n):
         """Means of lambda and lambda^2 over the n integer times t0 .. t0+n-1,
         from the knots, for one window or for arrays of window starts and
-        lengths (broadcast). The times before the first knot, between two
-        knots and past the last knot take an arithmetic sequence of k values
-        running from a to b, with mean (a + b) / 2 and variance
-        (b - a)^2 (k + 1) / (12 (k - 1))."""
-        start = np.asarray(t0, dtype=float)[..., None]
-        start, end = np.broadcast_arrays(start, start + np.asarray(n)[..., None])
-        cuts = np.clip(np.ceil(self.times), start, end)   # first time at or past each knot
-        lo = np.concatenate([start, cuts], axis=-1)        # [lo, hi) per piece
-        hi = np.concatenate([cuts, end], axis=-1)
-        a, b, k = self(lo), self(hi - 1), hi - lo
+        lengths (broadcast). On each linear piece of the window (``_pieces``)
+        lambda takes an arithmetic sequence of k values running from a to b,
+        with mean (a + b) / 2 and variance (b - a)^2 (k + 1) / (12 (k - 1))."""
+        _, k, a, b = self._pieces(t0, n)
         mid = 0.5 * (a + b)
         var = (b - a) ** 2 * (k + 1) / (12 * np.maximum(k - 1, 1))   # 0 when k = 1
         return (k * mid).sum(axis=-1) / n, (k * (mid * mid + var)).sum(axis=-1) / n
@@ -212,7 +237,8 @@ class SampleBatch:
     read-only, so every solve and evaluation on the batch shares one product
     per stream. The streams must not be modified once a statistic has been
     read. A batch made by ``from_statistics`` holds no samples (``y``,
-    ``v`` and ``s`` are None), only its statistics and sample count.
+    ``v`` and ``s`` are None), only its statistics and sample count; every
+    other batch needs its samples ``y``.
     """
 
     y: np.ndarray | None          # (M, N) primary stream; None for a statistics batch
@@ -223,10 +249,8 @@ class SampleBatch:
 
     def __post_init__(self):
         if self.y is None:
-            if self.s is not None or self.v is not None:
-                raise ValueError("a batch without samples y holds statistics only, "
-                                 "no target rows s or second stream")
-            return
+            raise ValueError("a batch needs its samples y; a batch of statistics only "
+                             "comes from SampleBatch.from_statistics")
         if self.y.shape[0] != sum(self.channels):
             raise ValueError("row count does not match the channel split")
         if self.v is not None and self.v.shape != self.y.shape:
@@ -241,17 +265,18 @@ class SampleBatch:
         """A batch of ``n_samples`` samples given by its statistics R_yy
         (M, M), R_ys (M, S) and tr(R_ss); it allocates no sample array, and
         ``to_csv`` refuses every stream."""
-        m = sum(channels)
-        batch = cls(y=None, channels=tuple(channels), t=int(t))
+        channels, m = tuple(channels), sum(channels)
         if cov_y.shape != (m, m):
             raise ValueError(f"cov_y has shape {cov_y.shape}, expected ({m}, {m}) "
-                             f"for channels {batch.channels}")
+                             f"for channels {channels}")
         if cross.ndim != 2 or cross.shape[0] != m:
             raise ValueError(f"cross has shape {cross.shape}, expected ({m}, rows) "
-                             f"for channels {batch.channels}")
+                             f"for channels {channels}")
         if isinstance(n_samples, bool) or int(n_samples) != n_samples or n_samples < 1:
             raise ValueError(f"n_samples must be a positive integer, got {n_samples!r}")
-        batch.__dict__.update(cov_y=_frozen(cov_y), cross=_frozen(cross),
+        batch = object.__new__(cls)   # no samples, so __init__'s check on y is skipped
+        batch.__dict__.update({f.name: None for f in fields(cls)}, channels=channels, t=int(t),
+                              cov_y=_frozen(cov_y), cross=_frozen(cross),
                               target_power=float(target_power), n_samples=int(n_samples))
         return batch
 
@@ -266,20 +291,8 @@ class SampleBatch:
 
     @cached_property
     def cov_y_ill_conditioned(self) -> bool:
-        """cond(R_yy) > COND_LIMIT in the 2-norm (True if singular, False if
-        not finite). With t = ||R||_inf / COND_LIMIT >= lambda_max / COND_LIMIT,
-        a Cholesky factor of a copy of R - t I proves lambda_min > t, so the
-        eigenvalues are computed only when that factorization fails."""
-        r = self.cov_y
-        screen = np.abs(r).sum(axis=1).max() / COND_LIMIT
-        if not math.isfinite(screen):
-            return False
-        shifted = np.array(r, order="F")   # LAPACK's order, so dpotrf works in place
-        shifted.ravel(order="K")[::r.shape[0] + 1] -= screen
-        if dpotrf(shifted, lower=1, clean=0, overwrite_a=1)[1] == 0:
-            return False
-        mag = np.abs(np.linalg.eigvalsh(r))
-        return not mag.min() > 0.0 or mag.max() / mag.min() > COND_LIMIT
+        """cond(R_yy) > COND_LIMIT in the 2-norm, by ``ill_conditioned``."""
+        return bool(ill_conditioned(self.cov_y[None])[0])
 
     @cached_property
     def cov_v(self) -> np.ndarray:
@@ -315,6 +328,33 @@ class SampleBatch:
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def ill_conditioned(r: np.ndarray) -> np.ndarray:
+    """cond(R) > COND_LIMIT in the 2-norm for each R of a (W, M, M) stack of
+    symmetric matrices (True if singular, False if not finite). With
+    t = ||R||_inf / COND_LIMIT >= lambda_max / COND_LIMIT, a Cholesky factor
+    of R - t I proves lambda_min > t. One stacked factorization screens a
+    stack of several; a stack of one, and each R of a stack that fails, is
+    decided alone, by its own factorization and then by its eigenvalues."""
+    m = r.shape[-1]
+    screen = (np.abs(r) @ np.ones(m)).max(axis=-1) / COND_LIMIT
+    finite = np.isfinite(screen)
+    shifted = r[finite]   # a copy, so the statistics are never touched
+    shifted.reshape(len(shifted), m * m)[:, ::m + 1] -= screen[finite, None]
+    ill = np.zeros(len(r), dtype=bool)
+    if len(shifted) > 1:
+        try:
+            np.linalg.cholesky(shifted)
+            return ill
+        except np.linalg.LinAlgError:
+            pass
+    for i, a in zip(np.flatnonzero(finite), shifted):
+        # a.T is a in LAPACK's order (a is symmetric), factorized in place
+        if dpotrf(a.T, lower=1, clean=0, overwrite_a=1)[1] != 0:
+            mag = np.abs(np.linalg.eigvalsh(r[i]))
+            ill[i] = not mag.min() > 0.0 or mag.max() / mag.min() > COND_LIMIT
+    return ill
 
 
 def sample_stationary(model: SignalModel, t: int, n_samples: int, rng_seed=None) -> SampleBatch:
@@ -370,10 +410,12 @@ def sample_drift_statistics(model: SignalModel, t, n_samples: int, rng_seed=None
     and K K^T ~ Wishart_M(N - r, I), drawn as Bartlett's factor (an
     M x (N - r) trapezoid when N - r < M), while y s^T = l00 B e1 and
     s s^T = l00^2. In closed form, l00 = ||s||, l10 = mu ||s|| and
-    l11 = ||(lambda - mu) s||, with mu the s^2-weighted mean of lambda. A
-    window of one lambda (one time, or one constant piece of the schedule)
-    has r = 1 and l11 = 0, and it draws ||s||^2 = source_var chi2_N instead
-    of s. The module docstring states the order of the draws.
+    l11 = ||(lambda - mu) s||, with mu the s^2-weighted mean of lambda,
+    taken per linear piece of the schedule (``_ramp_moments``). A window of
+    one lambda (one time, or one constant piece of the schedule) has r = 1
+    and l11 = 0, and it draws ||s||^2 = source_var chi2_N instead of s. The
+    module docstring states the order of the draws. Every batch comes with
+    its conditioning decision, from one screen of the whole stack.
     """
     drift = model.drift
     if drift is None:
@@ -384,8 +426,7 @@ def sample_drift_statistics(model: SignalModel, t, n_samples: int, rng_seed=None
     first = starts.reshape(-1)
     rng = np.random.default_rng(rng_seed)
     m, n, schedule = model.total_channels, n_samples, drift.schedule
-    ramp = np.array([n > 1 and schedule.constant_value(t0, t0 + n - 1) is None
-                     for t0 in first.tolist()], dtype=bool)
+    ramp = (n > 1) & (schedule.constant_knots(first, first + (n - 1)) < 0)
     rank = 1 + ramp
     dof = n - rank
     s = rng.standard_normal((np.count_nonzero(ramp), n))
@@ -393,8 +434,8 @@ def sample_drift_statistics(model: SignalModel, t, n_samples: int, rng_seed=None
     # B's r columns of G, then Bartlett's factor: normals below its diagonal,
     # which holds min(M, N - r) chi entries; the unused entries stay zero
     row, cols = np.arange(m), np.arange(m + 2)
-    below = np.where(cols < 2, cols < rank[:, None, None],
-                     cols - 2 < np.minimum(row[:, None], dof[:, None, None]))
+    below = np.stack([np.where(cols < 2, cols < r, cols - 2 < np.minimum(row[:, None], n - r))
+                      for r in (1, 2)])[rank - 1]   # the pattern of each window's rank
     b = np.zeros(below.shape)
     b[below] = rng.standard_normal(np.count_nonzero(below))
     on_diagonal = row < dof[:, None]
@@ -410,23 +451,55 @@ def sample_drift_statistics(model: SignalModel, t, n_samples: int, rng_seed=None
     power, mu, l11 = np.empty(first.size), np.empty(first.size), np.zeros(first.size)
     power[~ramp] = model.source_var * chi[:fixed]
     mu[~ramp] = schedule(first[~ramp])
-    lam = schedule(np.add.outer(first[ramp], np.arange(n, dtype=float)))
-    sq = s * s
-    power[ramp] = sq.sum(axis=1)
-    mu[ramp] = np.divide((lam * sq).sum(axis=1), power[ramp], out=np.zeros(s.shape[0]),
-                         where=power[ramp] > 0)
-    lam -= mu[ramp, None]
-    lam *= s
-    l11[ramp] = np.sqrt((lam * lam).sum(axis=1))
+    if s.size:
+        power[ramp], mu[ramp], l11[ramp] = _ramp_moments(schedule, first[ramp], s * s)
     l00 = np.sqrt(power)
     b[:, :, 0] += l00[:, None] * drift.p0 + (mu * l00)[:, None] * drift.delta
     b[:, :, 1] += l11[:, None] * drift.delta
     cov = b @ b.mT
     cov /= n
     cross = _frozen((l00 / n)[:, None, None] * b[:, :, :1])
-    batches = tuple(SampleBatch.from_statistics(model.channels, c, x, p, n, t0) for c, x, p, t0
-                    in zip(_frozen(cov), cross, (power / n).tolist(), first.tolist()))
-    return batches[0] if starts.ndim == 0 else batches
+    batches = []
+    for c, x, p, t0, ill in zip(_frozen(cov), cross, (power / n).tolist(), first.tolist(),
+                                ill_conditioned(cov).tolist()):
+        batches.append(SampleBatch.from_statistics(model.channels, c, x, p, n, t0))
+        batches[-1].__dict__["cov_y_ill_conditioned"] = ill   # kept like the statistics
+    return batches[0] if starts.ndim == 0 else tuple(batches)
+
+
+def _ramp_moments(schedule: LambdaSchedule, starts: np.ndarray, sq: np.ndarray):
+    """||s||^2, mu and l11 of ramp windows of N samples at ``starts``, from
+    the (R, N) squared samples ``sq``: mu = c + S1 / P and
+    l11^2 = max(S2 - S1^2 / P, 0), where P, S1 and S2 are the sums of s^2,
+    s^2 (lambda - c) and s^2 (lambda - c)^2 over the window and c is its
+    mean lambda. On each linear piece lambda - c = d + g u, with u the times
+    centred on the piece, so one product of the piece's s^2 with
+    [1, u, u^2] gives its share of all three sums."""
+    n = sq.shape[1]
+    lo, k, a, b = schedule._pieces(starts, n)
+    pieces = np.stack([lo - starts[:, None], k, 0.5 * (a + b), (b - a) / np.maximum(k - 1, 1)],
+                      axis=-1).tolist()   # per window and piece: offset, k, m and g
+    out = []
+    for row, window in zip(sq, pieces):
+        window = [(int(o), int(kk), m, g) for o, kk, m, g in window if kk]
+        c = sum(kk * m for _, kk, m, _ in window) / n
+        p = s1 = s2 = 0.0
+        for o, kk, m, g in window:
+            q0, q1, q2 = (row[o:o + kk] @ _moment_basis(kk)).tolist()
+            d = m - c
+            p += q0
+            s1 += d * q0 + g * q1
+            s2 += d * d * q0 + 2 * d * g * q1 + g * g * q2
+        out.append((p, c + s1 / p, math.sqrt(max(s2 - s1 * s1 / p, 0.0))) if p > 0
+                   else (0.0, 0.0, 0.0))
+    return np.array(out).T
+
+
+@lru_cache(maxsize=16)
+def _moment_basis(k: int) -> np.ndarray:
+    """[1, u, u^2] for u = 0, ..., k - 1 less (k - 1) / 2, as (k, 3), read-only."""
+    u = np.arange(k) - 0.5 * (k - 1)
+    return _frozen(np.column_stack([np.ones(k), u, u * u]))
 
 
 def estimate_covariance(y: np.ndarray) -> np.ndarray:

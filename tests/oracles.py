@@ -16,10 +16,14 @@ which the library's flood and block-of-roots planner are held to as well),
 and derives its per-node
 channel counts and raw stacks from the tree itself. The drift statistics
 draw is written window by window from the README's statement of its
-generator contract (``drift_statistics_draw``), so that the library's
-stacked draw is held to the same random stream. The conditioning screen is
-kept in its first written form, so that the library's faster form is held
-to the same decisions, and so are the Erdos-Renyi draw (``frozen_make_erdos_renyi``),
+generator contract and of its ramp moments (``drift_statistics_draw``), so
+that the library's stacked draw is held to the same random stream; the
+per-sample ramp moments it replaced stay beside it
+(``ramp_moments_per_sample``), so that the draw is held to them to
+rounding. The conditioning screen is kept in its first written form, so
+that the library's stacked form is held to the same decisions, and so are
+a schedule's constant-span rule, knot by knot with bisection
+(``constant_value``), and the Erdos-Renyi draw (``frozen_make_erdos_renyi``),
 the path and random tree built through a dense K x K adjacency
 (``frozen_make_path`` and ``frozen_make_random_tree``) and the
 ``study.meta`` config echo (``frozen_resolved_dict``). The
@@ -35,7 +39,9 @@ and counts.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -636,7 +642,70 @@ def branch_maps(layout, x, c):
     return out
 
 
-def drift_statistics_draw(model, starts, n_samples: int, rng_seed=None) -> list:
+def constant_value(schedule, first: float, last: float) -> float | None:
+    """``LambdaSchedule.constant_value`` as first written: the value lambda
+    takes on [first, last] when the knots that decide it there (the last one
+    at or before first, up to the first one past last, or the last one at
+    last when last sits on a knot or past the final one) share one value,
+    none of them -0.0, else None."""
+    times = schedule.times
+    lo = max(bisect.bisect_right(times, first) - 1, 0)
+    hi = bisect.bisect_right(times, last)
+    if hi == len(times) or (hi and times[hi - 1] == last):
+        hi -= 1
+    v = schedule.values[lo]
+    if all(w == v and math.copysign(1.0, w) > 0 for w in schedule.values[lo:hi + 1]):
+        return v
+    return None
+
+
+def ramp_moments(schedule, t0: int, s: np.ndarray) -> tuple[float, float, float]:
+    """||s||^2, mu and l11 of one ramp window of samples s from t0, from the
+    README's statement of the per-piece moments. The knots cut the window's
+    times at ceil(knot) into pieces on which lambda is linear. A nonempty
+    piece of k times from lo has m = (lambda(lo) + lambda(lo + k - 1)) / 2,
+    g = (lambda(lo + k - 1) - lambda(lo)) / max(k - 1, 1) and
+    u = 0, ..., k - 1 less (k - 1) / 2, and the window's mean lambda is
+    c = sum k m / N. In piece order, (q0, q1, q2) = s^2 @ [1, u, u^2] over
+    the piece and d = m - c add q0 to P, d q0 + g q1 to S1 and
+    d d q0 + 2 d g q1 + g g q2 to S2, from 0. Then mu = c + S1 / P and
+    l11 = sqrt(max(S2 - S1 S1 / P, 0)); all three are 0 when P = 0."""
+    n = len(s)
+    bounds = [t0] + [min(max(math.ceil(t), t0), t0 + n) for t in schedule.times] + [t0 + n]
+    pieces = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        k = hi - lo
+        if k:
+            a, b = float(schedule(lo)), float(schedule(hi - 1))
+            pieces.append((lo - t0, k, 0.5 * (a + b), (b - a) / max(k - 1, 1)))
+    c = sum(k * m for _, k, m, _ in pieces) / n
+    p = s1 = s2 = 0.0
+    for lo, k, m, g in pieces:
+        u = np.arange(k) - 0.5 * (k - 1)
+        q0, q1, q2 = ((s * s)[lo:lo + k] @ np.column_stack([np.ones(k), u, u * u])).tolist()
+        d = m - c
+        p += q0
+        s1 += d * q0 + g * q1
+        s2 += d * d * q0 + 2 * d * g * q1 + g * g * q2
+    if p == 0:
+        return 0.0, 0.0, 0.0
+    return p, c + s1 / p, math.sqrt(max(s2 - s1 * s1 / p, 0.0))
+
+
+def ramp_moments_per_sample(schedule, t0: int, s: np.ndarray) -> tuple[float, float, float]:
+    """||s||^2, mu and l11 of one ramp window as first computed, from lambda
+    at every sample: mu the s^2-weighted mean of lambda and
+    l11 = ||(lambda - mu) s||; all three are 0 when s = 0."""
+    lam = schedule(np.arange(t0, t0 + len(s)))
+    power = float((s * s).sum())
+    if power == 0:
+        return 0.0, 0.0, 0.0
+    mu = float((lam * (s * s)).sum()) / power
+    return power, mu, float(np.sqrt((((lam - mu) * s) ** 2).sum()))
+
+
+def drift_statistics_draw(model, starts, n_samples: int, rng_seed=None,
+                          moments=ramp_moments) -> list:
     """The drift statistics draw written window by window from the README's
     statement of its contract, for the windows of ``n_samples`` samples at
     ``starts`` (an int or a sequence): ``(cov_y, cross, target_power)`` per
@@ -647,12 +716,12 @@ def drift_statistics_draw(model, starts, n_samples: int, rng_seed=None) -> list:
     window, then each window's Bartlett diagonal, N - r - i degrees of
     freedom on row i. Then y y^T = B B^T with
     B = [P L + sqrt(noise_var) G, sqrt(noise_var) K], y s^T = l00 B e1 and
-    s s^T = ||s||^2, from l00 = ||s||, l10 = mu l00 and
-    l11 = ||(lambda - mu) s||."""
+    s s^T = ||s||^2, from l00 = ||s||, l10 = mu l00 and l11, with ||s||^2,
+    mu and l11 of a ramp window from ``moments``."""
     drift, m, n = model.drift, model.total_channels, n_samples
     rng = np.random.default_rng(rng_seed)
     starts = [int(t0) for t0 in np.atleast_1d(starts)]
-    ramp = [n > 1 and drift.schedule.constant_value(t0, t0 + n - 1) is None for t0 in starts]
+    ramp = [n > 1 and constant_value(drift.schedule, t0, t0 + n - 1) is None for t0 in starts]
     rank = [2 if r else 1 for r in ramp]
     dof = [n - r for r in rank]
     s_rows = iter(np.sqrt(model.source_var) * rng.standard_normal((sum(ramp), n)))
@@ -676,11 +745,7 @@ def drift_statistics_draw(model, starts, n_samples: int, rng_seed=None) -> list:
         for i in range(min(m, dof[w])):
             k[w][i, i] = np.sqrt(next(diag_chis))
         if ramp[w]:
-            s = next(s_rows)
-            lam = drift.schedule(np.arange(t0, t0 + n))
-            power = float((s * s).sum())
-            mu = float((lam * (s * s)).sum()) / power
-            l11 = float(np.sqrt((((lam - mu) * s) ** 2).sum()))
+            power, mu, l11 = moments(drift.schedule, t0, next(s_rows))
         else:
             power = model.source_var * next(source_chis)
             mu, l11 = float(drift.schedule(t0)), 0.0

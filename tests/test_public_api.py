@@ -148,7 +148,7 @@ def test_parallel_study_leaves_scipy_optimize_unloaded(kind):
     assert _probe(_STUDY_PROBE % kind) == [[2, 2], []]
 
 
-# adaptive MMSE under drift: each solve's conditioning screen calls dpotrf
+# adaptive MMSE under drift: each drawn block's conditioning screen factorizes
 _TRACKING_PROBE = """
 import json
 from dasf import run_tracking, validate_config

@@ -11,8 +11,10 @@ adjacency array its caller had passed in. NaN or infinite model parameters
 were accepted, and their runs failed late under a covariance message.
 Channel counts that were not integers were truncated without a word. Where
 a QCQP ball only touched the plane, the local solve returned the plane's
-minimum-norm point above a feasible, lower anchor."""
+minimum-norm point above a feasible, lower anchor. A batch could be built
+with neither samples nor statistics."""
 
+import dataclasses
 import logging
 import re
 import sys
@@ -27,7 +29,7 @@ from dasf.engine import audit_transport, dasf_run
 from dasf.experiments import run_study, validate_config
 from dasf.network import NetworkGraph, make_erdos_renyi, make_path, make_random_tree
 from dasf.sfo import MmseProblem, ScqpProblem, TroProblem, evaluate_objective, solve_centralized
-from dasf.signals import DriftSpec, LambdaSchedule, SignalModel, sample_stationary
+from dasf.signals import DriftSpec, LambdaSchedule, SampleBatch, SignalModel, sample_stationary
 
 RISE_TOL = 1e-9
 TRO_RISE_RTOL = 1e-7    # rise per iteration, relative to rho, where rho rounds R_v away
@@ -357,3 +359,14 @@ def test_model_accepts_every_number_the_validator_accepts():
     config = validate_config(raw)
     model = _model(source_var=config.source_var, noise_var=config.noise_var)
     assert model.source_var == model.noise_var == big
+
+
+def test_batch_without_samples_comes_only_from_statistics():
+    # SampleBatch(y=None) was accepted and built a batch with no statistics:
+    # its n_samples and cov_y then failed on None
+    with pytest.raises(ValueError, match=r"needs its samples y.*SampleBatch.from_statistics"):
+        SampleBatch(y=None, channels=(2,))
+    batch = SampleBatch.from_statistics((2,), np.eye(2), np.zeros((2, 1)), 1.0, 3)
+    assert batch.y is None and batch.n_samples == 3 and batch.channels == (2,)
+    # from_statistics skips __init__, so it must still set every field
+    assert all(hasattr(batch, f.name) for f in dataclasses.fields(SampleBatch))

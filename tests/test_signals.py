@@ -280,6 +280,77 @@ def test_drift_statistics_draw_keeps_the_random_stream(schedule, t, n):
     assert got[0].cov_y_ill_conditioned == (n < 30)
 
 
+@pytest.mark.parametrize("schedule, t, n, source_var", [
+    (RAMP, 130, 40, 0.5),                                          # the knot at 150 inside
+    (RAMP, 111, 40, 0.5),                                          # the knot on the last sample
+    (LambdaSchedule((20.0, 40.0, 60.0), (-0.0, 0.0, 0.5)), 0, 30, 0.5),   # -0.0: lambda = 0
+    (LambdaSchedule((20.0, 40.0, 60.0), (-0.0, 0.0, 0.5)), 10, 60, 0.5),  # -0.0, then a ramp
+    (RAMP, 100, 2, 0.5),                                           # N = 2
+    (RAMP, 60, 40, 0.0),                                           # no source power
+])
+def test_ramp_moments_match_the_per_sample_formula(schedule, t, n, source_var):
+    # the per-piece moments give the statistics of lambda at every sample, to
+    # rounding: the same random stream with mu and l11 taken per sample
+    model = _drift_model(6, 0.3, schedule, seed=5, source_var=source_var)
+    assert oracles.constant_value(schedule, t, t + n - 1) is None
+    got = sample_drift_statistics(model, np.array([t, t]), n, np.random.default_rng(9))
+    want = oracles.drift_statistics_draw(model, [t, t], n, np.random.default_rng(9),
+                                         moments=oracles.ramp_moments_per_sample)
+    for batch, (cov, cross, power) in zip(got, want):
+        for ours, ref in ((batch.cov_y, cov), (batch.cross, cross),
+                          (batch.target_power, power)):
+            assert np.abs(ours - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+_SPD = np.random.default_rng(6).standard_normal((4, 5, 12))
+
+
+def test_conditioning_screen_of_a_stack_matches_each_window():
+    # a stack of well-conditioned windows passes one stacked factorization;
+    # an N < M window makes it fail, so every window is decided alone
+    good = _SPD @ _SPD.mT
+    low = _SPD[0, :, :3] @ _SPD[0, :, :3].T                     # N = 3 < M = 5
+    loose = np.diag([1.0, 2.0, 1e-13, 1.0, 3.0])               # the eigenvalues decide
+    nan = np.full((5, 5), np.nan)
+    inf = np.eye(5)
+    inf[0, 1] = inf[1, 0] = np.inf
+    for stack in (good, np.stack([good[0], low, nan, good[1], loose, inf, good[2]]),
+                  good[:1], np.zeros((0, 5, 5))):
+        kept = stack.copy()
+        got = signals.ill_conditioned(stack)
+        assert got.dtype == bool and got.shape == (len(stack),)
+        assert got.tolist() == [oracles.cholesky_screen(r) for r in stack]
+        assert np.array_equal(stack, kept, equal_nan=True)
+    assert got.tolist() == [] and not signals.ill_conditioned(good).any()
+    assert signals.ill_conditioned(np.stack([good[0], low, nan, loose, inf])).tolist() == [
+        False, True, False, True, False]
+
+
+_KNOT_VALUES = st.sampled_from([0.0, -0.0, 0.3, 0.3, 1.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(knots=st.lists(st.tuples(st.integers(0, 200).map(lambda x: x / 2), _KNOT_VALUES),
+                      min_size=1, max_size=6),
+       spans=st.lists(st.tuples(st.integers(-20, 130), st.integers(1, 70)),
+                      min_size=1, max_size=8))
+def test_schedule_constant_knots_equal_the_first_rule(knots, spans):
+    # the array rule of the draw against the knot-by-knot rule as first
+    # written, for a stack of spans at once and for each span alone
+    knots.sort(key=lambda kv: kv[0])
+    schedule = LambdaSchedule(*zip(*knots))
+    first = np.array([f for f, _ in spans])
+    last = first + np.array([n for _, n in spans]) - 1
+    found = schedule.constant_knots(first, last)
+    for f, l, knot in zip(first.tolist(), last.tolist(), found.tolist()):
+        want = oracles.constant_value(schedule, f, l)
+        got = schedule.constant_value(f, l)
+        assert (knot < 0) == (want is None) == (got is None)
+        if want is not None:
+            assert schedule.values[knot] == got == want
+            assert not np.signbit(got)
+
+
 def test_drift_statistics_stack_is_one_read_only_array():
     model = _drift_model(6, 0.3, RAMP, seed=2)
     batches = sample_drift_statistics(model, np.array([0, 60, 140]), 25, rng_seed=1)
