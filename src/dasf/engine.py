@@ -37,12 +37,15 @@ layout for each node it visits. Once per batch comes the network-wide
 instance (``centralized_instance``) the local ones are compressed from; it
 is the one statement of the statistics a family reads, and so of the
 streams fused toward q. The kernel (``_step``) then issues only the
-numeric calls: C from zeros with its identity entries set, one thin SVD per
-compressed branch (one dgesvd, whose U is the branch's block of C), the
-congruence C^T R C and C^T B, the local solve and the lift C x_local, with
-the plan's sends logged around the solve. ``dasf_run`` cuts each node's layout
-the first time it visits the node and calls the kernel directly;
-``dasf_step`` is validation, the same kernel and a StepInfo.
+numeric calls each family needs: C from zeros with its identity entries
+set, one thin SVD per compressed branch (one dgesvd, whose U is the
+branch's block of C), the anchor C^T x only for a family whose solve reads
+it (``uses_anchor``: all but MMSE, whose closed form is unique), the
+congruence C^T R C and C^T B, the local solve (MMSE: one dgesv behind one
+finiteness screen) and the lift C x_local, with the plan's sends logged
+around the solve. ``dasf_run`` cuts each node's layout the first time it
+visits the node and calls the kernel directly; ``dasf_step`` is
+validation, the same kernel and a StepInfo.
 
 The local-to-network change of coordinates is a tall sparse matrix C with
 one nonzero block per block row; its identities (local signals equal C^T
@@ -527,23 +530,29 @@ def plan_local_layout(tree: PrunedTree, graph: NetworkGraph, n_filters: int) -> 
 
 def build_transition_matrix(graph: NetworkGraph, layout: LocalLayout,
                             x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The map C from local to network coordinates, and the anchor: the
-    local point C^T x, which C maps back to the current network filter x.
+    """The map C from local to network coordinates (``_transition_matrix``),
+    and the anchor: the local point C^T x, which C maps back to the current
+    network filter x. The anchor holds q's and the raw branches' current
+    blocks and S V^T per compressed branch; where directions were dropped,
+    C @ anchor misses x only by them."""
+    c = _transition_matrix(graph, layout, x)
+    return c, c.T @ x
 
-    C has one nonzero block per block row: the identity at the updating
+
+def _transition_matrix(graph: NetworkGraph, layout: LocalLayout, x: np.ndarray) -> np.ndarray:
+    """C, with one nonzero block per block row: the identity at the updating
     node's rows and at each raw branch's rows, and U at the rows of each
     compressed branch b, for the thin SVD X_b = U S V^T of the branch's
     stacked filter rows (one LAPACK dgesvd call per branch); so C^T C = I to
-    rounding at any conditioning, and the anchor holds q's and the raw
-    branches' current blocks and S V^T per compressed branch. The protocol
-    whitens from the Q x Q Gram X_b^T X_b each branch sums up the tree, by
-    T_b = V S^{-1}. The simulator computes the same map from the SVD: X_b T_b
-    is U in exact arithmetic, and U is orthonormal to rounding in floating
-    point. The Grams are not logged as sends.
+    rounding at any conditioning. The protocol whitens from the Q x Q Gram
+    X_b^T X_b each branch sums up the tree, by T_b = V S^{-1}. The simulator
+    computes the same map from the SVD: X_b T_b is U in exact arithmetic,
+    and U is orthonormal to rounding in floating point. The Grams are not
+    logged as sends.
 
     Directions with s <= RANK_RTOL * s_max are dropped: their columns are
     zeroed and removed, which leaves that branch fewer than n_filters
-    columns, and C @ anchor then misses x only by the dropped directions.
+    columns.
     """
     flat, rows, spans, ident = layout.c_index
     c = np.zeros((graph.total_channels, layout.local_dim))
@@ -562,7 +571,7 @@ def build_transition_matrix(graph: NetworkGraph, layout: LocalLayout,
         c.reshape(-1)[flat] = xc
         if dropped:
             c = c[:, c.any(axis=0)]
-    return c, c.T @ x
+    return c
 
 
 # --------------------------------------------------------------------------
@@ -636,19 +645,22 @@ def _batch_plan(problem: SfoProblem, batch: SampleBatch
 def _step(graph: NetworkGraph, layout: LocalLayout, central: CompressedInstance,
           fused: tuple[tuple[str, int], ...], x: np.ndarray, iteration: int,
           log: TransportLog | None, out: np.ndarray | None = None):
-    """The step kernel: C and the anchor, the compressed instance, the local
+    """The step kernel: C, the anchor C^T x when the family's solve reads it
+    (``uses_anchor``; None otherwise), the compressed instance, the local
     solve and the lift C x_local (into ``out`` when given), with the plan's
     fusion sends logged before the solve and its mixing sends after. Returns
     the next filter, C, the instance, the solve outcome, x_local and the
     scalars logged."""
-    c, anchor = build_transition_matrix(graph, layout, x)
+    c = _transition_matrix(graph, layout, x)
+    problem = central.problem
+    anchor = c.T @ x if problem.uses_anchor else None
     instance = central.compressed(c, anchor)
     tx = 0
     if log is not None:
         for stream, cols in fused:
             tx += log.add_sends(iteration, stream, cols, layout.fusion_sends, layout.fusion_rows)
     outcome = solve_instance(instance)
-    x_local = align_to_anchor(outcome.x, anchor, central.problem.symmetry)
+    x_local = align_to_anchor(outcome.x, anchor, problem.symmetry)
     if log is not None:
         tx += log.add_sends(iteration, "mix", layout.n_filters, layout.mix_sends, layout.mix_rows)
     return np.matmul(c, x_local, out=out), c, instance, outcome, x_local, tx
@@ -789,8 +801,9 @@ def dasf_run(problem: SfoProblem, graph: NetworkGraph, batch, n_iterations: int,
     # instance, not the batch, so its samples go when the next batch is drawn
     stats = None
     steps: list[tuple[int, int, int, int]] = []
+    n_nodes = graph.node_count
     for i in range(n_iterations):
-        q = select_updating_node(i, graph.node_count)
+        q = i % n_nodes + 1   # select_updating_node's round robin
         batch_i = batch(i) if adaptive else batch
         layout = layouts.get(q)
         if layout is None:
@@ -830,10 +843,7 @@ def dasf_run(problem: SfoProblem, graph: NetworkGraph, batch, n_iterations: int,
 
     # Python floats, so the CSV's repr columns read as plain numbers
     records = [
-        ConvergenceRecord(
-            run=run_index, iteration=i, node=node, objective=f, epsilon=e,
-            max_residual=r, tx_samples=tx, solver_iters=solver_iters, local_dim=local_dim,
-        )
+        ConvergenceRecord(run_index, i, node, f, e, r, tx, solver_iters, local_dim)
         for i, ((node, tx, solver_iters, local_dim), f, e, r) in enumerate(
             zip(steps, objective.tolist(), eps.tolist(), max_residual.tolist()))
     ]

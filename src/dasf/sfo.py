@@ -93,6 +93,9 @@ class SfoProblem:
     kind: ClassVar[str] = "abstract"
     uses_second_stream: ClassVar[bool] = False
     uses_target: ClassVar[bool] = False
+    # whether the local solve reads the instance's anchor C^T x (the current
+    # filter in local coordinates), for tie-breaks or as a start
+    uses_anchor: ClassVar[bool] = True
     # solution-set symmetry the engine may search when tie-breaking:
     # "none" or "orthogonal" (right O(Q) orbit)
     symmetry: ClassVar[str] = "none"
@@ -146,6 +149,7 @@ class MmseProblem(SfoProblem):
 
     kind: ClassVar[str] = "mmse"
     uses_target: ClassVar[bool] = True
+    uses_anchor: ClassVar[bool] = False   # the closed form is unique
 
     def objective_on(self, x, stats, terms=None):
         # E||s(t) - X^T y(t)||^2 = tr R_ss - 2 tr(X^T R_ys) + tr(X^T R_yy X)
@@ -323,15 +327,15 @@ class CompressedInstance:
         """The same problem over local points X with network point C X, for C
         with orthonormal columns: C^T R C, C^T R_ys and C^T B; the ridge stays,
         as C^T (R + load I) C = C^T R C + load I."""
-        return CompressedInstance(
-            problem=self.problem,
-            cov_y=_congruence(c, self.cov_y),
-            cov_v=None if self.cov_v is None else _congruence(c, self.cov_v),
-            cross=None if self.cross is None else c.T @ self.cross,
-            target_power=self.target_power,
-            b_terms={name: c.T @ b for name, b in self.b_terms.items()},
-            load=self.load,
-            anchor=anchor,
+        return CompressedInstance(   # positional, in field order
+            self.problem,
+            _congruence(c, self.cov_y),
+            None if self.cov_v is None else _congruence(c, self.cov_v),
+            None if self.cross is None else c.T @ self.cross,
+            self.target_power,
+            {name: c.T @ b for name, b in self.b_terms.items()},
+            self.load,
+            anchor,
         )
 
     def term(self, name: str) -> np.ndarray:
@@ -347,9 +351,11 @@ class CompressedInstance:
 
 
 def _congruence(c: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """C^T R C for symmetric R, symmetrized against rounding."""
+    """C^T R C for symmetric R, symmetrized against rounding, in place."""
     t = c.T @ (r @ c)
-    return 0.5 * (t + t.T)
+    t += t.T   # numpy buffers the overlapping transpose
+    t *= 0.5
+    return t
 
 
 @dataclass
@@ -405,6 +411,10 @@ def align_to_anchor(x: np.ndarray, anchor: np.ndarray | None, symmetry: str) -> 
 # solvers
 
 
+_NO_RESIDUALS = np.zeros(0)   # shared by every mmse outcome, so read-only
+_NO_RESIDUALS.setflags(write=False)
+
+
 def solve_mmse(instance: CompressedInstance) -> SolveOutcome:
     """Closed-form normal equations (R + load I) x = r.
 
@@ -412,10 +422,11 @@ def solve_mmse(instance: CompressedInstance) -> SolveOutcome:
     rows and load the instance's ridge (set by ``centralized_instance``). A
     non-finite, all-zero or singular R raises SolverError.
 
-    The solve runs first, behind one screen: finite sums of R and r prove
-    every entry finite, and a zero dgesv info a nonzero R. Only when the
-    screen or dgesv fails are the inputs checked one by one, in that order,
-    to name the cause. A ridge would hide an all-zero R, so a loaded
+    The solve runs first, behind one screen: a finite sum of the totals of
+    R and r proves every entry finite, and a zero dgesv info a nonzero R.
+    Only when the screen or dgesv fails are the inputs checked one by one,
+    in that order, to name the cause; finite totals whose sum overflows take
+    that path too, and pass it. A ridge would hide an all-zero R, so a loaded
     instance is checked before its ridge is added.
     """
     cov, cross = instance.cov_y, instance.cross
@@ -427,12 +438,13 @@ def solve_mmse(instance: CompressedInstance) -> SolveOutcome:
         _check_mmse_inputs(cov, cross)
         cov = cov + instance.load * np.eye(cov.shape[0])
     _, _, x, info = dgesv(cov, cross)
-    if info or not (math.isfinite(instance.cov_y.sum()) and math.isfinite(cross.sum())):
+    if info or not math.isfinite(float(np.add.reduce(instance.cov_y, None))
+                                 + float(np.add.reduce(cross, None))):
         _check_mmse_inputs(instance.cov_y, cross)
         if info:
             raise SolverError("mmse: covariance is singular")
     # unconstrained: no residuals to check
-    return SolveOutcome(x=x, residuals=np.zeros(0), iterations=1)
+    return SolveOutcome(x, _NO_RESIDUALS, 1)
 
 
 def _check_mmse_inputs(cov: np.ndarray, cross: np.ndarray) -> None:

@@ -227,10 +227,11 @@ class SignalModel:
         return sum(self.channels)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleBatch:
     """One batch of N samples, stacked network-wide; ``channels`` is the
-    per-node row split of the stacked streams.
+    per-node row split of the stacked streams. Batches compare and hash by
+    identity.
 
     The statistics (``cov_y``, ``cov_y_ill_conditioned``, ``cov_v``,
     ``cross``, ``target_power``) are computed on first use and kept,
@@ -291,8 +292,9 @@ class SampleBatch:
 
     @cached_property
     def cov_y_ill_conditioned(self) -> bool:
-        """cond(R_yy) > COND_LIMIT in the 2-norm, by ``ill_conditioned``."""
-        return bool(ill_conditioned(self.cov_y[None])[0])
+        """cond(R_yy) > COND_LIMIT in the 2-norm, by ``ill_conditioned``'s
+        decision for one matrix."""
+        return _ill_conditioned_at(self.cov_y, float(_shift(self.cov_y)))
 
     @cached_property
     def cov_v(self) -> np.ndarray:
@@ -336,25 +338,39 @@ def ill_conditioned(r: np.ndarray) -> np.ndarray:
     t = ||R||_inf / COND_LIMIT >= lambda_max / COND_LIMIT, a Cholesky factor
     of R - t I proves lambda_min > t. One stacked factorization screens a
     stack of several; a stack of one, and each R of a stack that fails, is
-    decided alone, by its own factorization and then by its eigenvalues."""
-    m = r.shape[-1]
-    screen = (np.abs(r) @ np.ones(m)).max(axis=-1) / COND_LIMIT
-    finite = np.isfinite(screen)
-    shifted = r[finite]   # a copy, so the statistics are never touched
-    shifted.reshape(len(shifted), m * m)[:, ::m + 1] -= screen[finite, None]
-    ill = np.zeros(len(r), dtype=bool)
-    if len(shifted) > 1:
+    decided alone (``_ill_conditioned_at``)."""
+    shift = _shift(r)
+    if len(r) > 1:
+        finite = np.isfinite(shift)
+        shifted = r[finite]   # a copy, so the statistics are never touched
+        m = r.shape[-1]
+        shifted.reshape(len(shifted), m * m)[:, ::m + 1] -= shift[finite, None]
         try:
             np.linalg.cholesky(shifted)
-            return ill
+            return np.zeros(len(r), dtype=bool)
         except np.linalg.LinAlgError:
             pass
-    for i, a in zip(np.flatnonzero(finite), shifted):
-        # a.T is a in LAPACK's order (a is symmetric), factorized in place
-        if dpotrf(a.T, lower=1, clean=0, overwrite_a=1)[1] != 0:
-            mag = np.abs(np.linalg.eigvalsh(r[i]))
-            ill[i] = not mag.min() > 0.0 or mag.max() / mag.min() > COND_LIMIT
-    return ill
+    return np.array([_ill_conditioned_at(a, t) for a, t in zip(r, shift.tolist())], dtype=bool)
+
+
+def _shift(r: np.ndarray):
+    """t = ||R||_inf / COND_LIMIT, for one matrix or per matrix of a stack."""
+    return (np.abs(r) @ np.ones(r.shape[-1])).max(axis=-1) / COND_LIMIT
+
+
+def _ill_conditioned_at(r: np.ndarray, t: float) -> bool:
+    """The decision for one symmetric R at its shift t: False when t is not
+    finite, else by a Cholesky factor of R - t I (LAPACK dpotrf, in place on
+    a copy) and, when that fails, by the eigenvalues of R."""
+    if not math.isfinite(t):
+        return False
+    a = r.copy()
+    a.reshape(-1)[::a.shape[0] + 1] -= t
+    # a.T is a in LAPACK's order (a is symmetric), factorized in place
+    if dpotrf(a.T, lower=1, clean=0, overwrite_a=1)[1] == 0:
+        return False
+    mag = np.abs(np.linalg.eigvalsh(r))
+    return bool(not mag.min() > 0.0 or mag.max() / mag.min() > COND_LIMIT)
 
 
 def sample_stationary(model: SignalModel, t: int, n_samples: int, rng_seed=None) -> SampleBatch:

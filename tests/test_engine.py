@@ -656,6 +656,27 @@ def test_transition_matrix_is_bitwise_the_frozen_one(monkeypatch):
     assert dropped and len(svds) == compressed and not layout.c_index[3].flags.writeable
 
 
+@pytest.mark.parametrize("kind", ["mmse", "qcqp", "tro", "scqp"])
+def test_step_forms_the_anchor_only_for_families_that_read_it(kind):
+    # MMSE's closed form never reads C^T x, so its instances carry none; the
+    # other families' instances carry the anchor build_transition_matrix
+    # returns for the step's C, at every node of the round robin
+    rng = np.random.default_rng(zlib.crc32(f"anchor-{kind}".encode()))
+    prob, graph, batches, x = _kernel_case(kind, "er", 2, rng)
+    assert prob.uses_anchor == (kind != "mmse")
+    for iteration in range(graph.node_count):
+        x_next, info = dasf_step(prob, graph, x, batches[iteration % 3], iteration)
+        c, anchor = build_transition_matrix(graph, info.layout, x)
+        assert np.array_equal(info.transition, c)
+        if kind == "mmse":
+            assert info.instance.anchor is None
+            assert info.outcome.residuals.shape == (0,)
+            assert not info.outcome.residuals.flags.writeable
+        else:
+            assert np.array_equal(info.instance.anchor, anchor)
+        x = x_next
+
+
 # ---------------------------------------------------------------------------
 # statistics-domain engine against the sample-domain oracle
 

@@ -12,7 +12,8 @@ were accepted, and their runs failed late under a covariance message.
 Channel counts that were not integers were truncated without a word. Where
 a QCQP ball only touched the plane, the local solve returned the plane's
 minimum-norm point above a feasible, lower anchor. A batch could be built
-with neither samples nor statistics."""
+with neither samples nor statistics, and batches compared by their sample
+fields alone."""
 
 import dataclasses
 import logging
@@ -370,3 +371,18 @@ def test_batch_without_samples_comes_only_from_statistics():
     assert batch.y is None and batch.n_samples == 3 and batch.channels == (2,)
     # from_statistics skips __init__, so it must still set every field
     assert all(hasattr(batch, f.name) for f in dataclasses.fields(SampleBatch))
+
+
+def test_sample_batches_compare_and_hash_by_identity():
+    # the frozen dataclass compared and hashed (y, channels, t, v, s) only:
+    # two statistics batches with different statistics were equal, == on two
+    # sample batches raised ValueError, and hash of one raised TypeError
+    a = SampleBatch.from_statistics((2,), np.eye(2), np.zeros((2, 1)), 1.0, 3)
+    b = SampleBatch.from_statistics((2,), 5 * np.eye(2), np.ones((2, 1)), 7.0, 9)
+    assert a != b and a == a
+    y = np.ones((2, 4))
+    c, d = SampleBatch(y=y, channels=(2,)), SampleBatch(y=y, channels=(2,))
+    assert (c == d) is False and (c == c) is True
+    for batch in (a, b, c, d):
+        assert hash(batch) == object.__hash__(batch)
+    assert len({a, b, c, d, a, c}) == 4

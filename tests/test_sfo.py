@@ -179,6 +179,19 @@ def test_mmse_input_errors_keep_their_messages(cov, cross, load, message):
         solve_mmse(instance)
 
 
+def test_mmse_screen_passes_finite_totals_whose_sum_overflows():
+    # each total is finite and their sum is not: the screen sends the solve
+    # through the checks, which find every entry finite, so the solve stands,
+    # without a warning
+    big = 0.4 * np.finfo(float).max
+    instance = CompressedInstance(problem=MmseProblem(n_filters=1),
+                                  cov_y=np.diag([big, big]), cross=np.array([[big], [big]]),
+                                  target_power=1.0, load=0.0)
+    outcome = solve_mmse(instance)
+    assert outcome.x.tolist() == [[1.0], [1.0]] and outcome.iterations == 1
+    assert outcome.residuals.shape == (0,) and not outcome.residuals.flags.writeable
+
+
 def test_mmse_requires_target_rows():
     rng = np.random.default_rng(2)
     batch = _batch(4, 50, rng)

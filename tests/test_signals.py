@@ -326,6 +326,25 @@ def test_conditioning_screen_of_a_stack_matches_each_window():
         False, True, False, True, False]
 
 
+def test_conditioning_screen_decides_one_matrix_as_a_stack_does():
+    # a batch's own screen and a stack of one go straight to the per-matrix
+    # decision; a stack of several factorizes at once, and one that fails
+    # decides each matrix alone: all agree, window by window
+    good = _SPD @ _SPD.mT
+    low = _SPD[0, :, :3] @ _SPD[0, :, :3].T                     # singular
+    loose = np.diag([1.0, 2.0, 1e-13, 1.0, 3.0])               # ill-conditioned
+    nan = np.full((5, 5), np.nan)
+    inf = np.eye(5)
+    inf[0, 1] = inf[1, 0] = np.inf
+    for r, want in ((good[0], False), (loose, True), (low, True), (nan, False), (inf, False)):
+        assert oracles.cholesky_screen(r) == want
+        batch = SampleBatch.from_statistics((2, 3), r.copy(), np.zeros((5, 1)), 1.0, 7)
+        assert batch.cov_y_ill_conditioned is want
+        assert signals.ill_conditioned(r[None]).tolist() == [want]
+        assert signals.ill_conditioned(np.stack([good[1], r])).tolist() == [False, want]
+        assert signals.ill_conditioned(np.stack([r, good[2], loose])).tolist() == [want, False, True]
+
+
 _KNOT_VALUES = st.sampled_from([0.0, -0.0, 0.3, 0.3, 1.0])
 
 
