@@ -60,7 +60,6 @@ import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from types import SimpleNamespace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -775,8 +774,12 @@ def dasf_run(problem: SfoProblem, graph: NetworkGraph, batch, n_iterations: int,
     iterate, a callable is evaluated per iteration and used as-is. x0
     defaults to a random point satisfying the network-wide constraints.
 
-    Only the steps run in the loop. The records' objectives, residuals and
-    errors are evaluated once, over the stacked trajectory, after it.
+    Only the steps run in the loop. The records' residuals and errors, and
+    with a fixed batch their network-wide objectives, are evaluated once,
+    over the stacked trajectory, after it. An adaptive run keeps no batch
+    statistics: each step records the objective of the local instance it
+    solved at x_local, which equals the network objective at C x_local up
+    to the rounding of its terms.
     """
     if warn_on_bound:
         check_constraint_bound(problem, graph)
@@ -797,10 +800,8 @@ def dasf_run(problem: SfoProblem, graph: NetworkGraph, batch, n_iterations: int,
     # one layout is cut per node the run visits, and a fixed batch's
     # network-wide instance is made once per run
     layouts: dict[int, LocalLayout] = {}
-    # an adaptive run keeps the statistics of each batch's network-wide
-    # instance, not the batch, so its samples go when the next batch is drawn
-    stats = None
     steps: list[tuple[int, int, int, int]] = []
+    objectives: list[float] = []   # an adaptive run's, from each local instance
     n_nodes = graph.node_count
     for i in range(n_iterations):
         q = i % n_nodes + 1   # select_updating_node's round robin
@@ -810,21 +811,16 @@ def dasf_run(problem: SfoProblem, graph: NetworkGraph, batch, n_iterations: int,
             layout = layouts[q] = _plan(graph, q, problem.n_filters)
         if adaptive or not i:
             planned = _batch_plan(problem, batch_i)
-        x, _, instance, outcome, _, tx = _step(graph, layout, *planned, x, i, log, traj[i + 1])
+        x, _, instance, outcome, x_local, tx = _step(graph, layout, *planned, x, i, log,
+                                                     traj[i + 1])
         if adaptive:
-            central = planned[0]
-            if stats is None:
-                stats = {name: np.empty((n_iterations,) + np.shape(getattr(central, name)))
-                         for name in ("cov_y", "cov_v", "cross", "target_power")
-                         if getattr(central, name) is not None}
-            for name, stack in stats.items():
-                stack[i] = getattr(central, name)
+            objectives.append(instance.objective(x_local))
         steps.append((q, tx, outcome.iterations, instance.dim))
 
-    # every record's figures in one evaluation over the stacked trajectory
+    # the records' other figures, and a fixed batch's objectives, in one
+    # evaluation over the stacked trajectory
     path = traj[1:]
-    source = batch if stats is None else SimpleNamespace(**stats)
-    objective = evaluate_objective(problem, path, source) if n_iterations else np.zeros(0)
+    objective = objectives if adaptive else evaluate_objective(problem, path, batch).tolist()
     max_residual = np.max(constraint_residuals(problem, path), axis=-1, initial=0.0)
 
     # a fixed reference is mapped through the solution symmetry to the
@@ -845,7 +841,7 @@ def dasf_run(problem: SfoProblem, graph: NetworkGraph, batch, n_iterations: int,
     records = [
         ConvergenceRecord(run_index, i, node, f, e, r, tx, solver_iters, local_dim)
         for i, ((node, tx, solver_iters, local_dim), f, e, r) in enumerate(
-            zip(steps, objective.tolist(), eps.tolist(), max_residual.tolist()))
+            zip(steps, objective, eps.tolist(), max_residual.tolist()))
     ]
     return RunResult(
         records=records,

@@ -88,10 +88,7 @@ SAMPLE_MODES = ("batch", "adaptive")
 
 DEFAULT_SAMPLES = 10_000
 DEFAULT_RUNS = 100
-MAX_NODES = 10_000   # M x M statistics of that many one-channel nodes take 800 MB
-# an adaptive run stacks T network-wide M x M statistics per stream; a config
-# whose stack needs more bytes than this is rejected
-STACK_BUDGET_BYTES = 2 * 10**9
+MAX_CHANNELS = 10_000   # M x M statistics of that many one-channel nodes take 800 MB
 # entries of a tracking run's block of drift draws: its stacked statistics
 # and the normals of its ramp windows
 DRAW_BLOCK_ENTRIES = 2**16
@@ -305,8 +302,9 @@ _RULES: dict[str, dict[str, _Rule]] = {
     },
     "network": {
         "kind": _Rule("topology", str, required=True, check=_kind_of(TOPOLOGY_KINDS)),
+        # every node has a channel, so the cap holds before channels is expanded
         "nodes": _Rule("nodes", int, required=True, check=lambda v: _positive(v)
-                       if v <= MAX_NODES else f"must be at most {MAX_NODES}, got {v}"),
+                       if v <= MAX_CHANNELS else f"must be at most {MAX_CHANNELS}, got {v}"),
         "channels": _Rule("channels", required=True, check=_positive_ints),
         "total_channels": _Rule(None, int),
         "edge_prob": _Rule("edge_prob", float, check=lambda v: None if 0.0 < v <= 1.0
@@ -447,14 +445,9 @@ def _check_semantics(config: ExperimentConfig) -> None:
     if widest > config.total_channels:
         errors.append(f"problem.n_filters: width {widest} exceeds the network's "
                       f"{config.total_channels} channels")
-    if config.sample_mode == "adaptive":
-        streams = 2 if config.problem_kind == "tro" else 1
-        stack = 8 * config.iterations * streams * config.total_channels ** 2
-        if stack > STACK_BUDGET_BYTES:
-            errors.append(
-                f"run.iterations: an adaptive run stacks each iteration's statistics, "
-                f"{config.iterations} x {config.total_channels}^2 x 8 B per stream x {streams} "
-                f"= {stack / 1e9:.1f} GB per run, above the {STACK_BUDGET_BYTES / 1e9:g} GB budget")
+    if config.total_channels > MAX_CHANNELS:
+        errors.append(f"network.channels: {config.total_channels} channels in all, "
+                      f"above the cap of {MAX_CHANNELS}")
     if errors:
         raise ConfigError(errors)
     local_dim_bound = max(config.channels) + widest * (config.nodes - 1)

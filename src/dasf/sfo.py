@@ -116,8 +116,9 @@ class SfoProblem:
         """Objective at x from second-order statistics: ``stats`` carries
         ``cov_y`` and, where the family uses them, ``cov_v``, ``cross`` and
         ``target_power`` (a SampleBatch or a CompressedInstance). x may be a
-        (T, M, Q) stack of points, and the statistics a stack of T batches'
-        (or one batch's for all T); the result then has shape (T,)."""
+        (T, M, Q) stack of points against one batch's statistics; the result
+        then has shape (T,). Statistics stacked the same way broadcast too,
+        as the tests' frozen step loop evaluates them."""
         raise NotImplementedError
 
     def residuals_on(self, x, terms=None) -> np.ndarray:
@@ -251,7 +252,7 @@ class TroProblem(SfoProblem):
 
     def residuals_on(self, x, terms=None):
         gap = np.swapaxes(x, -1, -2) @ x - np.eye(self.n_filters)
-        return np.abs(gap).reshape(x.shape[:-2] + (-1,))
+        return np.abs(gap).reshape(x.shape[:-2] + (self.n_filters**2,))
 
     def random_feasible(self, dim, rng):
         if dim < self.n_filters:
@@ -712,8 +713,7 @@ def solve_centralized(problem: SfoProblem, batch: SampleBatch,
 
 def evaluate_objective(problem: SfoProblem, x: np.ndarray, batch: SampleBatch):
     """Network-wide objective at x, from the batch's cached statistics: a
-    float for one point, one value per point for a (T, M, Q) stack, whose
-    statistics may be stacked the same way (see ``SfoProblem.objective_on``)."""
+    float for one point, one value per point for a (T, M, Q) stack."""
     out = problem.objective_on(x, batch)
     return float(out) if np.ndim(out) == 0 else out
 

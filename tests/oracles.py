@@ -31,10 +31,11 @@ statistics-domain step loop is kept the same way (``frozen_dasf_run``): the
 transition matrix built by zero-fill and scatters, and one
 ``dasf_step``-shaped call per iteration with the mmse solve's checks ahead of
 its LAPACK call, so that the engine's planned step kernel is held bitwise to
-the same trajectory, records and log. The transport audit is kept as first
-written too (``frozen_audit_transport``), walking one record per send, so
-that the library's schedule-summarising audit is held to the same issues
-and counts.
+the same trajectory, records and log (an adaptive run's objectives, which
+come from its local instances, to 1e-12 relative). The transport audit is
+kept as first written too (``frozen_audit_transport``), walking one record
+per send, so that the library's schedule-summarising audit is held to the
+same issues and counts.
 """
 
 from __future__ import annotations
@@ -857,8 +858,11 @@ def frozen_dasf_run(problem, graph, batch, n_iterations, mode="ti", x0=None,
     """``dasf.dasf_run`` as first planned: every iteration prunes and plans
     afresh with ``frozen_plan_local_layout``, builds the network-wide
     instance from its batch, assembles the compressed one with
-    ``frozen_transition_matrix``, logs its sends and solves; the records are evaluated over the stacked trajectory after the
-    loop, as the library does."""
+    ``frozen_transition_matrix``, logs its sends and solves. The records
+    are evaluated network-wide over the stacked trajectory after the loop,
+    with a callable batch against the stacked statistics of its batches:
+    the library does so for a fixed batch, and an adaptive run's local
+    objectives are held to these values."""
     check_constraint_bound(problem, graph)
     rng = np.random.default_rng(rng_seed)
     if x0 is None:

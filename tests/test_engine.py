@@ -602,7 +602,17 @@ def test_run_is_bitwise_the_frozen_step_loop(kind, topology, q):
                        (lambda i: batches[i % 3], lambda i: (1.0 + i) * reference)):
         kwargs = dict(mode=mode, x0=x0, reference=ref, run_index=4)
         run = dasf_run(prob, graph, batch, n, **kwargs)
-        _assert_runs_bitwise_equal(run, oracles.frozen_dasf_run(prob, graph, batch, n, **kwargs))
+        frozen = oracles.frozen_dasf_run(prob, graph, batch, n, **kwargs)
+        if callable(batch):
+            # an adaptive run records the objective of the local instance it
+            # solved, the network-wide one up to the rounding of its terms;
+            # every other field stays bitwise
+            assert len(run.records) == len(frozen.records)
+            for r, f in zip(run.records, frozen.records):
+                assert abs(r.objective - f.objective) <= 1e-12 * abs(f.objective)
+            frozen.records = [f._replace(objective=r.objective)
+                              for r, f in zip(run.records, frozen.records)]
+        _assert_runs_bitwise_equal(run, frozen)
 
 
 @pytest.mark.parametrize("kind", ["mmse", "scqp"])
@@ -1069,7 +1079,8 @@ def test_run_records_carry_solver_effort():
 @pytest.mark.parametrize("source", ["fixed batch", "callable batch", "callable reference"])
 @pytest.mark.parametrize("kind", ["mmse", "qcqp", "tro", "scqp"])
 def test_run_records_equal_pointwise_evaluation(kind, source):
-    # the run evaluates its records once over the stacked trajectory
+    # the run evaluates its records once over the stacked trajectory, and an
+    # adaptive run takes each objective from the local instance it solved
     rng = np.random.default_rng(27)
     graph = make_erdos_renyi(5, 2, 0.6, rng_seed=3)
     m, n_iter = graph.total_channels, 9
@@ -1117,6 +1128,40 @@ def test_run_keeps_no_batch_of_a_callable_batch(kind):
     gc.collect()
     assert len(result.records) == len(drawn) == 6
     assert all(ref() is None for ref in drawn)
+
+
+def test_adaptive_run_keeps_no_statistics_per_iteration():
+    # the run once stacked every batch's M x M statistics for one evaluation
+    # after the loop, so its peak grew by 8 M^2 bytes per iteration; what it
+    # returns per iteration (a trajectory row, a record) is far smaller
+    graph = make_path(20, 3)
+    rng = np.random.default_rng(29)
+    m = graph.total_channels
+    batch = _random_batch(graph, 200, rng, s_rows=1)
+    prob = MmseProblem(n_filters=1)
+    peaks = []
+    for n_iter in (20, 200):
+        tracemalloc.start()
+        try:
+            dasf_run(prob, graph, lambda i: batch, n_iter, rng_seed=1, warn_on_bound=False)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 0.25 * 180 * 8 * m * m, peaks
+
+
+@pytest.mark.parametrize("adaptive", [False, True])
+@pytest.mark.parametrize("kind", ["mmse", "qcqp", "tro", "scqp"])
+def test_run_of_no_iterations_returns_no_records(kind, adaptive):
+    rng = np.random.default_rng(30)
+    graph = make_path(4, 2)
+    prob = _family_problem(kind, graph.total_channels, 2, rng)
+    batch = _random_batch(graph, 60, rng, with_v=kind == "tro", s_rows=2 if kind == "mmse" else 0)
+    x0 = prob.random_feasible(graph.total_channels, rng)
+    result = dasf_run(prob, graph, (lambda i: batch) if adaptive else batch, 0, x0=x0,
+                      reference=x0, warn_on_bound=False)
+    assert result.records == [] and result.objective_trace().shape == (0,)
+    assert len(result.x_history) == 1 and np.array_equal(result.final_x, x0)
 
 
 def test_ill_conditioned_branch_is_whitened_to_rounding():

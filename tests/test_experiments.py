@@ -23,7 +23,7 @@ import dasf.cli
 import dasf.experiments as experiments
 import oracles
 from dasf.experiments import (
-    MAX_NODES,
+    MAX_CHANNELS,
     ConfigError,
     ExperimentConfig,
     StudyResult,
@@ -236,14 +236,18 @@ def test_filter_width_wider_than_network_rejected(tmp_path):
 
 
 def test_node_count_is_bounded():
-    # checked before an integer channels is expanded to one entry per node
+    # nodes is checked before an integer channels is expanded to one entry
+    # per node, since every node has a channel
     raw = _base_raw()
-    for nodes in (MAX_NODES + 1, 10**20):
+    for nodes in (MAX_CHANNELS + 1, 10**20):
         raw["network"]["nodes"] = nodes
-        assert _errors_of(raw) == (f"network.nodes: must be at most {MAX_NODES}, got {nodes}",)
-    raw["network"]["nodes"] = MAX_NODES
+        assert _errors_of(raw) == (f"network.nodes: must be at most {MAX_CHANNELS}, got {nodes}",)
+    raw["network"]["nodes"] = MAX_CHANNELS
+    assert _errors_of(raw) == (f"network.channels: {2 * MAX_CHANNELS} channels in all, "
+                               f"above the cap of {MAX_CHANNELS}",)
+    raw["network"]["channels"] = 1
     with pytest.warns(RuntimeWarning, match="rank deficient"):
-        assert validate_config(raw).total_channels == 2 * MAX_NODES
+        assert validate_config(raw).total_channels == MAX_CHANNELS
 
 
 def _adaptive_raw(kind, nodes, channels, iterations):
@@ -254,28 +258,19 @@ def _adaptive_raw(kind, nodes, channels, iterations):
     return raw
 
 
-def test_adaptive_statistics_stack_is_budgeted():
-    # an adaptive run stacks iterations x M^2 x 8 B per M x M stream: 2000
-    # four-channel nodes over 1000 iterations would need 512 GB
-    (error,) = _errors_of(_adaptive_raw("mmse", 2000, 4, 1000))
-    assert error == ("run.iterations: an adaptive run stacks each iteration's statistics, "
-                     "1000 x 8000^2 x 8 B per stream x 1 = 512.0 GB per run, "
-                     "above the 2 GB budget")
-    # M = 500 fills the budget at 1000 iterations with one stream, 500 with two
-    assert experiments.STACK_BUDGET_BYTES == 8 * 1000 * 500 ** 2
-    for kind, limit in (("mmse", 1000), ("scqp", 1000), ("tro", 500)):
-        assert validate_config(_adaptive_raw(kind, 250, 2, limit)).iterations == limit
-        (error,) = _errors_of(_adaptive_raw(kind, 250, 2, limit + 1))
-        assert error.startswith("run.iterations: an adaptive run stacks") and "above" in error
-        # batch mode stacks nothing, and an override is held to the same rule
-        raw = _adaptive_raw(kind, 250, 2, limit + 1)
+def test_adaptive_run_length_is_not_bounded_by_its_statistics():
+    # an adaptive run keeps no statistics per iteration, so neither its
+    # length nor a switch to adaptive mode meets a memory rule
+    config = validate_config(_adaptive_raw("mmse", 2000, 4, 1000))
+    assert (config.iterations, config.total_channels) == (1000, 8000)
+    # 500 channels over more than `budget` iterations passed a 2 GB budget
+    for kind, budget in (("mmse", 1000), ("scqp", 1000), ("tro", 500)):
+        assert validate_config(_adaptive_raw(kind, 250, 2, budget + 1)).iterations == budget + 1
+        raw = _adaptive_raw(kind, 250, 2, budget + 1)
         raw["run"]["mode"] = "batch"
-        config = validate_config(raw)
-        with pytest.raises(ConfigError, match="above the 2 GB budget"):
-            config.with_overrides(sample_mode="adaptive")
-        with pytest.raises(ConfigError, match="above the 2 GB budget"):
-            validate_config(_adaptive_raw(kind, 250, 2, limit)).with_overrides(
-                iterations=limit + 1)
+        assert validate_config(raw).with_overrides(sample_mode="adaptive").sample_mode == "adaptive"
+        config = validate_config(_adaptive_raw(kind, 250, 2, budget))
+        assert config.with_overrides(iterations=budget + 1).iterations == budget + 1
 
 
 def test_huge_yaml_integer_is_a_config_error(tmp_path, capsys):

@@ -13,7 +13,8 @@ Channel counts that were not integers were truncated without a word. Where
 a QCQP ball only touched the plane, the local solve returned the plane's
 minimum-norm point above a feasible, lower anchor. A batch could be built
 with neither samples nor statistics, and batches compared by their sample
-fields alone."""
+fields alone. A network of 10000 four-channel nodes passed the cap meant to
+bound its M x M statistics."""
 
 import dataclasses
 import logging
@@ -27,7 +28,7 @@ import pytest
 import oracles
 from dasf import engine, sfo
 from dasf.engine import audit_transport, dasf_run
-from dasf.experiments import run_study, validate_config
+from dasf.experiments import ConfigError, run_study, validate_config
 from dasf.network import NetworkGraph, make_erdos_renyi, make_path, make_random_tree
 from dasf.sfo import MmseProblem, ScqpProblem, TroProblem, evaluate_objective, solve_centralized
 from dasf.signals import DriftSpec, LambdaSchedule, SampleBatch, SignalModel, sample_stationary
@@ -386,3 +387,18 @@ def test_sample_batches_compare_and_hash_by_identity():
     for batch in (a, b, c, d):
         assert hash(batch) == object.__hash__(batch)
     assert len({a, b, c, d, a, c}) == 4
+
+
+def test_channel_cap_bounds_the_channels_not_the_nodes():
+    # MAX_NODES = 10000 capped network.nodes alone: 10000 four-channel nodes
+    # (M = 40000, 12.8 GB per M x M statistic) validated in batch mode
+    raw = {
+        "schema_version": 1,
+        "problem": {"kind": "mmse", "n_filters": 1},
+        "network": {"kind": "path", "nodes": 10_000, "channels": 4},
+        "run": {"iterations": 3, "samples": 400},
+    }
+    with pytest.raises(ConfigError) as info:
+        validate_config(raw)
+    assert info.value.errors == ("network.channels: 40000 channels in all, "
+                                 "above the cap of 10000",)
