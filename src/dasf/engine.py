@@ -30,10 +30,10 @@ at the block's first plan request (``_plan_roots``; a graph of up to a few
 hundred channels is one block): one breadth-first flood grows the trees of
 all its roots (``network.breadth_first_forest``), then subtree channel
 counts, preorder and row offsets are found as arrays for all of them
-(``_TreePlans``). The plans hold arrays only: each request cuts a fresh
-layout of q from them, its send schedules and C's index arrays, while its
-tree, branches and fallback set are built only when read; a run cuts one
-layout for each node it visits. Once per batch comes the network-wide
+(``_TreePlans``); the plans keep only the arrays a layout is cut from.
+Each request cuts a fresh layout of q, a plain record of the kernel's
+inputs: its send schedules, their row totals and C's index arrays; a run
+cuts one layout for each node it visits. Once per batch comes the network-wide
 instance (``centralized_instance``) the local ones are compressed from; it
 is the one statement of the statistics a family reads, and so of the
 streams fused toward q. The kernel (``_step``) then issues only the
@@ -59,13 +59,12 @@ from __future__ import annotations
 import weakref
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from ._lapack import dgesvd
-from .network import NetworkGraph, PrunedTree, breadth_first_forest
+from .network import NetworkGraph, PrunedTree, breadth_first_forest, prune_to_tree
 from .sfo import (
     CompressedInstance,
     SfoProblem,
@@ -81,9 +80,7 @@ from .signals import SampleBatch
 
 __all__ = [
     "select_updating_node",
-    "BranchSegment",
     "LocalLayout",
-    "plan_local_layout",
     "build_transition_matrix",
     "dasf_step",
     "dasf_run",
@@ -274,39 +271,15 @@ def audit_transport(log: TransportLog, n_filters: int) -> TransportAudit:
 
 # --------------------------------------------------------------------------
 # local problem layout
-@dataclass(frozen=True)
-class BranchSegment:
-    """One branch of the pruned tree, as seen from the updating node.
-
-    A compressed branch occupies n_filters local coordinates, fewer when an
-    iteration drops directions of its filter rows; a raw branch (subtree
-    channel count below the filter width) occupies one coordinate per
-    channel, in preorder. rows lists the members' network rows in that
-    order; it is read-only because plans are shared across iterations.
-    """
-
-    root: int
-    members: tuple[int, ...]   # preorder, branch root first
-    raw: bool
-    width: int                 # columns this branch occupies in C, all kept
-    offset: int                # first column of the branch segment, all kept
-    rows: np.ndarray = field(repr=False, compare=False)
-
-    @property
-    def cols(self) -> slice:
-        return slice(self.offset, self.offset + self.width)
-
-
 @dataclass(frozen=True, eq=False)
 class LocalLayout:
     """Coordinate plan for the compressed problem at one updating node.
 
-    A layout is cut from the arrays of the ``_TreePlans`` it belongs to and
-    holds those plans and its tree's index in them: the fields the step
-    kernel reads are set when it is cut, and ``branches``, ``fallback`` and
-    the tree are built from the plans' arrays when first read. The plans keep
-    no layouts, so a layout lives as long as its holder: a run cuts one for
-    each node it visits and shares it across that node's iterations.
+    A layout is a plain record of the step kernel's inputs, cut from the
+    arrays of a ``_TreePlans``. It holds no reference to the plans, and the
+    plans keep no layouts, so a layout lives as long as its holder: a run
+    cuts one for each node it visits and shares it across that node's
+    iterations.
     """
 
     node: int                                 # updating node q
@@ -329,34 +302,6 @@ class LocalLayout:
     # q's and each raw branch's rows; read-only
     c_index: tuple[np.ndarray, np.ndarray, tuple[tuple[int, int], ...], np.ndarray] = field(
         repr=False)
-    _plans: _TreePlans = field(repr=False)
-    _at: int = field(repr=False)             # this tree's index in the plans' arrays
-
-    @cached_property
-    def branches(self) -> tuple[BranchSegment, ...]:
-        """One segment per branch, in ascending branch-root order."""
-        p, i = self._plans, self._at
-        pre, branch, start, sub = p.preorder[i], p.branch[i], p.start[i], p.sub[i]
-        return tuple(
-            BranchSegment(
-                root=n + 1,
-                members=tuple((pre[branch[pre] == n] + 1).tolist()),
-                raw=bool(p.raw[i, n]),
-                width=int(p.width[i, n]),
-                offset=int(p.offset[i, n]),
-                rows=p.rows[i, start[n]:start[n] + sub[n]],
-            )
-            for n in np.flatnonzero(p.depth[i] == 1).tolist())
-
-    @cached_property
-    def fallback(self) -> frozenset[int]:
-        """The nodes forwarding raw rows."""
-        return frozenset((np.flatnonzero(self._plans.raw[self._at]) + 1).tolist())
-
-    @cached_property
-    def _tree(self) -> PrunedTree:
-        """The pruned tree this layout was planned on."""
-        return PrunedTree.from_arrays(self._plans.order[self._at], self._plans.parent[self._at])
 
 
 # send kinds, indexed by whether the sender's subtree (fusion) or branch
@@ -388,9 +333,11 @@ class _TreePlans:
     n_filters columns if it compresses and one per channel if it is raw.
     The same decisions fix every send of an iteration at the root.
 
-    The plans hold arrays only. ``layout(i)`` cuts a fresh layout of tree i
-    from them by slicing, its send tuples included, and keeps no reference
-    to it; nor is the graph kept, so plans cached per graph let the graph go.
+    The plans keep as attributes only the arrays ``layout(i)`` cuts a fresh
+    layout of tree i from, by slicing, its send tuples included; the trees,
+    subtree counts, preorder and offsets they are found from are dropped
+    once they are read. The plans keep no reference to a layout they cut,
+    nor to the graph, so plans cached per graph let the graph go.
     """
 
     def __init__(self, graph: NetworkGraph, roots: np.ndarray, depth: np.ndarray,
@@ -456,21 +403,17 @@ class _TreePlans:
         mixed = ~raw[br] & (br != root_node[:, None])
         flat = rows * dim[:, None] + offset[br] + np.where(mixed, 0, pos - start[br])
 
-        self.depth, self.parent, self.n_filters = depth, parent, n_filters
-        self.sub, self.start, self.raw, self.offset = (
-            a.reshape(n_trees, k) for a in (sub, start, raw, offset))
-        self.branch, self.width, self.rows = branch.reshape(n_trees, k) - tree_node, width, rows
-        self.preorder = self.start.argsort(axis=1)[:, 1:]
+        self.n_filters = n_filters
         self.c_flat = flat[mixed][:, None] + np.arange(n_filters)
         self.c_rows = rows[mixed]
         self.ident = flat[~mixed]
-        for a in (rows, self.c_flat, self.c_rows, self.ident):
+        for a in (self.c_flat, self.c_rows, self.ident):
             a.setflags(write=False)
         n_mixed = mixed.sum(axis=1)
         self.c_at = [0] + n_mixed.cumsum().tolist()
         self.ident_at = [0] + (m - n_mixed).cumsum().tolist()
         mixed_top = (top & ~raw).reshape(n_trees, k)
-        span_rows = np.where(mixed_top, self.sub, 0)
+        span_rows = np.where(mixed_top, sub.reshape(n_trees, k), 0)
         stops = span_rows.cumsum(axis=1)
         self.spans = tuple(zip((stops - span_rows)[mixed_top].tolist(), stops[mixed_top].tolist()))
         self.span_at = [0] + mixed_top.sum(axis=1).cumsum().tolist()
@@ -482,9 +425,8 @@ class _TreePlans:
         # [tree, field, send], k - 1 per schedule: leaf-to-root in reverse
         # breadth-first order, root-to-leaf in preorder; a tree's tuples are
         # made when its layout is cut
-        self.order = depth.argsort(axis=1, kind="stable")
-        up_nodes = self.order[:, :0:-1] + tree_node
-        down_nodes = self.preorder + tree_node
+        up_nodes = depth.argsort(axis=1, kind="stable")[:, :0:-1] + tree_node
+        down_nodes = start.reshape(n_trees, k).argsort(axis=1)[:, 1:] + tree_node
         up_raw, down_raw = raw[up_nodes], raw[branch[down_nodes]]
         up_rows = np.where(up_raw, sub[up_nodes], n_filters)
         down_rows = np.where(down_raw, sub[down_nodes], n_filters)
@@ -511,20 +453,7 @@ class _TreePlans:
             c_index=(self.c_flat[lo:hi], self.c_rows[lo:hi],
                      self.spans[self.span_at[i]:self.span_at[i + 1]],
                      self.ident[self.ident_at[i]:self.ident_at[i + 1]]),
-            _plans=self,
-            _at=i,
         )
-
-
-def plan_local_layout(tree: PrunedTree, graph: NetworkGraph, n_filters: int) -> LocalLayout:
-    """The local layout at the root of any pruned tree (a seeded one too),
-    by the rules every run plans with (see ``_TreePlans``)."""
-    depth = np.zeros((1, graph.node_count), dtype=int)
-    parent = np.full((1, graph.node_count), -1)
-    for k in tree.order[1:]:
-        parent[0, k - 1] = tree.parent[k] - 1
-        depth[0, k - 1] = depth[0, tree.parent[k] - 1] + 1
-    return _TreePlans(graph, np.array([tree.root - 1]), depth, parent, n_filters).layout(0)
 
 
 def build_transition_matrix(graph: NetworkGraph, layout: LocalLayout,
@@ -609,7 +538,7 @@ def dasf_step(problem: SfoProblem, graph: NetworkGraph, x: np.ndarray,
         graph, layout, *_batch_plan(problem, batch), x, iteration, log)
     info = StepInfo(
         node=q,
-        tree=layout._tree,
+        tree=prune_to_tree(graph, q),
         layout=layout,
         transition=c,
         instance=instance,
@@ -781,6 +710,8 @@ def dasf_run(problem: SfoProblem, graph: NetworkGraph, batch, n_iterations: int,
     solved at x_local, which equals the network objective at C x_local up
     to the rounding of its terms.
     """
+    if n_iterations < 0:
+        raise ValueError(f"n_iterations must be non-negative, got {n_iterations}")
     if warn_on_bound:
         check_constraint_bound(problem, graph)
     rng = np.random.default_rng(rng_seed)

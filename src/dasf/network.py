@@ -134,20 +134,29 @@ class NetworkGraph:
     def total_channels(self) -> int:
         return int(self._offsets[-1])
 
+    def _index(self, node: int) -> int:
+        """node's 0-based index; a node outside 1..K is a ValueError."""
+        if not 1 <= node <= self.node_count:
+            raise ValueError(f"node {node} is not in 1..{self.node_count}")
+        return node - 1
+
     def channel_count(self, node: int) -> int:
-        return self.channels[node - 1]
+        return self.channels[self._index(node)]
 
     def block_slice(self, node: int) -> slice:
         """Row slice of node's channels within the stacked M-row layout."""
-        return slice(int(self._offsets[node - 1]), int(self._offsets[node]))
+        j = self._index(node)
+        return slice(int(self._offsets[j]), int(self._offsets[j + 1]))
 
     def neighbors(self, node: int) -> tuple[int, ...]:
         first, neighbor = self._neighbor_arrays
-        return tuple((neighbor[first[node - 1]:first[node]] + 1).tolist())
+        j = self._index(node)
+        return tuple((neighbor[first[j]:first[j + 1]] + 1).tolist())
 
     def degree(self, node: int) -> int:
         first, _ = self._neighbor_arrays
-        return int(first[node] - first[node - 1])
+        j = self._index(node)
+        return int(first[j + 1] - first[j])
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         first, neighbor = self._neighbor_arrays

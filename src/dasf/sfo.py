@@ -32,7 +32,7 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from ._lapack import dgesv
-from .signals import COND_LIMIT, SampleBatch
+from .signals import SampleBatch
 
 __all__ = [
     "SfoProblem",

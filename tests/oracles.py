@@ -13,8 +13,12 @@ block, so that the statistics-domain engine can be held to it. It uses the
 tree pruning and the layout planner as first written, with per-node loops
 over one tree (``frozen_prune_to_tree`` and ``frozen_plan_local_layout``,
 which the library's flood and block-of-roots planner are held to as well),
-and derives its per-node
-channel counts and raw stacks from the tree itself. The drift statistics
+and derives its per-node channel counts and raw stacks from the tree
+itself. The library's layouts are plain records of the step kernel's
+inputs; the tree, branches and fallback set the tests read of one are
+derived here from its send schedules and the graph alone
+(``layout_views``), and the library's planner is run on a tree handed in,
+a seeded one for example, by ``plan_tree_layout``. The drift statistics
 draw is written window by window from the README's statement of its
 generator contract and of its ramp moments (``drift_statistics_draw``), so
 that the library's stacked draw is held to the same random stream; the
@@ -60,8 +64,8 @@ from dasf.engine import (
     TransportAudit,
     TransportLog,
     TransportRecord,
-    BranchSegment,
     ConvergenceRecord,
+    _TreePlans,
     normalized_error,
     select_updating_node,
 )
@@ -75,7 +79,6 @@ from dasf.network import (
     _as_channels,
 )
 from dasf.sfo import (
-    COND_LIMIT,
     DIAG_LOAD,
     CompressedInstance,
     SolveOutcome,
@@ -88,6 +91,7 @@ from dasf.sfo import (
     solve_instance,
 )
 from dasf.signals import (
+    COND_LIMIT,
     SampleBatch,
     estimate_covariance,
     estimate_cross,
@@ -391,6 +395,81 @@ def frozen_resolved_dict(config) -> dict:
 
 
 @dataclass(frozen=True)
+class BranchSegment:
+    """One branch of the pruned tree, as seen from the updating node.
+
+    A compressed branch occupies n_filters local coordinates, fewer when an
+    iteration drops directions of its filter rows; a raw branch (subtree
+    channel count below the filter width) occupies one coordinate per
+    channel, in preorder. rows lists the members' network rows in that
+    order, read-only.
+    """
+
+    root: int
+    members: tuple[int, ...]   # preorder, branch root first
+    raw: bool
+    width: int                 # columns this branch occupies in C, all kept
+    offset: int                # first column of the branch segment, all kept
+    rows: np.ndarray = field(repr=False, compare=False)
+
+    @property
+    def cols(self) -> slice:
+        return slice(self.offset, self.offset + self.width)
+
+
+def plan_tree_layout(tree, graph, n_filters: int):
+    """The library's layout at the root of any pruned tree (a seeded one
+    too): its planner (``dasf.engine._TreePlans``) run on that one tree."""
+    depth = np.zeros((1, graph.node_count), dtype=int)
+    parent = np.full((1, graph.node_count), -1)
+    for k in tree.order[1:]:
+        parent[0, k - 1] = tree.parent[k] - 1
+        depth[0, k - 1] = depth[0, tree.parent[k] - 1] + 1
+    return _TreePlans(graph, np.array([tree.root - 1]), depth, parent, n_filters).layout(0)
+
+
+def layout_views(layout, graph) -> tuple[PrunedTree, tuple[BranchSegment, ...], frozenset[int]]:
+    """(tree, branches, fallback) of a library layout, read back from its send
+    schedules and the graph alone. The fusion sends run leaf-to-root in
+    reverse breadth-first order, each a parent edge, and their raw senders
+    are the fallback set; the mixing sends run root-to-leaf per branch in
+    preorder, and a send from q opens a branch, raw when it ships a new
+    block, whose later sends add its other members."""
+    q = layout.node
+    fallback = frozenset(s for s, _, kind, _ in layout.fusion_sends if kind == "raw")
+    parent = np.full(graph.node_count, -1)
+    order = [q - 1]
+    for sender, receiver, _, _ in reversed(layout.fusion_sends):
+        parent[sender - 1] = receiver - 1
+        order.append(sender - 1)
+    opened = []   # (root, members, raw, width) per branch
+    for sender, receiver, kind, rows in layout.mix_sends:
+        if sender == q:
+            raw = kind == "new_block"
+            opened.append((receiver, [receiver], raw, rows if raw else layout.n_filters))
+        else:
+            opened[-1][1].append(receiver)
+    branches = []
+    offset = layout.own_channels
+    network_rows = np.arange(graph.total_channels)
+    for root, members, raw, width in opened:
+        rows = np.concatenate([network_rows[graph.block_slice(k)] for k in members])
+        rows.setflags(write=False)
+        branches.append(BranchSegment(root=root, members=tuple(members), raw=raw, width=width,
+                                      offset=offset, rows=rows))
+        offset += width
+    return PrunedTree.from_arrays(np.array(order), parent), tuple(branches), fallback
+
+
+def _branches_and_fallback(layout, graph):
+    """A frozen layout's own branches and fallback set, or the views of a
+    library layout."""
+    if isinstance(layout, FrozenLayout):
+        return layout.branches, layout.fallback
+    return layout_views(layout, graph)[1:]
+
+
+@dataclass(frozen=True)
 class FrozenLayout:
     """``dasf.engine.LocalLayout`` as first written: every field built by
     ``frozen_plan_local_layout``, C's index arrays and template made on
@@ -507,11 +586,12 @@ def fuse_and_forward(graph, tree, layout, x, data, stream, iteration=0, log=None
     which equals summing the senders' own compressed contributions.
     """
     q = tree.root
+    branches, fallback = _branches_and_fallback(layout, graph)
     messages: dict[int, np.ndarray] = {}
     for k in reversed(tree.order):
         if k == q:
             continue
-        if k in layout.fallback:
+        if k in fallback:
             stacks = [data[graph.block_slice(k)]]
             stacks += [messages[c] for c in tree.children(k)]
             payload = stacks[0] if len(stacks) == 1 else np.vstack(stacks)
@@ -519,7 +599,7 @@ def fuse_and_forward(graph, tree, layout, x, data, stream, iteration=0, log=None
         else:
             payload = compress(x[graph.block_slice(k)], data[graph.block_slice(k)])
             for c in tree.children(k):
-                if c in layout.fallback:
+                if c in fallback:
                     # every node under a raw node is raw, in preorder
                     x_rows = np.vstack([x[graph.block_slice(j)] for j in tree.branch(c)])
                     payload = payload + compress(x_rows, messages[c])
@@ -532,7 +612,7 @@ def fuse_and_forward(graph, tree, layout, x, data, stream, iteration=0, log=None
                                     payload.shape[0], payload.shape[1]))
 
     segments = [data[graph.block_slice(q)]]
-    segments += [messages[seg.root] for seg in layout.branches]
+    segments += [messages[seg.root] for seg in branches]
     return np.vstack(segments)
 
 
@@ -626,14 +706,14 @@ def sample_domain_step(problem, graph, x, batch, iteration, log):
     return x_next
 
 
-def branch_maps(layout, x, c):
+def branch_maps(graph, layout, x, c):
     """(segment, local columns, T) per branch of a step's transition matrix
     c: T is the identity for a raw branch, and for a compressed branch the
     T with X_b T equal to c's block, by least squares, over as many columns
     as ``whitening`` keeps directions of the branch's filter rows."""
     out = []
     offset = layout.own_channels
-    for seg in layout.branches:
+    for seg in _branches_and_fallback(layout, graph)[0]:
         width = seg.width if seg.raw else whitening(x[seg.rows])[0].shape[1]
         cols = slice(offset, offset + width)
         t = (np.eye(width) if seg.raw
@@ -785,8 +865,9 @@ def frozen_transition_matrix(graph, layout, x):
     largest zeroed and then removed (see
     ``dasf.engine.build_transition_matrix`` for the map itself)."""
     d = layout.local_dim
-    raw = [seg for seg in layout.branches if seg.raw]
-    mixed = [seg for seg in layout.branches if not seg.raw]
+    branches = _branches_and_fallback(layout, graph)[0]
+    raw = [seg for seg in branches if seg.raw]
+    mixed = [seg for seg in branches if not seg.raw]
     own = np.arange(layout.own_rows.start, layout.own_rows.stop)
     ident_rows = np.concatenate([own] + [seg.rows for seg in raw])
     ident_cols = np.concatenate([np.arange(layout.own_channels)]

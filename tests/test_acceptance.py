@@ -16,7 +16,6 @@ from dasf.engine import (
     build_transition_matrix,
     dasf_run,
     dasf_step,
-    plan_local_layout,
 )
 from dasf.experiments import run_study, validate_config
 from dasf.network import (
@@ -195,9 +194,9 @@ def test_criterion_5_transition_matrix_identities(criterion_report):
         x = rng.standard_normal((m, q_width))
         root = int(rng.integers(1, nodes + 1))
         tree = prune_to_tree(graph, root)
-        layout = plan_local_layout(tree, graph, q_width)
+        layout = oracles.plan_tree_layout(tree, graph, q_width)
         c, anchor = build_transition_matrix(graph, layout, x)
-        maps = oracles.branch_maps(layout, x, c)
+        maps = oracles.branch_maps(graph, layout, x, c)
         y = rng.standard_normal((m, 30))
         b = rng.standard_normal((m, 3))
 
@@ -213,7 +212,7 @@ def test_criterion_5_transition_matrix_identities(criterion_report):
         anchor_gap = float(np.abs(c @ anchor - x).max())
         worst_ortho = max(worst_ortho, float(np.abs(c.T @ c - np.eye(c.shape[1])).max()))
         worst_rel = max(worst_rel, rel_y, rel_b, anchor_gap)
-        if graph.is_complete() and not layout.fallback:
+        if graph.is_complete() and not oracles.layout_views(layout, graph)[2]:
             expected = np.zeros_like(c)
             expected[graph.block_slice(root), :layout.own_channels] = np.eye(
                 layout.own_channels)
@@ -410,9 +409,11 @@ def test_criterion_11_data_access_discipline(criterion_report, family_runs):
     misattributed = 0
     for i in range(24):
         x, info = dasf_step(prob, graph, x, batch, i, mode="ti", log=log)
+        fallback = oracles.frozen_plan_local_layout(prune_to_tree(graph, info.node), graph,
+                                                    2).fallback
         for rec in log.sent(iteration=i, kind="raw"):
             raw_total += 1
-            if rec.sender not in info.layout.fallback:
+            if rec.sender not in fallback:
                 misattributed += 1
     audit = audit_transport(log, 2)
     issues.extend(audit.issues)

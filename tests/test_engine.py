@@ -21,7 +21,6 @@ from dasf.engine import (
     dasf_run,
     dasf_step,
     normalized_error,
-    plan_local_layout,
     select_updating_node,
     write_records_csv,
 )
@@ -179,8 +178,8 @@ def test_plan_made_once_per_updating_node(monkeypatch):
     x = rng.standard_normal((other.total_channels, 2))
     for root in other.nodes:
         by_block, whole = engine._plan(other, root, 2), engine._plan(graph, root, 2)
-        assert by_block._tree.parent == whole._tree.parent
-        for name in ("branches", "fusion_sends", "mix_sends", "fallback", "local_dim"):
+        assert oracles.layout_views(by_block, other) == oracles.layout_views(whole, graph)
+        for name in ("fusion_sends", "mix_sends", "local_dim"):
             assert getattr(by_block, name) == getattr(whole, name), name
         ref = oracles.frozen_plan_local_layout(oracles.frozen_prune_to_tree(other, root), other, 2)
         for layout in (by_block, whole):
@@ -201,8 +200,9 @@ def test_plan_on_a_long_path_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
-    assert [seg.root for seg in layout.branches] == [1499, 1501]
-    assert layout._tree.parent[1] == 2 and layout._tree.parent[3000] == 2999
+    tree, branches, _ = oracles.layout_views(layout, graph)
+    assert [seg.root for seg in branches] == [1499, 1501]
+    assert tree.parent[1] == 2 and tree.parent[3000] == 2999
     assert layout.fusion_sends[0] == (3000, 2999, "compressed", 1)
 
 
@@ -239,7 +239,7 @@ def test_graph_plans_equal_the_frozen_per_root_planner(kind, nodes, seed):
     for root in graph.nodes:
         layout = engine._plan(graph, root, n_filters)
         tree = oracles.frozen_prune_to_tree(graph, root)
-        ours = layout._tree
+        ours, branches, fallback = oracles.layout_views(layout, graph)
         assert (ours.root, ours.parent, ours.order) == (tree.root, tree.parent, tree.order)
         assert all(ours.children(k) == tree.children(k) for k in graph.nodes)
         assert ours == tree == prune_to_tree(graph, root)
@@ -247,12 +247,12 @@ def test_graph_plans_equal_the_frozen_per_root_planner(kind, nodes, seed):
             at = root - 1 - block[0]
             assert PrunedTree.from_arrays(depth[at].argsort(kind="stable"), parent[at]) == tree
         ref = oracles.frozen_plan_local_layout(tree, graph, n_filters)
-        for name in ("node", "n_filters", "own_channels", "own_rows", "branches", "local_dim",
-                     "fallback", "fusion_sends", "mix_sends", "fusion_rows", "mix_rows"):
+        for name in ("node", "n_filters", "own_channels", "own_rows", "local_dim",
+                     "fusion_sends", "mix_sends", "fusion_rows", "mix_rows"):
             assert getattr(layout, name) == getattr(ref, name), name
-        for seg, ref_seg in zip(layout.branches, ref.branches):
+        assert (branches, fallback) == (ref.branches, ref.fallback)
+        for seg, ref_seg in zip(branches, ref.branches):
             assert np.array_equal(seg.rows, ref_seg.rows) and seg.rows.dtype == ref_seg.rows.dtype
-            assert not seg.rows.flags.writeable
         for ours_a, ref_a in zip(layout.c_index[:2], ref.c_index[:2]):
             assert ours_a.shape == ref_a.shape and ours_a.dtype == ref_a.dtype
             assert np.array_equal(ours_a, ref_a) and not ours_a.flags.writeable
@@ -263,10 +263,11 @@ def test_graph_plans_equal_the_frozen_per_root_planner(kind, nodes, seed):
         # a tree handed in, seeded ties too, is planned by the same rules
         seeded = prune_to_tree(graph, root, rng_seed=seed)
         assert seeded == oracles.frozen_prune_to_tree(graph, root, rng_seed=seed)
-        by_tree = plan_local_layout(seeded, graph, n_filters)
+        by_tree = oracles.plan_tree_layout(seeded, graph, n_filters)
         ref = oracles.frozen_plan_local_layout(seeded, graph, n_filters)
-        assert (by_tree.branches, by_tree.fusion_sends, by_tree.mix_sends, by_tree.fallback) == (
-            ref.branches, ref.fusion_sends, ref.mix_sends, ref.fallback)
+        seeded_tree, branches, fallback = oracles.layout_views(by_tree, graph)
+        assert (seeded_tree, branches, by_tree.fusion_sends, by_tree.mix_sends, fallback) == (
+            seeded, ref.branches, ref.fusion_sends, ref.mix_sends, ref.fallback)
         assert by_tree.c_index[2] == ref.c_index[2]
         _assert_c_is_the_frozen_template_plus_branches(
             build_transition_matrix(graph, by_tree, x)[0], ref)
@@ -279,12 +280,13 @@ def test_graph_plans_equal_the_frozen_per_root_planner(kind, nodes, seed):
 def test_layout_all_compressed():
     graph = make_path(3, 2)
     tree = prune_to_tree(graph, 3)
-    layout = plan_local_layout(tree, graph, 1)
+    layout = oracles.plan_tree_layout(tree, graph, 1)
+    _, branches, fallback = oracles.layout_views(layout, graph)
     assert layout.node == 3
     assert layout.own_channels == 2
-    assert not layout.fallback
+    assert not fallback
     assert layout.local_dim == 3          # 2 own + 1 compressed branch
-    (seg,) = layout.branches
+    (seg,) = branches
     assert seg.root == 2 and seg.members == (2, 1) and not seg.raw
     assert seg.offset == 2 and seg.width == 1
 
@@ -295,12 +297,13 @@ def test_layout_single_fallback_inside_branch():
         channels=(1, 1, 3),
     )
     tree = prune_to_tree(graph, 3)
-    layout = plan_local_layout(tree, graph, 2)
-    assert layout.fallback == frozenset({1})
-    (seg,) = layout.branches
+    layout = oracles.plan_tree_layout(tree, graph, 2)
+    _, branches, fallback = oracles.layout_views(layout, graph)
+    assert fallback == frozenset({1})
+    (seg,) = branches
     assert not seg.raw and seg.width == 2  # branch root still compresses
     assert oracles.subtree_channels(graph, tree, 2) == 2
-    assert {k: tree.branch(k) for k in layout.fallback} == {1: (1,)}
+    assert {k: tree.branch(k) for k in fallback} == {1: (1,)}
 
 
 def test_layout_whole_branch_raw():
@@ -309,9 +312,10 @@ def test_layout_whole_branch_raw():
         channels=(4, 1, 1),
     )
     tree = prune_to_tree(graph, 1)
-    layout = plan_local_layout(tree, graph, 3)
-    assert layout.fallback == frozenset({2, 3})
-    (seg,) = layout.branches
+    layout = oracles.plan_tree_layout(tree, graph, 3)
+    _, branches, fallback = oracles.layout_views(layout, graph)
+    assert fallback == frozenset({2, 3})
+    (seg,) = branches
     assert seg.raw and seg.root == 2
     assert seg.members == (2, 3)
     assert seg.width == 2 and seg.offset == 4
@@ -323,7 +327,7 @@ def test_layout_rejects_filter_wider_than_network():
     graph = make_path(3, 1)
     tree = prune_to_tree(graph, 1)
     with pytest.raises(ValueError):
-        plan_local_layout(tree, graph, 4)
+        oracles.plan_tree_layout(tree, graph, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +339,7 @@ def test_transition_matrix_structure_fully_connected():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((6, 1))
     tree = prune_to_tree(graph, 2)
-    layout = plan_local_layout(tree, graph, 1)
+    layout = oracles.plan_tree_layout(tree, graph, 1)
     c, anchor = build_transition_matrix(graph, layout, x)
     expected = np.zeros((6, 4))
     expected[2:4, 0:2] = np.eye(2)     # updating node rows
@@ -356,7 +360,7 @@ def test_anchor_maps_back_to_current_filter():
     x = rng.standard_normal((12, 2))
     for q in graph.nodes:
         tree = prune_to_tree(graph, q)
-        layout = plan_local_layout(tree, graph, 2)
+        layout = oracles.plan_tree_layout(tree, graph, 2)
         c, anchor = build_transition_matrix(graph, layout, x)
         assert anchor.shape == (layout.local_dim, 2)
         assert np.allclose(c @ anchor, x, atol=1e-13)
@@ -367,9 +371,10 @@ def test_transition_matrix_one_block_per_row():
     graph = make_random_tree(5, 3, rng_seed=9)
     x = rng.standard_normal((15, 2))
     tree = prune_to_tree(graph, 4)
-    layout = plan_local_layout(tree, graph, 2)
+    layout = oracles.plan_tree_layout(tree, graph, 2)
     c, _ = build_transition_matrix(graph, layout, x)
-    bounds = [0] + [seg.offset for seg in layout.branches] + [layout.local_dim]
+    branches = oracles.layout_views(layout, graph)[1]
+    bounds = [0] + [seg.offset for seg in branches] + [layout.local_dim]
     for k in graph.nodes:
         rows = c[graph.block_slice(k)]
         hits = sum(
@@ -393,7 +398,7 @@ def test_compressed_terms_equal_transition_products():
     batch = _random_batch(graph, 40, rng)
     x = prob.random_feasible(12, rng)
     tree = prune_to_tree(graph, 3)
-    layout = plan_local_layout(tree, graph, 2)
+    layout = oracles.plan_tree_layout(tree, graph, 2)
     inst, c = _local_instance(prob, graph, layout, x, batch)
     assert np.allclose(inst.cov_y, c.T @ batch.cov_y @ c, atol=1e-12)
     assert np.allclose(inst.term("linear"), c.T @ prob.linear_term, atol=1e-12)
@@ -401,7 +406,7 @@ def test_compressed_terms_equal_transition_products():
     # the local metric C^T C is the identity: each compressed branch block
     # is X_b T_b with T_b whitening the branch's Gram
     assert np.allclose(c.T @ c, np.eye(layout.local_dim), atol=1e-12)
-    for seg, cols, t in oracles.branch_maps(layout, x, c):
+    for seg, cols, t in oracles.branch_maps(graph, layout, x, c):
         assert np.allclose(x[seg.rows] @ t, c[seg.rows, cols], atol=1e-12)
         gram = x[seg.rows].T @ x[seg.rows]
         assert np.allclose(t.T @ gram @ t, np.eye(t.shape[1]), atol=1e-12)
@@ -414,7 +419,7 @@ def test_local_objective_matches_global_through_map():
     batch = _random_batch(graph, 60, rng)
     x = prob.random_feasible(10, rng)
     tree = prune_to_tree(graph, 2)
-    layout = plan_local_layout(tree, graph, 2)
+    layout = oracles.plan_tree_layout(tree, graph, 2)
     inst, c = _local_instance(prob, graph, layout, x, batch)
     for _ in range(5):
         cand = rng.standard_normal((layout.local_dim, 2))
@@ -431,7 +436,7 @@ def test_path_fusion_hand_unrolled():
     x = rng.standard_normal((6, 1))
     batch = _random_batch(graph, 25, rng)
     tree = prune_to_tree(graph, 3)
-    layout = plan_local_layout(tree, graph, 1)
+    layout = oracles.plan_tree_layout(tree, graph, 1)
     fused = oracles.fuse_and_forward(graph, tree, layout, x, batch.y, "y")
     # node 1 filters its rows, node 2 adds its own filtered rows and relays
     relay = x[0:2].T @ batch.y[0:2] + x[2:4].T @ batch.y[2:4]
@@ -448,7 +453,7 @@ def test_raw_rows_arrive_unchanged():
     x = rng.standard_normal((6, 3))
     batch = _random_batch(graph, 10, rng)
     tree = prune_to_tree(graph, 1)
-    layout = plan_local_layout(tree, graph, 3)
+    layout = oracles.plan_tree_layout(tree, graph, 3)
     fused = oracles.fuse_and_forward(graph, tree, layout, x, batch.y, "y")
     assert np.array_equal(fused[0:4], batch.y[0:4])
     assert np.array_equal(fused[4], batch.y[4])   # node 2's raw row
@@ -472,9 +477,9 @@ def test_step_update_applies_branch_mixing_blocks():
     x_next, info = dasf_step(prob, graph, x, batch, iteration=0)
     layout, x_local = info.layout, info.x_local
     assert layout.node == 1
-    assert {seg.raw for seg in layout.branches} == {True, False}
+    assert {seg.raw for seg in oracles.layout_views(layout, graph)[1]} == {True, False}
     assert np.array_equal(x_next[layout.own_rows], x_local[:layout.own_channels])
-    for seg, cols, t in oracles.branch_maps(layout, x, info.transition):
+    for seg, cols, t in oracles.branch_maps(graph, layout, x, info.transition):
         block = x_local[cols]
         if seg.raw:
             assert np.allclose(x_next[seg.rows], block, atol=1e-13)
@@ -629,7 +634,7 @@ def test_run_is_bitwise_the_frozen_step_loop_with_a_dropped_direction(kind):
     x0 /= np.sqrt(np.sum(x0 * x0))      # on the unit sphere, for scqp
     run = dasf_run(prob, graph, batch, 9, x0=x0)
     _assert_runs_bitwise_equal(run, oracles.frozen_dasf_run(prob, graph, batch, 9, x0=x0))
-    full = plan_local_layout(prune_to_tree(graph, 2), graph, 2).local_dim
+    full = oracles.plan_tree_layout(prune_to_tree(graph, 2), graph, 2).local_dim
     assert run.records[1].node == 2 and run.records[1].local_dim < full
 
 
@@ -653,7 +658,8 @@ def test_transition_matrix_is_bitwise_the_frozen_one(monkeypatch):
             both[:, 1 % q] = both[:, 0]
             for node in graph.nodes:
                 tree = prune_to_tree(graph, node)
-                layout = plan_local_layout(tree, graph, q)
+                layout = oracles.plan_tree_layout(tree, graph, q)
+                branches = oracles.layout_views(layout, graph)[1]
                 for point in (x, deficient, ill, both):
                     c, anchor = build_transition_matrix(graph, layout, point)
                     if point is x:
@@ -661,7 +667,7 @@ def test_transition_matrix_is_bitwise_the_frozen_one(monkeypatch):
                             c, oracles.frozen_plan_local_layout(tree, graph, q))
                     c_ref, anchor_ref = oracles.frozen_transition_matrix(graph, layout, point)
                     assert np.array_equal(c, c_ref) and np.array_equal(anchor, anchor_ref)
-                    compressed += sum(not seg.raw for seg in layout.branches)
+                    compressed += sum(not seg.raw for seg in branches)
                     dropped += c.shape[1] < layout.local_dim
     assert dropped and len(svds) == compressed and not layout.c_index[3].flags.writeable
 
@@ -1170,7 +1176,7 @@ def test_ill_conditioned_branch_is_whitened_to_rounding():
     # about 1e-8 off the identity, the branch's SVD rounding
     rng = np.random.default_rng(62)
     graph = make_path(3, 2)
-    layout = plan_local_layout(prune_to_tree(graph, 1), graph, 2)
+    layout = oracles.plan_tree_layout(prune_to_tree(graph, 1), graph, 2)
     x = rng.standard_normal((6, 2))
     u, _ = np.linalg.qr(rng.standard_normal((4, 2)))
     v, _ = np.linalg.qr(rng.standard_normal((2, 2)))
@@ -1190,7 +1196,7 @@ def test_nearly_rank_one_branch_keeps_both_directions():
     # about 1e-8; on the singular values it is kept, and C stays orthonormal
     rng = np.random.default_rng(63)
     graph = make_path(3, 2)
-    layout = plan_local_layout(prune_to_tree(graph, 1), graph, 2)
+    layout = oracles.plan_tree_layout(prune_to_tree(graph, 1), graph, 2)
     x = rng.standard_normal((6, 2))
     u, _ = np.linalg.qr(rng.standard_normal((4, 2)))
     v, _ = np.linalg.qr(rng.standard_normal((2, 2)))
@@ -1204,7 +1210,7 @@ def test_nearly_rank_one_branch_keeps_both_directions():
 def test_branch_svd_failure_raises(monkeypatch):
     monkeypatch.setattr(engine, "dgesvd", lambda a, full_matrices: (a, a[0], a, 1))
     graph = make_fully_connected(3, 2)
-    layout = plan_local_layout(prune_to_tree(graph, 1), graph, 1)
+    layout = oracles.plan_tree_layout(prune_to_tree(graph, 1), graph, 1)
     with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
         build_transition_matrix(graph, layout, np.ones((6, 1)))
 
@@ -1229,7 +1235,7 @@ def test_transition_identities_property(nodes, seed):
     x = rng.standard_normal((graph.total_channels, n_filters))
     root = int(rng.integers(1, nodes + 1))
     tree = prune_to_tree(graph, root)
-    layout = plan_local_layout(tree, graph, n_filters)
+    layout = oracles.plan_tree_layout(tree, graph, n_filters)
     c, anchor = build_transition_matrix(graph, layout, x)
     assert np.allclose(c @ anchor, x, atol=1e-12)
     y = rng.standard_normal((graph.total_channels, 15))
@@ -1237,8 +1243,8 @@ def test_transition_identities_property(nodes, seed):
     fused = oracles.fuse_and_forward(graph, tree, layout, x, y, "y", log=log)
     # q whitens each branch's fused rows: local signals are C^T y
     own = layout.own_channels
-    whitened = np.vstack([fused[:own]] + [t.T @ fused[seg.cols]
-                                          for seg, _, t in oracles.branch_maps(layout, x, c)])
+    maps = oracles.branch_maps(graph, layout, x, c)
+    whitened = np.vstack([fused[:own]] + [t.T @ fused[seg.cols] for seg, _, t in maps])
     assert np.allclose(whitened, c.T @ y, atol=1e-10)
     # the plan's schedule is the sends the sample-domain fusion makes
     assert layout.fusion_sends == tuple(
@@ -1246,9 +1252,10 @@ def test_transition_identities_property(nodes, seed):
     assert len(layout.mix_sends) == nodes - 1
     # q's rows and the branches' rows cover every network row exactly once
     rows = np.concatenate([np.arange(graph.total_channels)[layout.own_rows],
-                           *(seg.rows for seg in layout.branches)])
+                           *(seg.rows for seg in oracles.layout_views(layout, graph)[1])])
     assert np.array_equal(np.sort(rows), np.arange(graph.total_channels))
-    assert not any(seg.rows.flags.writeable for seg in layout.branches)
+    assert not any(a.flags.writeable for a in (layout.c_index[0], layout.c_index[1],
+                                               layout.c_index[3]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -1270,9 +1277,10 @@ def test_whitened_map_property(nodes, seed):
     n_filters = int(rng.integers(1, min(3, graph.total_channels) + 1))
     x = rng.standard_normal((graph.total_channels, n_filters))
     root = int(rng.integers(1, nodes + 1))
-    layout = plan_local_layout(prune_to_tree(graph, root), graph, n_filters)
+    layout = oracles.plan_tree_layout(prune_to_tree(graph, root), graph, n_filters)
+    branches = oracles.layout_views(layout, graph)[1]
     kept = {}
-    for seg in layout.branches:
+    for seg in branches:
         if seg.raw:
             continue
         rank = int(rng.integers(0, n_filters)) if rng.random() < 0.6 else n_filters
@@ -1284,7 +1292,7 @@ def test_whitened_map_property(nodes, seed):
         v = np.linalg.qr(rng.standard_normal((n_filters, n_filters)))[0][:, :rank]
         x[seg.rows] = 10.0 ** rng.uniform(-2.0, 2.0) * (u * ratios) @ v.T
     c, anchor = build_transition_matrix(graph, layout, x)
-    maps = oracles.branch_maps(layout, x, c)
+    maps = oracles.branch_maps(graph, layout, x, c)
     assert c.shape[1] == anchor.shape[0] == layout.own_channels + sum(
         cols.stop - cols.start for _, cols, _ in maps)
     assert np.abs(c.T @ c - np.eye(c.shape[1])).max() <= 1e-13
@@ -1292,7 +1300,7 @@ def test_whitened_map_property(nodes, seed):
     # and C @ anchor is x without the others
     x_kept = x.copy()
     cond = {}
-    for seg in layout.branches:
+    for seg in branches:
         if seg.raw:
             continue
         u, s, vt = np.linalg.svd(x[seg.rows], full_matrices=False)

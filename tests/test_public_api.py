@@ -1,10 +1,12 @@
 """Guard on the exported surface: every listed name exists, the package
-exports exactly the names it exported before, and neither importing it nor
+exports exactly the names it exported before, no module imports a name it
+neither uses nor re-exports, and neither importing it nor
 any family's solve, batch or tracking study loads scipy.optimize, the
 scipy.linalg package or the numpy.f2py that package's array-API set-up
 imports. The four LAPACK routines dasf binds from SciPy's compiled extension
 are the ones scipy.linalg.lapack exports, bit for bit."""
 
+import ast
 import importlib
 import json
 import os
@@ -77,6 +79,41 @@ def test_every_exported_name_resolves(name):
 def test_package_exports_are_frozen():
     assert len(PACKAGE_ALL) == 42
     assert dasf.__all__ == PACKAGE_ALL
+
+
+def _unused_imports(source: str) -> list[str]:
+    """The names a module's top-level imports bind that it never reads and
+    does not list in ``__all__``."""
+    tree = ast.parse(source)
+    bound = {}
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+            continue
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            for alias in stmt.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                bound[name] = stmt.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets):
+            exported |= set(ast.literal_eval(stmt.value))
+    return [f"line {line}: {name}" for name, line in bound.items()
+            if name not in read and name not in exported]
+
+
+@pytest.mark.parametrize("path", sorted(Path(dasf.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_keeps_an_unused_import(path):
+    assert _unused_imports(path.read_text()) == []
+
+
+def test_unused_import_check_sees_a_dropped_name():
+    source = ("from functools import cached_property\nimport numpy as np\n"
+              "from .engine import BranchSegment, dasf_run\n"
+              "__all__ = ['dasf_run']\nx = np.zeros(1)\n")
+    assert _unused_imports(source) == ["line 1: cached_property", "line 3: BranchSegment"]
 
 
 # modules no import, solve or study may load: the secular equations are

@@ -14,7 +14,9 @@ a QCQP ball only touched the plane, the local solve returned the plane's
 minimum-norm point above a feasible, lower anchor. A batch could be built
 with neither samples nor statistics, and batches compared by their sample
 fields alone. A network of 10000 four-channel nodes passed the cap meant to
-bound its M x M statistics."""
+bound its M x M statistics. A graph's per-node accessors answered for another
+node when handed a node id of 0 or below, and a run asked for a negative
+number of iterations failed inside numpy."""
 
 import dataclasses
 import logging
@@ -402,3 +404,31 @@ def test_channel_cap_bounds_the_channels_not_the_nodes():
         validate_config(raw)
     assert info.value.errors == ("network.channels: 40000 channels in all, "
                                  "above the cap of 10000",)
+
+
+@pytest.mark.parametrize("node", [0, -1, -3, 4, 10])
+def test_graph_accessors_refuse_a_node_outside_the_graph(node):
+    # on a path of 3 nodes, channel_count(0) returned 3, degree(0) -4,
+    # block_slice(0) slice(6, 0) and neighbors(-1) (2,): a negative index
+    # read another node's entry; past K they raised a bare IndexError
+    graph = make_path(3, (1, 2, 3))
+    for accessor in (graph.channel_count, graph.block_slice, graph.neighbors, graph.degree):
+        with pytest.raises(ValueError, match=rf"^node {node} is not in 1\.\.3$"):
+            accessor(node)
+    assert [graph.channel_count(k) for k in graph.nodes] == [1, 2, 3]
+    assert [graph.block_slice(k) for k in graph.nodes] == [slice(0, 1), slice(1, 3), slice(3, 6)]
+    assert [graph.neighbors(k) for k in graph.nodes] == [(2,), (1, 3), (2,)]
+    assert [graph.degree(k) for k in graph.nodes] == [1, 2, 1]
+
+
+@pytest.mark.parametrize("n_iterations", [-1, -2])
+def test_run_refuses_a_negative_iteration_count(n_iterations):
+    # -1 raised "IndexError: index 0 is out of bounds" and -2 numpy's
+    # "negative dimensions" ValueError, after the initial point was drawn
+    rng = np.random.default_rng(0)
+    graph = make_path(3, 2)
+    batch = SampleBatch(y=rng.standard_normal((6, 50)), channels=graph.channels,
+                        s=rng.standard_normal((1, 50)))
+    with pytest.raises(ValueError, match=rf"^n_iterations must be non-negative, "
+                                         rf"got {n_iterations}$"):
+        dasf_run(MmseProblem(n_filters=1), graph, batch, n_iterations, rng_seed=0)

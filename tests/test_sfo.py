@@ -10,7 +10,6 @@ import oracles
 from dasf.network import make_fully_connected, make_path
 from dasf import sfo
 from dasf.sfo import (
-    COND_LIMIT,
     DIAG_LOAD,
     CompressedInstance,
     FEASIBILITY_RTOL,
@@ -32,7 +31,7 @@ from dasf.sfo import (
     solve_scqp,
     solve_tro,
 )
-from dasf.signals import SampleBatch, estimate_covariance
+from dasf.signals import COND_LIMIT, SampleBatch, estimate_covariance
 
 
 def _batch(m, n, rng, with_v=False, s_rows=0):
