@@ -64,7 +64,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ._lapack import dgesvd
-from .network import NetworkGraph, PrunedTree, breadth_first_forest, prune_to_tree
+from .network import NetworkGraph, PrunedTree, breadth_first_forest
 from .sfo import (
     CompressedInstance,
     SfoProblem,
@@ -538,7 +538,7 @@ def dasf_step(problem: SfoProblem, graph: NetworkGraph, x: np.ndarray,
         graph, layout, *_batch_plan(problem, batch), x, iteration, log)
     info = StepInfo(
         node=q,
-        tree=prune_to_tree(graph, q),
+        tree=_fusion_tree(graph, layout),
         layout=layout,
         transition=c,
         instance=instance,
@@ -547,6 +547,17 @@ def dasf_step(problem: SfoProblem, graph: NetworkGraph, x: np.ndarray,
         tx_scalars=tx,
     )
     return x_next, info
+
+
+def _fusion_tree(graph: NetworkGraph, layout: LocalLayout) -> PrunedTree:
+    """The pruned tree a layout's fusion sends walk: read in reverse, their
+    senders come in breadth-first order, each below its receiver."""
+    order = [layout.node - 1]
+    parent = np.full(graph.node_count, -1)
+    for sender, receiver, _, _ in reversed(layout.fusion_sends):
+        order.append(sender - 1)
+        parent[sender - 1] = receiver - 1
+    return PrunedTree.from_arrays(np.array(order), parent)
 
 
 def _check_mode(graph: NetworkGraph, mode: str) -> None:

@@ -190,6 +190,8 @@ class QcqpProblem(SfoProblem):
             raise ValueError("linear_term rows and gain_vector must match")
         if self.radius <= 0:
             raise ValueError("radius must be positive")
+        if not math.isfinite(float(self.radius) * float(self.radius)):
+            raise ValueError(f"radius must have a finite square, got {self.radius!r}")
         object.__setattr__(self, "linear_term", a)
         object.__setattr__(self, "gain_vector", c)
         object.__setattr__(self, "target_response", d)

@@ -23,14 +23,16 @@ distribution does not. ``sample_adaptive`` still returns samples.
 The draw's generator contract, which fixes every per-seed value: per call,
 for windows in the order given, it takes the N normals of s of each ramp
 window; then, window by window and row by row, the r normals of G (r = 1
-for a window of constant lambda, 2 for a ramp) followed by that row's
-normals below the diagonal of Bartlett's factor; then one chi-square on N
-degrees of freedom per constant window, followed by each window's diagonal
-chi-squares of Bartlett's factor. Each call finishes its stack with
-whole-stack array work: a ramp window's moments of lambda come from one
-product of s^2 with [1, u, u^2] per linear piece of the schedule, never
-from lambda at every sample, and one stacked factorization screens every
-batch's conditioning (``ill_conditioned``), which each batch keeps.
+for a constant window, 2 for a ramp) followed by that row's normals below
+the diagonal of Bartlett's factor; then one chi-square on N degrees of
+freedom per constant window, followed by each window's diagonal
+chi-squares of Bartlett's factor. A window is constant iff lambda takes one
+value at every sample. Each call reads lambda only through the linear
+pieces of the schedule over its windows, never at every sample: they
+decide which windows are constant, and a ramp window's moments of lambda
+come from one product of s^2 with [1, u, u^2] per piece. One stacked
+factorization screens every batch's conditioning (``ill_conditioned``),
+which each batch keeps.
 """
 
 from __future__ import annotations
@@ -91,38 +93,6 @@ class LambdaSchedule:
 
     def __call__(self, t):
         return np.interp(t, self.times, self.values)
-
-    @cached_property
-    def _run_ends(self) -> np.ndarray:
-        """Per knot i, the last knot j >= i such that knots i..j share one
-        value and none of them is -0.0 (i - 1 at a -0.0 knot)."""
-        v = np.asarray(self.values)
-        good, index = ~np.signbit(v), np.arange(v.size)
-        joined = np.append(good[:-1] & good[1:] & (v[:-1] == v[1:]), False)
-        ends = np.minimum.accumulate(np.where(joined, v.size, index)[::-1])[::-1]
-        return _frozen(np.where(good, ends, index - 1))
-
-    def constant_knots(self, first, last) -> np.ndarray:
-        """Per span [first, last] (arrays broadcast), the knot whose value
-        lambda takes at every t of the span when the span lies in one
-        constant piece (before the first knot, past the last, or between
-        knots of one value), else -1. A -0.0 knot never counts as constant:
-        interpolation may turn it into 0.0 between knots, and the knot's
-        value equals ``self(t)`` bit for bit."""
-        # knots lo..hi decide lambda on the span: the last one at or before
-        # first, up to the first one past last, or the last one at last when
-        # last sits on a knot or past the final one
-        times = np.asarray(self.times)
-        lo = np.maximum(np.searchsorted(times, first, side="right") - 1, 0)
-        hi = np.searchsorted(times, last, side="right")
-        hi -= (hi == times.size) | ((hi > 0) & (times[hi - 1] == last))
-        return np.where(self._run_ends[lo] >= hi, lo, -1)
-
-    def constant_value(self, first: float, last: float) -> float | None:
-        """The value lambda takes at every t in [first, last] when
-        ``constant_knots`` finds that span in one constant piece, else None."""
-        knot = int(self.constant_knots(first, last))
-        return self.values[knot] if knot >= 0 else None
 
     def _pieces(self, t0, n):
         """The linear pieces of lambda over the n integer times t0 .. t0+n-1,
@@ -427,11 +397,12 @@ def sample_drift_statistics(model: SignalModel, t, n_samples: int, rng_seed=None
     M x (N - r) trapezoid when N - r < M), while y s^T = l00 B e1 and
     s s^T = l00^2. In closed form, l00 = ||s||, l10 = mu ||s|| and
     l11 = ||(lambda - mu) s||, with mu the s^2-weighted mean of lambda,
-    taken per linear piece of the schedule (``_ramp_moments``). A window of
-    one lambda (one time, or one constant piece of the schedule) has r = 1
-    and l11 = 0, and it draws ||s||^2 = source_var chi2_N instead of s. The
-    module docstring states the order of the draws. Every batch comes with
-    its conditioning decision, from one screen of the whole stack.
+    taken per linear piece of the schedule (``_ramp_moments``). A window is
+    constant iff lambda takes one value at every sample, which its pieces
+    decide; it has r = 1 and l11 = 0, and it draws ||s||^2 = source_var
+    chi2_N instead of s. The module docstring states the order of the draws.
+    Every batch comes with its conditioning decision, from one screen of the
+    whole stack.
     """
     drift = model.drift
     if drift is None:
@@ -441,8 +412,14 @@ def sample_drift_statistics(model: SignalModel, t, n_samples: int, rng_seed=None
         raise ValueError(f"t must be one start or a 1-d array of starts, got shape {starts.shape}")
     first = starts.reshape(-1)
     rng = np.random.default_rng(rng_seed)
-    m, n, schedule = model.total_channels, n_samples, drift.schedule
-    ramp = (n > 1) & (schedule.constant_knots(first, first + (n - 1)) < 0)
+    m, n = model.total_channels, n_samples
+    # lambda is linear on each piece, and rounds monotonically there, so it
+    # takes one value at every sample iff every nonempty piece runs from
+    # lambda at the first sample to that value
+    pieces = drift.schedule._pieces(first, n)
+    _, size, head, tail = pieces
+    lam = head[:, :1]
+    ramp = ((size > 0) & ((head != lam) | (tail != lam))).any(axis=1)
     rank = 1 + ramp
     dof = n - rank
     s = rng.standard_normal((np.count_nonzero(ramp), n))
@@ -466,9 +443,10 @@ def sample_drift_statistics(model: SignalModel, t, n_samples: int, rng_seed=None
     # L: ||s||^2, mu and l11 per window (mu is any value when s = 0)
     power, mu, l11 = np.empty(first.size), np.empty(first.size), np.zeros(first.size)
     power[~ramp] = model.source_var * chi[:fixed]
-    mu[~ramp] = schedule(first[~ramp])
+    mu[~ramp] = lam[~ramp, 0]
     if s.size:
-        power[ramp], mu[ramp], l11[ramp] = _ramp_moments(schedule, first[ramp], s * s)
+        power[ramp], mu[ramp], l11[ramp] = _ramp_moments(
+            first[ramp], [x[ramp] for x in pieces], s * s)
     l00 = np.sqrt(power)
     b[:, :, 0] += l00[:, None] * drift.p0 + (mu * l00)[:, None] * drift.delta
     b[:, :, 1] += l11[:, None] * drift.delta
@@ -483,20 +461,21 @@ def sample_drift_statistics(model: SignalModel, t, n_samples: int, rng_seed=None
     return batches[0] if starts.ndim == 0 else tuple(batches)
 
 
-def _ramp_moments(schedule: LambdaSchedule, starts: np.ndarray, sq: np.ndarray):
+def _ramp_moments(starts: np.ndarray, pieces, sq: np.ndarray):
     """||s||^2, mu and l11 of ramp windows of N samples at ``starts``, from
-    the (R, N) squared samples ``sq``: mu = c + S1 / P and
+    their linear pieces (``LambdaSchedule._pieces``) and the (R, N) squared
+    samples ``sq``: mu = c + S1 / P and
     l11^2 = max(S2 - S1^2 / P, 0), where P, S1 and S2 are the sums of s^2,
     s^2 (lambda - c) and s^2 (lambda - c)^2 over the window and c is its
     mean lambda. On each linear piece lambda - c = d + g u, with u the times
     centred on the piece, so one product of the piece's s^2 with
     [1, u, u^2] gives its share of all three sums."""
     n = sq.shape[1]
-    lo, k, a, b = schedule._pieces(starts, n)
-    pieces = np.stack([lo - starts[:, None], k, 0.5 * (a + b), (b - a) / np.maximum(k - 1, 1)],
-                      axis=-1).tolist()   # per window and piece: offset, k, m and g
+    lo, k, a, b = pieces
+    windows = np.stack([lo - starts[:, None], k, 0.5 * (a + b), (b - a) / np.maximum(k - 1, 1)],
+                       axis=-1).tolist()   # per window and piece: offset, k, m and g
     out = []
-    for row, window in zip(sq, pieces):
+    for row, window in zip(sq, windows):
         window = [(int(o), int(kk), m, g) for o, kk, m, g in window if kk]
         c = sum(kk * m for _, kk, m, _ in window) / n
         p = s1 = s2 = 0.0

@@ -24,13 +24,13 @@ generator contract and of its ramp moments (``drift_statistics_draw``), so
 that the library's stacked draw is held to the same random stream; the
 per-sample ramp moments it replaced stay beside it
 (``ramp_moments_per_sample``), so that the draw is held to them to
-rounding. The conditioning screen is kept in its first written form, so
-that the library's stacked form is held to the same decisions, and so are
-a schedule's constant-span rule, knot by knot with bisection
-(``constant_value``), and the Erdos-Renyi draw (``frozen_make_erdos_renyi``),
-the path and random tree built through a dense K x K adjacency
-(``frozen_make_path`` and ``frozen_make_random_tree``) and the
-``study.meta`` config echo (``frozen_resolved_dict``). The
+rounding; it takes a window as constant when lambda, read at every one of
+its samples, takes one value there (``window_lambda``). The conditioning
+screen is kept in its first written form, so that the library's stacked
+form is held to the same decisions, and so are the Erdos-Renyi draw
+(``frozen_make_erdos_renyi``), the path and random tree built through a
+dense K x K adjacency (``frozen_make_path`` and ``frozen_make_random_tree``)
+and the ``study.meta`` config echo (``frozen_resolved_dict``). The
 statistics-domain step loop is kept the same way (``frozen_dasf_run``): the
 transition matrix built by zero-fill and scatters, and one
 ``dasf_step``-shaped call per iteration with the mmse solve's checks ahead of
@@ -44,7 +44,6 @@ same issues and counts.
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import math
 from collections import deque
@@ -723,21 +722,12 @@ def branch_maps(graph, layout, x, c):
     return out
 
 
-def constant_value(schedule, first: float, last: float) -> float | None:
-    """``LambdaSchedule.constant_value`` as first written: the value lambda
-    takes on [first, last] when the knots that decide it there (the last one
-    at or before first, up to the first one past last, or the last one at
-    last when last sits on a knot or past the final one) share one value,
-    none of them -0.0, else None."""
-    times = schedule.times
-    lo = max(bisect.bisect_right(times, first) - 1, 0)
-    hi = bisect.bisect_right(times, last)
-    if hi == len(times) or (hi and times[hi - 1] == last):
-        hi -= 1
-    v = schedule.values[lo]
-    if all(w == v and math.copysign(1.0, w) > 0 for w in schedule.values[lo:hi + 1]):
-        return v
-    return None
+def window_lambda(schedule, t0: int, n: int) -> float | None:
+    """lambda at t0 when lambda, read at each of the n samples t0 .. t0+n-1,
+    equals it at every one of them (the window is constant), else None (the
+    window is a ramp)."""
+    lam = schedule(np.arange(t0, t0 + n))
+    return float(lam[0]) if (lam == lam[0]).all() else None
 
 
 def ramp_moments(schedule, t0: int, s: np.ndarray) -> tuple[float, float, float]:
@@ -802,7 +792,7 @@ def drift_statistics_draw(model, starts, n_samples: int, rng_seed=None,
     drift, m, n = model.drift, model.total_channels, n_samples
     rng = np.random.default_rng(rng_seed)
     starts = [int(t0) for t0 in np.atleast_1d(starts)]
-    ramp = [n > 1 and constant_value(drift.schedule, t0, t0 + n - 1) is None for t0 in starts]
+    ramp = [window_lambda(drift.schedule, t0, n) is None for t0 in starts]
     rank = [2 if r else 1 for r in ramp]
     dof = [n - r for r in rank]
     s_rows = iter(np.sqrt(model.source_var) * rng.standard_normal((sum(ramp), n)))

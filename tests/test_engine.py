@@ -214,6 +214,21 @@ _TOPOLOGIES = {
 }
 
 
+@pytest.mark.parametrize("kind", sorted(_TOPOLOGIES))
+@pytest.mark.parametrize("nodes", [1, 12])
+def test_step_tree_is_the_pruned_tree(kind, nodes):
+    # dasf_step reads its tree back from the layout's fusion sends: at every
+    # updating node it is the tree prune_to_tree floods
+    rng = np.random.default_rng(31)
+    graph = _TOPOLOGIES[kind](nodes, 2, 31)
+    prob = MmseProblem(n_filters=2)
+    batch = _random_batch(graph, 60, rng, s_rows=2)
+    x = prob.random_feasible(graph.total_channels, rng)
+    for q in graph.nodes:
+        _, info = dasf_step(prob, graph, x, batch, iteration=q - 1)
+        assert info.node == q and info.tree == prune_to_tree(graph, q)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     kind=st.sampled_from(sorted(_TOPOLOGIES)),

@@ -16,7 +16,8 @@ with neither samples nor statistics, and batches compared by their sample
 fields alone. A network of 10000 four-channel nodes passed the cap meant to
 bound its M x M statistics. A graph's per-node accessors answered for another
 node when handed a node id of 0 or below, and a run asked for a negative
-number of iterations failed inside numpy."""
+number of iterations failed inside numpy. A QCQP radius whose square
+overflows failed every run with an OverflowError that named no cause."""
 
 import dataclasses
 import logging
@@ -30,9 +31,10 @@ import pytest
 import oracles
 from dasf import engine, sfo
 from dasf.engine import audit_transport, dasf_run
-from dasf.experiments import ConfigError, run_study, validate_config
+from dasf.experiments import ConfigError, StudyFailedError, run_study, validate_config
 from dasf.network import NetworkGraph, make_erdos_renyi, make_path, make_random_tree
-from dasf.sfo import MmseProblem, ScqpProblem, TroProblem, evaluate_objective, solve_centralized
+from dasf.sfo import (MmseProblem, QcqpProblem, ScqpProblem, TroProblem, evaluate_objective,
+                      solve_centralized)
 from dasf.signals import DriftSpec, LambdaSchedule, SampleBatch, SignalModel, sample_stationary
 
 RISE_TOL = 1e-9
@@ -432,3 +434,19 @@ def test_run_refuses_a_negative_iteration_count(n_iterations):
     with pytest.raises(ValueError, match=rf"^n_iterations must be non-negative, "
                                          rf"got {n_iterations}$"):
         dasf_run(MmseProblem(n_filters=1), graph, batch, n_iterations, rng_seed=0)
+
+
+def test_qcqp_radius_with_an_overflowing_square_is_refused():
+    # radius**2 raised "OverflowError: (34, 'Numerical result out of range')"
+    # in random_feasible, a message that names no cause
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=r"^radius must have a finite square, got 1e\+160$"):
+        QcqpProblem(n_filters=1, linear_term=rng.standard_normal((4, 1)),
+                    gain_vector=rng.standard_normal(4), target_response=np.ones(1), radius=1e160)
+
+
+def test_qcqp_study_with_an_overflowing_radius_names_it(tmp_path):
+    # radius_scale 1e300 validates, and every run failed on that OverflowError
+    with pytest.raises(StudyFailedError, match=r"\(4 ValueError\); first error: ValueError: "
+                                               r"radius must have a finite square, got "):
+        _qcqp_study(tmp_path, {"kind": "path"}, 1, 1e300)

@@ -153,7 +153,7 @@ def test_drift_statistics_noise_free_equal_samples(t, n):
     got = sample_drift_statistics(model, t, n, rng_seed=7)
     assert got.y is None and got.s is None and got.n_samples == n and got.t == t
     assert not (got.cov_y.flags.writeable or got.cross.flags.writeable)
-    lam = RAMP.constant_value(t, t + n - 1) if n > 1 else float(RAMP(t))
+    lam = oracles.window_lambda(RAMP, t, n)
     if lam is None:
         ref = sample_adaptive(model, t, n, rng_seed=7)
         assert np.allclose(got.cov_y, ref.cov_y, rtol=0, atol=1e-12)
@@ -257,6 +257,11 @@ def test_drift_statistics_match_sample_adaptive_moments(schedule, t, n):
     # one call: constant and ramp windows, with N - r = 29 < M for
     # the ramps while N - r = 30 = M for the constant windows
     (RAMP, [0, 30, 150, 120, 10, 100, 60], 31),
+    # constant windows, as lambda takes one value at every sample: over -0.0
+    # knots (-0.0 up to 20, then 0.0), and straddling knots between the
+    # samples 3 and 4
+    (LambdaSchedule((20.0, 40.0, 60.0), (-0.0, 0.0, 0.5)), 0, 30),
+    (LambdaSchedule((3.2, 3.5, 3.8), (0.0, 1.0, 0.0)), 0, 40),
 ])
 def test_drift_statistics_draw_keeps_the_random_stream(schedule, t, n):
     # the same generator calls in the same order, the same arithmetic: every
@@ -283,7 +288,7 @@ def test_drift_statistics_draw_keeps_the_random_stream(schedule, t, n):
 @pytest.mark.parametrize("schedule, t, n, source_var", [
     (RAMP, 130, 40, 0.5),                                          # the knot at 150 inside
     (RAMP, 111, 40, 0.5),                                          # the knot on the last sample
-    (LambdaSchedule((20.0, 40.0, 60.0), (-0.0, 0.0, 0.5)), 0, 30, 0.5),   # -0.0: lambda = 0
+    (LambdaSchedule((20.0, 25.0, 60.0), (-0.0, 0.0, 0.5)), 0, 30, 0.5),   # -0.0, 0.0, a ramp
     (LambdaSchedule((20.0, 40.0, 60.0), (-0.0, 0.0, 0.5)), 10, 60, 0.5),  # -0.0, then a ramp
     (RAMP, 100, 2, 0.5),                                           # N = 2
     (RAMP, 60, 40, 0.0),                                           # no source power
@@ -292,7 +297,7 @@ def test_ramp_moments_match_the_per_sample_formula(schedule, t, n, source_var):
     # the per-piece moments give the statistics of lambda at every sample, to
     # rounding: the same random stream with mu and l11 taken per sample
     model = _drift_model(6, 0.3, schedule, seed=5, source_var=source_var)
-    assert oracles.constant_value(schedule, t, t + n - 1) is None
+    assert oracles.window_lambda(schedule, t, n) is None
     got = sample_drift_statistics(model, np.array([t, t]), n, np.random.default_rng(9))
     want = oracles.drift_statistics_draw(model, [t, t], n, np.random.default_rng(9),
                                          moments=oracles.ramp_moments_per_sample)
@@ -345,31 +350,6 @@ def test_conditioning_screen_decides_one_matrix_as_a_stack_does():
         assert signals.ill_conditioned(np.stack([r, good[2], loose])).tolist() == [want, False, True]
 
 
-_KNOT_VALUES = st.sampled_from([0.0, -0.0, 0.3, 0.3, 1.0])
-
-
-@settings(max_examples=200, deadline=None)
-@given(knots=st.lists(st.tuples(st.integers(0, 200).map(lambda x: x / 2), _KNOT_VALUES),
-                      min_size=1, max_size=6),
-       spans=st.lists(st.tuples(st.integers(-20, 130), st.integers(1, 70)),
-                      min_size=1, max_size=8))
-def test_schedule_constant_knots_equal_the_first_rule(knots, spans):
-    # the array rule of the draw against the knot-by-knot rule as first
-    # written, for a stack of spans at once and for each span alone
-    knots.sort(key=lambda kv: kv[0])
-    schedule = LambdaSchedule(*zip(*knots))
-    first = np.array([f for f, _ in spans])
-    last = first + np.array([n for _, n in spans]) - 1
-    found = schedule.constant_knots(first, last)
-    for f, l, knot in zip(first.tolist(), last.tolist(), found.tolist()):
-        want = oracles.constant_value(schedule, f, l)
-        got = schedule.constant_value(f, l)
-        assert (knot < 0) == (want is None) == (got is None)
-        if want is not None:
-            assert schedule.values[knot] == got == want
-            assert not np.signbit(got)
-
-
 def test_drift_statistics_stack_is_one_read_only_array():
     model = _drift_model(6, 0.3, RAMP, seed=2)
     batches = sample_drift_statistics(model, np.array([0, 60, 140]), 25, rng_seed=1)
@@ -392,6 +372,9 @@ def test_drift_statistics_without_source_power():
         assert np.linalg.eigvalsh(batch.cov_y).min() > 0
 
 
+_KNOT_VALUES = st.sampled_from([0.0, -0.0, 0.3, 0.3, 1.0])
+
+
 @pytest.mark.parametrize("schedule", [
     RAMP, STEPS,
     LambdaSchedule((0.0,), (0.0,)),
@@ -399,25 +382,26 @@ def test_drift_statistics_without_source_power():
     LambdaSchedule((20.0, 40.0, 60.0), (-0.0, 0.0, 0.5)),        # a -0.0 knot
     LambdaSchedule((10.5, 20.5, 40.0), (0.6, 0.6, 0.1)),         # knots between samples
 ])
-def test_schedule_constant_value_equals_interpolation(schedule):
-    # wherever a window gets a constant value it is lambda at every one of
-    # its times, bit for bit
-    constant = 0
-    for first in range(0, 200, 3):
-        for n in (1, 2, 5, 17, 40, 90):
-            last = first + n - 1
-            value = schedule.constant_value(first, last)
-            lam = schedule(np.arange(first, last + 1))
-            if value is not None:
-                constant += 1
-                assert np.array_equal(np.full(n, value), lam)
-                assert not np.signbit(lam).any()
-    assert constant
-    # windows that sit in one constant piece get its value, knots included
-    assert RAMP.constant_value(30, 50) == 0.2 and RAMP.constant_value(150, 189) == 0.9
-    assert RAMP.constant_value(50, 79) is None and STEPS.constant_value(55, 94) == 0.3
-    assert STEPS.constant_value(0, 39) == 0.3 and STEPS.constant_value(200, 259) == 0.8
-    assert STEPS.constant_value(100, 120) is None
+@settings(max_examples=40, deadline=None)
+@given(knots=st.lists(st.tuples(st.integers(0, 2000).map(lambda x: x / 10), _KNOT_VALUES),
+                      max_size=4),
+       starts=st.lists(st.integers(-20, 220), min_size=1, max_size=8),
+       n=st.integers(1, 60))
+def test_schedule_constant_value_equals_interpolation(schedule, knots, starts, n):
+    # a window draws as constant, at lambda of its first sample, iff lambda
+    # takes that value at every one of its samples: the draw equals the
+    # oracle that reads lambda per sample, bitwise and generator state
+    # included, over each schedule with up to four knots added in tenths
+    # (-0.0, half-integer and closely spaced knots among them)
+    knots = sorted([*zip(schedule.times, schedule.values), *knots], key=lambda kv: kv[0])
+    model = _drift_model(3, 0.3, LambdaSchedule(*zip(*knots)), seed=5)
+    ours, ref = np.random.default_rng(9), np.random.default_rng(9)
+    got = sample_drift_statistics(model, np.array(starts), n, ours)
+    want = oracles.drift_statistics_draw(model, starts, n, ref)
+    for batch, (cov, cross, power) in zip(got, want, strict=True):
+        assert np.array_equal(batch.cov_y, cov) and np.array_equal(batch.cross, cross)
+        assert batch.target_power == power
+    assert ours.bit_generator.state == ref.bit_generator.state
 
 
 @settings(max_examples=40, deadline=None)
