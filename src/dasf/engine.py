@@ -37,15 +37,15 @@ cuts one layout for each node it visits. Once per batch comes the network-wide
 instance (``centralized_instance``) the local ones are compressed from; it
 is the one statement of the statistics a family reads, and so of the
 streams fused toward q. The kernel (``_step``) then issues only the
-numeric calls each family needs: C from zeros with its identity entries
-set, one thin SVD per compressed branch (one dgesvd, whose U is the
-branch's block of C), the anchor C^T x only for a family whose solve reads
-it (``uses_anchor``: all but MMSE, whose closed form is unique), the
-congruence C^T R C and C^T B, the local solve (MMSE: one dgesv behind one
-finiteness screen) and the lift C x_local, with the plan's sends logged
-around the solve. ``dasf_run`` cuts each node's layout the first time it
-visits the node and calls the kernel directly; ``dasf_step`` is
-validation, the same kernel and a StepInfo.
+numeric calls each family needs: C (``build_transition_matrix``) from zeros
+with its identity entries set, one thin SVD per compressed branch (one
+dgesvd, whose U is the branch's block of C), the anchor C^T x only for a
+family whose solve reads it (``uses_anchor``: all but MMSE, whose closed
+form is unique), the congruence C^T R C and C^T B, the local solve (MMSE:
+one dgesv behind one finiteness screen) and the lift C x_local, with the
+plan's sends logged around the solve. ``dasf_run`` cuts each node's layout
+the first time it visits the node and calls the kernel directly;
+``dasf_step`` is validation, the same kernel and a StepInfo.
 
 The local-to-network change of coordinates is a tall sparse matrix C with
 one nonzero block per block row; its identities (local signals equal C^T
@@ -64,7 +64,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ._lapack import dgesvd
-from .network import NetworkGraph, PrunedTree, breadth_first_forest
+from .network import NetworkGraph, breadth_first_forest
 from .sfo import (
     CompressedInstance,
     SfoProblem,
@@ -456,31 +456,22 @@ class _TreePlans:
         )
 
 
-def build_transition_matrix(graph: NetworkGraph, layout: LocalLayout,
-                            x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The map C from local to network coordinates (``_transition_matrix``),
-    and the anchor: the local point C^T x, which C maps back to the current
-    network filter x. The anchor holds q's and the raw branches' current
-    blocks and S V^T per compressed branch; where directions were dropped,
-    C @ anchor misses x only by them."""
-    c = _transition_matrix(graph, layout, x)
-    return c, c.T @ x
-
-
-def _transition_matrix(graph: NetworkGraph, layout: LocalLayout, x: np.ndarray) -> np.ndarray:
-    """C, with one nonzero block per block row: the identity at the updating
-    node's rows and at each raw branch's rows, and U at the rows of each
-    compressed branch b, for the thin SVD X_b = U S V^T of the branch's
-    stacked filter rows (one LAPACK dgesvd call per branch); so C^T C = I to
-    rounding at any conditioning. The protocol whitens from the Q x Q Gram
-    X_b^T X_b each branch sums up the tree, by T_b = V S^{-1}. The simulator
-    computes the same map from the SVD: X_b T_b is U in exact arithmetic,
-    and U is orthonormal to rounding in floating point. The Grams are not
-    logged as sends.
+def build_transition_matrix(graph: NetworkGraph, layout: LocalLayout, x: np.ndarray) -> np.ndarray:
+    """C, the map from local to network coordinates, with one nonzero block
+    per block row: the identity at the updating node's rows and at each raw
+    branch's rows, and U at the rows of each compressed branch b, for the
+    thin SVD X_b = U S V^T of the branch's stacked filter rows (one LAPACK
+    dgesvd call per branch); so C^T C = I to rounding at any conditioning.
+    The protocol whitens from the Q x Q Gram X_b^T X_b each branch sums up
+    the tree, by T_b = V S^{-1}. The simulator computes the same map from
+    the SVD: X_b T_b is U in exact arithmetic, and U is orthonormal to
+    rounding in floating point. The Grams are not logged as sends.
 
     Directions with s <= RANK_RTOL * s_max are dropped: their columns are
     zeroed and removed, which leaves that branch fewer than n_filters
-    columns.
+    columns. The kernel's anchor C^T x, formed for the families that read
+    it, holds q's and the raw branches' current blocks and S V^T per
+    compressed branch; C maps it back to x but for the dropped directions.
     """
     flat, rows, spans, ident = layout.c_index
     c = np.zeros((graph.total_channels, layout.local_dim))
@@ -511,7 +502,6 @@ class StepInfo:
     """Everything one iteration produced, for inspection and tests."""
 
     node: int
-    tree: PrunedTree
     layout: LocalLayout
     transition: np.ndarray
     instance: CompressedInstance
@@ -538,7 +528,6 @@ def dasf_step(problem: SfoProblem, graph: NetworkGraph, x: np.ndarray,
         graph, layout, *_batch_plan(problem, batch), x, iteration, log)
     info = StepInfo(
         node=q,
-        tree=_fusion_tree(graph, layout),
         layout=layout,
         transition=c,
         instance=instance,
@@ -547,17 +536,6 @@ def dasf_step(problem: SfoProblem, graph: NetworkGraph, x: np.ndarray,
         tx_scalars=tx,
     )
     return x_next, info
-
-
-def _fusion_tree(graph: NetworkGraph, layout: LocalLayout) -> PrunedTree:
-    """The pruned tree a layout's fusion sends walk: read in reverse, their
-    senders come in breadth-first order, each below its receiver."""
-    order = [layout.node - 1]
-    parent = np.full(graph.node_count, -1)
-    for sender, receiver, _, _ in reversed(layout.fusion_sends):
-        order.append(sender - 1)
-        parent[sender - 1] = receiver - 1
-    return PrunedTree.from_arrays(np.array(order), parent)
 
 
 def _check_mode(graph: NetworkGraph, mode: str) -> None:
@@ -590,7 +568,7 @@ def _step(graph: NetworkGraph, layout: LocalLayout, central: CompressedInstance,
     fusion sends logged before the solve and its mixing sends after. Returns
     the next filter, C, the instance, the solve outcome, x_local and the
     scalars logged."""
-    c = _transition_matrix(graph, layout, x)
+    c = build_transition_matrix(graph, layout, x)
     problem = central.problem
     anchor = c.T @ x if problem.uses_anchor else None
     instance = central.compressed(c, anchor)

@@ -450,7 +450,16 @@ def _check_semantics(config: ExperimentConfig) -> None:
                       f"above the cap of {MAX_CHANNELS}")
     if errors:
         raise ConfigError(errors)
-    local_dim_bound = max(config.channels) + widest * (config.nodes - 1)
+    if config.problem_kind == "qcqp":
+        # the radius follows from the config alone: build each width's
+        # problem, with the runs' term_seed draws, and name what it refuses
+        for width in config.expand_filter_sweep():
+            try:
+                _build_problem(width)
+            except ValueError as exc:
+                raise ConfigError([f"problem.radius_scale: {config.radius_scale!r} gives no "
+                                   f"QCQP at width {width.n_filters}: {exc}"]) from exc
+    local_dim_bound =max(config.channels) + widest * (config.nodes - 1)
     if config.samples < local_dim_bound:
         warnings.warn(
             f"run.samples = {config.samples} is below the largest possible local "

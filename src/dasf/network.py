@@ -42,6 +42,10 @@ ER_MAX_RETRIES = 64
 TREE_CHILD_COUNTS = (0, 1, 2, 3, 4)
 TREE_CHILD_PROBS = (0.2, 0.3, 0.2, 0.2, 0.1)
 
+# Erdos-Renyi pair draws and flood layers go in slices of this many entries,
+# which bounds their temporaries; the slices change no draw and no tree.
+SLICE_ENTRIES = 2**16
+
 
 def _as_channels(node_count: int, channels) -> tuple[int, ...]:
     """Normalize a per-node channel spec (int or sequence) to a tuple."""
@@ -204,12 +208,13 @@ def make_erdos_renyi(node_count: int, channels, edge_prob: float, rng_seed=None)
         raise ValueError("edge probability must be in (0, 1]")
     chans = _as_channels(node_count, channels)
     rng = np.random.default_rng(rng_seed)
-    # a uniform per upper-triangle pair, row-major, 2^16 at a time; row u starts at row_start[u]
+    # a uniform per upper-triangle pair, row-major, a slice at a time; row u starts at row_start[u]
     row_start = np.arange(node_count, 0, -1).cumsum() - node_count
     pairs = node_count * (node_count - 1) // 2
     for _ in range(ER_MAX_RETRIES):
-        hit = np.concatenate([np.flatnonzero(rng.random(min(pairs - lo, 1 << 16)) < edge_prob) + lo
-                              for lo in range(0, pairs or 1, 1 << 16)])    # K = 1: one empty draw
+        hit = np.concatenate([   # K = 1: one empty draw
+            np.flatnonzero(rng.random(min(pairs - lo, SLICE_ENTRIES)) < edge_prob) + lo
+            for lo in range(0, pairs or 1, SLICE_ENTRIES)])
         u = row_start.searchsorted(hit, side="right") - 1
         try:
             return NetworkGraph._from_edges(node_count, u, hit - row_start[u] + u + 1, chans)
@@ -321,8 +326,8 @@ def breadth_first_forest(graph: NetworkGraph, roots) -> tuple[np.ndarray, np.nda
     One flood grows them all, O(K + E) per root: each layer's (tree, node)
     pairs send to all their neighbours, and the pairs not reached before
     form the next layer, each below its lowest-index sender. A layer sends
-    in ascending slices of about 2^16 sends, so a pair an earlier slice
-    reached has no lower-index sender in a later one.
+    in ascending slices of about SLICE_ENTRIES sends, so a pair an earlier
+    slice reached has no lower-index sender in a later one.
     """
     roots = np.asarray(roots)
     k = graph.node_count
@@ -338,7 +343,8 @@ def breadth_first_forest(graph: NetworkGraph, roots) -> tuple[np.ndarray, np.nda
         node = layer % k
         count = degree[node]
         before = count.cumsum() - count      # the layer's sends ahead of each pair
-        cuts = (np.flatnonzero(np.diff(before >> 16)) + 1).tolist() if before[-1] >> 16 else []
+        cuts = ((np.flatnonzero(np.diff(before // SLICE_ENTRIES)) + 1).tolist()
+                if before[-1] >= SLICE_ENTRIES else [])
         reached = []
         for lo, hi in zip([0, *cuts], [*cuts, layer.size]):
             sends = count[lo:hi]

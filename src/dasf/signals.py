@@ -32,7 +32,8 @@ pieces of the schedule over its windows, never at every sample: they
 decide which windows are constant, and a ramp window's moments of lambda
 come from one product of s^2 with [1, u, u^2] per piece. One stacked
 factorization screens every batch's conditioning (``ill_conditioned``),
-which each batch keeps.
+which each batch keeps; a batch of N < M samples is singular, so the
+screen decides it without one.
 """
 
 from __future__ import annotations
@@ -263,8 +264,13 @@ class SampleBatch:
     @cached_property
     def cov_y_ill_conditioned(self) -> bool:
         """cond(R_yy) > COND_LIMIT in the 2-norm, by ``ill_conditioned``'s
-        decision for one matrix."""
-        return _ill_conditioned_at(self.cov_y, float(_shift(self.cov_y)))
+        decision for one matrix. R_yy of N < M samples has rank at most N, so
+        it is singular: True with no factorization wherever the shift is
+        finite. A batch given by its statistics is screened as given."""
+        t = float(_shift(self.cov_y))
+        if self.y is not None and self.n_samples < len(self.cov_y) and math.isfinite(t):
+            return True
+        return _ill_conditioned_at(self.cov_y, t)
 
     @cached_property
     def cov_v(self) -> np.ndarray:
@@ -402,7 +408,7 @@ def sample_drift_statistics(model: SignalModel, t, n_samples: int, rng_seed=None
     decide; it has r = 1 and l11 = 0, and it draws ||s||^2 = source_var
     chi2_N instead of s. The module docstring states the order of the draws.
     Every batch comes with its conditioning decision, from one screen of the
-    whole stack.
+    whole stack; windows of N < M samples are singular and need none.
     """
     drift = model.drift
     if drift is None:
@@ -453,9 +459,11 @@ def sample_drift_statistics(model: SignalModel, t, n_samples: int, rng_seed=None
     cov = b @ b.mT
     cov /= n
     cross = _frozen((l00 / n)[:, None, None] * b[:, :, :1])
+    # B has at most N nonzero columns, so windows of N < M samples are singular
+    decided = np.isfinite(_shift(cov)) if n < m else ill_conditioned(cov)
     batches = []
     for c, x, p, t0, ill in zip(_frozen(cov), cross, (power / n).tolist(), first.tolist(),
-                                ill_conditioned(cov).tolist()):
+                                decided.tolist()):
         batches.append(SampleBatch.from_statistics(model.channels, c, x, p, n, t0))
         batches[-1].__dict__["cov_y_ill_conditioned"] = ill   # kept like the statistics
     return batches[0] if starts.ndim == 0 else tuple(batches)

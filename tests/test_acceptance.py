@@ -195,7 +195,8 @@ def test_criterion_5_transition_matrix_identities(criterion_report):
         root = int(rng.integers(1, nodes + 1))
         tree = prune_to_tree(graph, root)
         layout = oracles.plan_tree_layout(tree, graph, q_width)
-        c, anchor = build_transition_matrix(graph, layout, x)
+        c = build_transition_matrix(graph, layout, x)
+        anchor = c.T @ x
         maps = oracles.branch_maps(graph, layout, x, c)
         y = rng.standard_normal((m, 30))
         b = rng.standard_normal((m, 3))

@@ -107,7 +107,7 @@ def test_plans_are_per_graph_and_die_with_it():
         for graph, parent in ((path, {2: 1, 3: 2, 4: 3}), (full, {2: 1, 3: 1, 4: 1})):
             batch = _random_batch(graph, 20, rng, s_rows=1)
             _, info = dasf_step(prob, graph, prob.random_feasible(4, rng), batch, iteration=0)
-            assert info.tree.parent == parent
+            assert oracles.layout_views(info.layout, graph)[0].parent == parent
             if graph is path:
                 layout = weakref.ref(info.layout)
         assert path in engine._PLANS and full in engine._PLANS
@@ -183,7 +183,7 @@ def test_plan_made_once_per_updating_node(monkeypatch):
             assert getattr(by_block, name) == getattr(whole, name), name
         ref = oracles.frozen_plan_local_layout(oracles.frozen_prune_to_tree(other, root), other, 2)
         for layout in (by_block, whole):
-            c, _ = build_transition_matrix(other, layout, x)
+            c = build_transition_matrix(other, layout, x)
             _assert_c_is_the_frozen_template_plus_branches(c, ref)
 
 
@@ -217,8 +217,8 @@ _TOPOLOGIES = {
 @pytest.mark.parametrize("kind", sorted(_TOPOLOGIES))
 @pytest.mark.parametrize("nodes", [1, 12])
 def test_step_tree_is_the_pruned_tree(kind, nodes):
-    # dasf_step reads its tree back from the layout's fusion sends: at every
-    # updating node it is the tree prune_to_tree floods
+    # the tree a step's fusion sends walk, read back from its layout, is at
+    # every updating node the tree prune_to_tree floods
     rng = np.random.default_rng(31)
     graph = _TOPOLOGIES[kind](nodes, 2, 31)
     prob = MmseProblem(n_filters=2)
@@ -226,7 +226,8 @@ def test_step_tree_is_the_pruned_tree(kind, nodes):
     x = prob.random_feasible(graph.total_channels, rng)
     for q in graph.nodes:
         _, info = dasf_step(prob, graph, x, batch, iteration=q - 1)
-        assert info.node == q and info.tree == prune_to_tree(graph, q)
+        assert info.node == q
+        assert oracles.layout_views(info.layout, graph)[0] == prune_to_tree(graph, q)
 
 
 @settings(max_examples=60, deadline=None)
@@ -274,7 +275,7 @@ def test_graph_plans_equal_the_frozen_per_root_planner(kind, nodes, seed):
         assert layout.c_index[2] == ref.c_index[2]
         assert not layout.c_index[3].flags.writeable
         _assert_c_is_the_frozen_template_plus_branches(
-            build_transition_matrix(graph, layout, x)[0], ref)
+            build_transition_matrix(graph, layout, x), ref)
         # a tree handed in, seeded ties too, is planned by the same rules
         seeded = prune_to_tree(graph, root, rng_seed=seed)
         assert seeded == oracles.frozen_prune_to_tree(graph, root, rng_seed=seed)
@@ -285,7 +286,7 @@ def test_graph_plans_equal_the_frozen_per_root_planner(kind, nodes, seed):
             seeded, ref.branches, ref.fusion_sends, ref.mix_sends, ref.fallback)
         assert by_tree.c_index[2] == ref.c_index[2]
         _assert_c_is_the_frozen_template_plus_branches(
-            build_transition_matrix(graph, by_tree, x)[0], ref)
+            build_transition_matrix(graph, by_tree, x), ref)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +356,8 @@ def test_transition_matrix_structure_fully_connected():
     x = rng.standard_normal((6, 1))
     tree = prune_to_tree(graph, 2)
     layout = oracles.plan_tree_layout(tree, graph, 1)
-    c, anchor = build_transition_matrix(graph, layout, x)
+    c = build_transition_matrix(graph, layout, x)
+    anchor = c.T @ x
     expected = np.zeros((6, 4))
     expected[2:4, 0:2] = np.eye(2)     # updating node rows
     expected[0:2, 2] = x[0:2, 0]       # branch 1, whitened up to sign
@@ -376,7 +378,8 @@ def test_anchor_maps_back_to_current_filter():
     for q in graph.nodes:
         tree = prune_to_tree(graph, q)
         layout = oracles.plan_tree_layout(tree, graph, 2)
-        c, anchor = build_transition_matrix(graph, layout, x)
+        c = build_transition_matrix(graph, layout, x)
+        anchor = c.T @ x
         assert anchor.shape == (layout.local_dim, 2)
         assert np.allclose(c @ anchor, x, atol=1e-13)
 
@@ -387,7 +390,7 @@ def test_transition_matrix_one_block_per_row():
     x = rng.standard_normal((15, 2))
     tree = prune_to_tree(graph, 4)
     layout = oracles.plan_tree_layout(tree, graph, 2)
-    c, _ = build_transition_matrix(graph, layout, x)
+    c = build_transition_matrix(graph, layout, x)
     branches = oracles.layout_views(layout, graph)[1]
     bounds = [0] + [seg.offset for seg in branches] + [layout.local_dim]
     for k in graph.nodes:
@@ -402,7 +405,8 @@ def test_transition_matrix_one_block_per_row():
 def _local_instance(problem, graph, layout, x, batch):
     """The compressed instance the updating node solves, and its C: the
     network-wide instance taken through the transition matrix."""
-    c, anchor = build_transition_matrix(graph, layout, x)
+    c = build_transition_matrix(graph, layout, x)
+    anchor = c.T @ x
     return centralized_instance(problem, batch).compressed(c, anchor), c
 
 
@@ -676,7 +680,8 @@ def test_transition_matrix_is_bitwise_the_frozen_one(monkeypatch):
                 layout = oracles.plan_tree_layout(tree, graph, q)
                 branches = oracles.layout_views(layout, graph)[1]
                 for point in (x, deficient, ill, both):
-                    c, anchor = build_transition_matrix(graph, layout, point)
+                    c = build_transition_matrix(graph, layout, point)
+                    anchor = c.T @ point
                     if point is x:
                         _assert_c_is_the_frozen_template_plus_branches(
                             c, oracles.frozen_plan_local_layout(tree, graph, q))
@@ -690,14 +695,15 @@ def test_transition_matrix_is_bitwise_the_frozen_one(monkeypatch):
 @pytest.mark.parametrize("kind", ["mmse", "qcqp", "tro", "scqp"])
 def test_step_forms_the_anchor_only_for_families_that_read_it(kind):
     # MMSE's closed form never reads C^T x, so its instances carry none; the
-    # other families' instances carry the anchor build_transition_matrix
-    # returns for the step's C, at every node of the round robin
+    # other families' instances carry the anchor C^T x of the step's C, at
+    # every node of the round robin
     rng = np.random.default_rng(zlib.crc32(f"anchor-{kind}".encode()))
     prob, graph, batches, x = _kernel_case(kind, "er", 2, rng)
     assert prob.uses_anchor == (kind != "mmse")
     for iteration in range(graph.node_count):
         x_next, info = dasf_step(prob, graph, x, batches[iteration % 3], iteration)
-        c, anchor = build_transition_matrix(graph, info.layout, x)
+        c = build_transition_matrix(graph, info.layout, x)
+        anchor = c.T @ x
         assert np.array_equal(info.transition, c)
         if kind == "mmse":
             assert info.instance.anchor is None
@@ -1196,7 +1202,8 @@ def test_ill_conditioned_branch_is_whitened_to_rounding():
     u, _ = np.linalg.qr(rng.standard_normal((4, 2)))
     v, _ = np.linalg.qr(rng.standard_normal((2, 2)))
     x[2:] = (u * [1.0, 1e-4]) @ v.T
-    c, anchor = build_transition_matrix(graph, layout, x)
+    c = build_transition_matrix(graph, layout, x)
+    anchor = c.T @ x
     assert c.shape[1] == layout.local_dim
     assert np.abs(c.T @ c - np.eye(c.shape[1])).max() <= 1e-13
     assert np.abs(c @ anchor - x).max() <= 1e-12
@@ -1216,7 +1223,8 @@ def test_nearly_rank_one_branch_keeps_both_directions():
     u, _ = np.linalg.qr(rng.standard_normal((4, 2)))
     v, _ = np.linalg.qr(rng.standard_normal((2, 2)))
     x[2:] = (u * [1.0, 1e-8]) @ v.T
-    c, anchor = build_transition_matrix(graph, layout, x)
+    c = build_transition_matrix(graph, layout, x)
+    anchor = c.T @ x
     assert c.shape[1] == layout.local_dim
     assert np.abs(c.T @ c - np.eye(c.shape[1])).max() <= 1e-13
     assert np.abs(c @ anchor - x).max() <= 1e-12
@@ -1251,7 +1259,8 @@ def test_transition_identities_property(nodes, seed):
     root = int(rng.integers(1, nodes + 1))
     tree = prune_to_tree(graph, root)
     layout = oracles.plan_tree_layout(tree, graph, n_filters)
-    c, anchor = build_transition_matrix(graph, layout, x)
+    c = build_transition_matrix(graph, layout, x)
+    anchor = c.T @ x
     assert np.allclose(c @ anchor, x, atol=1e-12)
     y = rng.standard_normal((graph.total_channels, 15))
     log = TransportLog()
@@ -1306,7 +1315,8 @@ def test_whitened_map_property(nodes, seed):
         u = np.linalg.qr(rng.standard_normal((seg.rows.size, n_filters)))[0][:, :rank]
         v = np.linalg.qr(rng.standard_normal((n_filters, n_filters)))[0][:, :rank]
         x[seg.rows] = 10.0 ** rng.uniform(-2.0, 2.0) * (u * ratios) @ v.T
-    c, anchor = build_transition_matrix(graph, layout, x)
+    c = build_transition_matrix(graph, layout, x)
+    anchor = c.T @ x
     maps = oracles.branch_maps(graph, layout, x, c)
     assert c.shape[1] == anchor.shape[0] == layout.own_channels + sum(
         cols.stop - cols.start for _, cols, _ in maps)

@@ -6,9 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from dasf import network
 from dasf.network import (
     GraphConnectivityError,
     NetworkGraph,
+    breadth_first_forest,
     make_erdos_renyi,
     make_fully_connected,
     make_path,
@@ -241,6 +243,29 @@ def test_erdos_renyi_deterministic_under_seed():
     assert np.array_equal(a.adjacency, b.adjacency)
     c = make_erdos_renyi(10, 2, 0.8, rng_seed=43)
     assert not np.array_equal(a.adjacency, c.adjacency)
+
+
+_SLICED = {
+    "fully_connected": lambda: make_fully_connected(40, 2),
+    "erdos_renyi": lambda: make_erdos_renyi(40, 2, 0.15, rng_seed=5),
+    "random_tree": lambda: make_random_tree(40, 2, rng_seed=5),
+    "path": lambda: make_path(40, 2),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SLICED))
+def test_slices_change_no_draw_and_no_flood(monkeypatch, kind):
+    # Erdos-Renyi pair draws and flood layers go in slices of SLICE_ENTRIES;
+    # at 1 and 7 entries a draw of 780 pairs and a layer of the all-root
+    # flood take many slices, and give the edges, depths and parents of one
+    assert network.SLICE_ENTRIES == 2**16
+    seen = []
+    for size in (1, 7, 2**16):
+        monkeypatch.setattr(network, "SLICE_ENTRIES", size)
+        graph = _SLICED[kind]()
+        depth, parent = breadth_first_forest(graph, np.arange(graph.node_count))
+        seen.append((graph.edges(), depth.tolist(), parent.tolist()))
+    assert seen[0] == seen[1] == seen[2]
 
 
 def test_erdos_renyi_p_one_is_complete():

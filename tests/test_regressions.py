@@ -17,7 +17,8 @@ fields alone. A network of 10000 four-channel nodes passed the cap meant to
 bound its M x M statistics. A graph's per-node accessors answered for another
 node when handed a node id of 0 or below, and a run asked for a negative
 number of iterations failed inside numpy. A QCQP radius whose square
-overflows failed every run with an OverflowError that named no cause."""
+overflows failed every run with an OverflowError that named no cause, and
+the validator accepted the radius scale that gave it."""
 
 import dataclasses
 import logging
@@ -27,11 +28,13 @@ import warnings
 
 import numpy as np
 import pytest
+import yaml
 
+import dasf.cli
 import oracles
 from dasf import engine, sfo
 from dasf.engine import audit_transport, dasf_run
-from dasf.experiments import ConfigError, StudyFailedError, run_study, validate_config
+from dasf.experiments import ConfigError, run_study, validate_config
 from dasf.network import NetworkGraph, make_erdos_renyi, make_path, make_random_tree
 from dasf.sfo import (MmseProblem, QcqpProblem, ScqpProblem, TroProblem, evaluate_objective,
                       solve_centralized)
@@ -445,8 +448,23 @@ def test_qcqp_radius_with_an_overflowing_square_is_refused():
                     gain_vector=rng.standard_normal(4), target_response=np.ones(1), radius=1e160)
 
 
-def test_qcqp_study_with_an_overflowing_radius_names_it(tmp_path):
-    # radius_scale 1e300 validates, and every run failed on that OverflowError
-    with pytest.raises(StudyFailedError, match=r"\(4 ValueError\); first error: ValueError: "
-                                               r"radius must have a finite square, got "):
-        _qcqp_study(tmp_path, {"kind": "path"}, 1, 1e300)
+@pytest.mark.parametrize("n_filters", [1, [1, 2]], ids=["one width", "sweep"])
+def test_qcqp_study_with_an_overflowing_radius_names_it(tmp_path, n_filters):
+    # radius_scale 1e300 validated, and every run then failed on the radius's
+    # ValueError in a StudyFailedError; the validator builds each width's
+    # problem from the config's term_seed and refuses the scale by name
+    raw = {"schema_version": 1,
+           "problem": {"kind": "qcqp", "n_filters": n_filters, "term_seed": 4,
+                       "radius_scale": 1e300},
+           "network": {"kind": "path", "nodes": 5, "channels": 2},
+           "run": {"iterations": 15}, "output": {"dir": str(tmp_path / "out")}}
+    with pytest.raises(ConfigError) as info:
+        validate_config(raw)
+    (error,) = info.value.errors
+    assert re.fullmatch(r"problem\.radius_scale: 1e\+300 gives no QCQP at width 1: "
+                        r"radius must have a finite square, got \S+", error)
+    assert validate_config({**raw, "problem": {**raw["problem"], "radius_scale": 1e100}})
+    cfg = tmp_path / "radius.yaml"
+    cfg.write_text(yaml.safe_dump(raw))
+    assert dasf.cli.main(["run", str(cfg)]) == 2
+    assert not (tmp_path / "out").exists()

@@ -350,6 +350,46 @@ def test_conditioning_screen_decides_one_matrix_as_a_stack_does():
         assert signals.ill_conditioned(np.stack([r, good[2], loose])).tolist() == [want, False, True]
 
 
+def test_conditioning_screen_decides_fewer_samples_than_channels_by_rank(monkeypatch):
+    # R of N < M samples has rank at most N, so the screen decides it True
+    # without dpotrf, a stacked Cholesky or eigvalsh, as the full rule does;
+    # a non-finite R still decides False, and statistics handed in as they
+    # are go through the factorization
+    calls = []
+
+    def counted(name, f):
+        return lambda *args, **kw: calls.append(name) or f(*args, **kw)
+
+    monkeypatch.setattr(signals, "dpotrf", counted("dpotrf", signals.dpotrf))
+    for name in ("cholesky", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    rng = np.random.default_rng(16)
+    decided = []
+    for _ in range(40):
+        channels = tuple(int(c) for c in rng.integers(1, 5, rng.integers(1, 9)))
+        m = sum(channels)
+        if m < 2:
+            continue
+        n = int(rng.integers(1, m))
+        y = 10.0 ** rng.uniform(-8, 8) * rng.standard_normal((m, n))
+        batches = [SampleBatch(y=y, channels=channels),
+                   sample_stationary(_model(channels, sources=int(rng.integers(1, 4)),
+                                            seed=int(rng.integers(1000))), 0, n, rng)]
+        model = _drift_model(m, float(rng.choice([0.0, 0.3])), RAMP, seed=int(rng.integers(1000)))
+        batches += sample_drift_statistics(model, rng.integers(0, 200, 3), n, rng)
+        decided += [(batch.cov_y, batch.cov_y_ill_conditioned) for batch in batches]
+    nan = np.eye(3)
+    nan[0, 0] = np.nan
+    assert SampleBatch(y=nan, channels=(3,)).cov_y_ill_conditioned is False
+    assert calls == []
+    given = SampleBatch.from_statistics((2, 3), np.eye(5), np.zeros((5, 1)), 1.0, 3)
+    assert given.cov_y_ill_conditioned is False and calls == ["dpotrf"]
+    monkeypatch.undo()
+    assert len(decided) > 150
+    assert all(ill is True for _, ill in decided)
+    assert [ill for _, ill in decided] == [oracles.cholesky_screen(cov) for cov, _ in decided]
+
+
 def test_drift_statistics_stack_is_one_read_only_array():
     model = _drift_model(6, 0.3, RAMP, seed=2)
     batches = sample_drift_statistics(model, np.array([0, 60, 140]), 25, rng_seed=1)
