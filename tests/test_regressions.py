@@ -448,8 +448,7 @@ def test_qcqp_radius_with_an_overflowing_square_is_refused():
                     gain_vector=rng.standard_normal(4), target_response=np.ones(1), radius=1e160)
 
 
-@pytest.mark.parametrize("n_filters", [1, [1, 2]], ids=["one width", "sweep"])
-def test_qcqp_study_with_an_overflowing_radius_names_it(tmp_path, n_filters):
+def _assert_overflowing_radius_refused(tmp_path, n_filters):
     # radius_scale 1e300 validated, and every run then failed on the radius's
     # ValueError in a StudyFailedError; the validator builds each width's
     # problem from the config's term_seed and refuses the scale by name
@@ -468,3 +467,11 @@ def test_qcqp_study_with_an_overflowing_radius_names_it(tmp_path, n_filters):
     cfg.write_text(yaml.safe_dump(raw))
     assert dasf.cli.main(["run", str(cfg)]) == 2
     assert not (tmp_path / "out").exists()
+
+
+def test_qcqp_study_with_an_overflowing_radius_names_it(tmp_path):
+    _assert_overflowing_radius_refused(tmp_path, 1)
+
+
+def test_qcqp_sweep_with_an_overflowing_radius_names_it(tmp_path):
+    _assert_overflowing_radius_refused(tmp_path, [1, 2])
