@@ -4,6 +4,12 @@ Subpackages by responsibility: ``network`` (topologies, tree pruning),
 ``signals`` (synthetic streams, batch statistics), ``sfo`` (problem families
 and their solvers), ``engine`` (the distributed iteration itself),
 ``experiments`` (Monte-Carlo studies), ``cli`` (command-line runner).
+
+``import dasf`` loads the engine and what it runs on: ``network``,
+``signals``, ``sfo`` and their numpy and LAPACK. The study runner
+``experiments``, and with it pyyaml, SciPy's package and the process pool,
+loads on first use: the first time one of its names exported here is read,
+or when a module imports it.
 """
 
 from .engine import (
@@ -26,15 +32,6 @@ from .network import (
     make_path,
     make_random_tree,
     prune_to_tree,
-)
-from .experiments import (
-    ConfigError,
-    ExperimentConfig,
-    StudyResult,
-    load_config,
-    run_study,
-    run_tracking,
-    validate_config,
 )
 from .sfo import (
     CompressedInstance,
@@ -59,6 +56,22 @@ from .signals import (
 )
 
 __version__ = "0.1.0"
+
+# the names of the study runner, which loads when one of them is first read
+_EXPERIMENTS = ("ConfigError", "ExperimentConfig", "StudyResult", "load_config",
+                "run_study", "run_tracking", "validate_config")
+
+
+def __getattr__(name):
+    if name in _EXPERIMENTS:
+        from . import experiments
+
+        return getattr(experiments, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPERIMENTS})
 
 __all__ = [
     "ConvergenceRecord",

@@ -1,18 +1,21 @@
 """The three LAPACK routines dasf calls, taken from SciPy's compiled
 ``scipy/linalg/_flapack`` extension without importing the ``scipy.linalg``
-package, whose array-API set-up imports ``numpy.f2py`` and ``numpy.testing``.
-CPython initialises that extension once per process, so these are the very
-objects ``scipy.linalg.lapack`` exports, whichever package is imported first."""
+package, whose array-API set-up imports ``numpy.f2py`` and ``numpy.testing``,
+or even the top-level ``scipy`` package: SciPy's directory comes from its
+import spec. CPython initialises that extension once per process, so these
+are the very objects ``scipy.linalg.lapack`` exports, whichever package is
+imported first."""
 
 import sys
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
-from importlib.util import module_from_spec, spec_from_file_location
+from importlib.util import find_spec, module_from_spec, spec_from_file_location
 from pathlib import Path
 
-import scipy
-
 _NAME = "scipy.linalg._flapack"
-_DIR = Path(scipy.__file__).parent / "linalg"
+_scipy = find_spec("scipy")
+if _scipy is None:
+    raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+_DIR = Path(_scipy.origin).parent / "linalg"
 _path = next((p for p in (_DIR / f"_flapack{s}" for s in EXTENSION_SUFFIXES) if p.is_file()), None)
 if _path is None:
     raise ImportError(f"no compiled LAPACK extension _flapack in {_DIR}")

@@ -39,14 +39,11 @@ import sys
 import time
 import warnings
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy
-import yaml
 
 from . import network as net
 from .engine import RunResult, dasf_run, normalized_error
@@ -191,6 +188,8 @@ class ExperimentConfig:
 
 def load_config(path) -> dict:
     """Read one YAML config file into a raw mapping."""
+    import yaml
+
     try:
         with open(path) as fh:
             raw = yaml.safe_load(fh)
@@ -452,10 +451,11 @@ def _check_semantics(config: ExperimentConfig) -> None:
         raise ConfigError(errors)
     if config.problem_kind == "qcqp":
         # the radius follows from the config alone: build each width's
-        # problem, with the runs' term_seed draws, and name what it refuses
+        # problem, with the runs' term_seed draws but without the M x Q
+        # linear term, and name what it refuses
         for width in config.expand_filter_sweep():
             try:
-                _build_problem(width)
+                _build_problem(width, linear_term=False)
             except ValueError as exc:
                 raise ConfigError([f"problem.radius_scale: {config.radius_scale!r} gives no "
                                    f"QCQP at width {width.n_filters}: {exc}"]) from exc
@@ -515,15 +515,22 @@ def _build_graph(config: ExperimentConfig, rng) -> net.NetworkGraph:
     raise ValueError(f"unknown topology {config.topology!r}")
 
 
-def _build_problem(config: ExperimentConfig) -> SfoProblem:
-    """Deterministic problem data shared by every Monte-Carlo run."""
+def _build_problem(config: ExperimentConfig, linear_term: bool = True) -> SfoProblem:
+    """Deterministic problem data shared by every Monte-Carlo run. Without
+    ``linear_term``, the term's draws are skipped in bounded blocks, so the
+    draws after it are the runs' own, and a zero-stride array stands in."""
     m, n_filters = config.total_channels, config.n_filters
     if config.problem_kind == "mmse":
         return MmseProblem(n_filters=n_filters)
     if config.problem_kind == "tro":
         return TroProblem(n_filters=n_filters)
     rng = np.random.default_rng(config.term_seed)
-    linear = rng.standard_normal((m, n_filters))
+    if linear_term:
+        linear = rng.standard_normal((m, n_filters))
+    else:
+        for start in range(0, m * n_filters, DRAW_BLOCK_ENTRIES):
+            rng.standard_normal(min(DRAW_BLOCK_ENTRIES, m * n_filters - start))
+        linear = np.broadcast_to(0.0, (m, n_filters))
     if config.problem_kind == "scqp":
         return ScqpProblem(n_filters=n_filters, linear_term=linear)
     gain = rng.standard_normal(m)
@@ -665,6 +672,8 @@ def _run_variant(config: ExperimentConfig) -> StudyResult:
     # the runs, and one run goes in-process
     pool_size = min(config.workers, config.runs)
     if pool_size > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
             outcomes = list(pool.map(_run_worker, payloads))
     else:
@@ -777,6 +786,9 @@ def write_study_outputs(study: StudyResult, out_dir: Path) -> None:
     """Emit run_<idx>.csv per run, aggregate.csv (with a lambda column when
     tracking), study.meta, and the gnuplot script epsilon.gp that plots
     aggregate.csv."""
+    import scipy
+    import yaml
+
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import copy
 import csv
 import importlib.util
@@ -6,6 +7,7 @@ import json
 import os
 import platform
 import re
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -570,6 +572,37 @@ def test_problem_terms_deterministic_in_term_seed():
     assert not np.array_equal(p1.linear_term, p3.linear_term)
 
 
+def _validate_wide_qcqp():
+    # M = 2000 channels and a sweep up to Q = 1000: a 16 MB linear term
+    raw = {"schema_version": 1,
+           "problem": {"kind": "qcqp", "n_filters": [1, 3, 1000], "term_seed": 4},
+           "network": {"kind": "path", "nodes": 1000, "channels": 2},
+           "run": {"iterations": 15, "samples": 5000}}
+    with pytest.warns(RuntimeWarning, match="rank deficient"):
+        return validate_config(raw)
+
+
+def test_validation_skips_the_linear_term_to_the_runs_radius():
+    config = _validate_wide_qcqp()
+    for width in config.expand_filter_sweep():
+        skipped, built = _build_problem(width, linear_term=False), _build_problem(width)
+        assert skipped.radius == built.radius
+        assert np.array_equal(skipped.gain_vector, built.gain_vector)
+        assert np.array_equal(skipped.target_response, built.target_response)
+        assert skipped.linear_term.shape == built.linear_term.shape
+        assert skipped.linear_term.strides == (0, 0)
+
+
+def test_qcqp_validation_does_not_build_the_linear_term():
+    tracemalloc.start()
+    try:
+        _validate_wide_qcqp()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+
+
 def test_tracking_reference_constant_schedule():
     # weight pinned at zero: the window-averaged statistics are the p0 model
     p0 = np.array([0.4, -0.2, 0.7])
@@ -764,7 +797,8 @@ def test_pool_is_sized_to_the_runs(tmp_path, monkeypatch, workers, runs, pool_si
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    # the study imports the pool class from concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     pooled = run_study(validate_config(
         _study_raw(tmp_path, monte_carlo_runs=runs, workers=workers)), write=False)
     assert sizes == pool_sizes

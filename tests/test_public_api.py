@@ -3,7 +3,9 @@ exports exactly the names it exported before, no module imports a name it
 neither uses nor re-exports, and neither importing it nor
 any family's solve, batch or tracking study loads scipy.optimize, the
 scipy.linalg package or the numpy.f2py that package's array-API set-up
-imports. The four LAPACK routines dasf binds from SciPy's compiled extension
+imports. Importing it loads neither the study runner nor pyyaml, the
+process pool, logging or the scipy package; the runner's names load it on
+first use. The three LAPACK routines dasf binds from SciPy's compiled extension
 are the ones scipy.linalg.lapack exports, bit for bit."""
 
 import ast
@@ -164,6 +166,43 @@ def test_import_leaves_scipy_optimize_unloaded():
     probe = _probe(_FOOTPRINT_PROBE)
     assert probe["at_import"] == [] and probe["after_solves"] == []
     assert all(it > 0 for it in probe["iterations"]) and probe["feasible"]
+
+
+# what a run of the engine does not read: the study runner and what it
+# alone imports load on first use
+DEFERRED = ("dasf.experiments", "yaml", "concurrent.futures", "multiprocessing", "logging",
+            "scipy")
+EXPERIMENTS_NAMES = ("ConfigError", "ExperimentConfig", "StudyResult", "load_config",
+                     "run_study", "run_tracking", "validate_config")
+
+_LAZY_PROBE = """
+import json
+import dasf
+deferred = %r
+at_import = [m for m in deferred if m in sys.modules]
+dasf.run_study
+after_touch = [m for m in deferred if m in sys.modules]
+from dasf import experiments
+try:
+    dasf.no_such_name
+    unknown = None
+except AttributeError as exc:
+    unknown = str(exc)
+print(json.dumps({"at_import": at_import, "after_touch": after_touch,
+                  "same": [getattr(dasf, n) is getattr(experiments, n) for n in %r],
+                  "listed": sorted(set(%r) & set(dir(dasf))),
+                  "unknown": unknown}))
+""" % (DEFERRED, EXPERIMENTS_NAMES, EXPERIMENTS_NAMES)
+
+
+def test_import_defers_the_study_runner():
+    probe = _probe(_LAZY_PROBE)
+    assert probe["at_import"] == []
+    assert "dasf.experiments" in probe["after_touch"]
+    assert probe["same"] == [True] * len(EXPERIMENTS_NAMES)
+    assert probe["listed"] == sorted(EXPERIMENTS_NAMES)
+    assert probe["unknown"] == "module 'dasf' has no attribute 'no_such_name'"
+    assert set(EXPERIMENTS_NAMES) < set(dasf.__all__)
 
 
 # the same study in-process, then with two forked workers
