@@ -12,19 +12,15 @@ in tracking studies), a resolved config echo, and a gnuplot script for the
 error curves. A study whose every run fails raises StudyFailedError.
 
 Tracking studies (a drift schedule, adaptive mode) draw each iteration's
-batch as its second-order statistics (``sample_drift_statistics``), exactly
-in distribution with the samples ``sample_adaptive`` returns but without
-the M x N noise draw. A run draws its windows in blocks of consecutive
-iterations, one call per block, when the block's first window is
-requested; a block's stacked statistics and ramp normals hold at most
-DRAW_BLOCK_ENTRIES entries (one window when a single one holds more), so
-the block size, and with it the run's per-seed values, follows from M, N
-and that constant. A block's batches come with their MMSE conditioning
-decisions, from one stacked screen of the block, so no solve factorizes a
-covariance to decide its ridge. Per-seed values differ from earlier versions, which drew
-each window on its own or drew the samples, while their distribution does
-not. ``sample_adaptive`` still returns samples, and the other modes still
-draw them.
+batch as its second-order statistics, exactly in distribution with the
+samples ``sample_adaptive`` returns but without the M x N noise draw. A run
+asks ``signals.drift_batches`` for the next batch each iteration; it draws
+the windows in blocks and owns the block size. The batches come with their
+MMSE conditioning decisions, from one screen per block, so no solve
+factorizes a covariance to decide its ridge. Per-seed values differ from
+earlier versions, which drew each window on its own or drew the samples,
+while their distribution does not. ``sample_adaptive`` still returns
+samples, and the other modes still draw them.
 """
 
 from __future__ import annotations
@@ -56,10 +52,11 @@ from .sfo import (
     solve_centralized,
 )
 from .signals import (
+    DRAW_BLOCK_ENTRIES,
     DriftSpec,
     LambdaSchedule,
     SignalModel,
-    sample_drift_statistics,
+    drift_batches,
     sample_stationary,
 )
 
@@ -86,9 +83,6 @@ SAMPLE_MODES = ("batch", "adaptive")
 DEFAULT_SAMPLES = 10_000
 DEFAULT_RUNS = 100
 MAX_CHANNELS = 10_000   # M x M statistics of that many one-channel nodes take 800 MB
-# entries of a tracking run's block of drift draws: its stacked statistics
-# and the normals of its ramp windows
-DRAW_BLOCK_ENTRIES = 2**16
 
 
 class ConfigError(Exception):
@@ -440,6 +434,11 @@ def _check_semantics(config: ExperimentConfig) -> None:
             errors.append("problem.n_filters: drift tracking uses a single steering vector, width must be 1")
         if config.sample_mode != "adaptive":
             errors.append("run.mode: a drift schedule needs adaptive mode (fresh batch per iteration)")
+        # the model's knots are at iteration x samples (_build_model)
+        overflowing = [t for t, _ in config.drift.schedule if not math.isfinite(t * config.samples)]
+        if overflowing:
+            errors.append(f"signals.drift.schedule: knot time {overflowing[0]!r} x run.samples "
+                          f"{config.samples} is not a finite sample index")
     widest = max(config.filter_widths)
     if widest > config.total_channels:
         errors.append(f"problem.n_filters: width {widest} exceeds the network's "
@@ -609,19 +608,10 @@ def _single_run(config: ExperimentConfig, variant: str, run_index: int,
         def reference(i):
             return targets[i]
 
-        m = config.total_channels
-        size = max(1, DRAW_BLOCK_ENTRIES // (m * m + m + 1 + n))
-        held = (-1, ())   # the block being fused: its index and batches
+        batches = drift_batches(model, n, config.iterations, rng)
 
         def batch(i):
-            nonlocal held
-            block, at = divmod(i, size)
-            if held[0] != block:
-                held = (-1, ())   # the old block goes before the next is drawn
-                first = block * size
-                windows = np.arange(first, min(first + size, config.iterations))
-                held = block, sample_drift_statistics(model, n * windows, n, rng)
-            return held[1][at]
+            return next(batches)   # dasf_run asks for iterations 0, 1, ... in turn
     else:
         # the reference is solved on the first batch, which batch mode
         # reuses; adaptive mode draws a fresh batch every iteration, so its

@@ -30,10 +30,14 @@ chi-squares of Bartlett's factor. A window is constant iff lambda takes one
 value at every sample. Each call reads lambda only through the linear
 pieces of the schedule over its windows, never at every sample: they
 decide which windows are constant, and a ramp window's moments of lambda
-come from one product of s^2 with [1, u, u^2] per piece. One stacked
-factorization screens every batch's conditioning (``ill_conditioned``),
-which each batch keeps; a batch of N < M samples is singular, so the
-screen decides it without one.
+come from one product of s^2 with [1, u, u^2] per piece. A tracking run
+draws its windows in blocks (``drift_batches``), one call per block, and
+the block's size follows from M, N and ``DRAW_BLOCK_ENTRIES``.
+
+One screen decides every batch's conditioning (``ill_conditioned``), which
+each batch keeps: one dpotrf per matrix, and the eigenvalues where it
+fails; a batch of N < M samples is singular, so the screen decides it
+without one.
 """
 
 from __future__ import annotations
@@ -48,6 +52,9 @@ import numpy as np
 from ._lapack import dpotrf
 
 COND_LIMIT = 1e12           # conditioning threshold for MMSE diagonal loading
+# entries of one block of drift draws: its stacked statistics and the
+# normals of its ramp windows
+DRAW_BLOCK_ENTRIES = 2**16
 
 __all__ = [
     "LambdaSchedule",
@@ -57,6 +64,7 @@ __all__ = [
     "sample_stationary",
     "sample_adaptive",
     "sample_drift_statistics",
+    "drift_batches",
     "estimate_covariance",
     "estimate_cross",
     "mean_squared_norm",
@@ -263,14 +271,10 @@ class SampleBatch:
 
     @cached_property
     def cov_y_ill_conditioned(self) -> bool:
-        """cond(R_yy) > COND_LIMIT in the 2-norm, by ``ill_conditioned``'s
-        decision for one matrix. R_yy of N < M samples has rank at most N, so
-        it is singular: True with no factorization wherever the shift is
-        finite. A batch given by its statistics is screened as given."""
-        t = float(_shift(self.cov_y))
-        if self.y is not None and self.n_samples < len(self.cov_y) and math.isfinite(t):
-            return True
-        return _ill_conditioned_at(self.cov_y, t)
+        """cond(R_yy) > COND_LIMIT in the 2-norm, by ``ill_conditioned`` on a
+        stack of one. A batch given by its statistics is screened as given."""
+        n_samples = None if self.y is None else self.n_samples
+        return bool(ill_conditioned(self.cov_y[None], n_samples)[0])
 
     @cached_property
     def cov_v(self) -> np.ndarray:
@@ -308,45 +312,28 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def ill_conditioned(r: np.ndarray) -> np.ndarray:
+def ill_conditioned(r: np.ndarray, n_samples: int | None = None) -> np.ndarray:
     """cond(R) > COND_LIMIT in the 2-norm for each R of a (W, M, M) stack of
     symmetric matrices (True if singular, False if not finite). With
     t = ||R||_inf / COND_LIMIT >= lambda_max / COND_LIMIT, a Cholesky factor
-    of R - t I proves lambda_min > t. One stacked factorization screens a
-    stack of several; a stack of one, and each R of a stack that fails, is
-    decided alone (``_ill_conditioned_at``)."""
-    shift = _shift(r)
-    if len(r) > 1:
-        finite = np.isfinite(shift)
-        shifted = r[finite]   # a copy, so the statistics are never touched
-        m = r.shape[-1]
-        shifted.reshape(len(shifted), m * m)[:, ::m + 1] -= shift[finite, None]
-        try:
-            np.linalg.cholesky(shifted)
-            return np.zeros(len(r), dtype=bool)
-        except np.linalg.LinAlgError:
-            pass
-    return np.array([_ill_conditioned_at(a, t) for a, t in zip(r, shift.tolist())], dtype=bool)
-
-
-def _shift(r: np.ndarray):
-    """t = ||R||_inf / COND_LIMIT, for one matrix or per matrix of a stack."""
-    return (np.abs(r) @ np.ones(r.shape[-1])).max(axis=-1) / COND_LIMIT
-
-
-def _ill_conditioned_at(r: np.ndarray, t: float) -> bool:
-    """The decision for one symmetric R at its shift t: False when t is not
-    finite, else by a Cholesky factor of R - t I (LAPACK dpotrf, in place on
-    a copy) and, when that fails, by the eigenvalues of R."""
-    if not math.isfinite(t):
-        return False
-    a = r.copy()
-    a.reshape(-1)[::a.shape[0] + 1] -= t
-    # a.T is a in LAPACK's order (a is symmetric), factorized in place
-    if dpotrf(a.T, lower=1, clean=0, overwrite_a=1)[1] == 0:
-        return False
-    mag = np.abs(np.linalg.eigvalsh(r))
-    return bool(not mag.min() > 0.0 or mag.max() / mag.min() > COND_LIMIT)
+    of R - t I proves lambda_min > t: each R takes one dpotrf, in place on a
+    shifted copy, and the eigenvalues of R decide where it fails. R of
+    ``n_samples`` < M samples has rank at most N, so it is singular: True
+    wherever t is finite, with no factorization. None screens R as given."""
+    m = r.shape[-1]
+    shift = (np.abs(r) @ np.ones(m)).max(axis=-1) / COND_LIMIT
+    finite = np.isfinite(shift)
+    if n_samples is not None and n_samples < m:
+        return finite
+    decided = np.zeros(len(r), dtype=bool)
+    shifted = r[finite]   # a copy, so the statistics are never touched
+    shifted.reshape(len(shifted), m * m)[:, ::m + 1] -= shift[finite, None]
+    for w, a in zip(np.flatnonzero(finite).tolist(), shifted):
+        # a.T is a in LAPACK's order (a is symmetric), factorized in place
+        if dpotrf(a.T, lower=1, clean=0, overwrite_a=1)[1] != 0:
+            mag = np.abs(np.linalg.eigvalsh(r[w]))
+            decided[w] = not mag.min() > 0.0 or mag.max() / mag.min() > COND_LIMIT
+    return decided
 
 
 def sample_stationary(model: SignalModel, t: int, n_samples: int, rng_seed=None) -> SampleBatch:
@@ -408,7 +395,7 @@ def sample_drift_statistics(model: SignalModel, t, n_samples: int, rng_seed=None
     decide; it has r = 1 and l11 = 0, and it draws ||s||^2 = source_var
     chi2_N instead of s. The module docstring states the order of the draws.
     Every batch comes with its conditioning decision, from one screen of the
-    whole stack; windows of N < M samples are singular and need none.
+    whole stack (``ill_conditioned``).
     """
     drift = model.drift
     if drift is None:
@@ -459,14 +446,31 @@ def sample_drift_statistics(model: SignalModel, t, n_samples: int, rng_seed=None
     cov = b @ b.mT
     cov /= n
     cross = _frozen((l00 / n)[:, None, None] * b[:, :, :1])
-    # B has at most N nonzero columns, so windows of N < M samples are singular
-    decided = np.isfinite(_shift(cov)) if n < m else ill_conditioned(cov)
+    # B has at most N nonzero columns: R has the rank of N samples
+    decided = ill_conditioned(cov, n)
     batches = []
     for c, x, p, t0, ill in zip(_frozen(cov), cross, (power / n).tolist(), first.tolist(),
                                 decided.tolist()):
         batches.append(SampleBatch.from_statistics(model.channels, c, x, p, n, t0))
         batches[-1].__dict__["cov_y_ill_conditioned"] = ill   # kept like the statistics
     return batches[0] if starts.ndim == 0 else tuple(batches)
+
+
+def drift_batches(model: SignalModel, n_samples: int, count: int, rng):
+    """The drift batches of windows 0, ..., count - 1 of ``n_samples``
+    samples each (window i starts at sample i N), in order. They are drawn
+    in blocks of consecutive windows, one ``sample_drift_statistics`` call
+    per block, when the block's first window is asked for, and the previous
+    block is let go first. A block holds
+    max(1, DRAW_BLOCK_ENTRIES // (M^2 + M + 1 + N)) windows: its stacked
+    statistics and ramp normals hold at most DRAW_BLOCK_ENTRIES entries
+    unless one window alone holds more. The block size, and with it every
+    per-seed value, follows from M, N and that constant."""
+    m = model.total_channels
+    size = max(1, DRAW_BLOCK_ENTRIES // (m * m + m + 1 + n_samples))
+    for first in range(0, count, size):
+        windows = np.arange(first, min(first + size, count))
+        yield from sample_drift_statistics(model, n_samples * windows, n_samples, rng)
 
 
 def _ramp_moments(starts: np.ndarray, pieces, sq: np.ndarray):

@@ -17,8 +17,11 @@ another commit, and two commits' reports compare line by line:
 The suite: each family in batch mode on an Erdos-Renyi graph and on a
 random tree, each family in stationary adaptive mode, two tracking studies
 in the shape of the benchmark's ``tracking_adaptive``, the study of
-acceptance criterion 10 and one 2000-iteration run in the shape of the
-benchmark's ``long_tree_smallN``. It takes a few seconds.
+acceptance criterion 10, one 2000-iteration run in the shape of the
+benchmark's ``long_tree_smallN``, and five MMSE studies that take every
+branch of the conditioning screen: N < M samples, and a noise so small that
+the Cholesky factor fails and the eigenvalues decide, in batch, stationary
+adaptive and tracking runs. It takes a few seconds.
 """
 
 from __future__ import annotations
@@ -74,6 +77,29 @@ def tracking_config(seed: int, runs: int, network: dict, drift: dict,
     })
 
 
+def screen_lines() -> list[str]:
+    # MMSE on Erdos-Renyi K = 10 with 3 channels per node (M = 30): the
+    # screen's rank rule (N = 20 < M) and its eigenvalue branch (noise 1e-14)
+    lines = []
+    drift = {"schedule": [[0, 0.0], [4, 1.0]]}
+    for case, mode, samples, noise, signals in (
+            ("batch_n20", "batch", 20, 0.1, {}),
+            ("batch_noise", "batch", 300, 1e-14, {}),
+            ("adaptive_noise", "adaptive", 300, 1e-14, {}),
+            ("drift_n20", "adaptive", 20, 0.1, {"drift": drift}),
+            ("drift_noise", "adaptive", 300, 1e-14, {"drift": drift})):
+        config = dasf.validate_config({
+            "schema_version": 1,
+            "problem": {"kind": "mmse", "n_filters": 1},
+            "network": {"kind": "erdos_renyi", "nodes": 10, "channels": 3, "edge_prob": 0.5},
+            "signals": {"noise_var": noise, **signals},
+            "run": {"monte_carlo_runs": 3, "iterations": 8, "samples": samples, "mode": mode,
+                    "seed": 5, "workers": 1},
+        })
+        lines += study_lines(f"screen_{case}", dasf.run_study(config, write=False))
+    return lines
+
+
 def long_tree_lines() -> list[str]:
     # long_tree_smallN's shape: MMSE on a random tree of 16 nodes with 1 or 2
     # channels each, Q = 3, N = 200, 2000 iterations
@@ -105,7 +131,7 @@ def report() -> list[str]:
                                             [119.9995, 0.4], [120, 1.0]]}
     config = tracking_config(11, 20, {"nodes": 10, "channels": 4, "edge_prob": 0.8}, drift, {})
     lines += study_lines("criterion_10", dasf.run_study(config, write=False))
-    return lines + long_tree_lines()
+    return lines + long_tree_lines() + screen_lines()
 
 
 if __name__ == "__main__":

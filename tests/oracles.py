@@ -26,8 +26,9 @@ per-sample ramp moments it replaced stay beside it
 (``ramp_moments_per_sample``), so that the draw is held to them to
 rounding; it takes a window as constant when lambda, read at every one of
 its samples, takes one value there (``window_lambda``). The conditioning
-screen is kept in its first written form, so that the library's stacked
-form is held to the same decisions, and so are the Erdos-Renyi draw
+screen is kept in its first written form, np.linalg.cholesky of one matrix
+(``cholesky_screen``), so that the library's screen, one dpotrf per matrix
+of a stack, is held to the same decisions, and so are the Erdos-Renyi draw
 (``frozen_make_erdos_renyi``), the path and random tree built through a
 dense K x K adjacency (``frozen_make_path`` and ``frozen_make_random_tree``)
 and the ``study.meta`` config echo (``frozen_resolved_dict``). The

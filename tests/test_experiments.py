@@ -24,6 +24,7 @@ import dasf
 import dasf.cli
 import dasf.experiments as experiments
 import oracles
+from dasf import signals
 from dasf.experiments import (
     MAX_CHANNELS,
     ConfigError,
@@ -833,14 +834,16 @@ def test_tracking_study_and_outputs(tmp_path):
     assert "lambda" in (out / "epsilon.gp").read_text()
 
 
-@pytest.mark.parametrize("entries, size", [(2 * (36 + 6 + 1 + 300), 2), (10**6, 10), (1, 1)])
+@pytest.mark.parametrize("entries, size", [(2 * (36 + 6 + 1 + 300), 2), (10**6, 10), (1, 1),
+                                           (3 * (36 + 6 + 1 + 300), 3)])
 def test_tracking_run_draws_its_windows_in_blocks(tmp_path, monkeypatch, entries, size):
     # blocks of max(1, DRAW_BLOCK_ENTRIES // (M^2 + M + 1 + N)) consecutive
     # windows (M = 6, N = 300), each drawn in one call when its first window
-    # is requested; a block is dropped once the next block's windows are in use
-    monkeypatch.setattr(experiments, "DRAW_BLOCK_ENTRIES", entries)
+    # is requested; a block is dropped once the next block's windows are in
+    # use, and the last block holds what is left (one window at size 3)
+    monkeypatch.setattr(signals, "DRAW_BLOCK_ENTRIES", entries)
     events, blocks = [], []
-    real_draw, real_run = experiments.sample_drift_statistics, experiments.dasf_run
+    real_draw, real_run = signals.sample_drift_statistics, experiments.dasf_run
 
     def draw(model, starts, n, rng):
         # every block before the previous one is gone
@@ -857,7 +860,7 @@ def test_tracking_run_draws_its_windows_in_blocks(tmp_path, monkeypatch, entries
             return got
         return real_run(problem, graph, logged, *args, **kwargs)
 
-    monkeypatch.setattr(experiments, "sample_drift_statistics", draw)
+    monkeypatch.setattr(signals, "sample_drift_statistics", draw)
     monkeypatch.setattr(experiments, "dasf_run", run)
     raw = _study_raw(tmp_path, monte_carlo_runs=1, iterations=10, mode="adaptive")
     raw["signals"] = {"drift": {"schedule": [[0, 0.0], [4, 0.0], [8, 1.0]]}}

@@ -18,7 +18,9 @@ bound its M x M statistics. A graph's per-node accessors answered for another
 node when handed a node id of 0 or below, and a run asked for a negative
 number of iterations failed inside numpy. A QCQP radius whose square
 overflows failed every run with an OverflowError that named no cause, and
-the validator accepted the radius scale that gave it."""
+the validator accepted the radius scale that gave it. A drift schedule whose
+knot time overflowed once scaled by the sample count validated, and every
+run then failed as it built its model."""
 
 import dataclasses
 import logging
@@ -475,3 +477,25 @@ def test_qcqp_study_with_an_overflowing_radius_names_it(tmp_path):
 
 def test_qcqp_sweep_with_an_overflowing_radius_names_it(tmp_path):
     _assert_overflowing_radius_refused(tmp_path, [1, 2])
+
+
+def test_drift_schedule_overflowing_at_the_sample_count_is_refused(tmp_path):
+    # knot 1e305 x samples 10000 validated, then every run failed in
+    # _build_model with "ValueError: schedule times must hold only finite
+    # numbers, got inf" and run_tracking raised StudyFailedError
+    raw = {"schema_version": 1,
+           "problem": {"kind": "mmse", "n_filters": 1},
+           "network": {"kind": "path", "nodes": 3, "channels": 2},
+           "signals": {"drift": {"schedule": [[0, 0.0], [1e305, 1.0]]}},
+           "run": {"monte_carlo_runs": 2, "iterations": 3, "samples": 10_000,
+                   "mode": "adaptive"}}
+    with pytest.raises(ConfigError) as info:
+        validate_config(raw)
+    assert info.value.errors == ("signals.drift.schedule: knot time 1e+305 x run.samples "
+                                 "10000 is not a finite sample index",)
+    raw["signals"]["drift"]["schedule"] = [[-1e305, 0.0], [2, 1.0]]
+    with pytest.raises(ConfigError, match=r"knot time -1e\+305 x run\.samples 10000"):
+        validate_config(raw)
+    raw["signals"]["drift"]["schedule"] = [[0, 0.0], [1e300, 1.0]]
+    study = _study(tmp_path, **{k: v for k, v in raw.items() if k != "schema_version"})
+    assert study.run_count == 2 and np.isfinite(study.epsilon).all()

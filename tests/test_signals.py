@@ -311,8 +311,9 @@ _SPD = np.random.default_rng(6).standard_normal((4, 5, 12))
 
 
 def test_conditioning_screen_of_a_stack_matches_each_window():
-    # a stack of well-conditioned windows passes one stacked factorization;
-    # an N < M window makes it fail, so every window is decided alone
+    # each window of a stack takes its own factorization, so a singular,
+    # ill-conditioned or non-finite window beside well-conditioned ones is
+    # decided as the oracle decides it alone
     good = _SPD @ _SPD.mT
     low = _SPD[0, :, :3] @ _SPD[0, :, :3].T                     # N = 3 < M = 5
     loose = np.diag([1.0, 2.0, 1e-13, 1.0, 3.0])               # the eigenvalues decide
@@ -332,9 +333,8 @@ def test_conditioning_screen_of_a_stack_matches_each_window():
 
 
 def test_conditioning_screen_decides_one_matrix_as_a_stack_does():
-    # a batch's own screen and a stack of one go straight to the per-matrix
-    # decision; a stack of several factorizes at once, and one that fails
-    # decides each matrix alone: all agree, window by window
+    # a batch's own screen is a stack of one, and a stack of several decides
+    # each matrix alone: all agree, window by window
     good = _SPD @ _SPD.mT
     low = _SPD[0, :, :3] @ _SPD[0, :, :3].T                     # singular
     loose = np.diag([1.0, 2.0, 1e-13, 1.0, 3.0])               # ill-conditioned
@@ -354,7 +354,8 @@ def test_conditioning_screen_decides_fewer_samples_than_channels_by_rank(monkeyp
     # R of N < M samples has rank at most N, so the screen decides it True
     # without dpotrf, a stacked Cholesky or eigvalsh, as the full rule does;
     # a non-finite R still decides False, and statistics handed in as they
-    # are go through the factorization
+    # are go through the factorization; a drift draw of N >= M samples takes
+    # one dpotrf per window and never a stacked Cholesky
     calls = []
 
     def counted(name, f):
@@ -384,6 +385,11 @@ def test_conditioning_screen_decides_fewer_samples_than_channels_by_rank(monkeyp
     assert calls == []
     given = SampleBatch.from_statistics((2, 3), np.eye(5), np.zeros((5, 1)), 1.0, 3)
     assert given.cov_y_ill_conditioned is False and calls == ["dpotrf"]
+    calls.clear()
+    drawn = sample_drift_statistics(_drift_model(7, 0.3, RAMP, seed=3),
+                                    np.array([0, 60, 140, 140]), 40, rng)
+    assert [batch.cov_y_ill_conditioned for batch in drawn] == [False] * 4
+    assert calls == ["dpotrf"] * 4
     monkeypatch.undo()
     assert len(decided) > 150
     assert all(ill is True for _, ill in decided)
@@ -468,6 +474,51 @@ def test_drift_statistics_property(m, n, ramp, t, log_vars, seed):
 
 
 _ROWS = np.random.default_rng(4).standard_normal((6, 9))
+
+
+_SCREEN_KINDS = ("spd", "loose", "singular", "nan", "inf")
+
+
+def _screen_matrix(kind: str, m: int, rng) -> np.ndarray:
+    """One symmetric M x M matrix of the kind: well conditioned, one
+    eigenvalue 1e-13 among ones to threes, exactly singular (a zero row and
+    column), or with a NaN or an infinite pair of entries."""
+    a = rng.standard_normal((m, m + 2))
+    r = a @ a.T
+    k, j = rng.integers(m, size=2)
+    if kind == "loose":
+        q = np.linalg.qr(rng.standard_normal((m, m)))[0]
+        d = rng.uniform(1.0, 3.0, m)
+        d[k] = 1e-13
+        r = (q * d) @ q.T
+        r = 0.5 * (r + r.T)
+    elif kind == "singular":
+        r[k] = r[:, k] = 0.0
+    elif kind in ("nan", "inf"):
+        r[k, j] = r[j, k] = np.nan if kind == "nan" else np.inf
+    return r
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.integers(1, 8), kinds=st.lists(st.sampled_from(_SCREEN_KINDS), max_size=6),
+       n_samples=st.one_of(st.none(), st.integers(1, 16)), seed=st.integers(0, 2**32 - 1))
+def test_conditioning_screen_property(m, kinds, n_samples, seed):
+    # every decision is the oracle's, or, for R of N < M samples, True for a
+    # finite shift; the stack is read, never written; and a matrix is
+    # decided the same in its stack as alone
+    rng = np.random.default_rng(seed)
+    stack = np.array([_screen_matrix(kind, m, rng) for kind in kinds]).reshape(-1, m, m)
+    kept = stack.copy()
+    stack.setflags(write=False)
+    got = signals.ill_conditioned(stack, n_samples)
+    assert got.dtype == bool and got.shape == (len(kinds),)
+    assert np.array_equal(stack, kept, equal_nan=True)
+    for r, ill in zip(stack, got.tolist()):
+        if n_samples is not None and n_samples < m:
+            assert ill == bool(np.isfinite(np.abs(r).sum(axis=1).max()))
+        else:
+            assert ill == oracles.cholesky_screen(r)
+        assert signals.ill_conditioned(r[None], n_samples).tolist() == [ill]
 
 
 @pytest.mark.parametrize("cov, decided", [
